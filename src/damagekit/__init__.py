@@ -6,23 +6,4 @@ and scores the result with precision-recall metrics. Ships a deterministic
 synthetic scene generator for end-to-end testing.
 """
 
-from .errors import (CellCountMismatch, DamageKitError, DuplicateFootprintId,
-                     DuplicatePointId, EmptySampleSet, IndexOutOfRange,
-                     InvalidClassCode, MissingEstimate, MissingHeaderKey,
-                     NonIntegerCell, NoPositiveSamples, ParseError,
-                     SwathOutsideScene, UnknownCategory)
-from .geom import (EARTH_RADIUS_M, BBox, Footprint, GeoPoint, Ring, bbox,
-                   contains, distance_m, point_to_footprint_distance_m)
-from .metrics import (ConfusionAtTheta, PRCurve, PRPoint, ValidationReport,
-                      average_precision, confusion, pr_curve, precision_recall,
-                      validate)
-from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     ClassRaster, parse_ascii_grid, pixel_center,
-                     write_ascii_grid)
-from .synth import SceneSpec, SplitMix64, SynthScene, category_from_swath, generate
-from .truth import (DESTROYED_ONLY, MAJOR_PLUS, BinaryScheme, FemaCategory,
-                    GroundTruthPoint, MatchedSample, PointMatch, binarize,
-                    join_samples, match_points, parse_scheme)
-from .zonal import DamageEstimate, assess_all, assess_footprint
-
 __version__ = "0.1.0"

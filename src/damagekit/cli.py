@@ -19,6 +19,7 @@ samples, 7 swath misses every building.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -44,11 +45,7 @@ def _load_scene_spec(path) -> SceneSpec:
     doc = formats.parse_json(formats.read_text(path), path)
     if not isinstance(doc, dict):
         raise ParseError("scene spec must be a JSON object", source=path)
-    known = {"seed", "grid_cols", "grid_rows", "building_size_m", "spacing_m",
-             "origin", "swath_start", "swath_end", "swath_width_m",
-             "cellsize_m", "pixel_noise_rate", "point_jitter_sigma_m",
-             "point_drop_rate"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in dataclasses.fields(SceneSpec)}
     if unknown:
         raise ParseError(f"unknown scene spec keys: {sorted(unknown)}",
                          source=path)

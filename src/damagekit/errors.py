@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the duplicate-id check.
 
 Parse-style errors carry the source name and a 1-based line number when one
 is known, so command-line tools can print "file:line: message" diagnostics.
@@ -73,3 +73,12 @@ class NoPositiveSamples(DamageKitError):
 
 class SwathOutsideScene(DamageKitError):
     """Synthetic damage swath misses every building in the scene."""
+
+
+def check_unique(items, error, kind):
+    """Raise error on the first item whose id repeats an earlier item's."""
+    seen = set()
+    for item in items:
+        if item.id in seen:
+            raise error(f"duplicate {kind} id {item.id!r}")
+        seen.add(item.id)

@@ -46,11 +46,17 @@ def parse_json(text: str, source):
                          line=exc.lineno) from exc
 
 
-def _feature_to_footprint(feature, index, source) -> Footprint:
+def _parse_feature(feature, index, source):
+    """One GeoJSON Feature as (Footprint, its properties dict)."""
     if not isinstance(feature, dict) or feature.get("type") != "Feature":
         raise ParseError(f"feature {index} is not a GeoJSON Feature",
                          source=source)
-    properties = feature.get("properties") or {}
+    properties = feature.get("properties")
+    if properties is None:
+        properties = {}
+    elif not isinstance(properties, dict):
+        raise ParseError(f"feature {index} properties must be an object",
+                         source=source)
     fid = feature.get("id", properties.get("id"))
     if fid is None or fid == "":
         raise ParseError(f"feature {index} has no id", source=source)
@@ -71,7 +77,7 @@ def _feature_to_footprint(feature, index, source) -> Footprint:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
     try:
-        return Footprint(fid, built[0], tuple(built[1:]))
+        return Footprint(fid, built[0], tuple(built[1:])), properties
     except ValueError as exc:
         raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
 
@@ -84,10 +90,8 @@ def parse_footprints_with_properties(text: str, source="<geojson>"):
     features = doc.get("features")
     if not isinstance(features, list):
         raise ParseError("FeatureCollection has no feature list", source=source)
-    footprints = [_feature_to_footprint(f, i, source)
-                  for i, f in enumerate(features)]
-    properties = [dict(f.get("properties") or {}) for f in features]
-    return footprints, properties
+    parsed = [_parse_feature(f, i, source) for i, f in enumerate(features)]
+    return [fp for fp, _ in parsed], [properties for _, properties in parsed]
 
 
 def parse_footprints_geojson(text: str, source="<geojson>") -> list[Footprint]:
@@ -155,24 +159,18 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
     The working damage percentage is rebuilt from the stored counts, so the
     two-decimal display rounding of damage_pct loses nothing downstream.
     """
-    doc = parse_json(text, source)
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise ParseError("expected a GeoJSON FeatureCollection", source=source)
-    footprints = []
+    footprints, properties = parse_footprints_with_properties(text, source)
     estimates = []
-    for index, feature in enumerate(doc.get("features", [])):
-        fp = _feature_to_footprint(feature, index, source)
-        properties = feature.get("properties") or {}
+    for fp, props in zip(footprints, properties):
         try:
-            n_inside = int(properties["n_inside"])
-            n_damaged = int(properties["n_damaged"])
-            supersampled = bool(properties["supersampled"])
-            no_coverage = bool(properties["no_coverage"])
+            n_inside = int(props["n_inside"])
+            n_damaged = int(props["n_damaged"])
+            supersampled = bool(props["supersampled"])
+            no_coverage = bool(props["no_coverage"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"feature {fp.id!r} lacks assessment properties",
                              source=source) from exc
         pct = 100.0 * n_damaged / n_inside if n_inside > 0 else 0.0
-        footprints.append(fp)
         estimates.append(DamageEstimate(fp.id, pct, n_inside, n_damaged,
                                         supersampled=supersampled,
                                         no_coverage=no_coverage))
@@ -182,12 +180,18 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
 # -------------------------------------------------------------------- CSV
 
 def _rows(text: str, source, header: str):
+    """(line number, fields) per data row, one field per header column."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}", source=source, line=1)
+    width = header.count(",") + 1
     for number, line in enumerate(lines[1:], start=2):
         if line.strip():
-            yield number, line
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ParseError(f"expected {width} fields, got {len(fields)}",
+                                 source=source, line=number)
+            yield number, fields
 
 
 def write_truth_csv(points: list[GroundTruthPoint]) -> str:
@@ -200,12 +204,8 @@ def write_truth_csv(points: list[GroundTruthPoint]) -> str:
 
 def parse_truth_csv(text: str, source="<csv>") -> list[GroundTruthPoint]:
     points = []
-    for number, line in _rows(text, source, TRUTH_HEADER):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}",
-                             source=source, line=number)
-        pid, lon_text, lat_text, label = fields
+    for number, (pid, lon_text, lat_text, label) in _rows(text, source,
+                                                           TRUTH_HEADER):
         try:
             location = GeoPoint(float(lon_text), float(lat_text))
         except ValueError as exc:
@@ -244,12 +244,7 @@ def write_matches_csv(point_ids: list[str],
 def parse_matches_csv(text: str, source="<csv>"):
     matched = []
     unmatched = []
-    for number, line in _rows(text, source, MATCH_HEADER):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}",
-                             source=source, line=number)
-        pid, fid, distance_text = fields
+    for number, (pid, fid, distance_text) in _rows(text, source, MATCH_HEADER):
         if fid == "" and distance_text == "":
             unmatched.append(pid)
             continue
@@ -270,12 +265,8 @@ def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
 
 def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:
     oracle = {}
-    for number, line in _rows(text, source, ORACLE_HEADER):
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 fields, got {len(fields)}",
-                             source=source, line=number)
-        oracle[fields[0]] = FemaCategory.from_label(fields[1])
+    for _, (fid, label) in _rows(text, source, ORACLE_HEADER):
+        oracle[fid] = FemaCategory.from_label(label)
     return oracle
 
 
@@ -288,11 +279,7 @@ def write_curve_csv(points: list[PRPoint]) -> str:
 
 def parse_curve_csv(text: str, source="<csv>") -> list[PRPoint]:
     points = []
-    for number, line in _rows(text, source, CURVE_HEADER):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}",
-                             source=source, line=number)
+    for number, fields in _rows(text, source, CURVE_HEADER):
         try:
             points.append(PRPoint(theta=float(fields[0]),
                                   precision=float(fields[1]),

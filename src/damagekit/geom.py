@@ -47,10 +47,6 @@ class BBox:
     max_lon: float
     max_lat: float
 
-    def contains_point(self, p: GeoPoint) -> bool:
-        return (self.min_lon <= p.lon <= self.max_lon
-                and self.min_lat <= p.lat <= self.max_lat)
-
 
 @dataclass(frozen=True)
 class Ring:
@@ -90,11 +86,6 @@ class Footprint:
         if b.min_lon == b.max_lon or b.min_lat == b.max_lat:
             raise ValueError("footprint exterior has zero bounding-box extent")
         object.__setattr__(self, "bounds", b)
-
-
-def bbox(fp: Footprint) -> BBox:
-    """Axis-aligned bounding box of the footprint exterior."""
-    return fp.bounds
 
 
 def _ring_state(ring: Ring, lon: float, lat: float) -> int:
@@ -195,11 +186,11 @@ def contains_many(fp: Footprint, lons: np.ndarray, lats: np.ndarray) -> np.ndarr
     return result
 
 
-def distance_m(a: GeoPoint, b: GeoPoint, ref_lat: float) -> float:
-    """Equirectangular distance in metres at the given reference latitude."""
-    dx = EARTH_RADIUS_M * math.cos(ref_lat * _DEG_TO_RAD) * ((a.lon - b.lon) * _DEG_TO_RAD)
-    dy = EARTH_RADIUS_M * ((a.lat - b.lat) * _DEG_TO_RAD)
-    return math.sqrt(dx * dx + dy * dy)
+def metres_per_degree(ref_lat: float) -> tuple[float, float]:
+    """(kx, ky): metres per degree of longitude and of latitude at ref_lat."""
+    kx = EARTH_RADIUS_M * math.cos(ref_lat * _DEG_TO_RAD) * _DEG_TO_RAD
+    ky = EARTH_RADIUS_M * _DEG_TO_RAD
+    return kx, ky
 
 
 def _segment_dist_sq(px, py, x1, y1, x2, y2):
@@ -224,8 +215,7 @@ def point_to_footprint_distance_m(p: GeoPoint, fp: Footprint, ref_lat: float) ->
     """
     if contains(fp, p):
         return 0.0
-    kx = EARTH_RADIUS_M * math.cos(ref_lat * _DEG_TO_RAD) * _DEG_TO_RAD
-    ky = EARTH_RADIUS_M * _DEG_TO_RAD
+    kx, ky = metres_per_degree(ref_lat)
     px = p.lon * kx
     py = p.lat * ky
     best_sq = math.inf

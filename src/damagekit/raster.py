@@ -1,7 +1,8 @@
 """Esri ASCII grid reader/writer for per-pixel damage classification rasters.
 
 Cell codes: 0 background, 1 intact building, 2 damaged building. Any cell may
-also hold the nodata code (default -1). Row 0 is the northernmost row.
+also hold the nodata code (default -1), which must not be one of those three.
+Row 0 is the northernmost row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import (CellCountMismatch, IndexOutOfRange, InvalidClassCode,
                      MissingHeaderKey, NonIntegerCell)
-from .geom import GeoPoint
+from .geom import Footprint, GeoPoint, contains_many
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -59,6 +60,8 @@ class ClassRaster:
             raise ValueError(
                 f"cells shape {cells.shape} does not match "
                 f"(nrows, ncols)=({self.nrows}, {self.ncols})")
+        if self.nodata in VALID_CLASSES:
+            raise ValueError(f"nodata {self.nodata} is a class code")
         bad = ~(np.isin(cells, VALID_CLASSES) | (cells == self.nodata))
         if bad.any():
             row, col = np.argwhere(bad)[0]
@@ -66,15 +69,47 @@ class ClassRaster:
                 f"cell ({row}, {col}) holds invalid class code {cells[row, col]}")
         self.cells = cells
 
+    @property
+    def frame(self) -> tuple[int, int, float, float, float]:
+        """The georeferencing frame (ncols, nrows, xll, yll, cellsize)."""
+        return self.ncols, self.nrows, self.xll, self.yll, self.cellsize
+
+
+def _centres(frame, cols, rows):
+    """(lon, lat) of the pixel centres at the given column and row indices."""
+    _, nrows, xll, yll, cs = frame
+    return xll + (cols + 0.5) * cs, yll + (nrows - rows - 0.5) * cs
+
 
 def pixel_center(raster: ClassRaster, col: int, row: int) -> GeoPoint:
     """Geographic centre of the pixel at (col, row); row 0 is northernmost."""
     if not (0 <= col < raster.ncols and 0 <= row < raster.nrows):
         raise IndexOutOfRange(f"pixel ({col}, {row}) outside "
                               f"{raster.ncols}x{raster.nrows} raster")
-    lon = raster.xll + (col + 0.5) * raster.cellsize
-    lat = raster.yll + (raster.nrows - row - 0.5) * raster.cellsize
-    return GeoPoint(lon, lat)
+    return GeoPoint(*_centres(raster.frame, col, row))
+
+
+def pixel_window(frame, fp: Footprint):
+    """(window, inside) for a footprint on a raster frame, or None off it.
+
+    frame is (ncols, nrows, xll, yll, cellsize). window is the (row slice,
+    column slice) of the footprint's bounding box padded by one cell, which
+    holds every pixel whose centre or subcells it can cover; inside is the
+    contains_many mask of the window's pixel centres.
+    """
+    ncols, nrows, xll, yll, cs = frame
+    b = fp.bounds
+    col_lo = max(int(math.floor((b.min_lon - xll) / cs)) - 1, 0)
+    col_hi = min(int(math.floor((b.max_lon - xll) / cs)) + 1, ncols - 1)
+    row_lo = max(int(math.floor(nrows - (b.max_lat - yll) / cs)) - 1, 0)
+    row_hi = min(int(math.floor(nrows - (b.min_lat - yll) / cs)) + 1, nrows - 1)
+    if col_lo > col_hi or row_lo > row_hi:
+        return None
+    cols = np.arange(col_lo, col_hi + 1, dtype=np.float64)
+    rows = np.arange(row_lo, row_hi + 1, dtype=np.float64)
+    lons, lats = _centres(frame, cols, rows)
+    inside = contains_many(fp, lons[np.newaxis, :], lats[:, np.newaxis])
+    return (slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)), inside
 
 
 def _header_value(key, text, line_no, source):
@@ -104,8 +139,8 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
 
     Header keys must appear in canonical order (case-insensitive):
     ncols, nrows, xllcorner, yllcorner, cellsize, then an optional
-    nodata_value. The body must hold exactly ncols*nrows integer cells,
-    each in {0, 1, 2} or equal to the nodata code.
+    nodata_value outside {0, 1, 2}. The body must hold exactly ncols*nrows
+    integer cells, each in {0, 1, 2} or equal to the nodata code.
     """
     lines = text.splitlines()
     header = {}
@@ -142,6 +177,10 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
                 raise MissingHeaderKey(
                     f"nodata_value must be an integer, got {tokens[1]!r}",
                     source=source, line=line_idx + 1) from None
+            if nodata in VALID_CLASSES:
+                raise MissingHeaderKey(
+                    f"nodata_value {nodata} is a class code (0, 1 or 2)",
+                    source=source, line=line_idx + 1)
             line_idx += 1
 
     ncols = header["ncols"]

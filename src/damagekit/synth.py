@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SwathOutsideScene
-from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, Ring, contains_many
+from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, Ring
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     DEFAULT_NODATA, ClassRaster)
+                     DEFAULT_NODATA, ClassRaster, pixel_window)
 from .truth import FemaCategory, GroundTruthPoint
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -120,6 +120,7 @@ class SceneSpec:
             object.__setattr__(self, "swath_end", end)
 
     # Metres east/north of the origin <-> degrees, at the origin's latitude.
+    # Not geom.metres_per_degree: scene bytes depend on this kx's last bit.
     @property
     def m_per_deg_lat(self) -> float:
         return EARTH_RADIUS_M * math.pi / 180.0
@@ -177,17 +178,6 @@ def category_from_swath(centroid: GeoPoint, spec: SceneSpec) -> FemaCategory:
     return FemaCategory.NO_VISIBLE_DAMAGE
 
 
-def _window(raster_meta, fp):
-    """Index window of pixels near a footprint (mirrors zonal windowing)."""
-    ncols, nrows, xll, yll, cs = raster_meta
-    b = fp.bounds
-    col_lo = max(int(math.floor((b.min_lon - xll) / cs)) - 1, 0)
-    col_hi = min(int(math.floor((b.max_lon - xll) / cs)) + 1, ncols - 1)
-    row_lo = max(int(math.floor(nrows - (b.max_lat - yll) / cs)) - 1, 0)
-    row_hi = min(int(math.floor(nrows - (b.min_lat - yll) / cs)) + 1, nrows - 1)
-    return col_lo, col_hi, row_lo, row_hi
-
-
 def generate(spec: SceneSpec) -> SynthScene:
     """Build the full synthetic scene for a spec.
 
@@ -235,23 +225,19 @@ def generate(spec: SceneSpec) -> SynthScene:
     ncols = int(math.ceil((max(all_lons) + 2.0 * cs_deg - xll) / cs_deg))
     nrows = int(math.ceil((max(all_lats) + 2.0 * cs_deg - yll) / cs_deg))
 
+    # Paint a bare array; ClassRaster then validates the finished cells once.
     cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int32)
-    meta = (ncols, nrows, xll, yll, cs_deg)
+    frame = (ncols, nrows, xll, yll, cs_deg)
     for fp in footprints:
-        col_lo, col_hi, row_lo, row_hi = _window(meta, fp)
-        if col_lo > col_hi or row_lo > row_hi:
+        hit = pixel_window(frame, fp)
+        if hit is None:
             continue
-        cols = np.arange(col_lo, col_hi + 1, dtype=np.float64)
-        rows = np.arange(row_lo, row_hi + 1, dtype=np.float64)
-        lons = xll + (cols + 0.5) * cs_deg
-        lats = yll + (nrows - rows - 0.5) * cs_deg
-        inside = contains_many(fp, lons[np.newaxis, :], lats[:, np.newaxis])
+        window, inside = hit
         if oracle[fp.id] in (FemaCategory.MAJOR_DAMAGE, FemaCategory.DESTROYED):
             value = CLASS_DAMAGED
         else:
             value = CLASS_BUILDING
-        window_cells = cells[row_lo:row_hi + 1, col_lo:col_hi + 1]
-        window_cells[inside] = value
+        cells[window][inside] = value
 
     if spec.pixel_noise_rate > 0.0:
         draws = rng.unit_array(2 * nrows * ncols)

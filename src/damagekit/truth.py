@@ -14,8 +14,8 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
-                     UnknownCategory)
-from .geom import (EARTH_RADIUS_M, Footprint, GeoPoint,
+                     UnknownCategory, check_unique)
+from .geom import (Footprint, GeoPoint, metres_per_degree,
                    point_to_footprint_distance_m)
 from .zonal import DamageEstimate
 
@@ -131,19 +131,6 @@ def matching_reference_latitude(points: list[GroundTruthPoint],
     return total / count if count else 0.0
 
 
-def _check_unique(points, footprints):
-    seen = set()
-    for p in points:
-        if p.id in seen:
-            raise DuplicatePointId(f"duplicate point id {p.id!r}")
-        seen.add(p.id)
-    seen = set()
-    for fp in footprints:
-        if fp.id in seen:
-            raise DuplicateFootprintId(f"duplicate footprint id {fp.id!r}")
-        seen.add(fp.id)
-
-
 def match_points(points: list[GroundTruthPoint],
                  footprints: list[Footprint],
                  radius_m: float = 20.0):
@@ -159,11 +146,11 @@ def match_points(points: list[GroundTruthPoint],
     """
     if not (radius_m > 0):
         raise ValueError("radius_m must be positive")
-    _check_unique(points, footprints)
+    check_unique(points, DuplicatePointId, "point")
+    check_unique(footprints, DuplicateFootprintId, "footprint")
 
     ref_lat = matching_reference_latitude(points, footprints)
-    kx = math.cos(ref_lat * math.pi / 180.0) * EARTH_RADIUS_M * math.pi / 180.0
-    ky = EARTH_RADIUS_M * math.pi / 180.0
+    kx, ky = metres_per_degree(ref_lat)
 
     grid: dict[tuple[int, int], list[int]] = {}
     for idx, fp in enumerate(footprints):

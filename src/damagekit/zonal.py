@@ -10,14 +10,13 @@ overlap their bounding box.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateFootprintId
+from .errors import DuplicateFootprintId, check_unique
 from .geom import Footprint, contains_many
-from .raster import CLASS_DAMAGED, ClassRaster
+from .raster import CLASS_DAMAGED, ClassRaster, pixel_window
 
 
 @dataclass(frozen=True)
@@ -37,40 +36,15 @@ class DamageEstimate:
     no_coverage: bool = False
 
 
-def _index_window(raster: ClassRaster, fp: Footprint):
-    """Raster index ranges whose pixels can interact with the footprint.
-
-    Padded by one cell on each side so both the pixel-centre pass and the
-    subcell pass see every candidate pixel. Returns None when the footprint
-    lies wholly outside the raster.
-    """
-    b = fp.bounds
-    cs = raster.cellsize
-    col_lo = max(int(math.floor((b.min_lon - raster.xll) / cs)) - 1, 0)
-    col_hi = min(int(math.floor((b.max_lon - raster.xll) / cs)) + 1, raster.ncols - 1)
-    row_lo = max(int(math.floor(raster.nrows - (b.max_lat - raster.yll) / cs)) - 1, 0)
-    row_hi = min(int(math.floor(raster.nrows - (b.min_lat - raster.yll) / cs)) + 1,
-                 raster.nrows - 1)
-    if col_lo > col_hi or row_lo > row_hi:
-        return None
-    return col_lo, col_hi, row_lo, row_hi
-
-
 def assess_footprint(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
     """Estimate the damaged share of one footprint."""
-    window = _index_window(raster, fp)
-    if window is None:
+    hit = pixel_window(raster.frame, fp)
+    if hit is None:
         return DamageEstimate(fp.id, 0.0, 0, 0, supersampled=False, no_coverage=True)
-    col_lo, col_hi, row_lo, row_hi = window
+    window, inside = hit
+    window_cells = raster.cells[window]
 
-    cols = np.arange(col_lo, col_hi + 1, dtype=np.float64)
-    rows = np.arange(row_lo, row_hi + 1, dtype=np.float64)
-    window_cells = raster.cells[row_lo:row_hi + 1, col_lo:col_hi + 1]
-
-    # Pass 1: pixel centres, same arithmetic as raster.pixel_center.
-    lons = raster.xll + (cols + 0.5) * raster.cellsize
-    lats = raster.yll + (raster.nrows - rows - 0.5) * raster.cellsize
-    inside = contains_many(fp, lons[np.newaxis, :], lats[:, np.newaxis])
+    # Pass 1: pixel centres.
     usable = inside & (window_cells != raster.nodata)
     n_inside = int(np.count_nonzero(usable))
     n_damaged = int(np.count_nonzero(usable & (window_cells == CLASS_DAMAGED)))
@@ -78,7 +52,10 @@ def assess_footprint(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
         return DamageEstimate(fp.id, 100.0 * n_damaged / n_inside,
                               n_inside, n_damaged)
 
-    # Pass 2: 4x4 subcell centres per candidate pixel.
+    # Pass 2: 4x4 subcell centres per candidate pixel of the window.
+    rows_slice, cols_slice = window
+    cols = np.arange(cols_slice.start, cols_slice.stop, dtype=np.float64)
+    rows = np.arange(rows_slice.start, rows_slice.stop, dtype=np.float64)
     sub = (np.arange(4, dtype=np.float64) + 0.5) / 4.0
     cols_f = (cols[:, np.newaxis] + sub[np.newaxis, :]).ravel()
     rows_f = (rows[:, np.newaxis] + sub[np.newaxis, :]).ravel()
@@ -97,9 +74,5 @@ def assess_footprint(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
 
 def assess_all(raster: ClassRaster, footprints: list[Footprint]) -> list[DamageEstimate]:
     """Assess every footprint, preserving input order."""
-    seen = set()
-    for fp in footprints:
-        if fp.id in seen:
-            raise DuplicateFootprintId(f"duplicate footprint id {fp.id!r}")
-        seen.add(fp.id)
+    check_unique(footprints, DuplicateFootprintId, "footprint")
     return [assess_footprint(raster, fp) for fp in footprints]

@@ -133,6 +133,26 @@ def test_invalid_raster_code_exits_2(tmp_path, capsys):
     assert_fails(["assess", fps, raster], 2, capsys)
 
 
+@pytest.mark.parametrize("command, edit", [
+    ("assess", lambda doc: doc["features"][0].update(properties=[1])),
+    ("validate", lambda doc: doc.update(features=5)),
+    ("validate", lambda doc: doc.pop("features")),
+], ids=["assess-properties-list", "validate-features-number",
+        "validate-features-missing"])
+def test_malformed_feature_collection_exits_2(tmp_path, capsys, command, edit):
+    doc = json.loads(FOOTPRINT_B1)
+    edit(doc)
+    fps = write(tmp_path / "fp.geojson", json.dumps(doc))
+    if command == "assess":
+        argv = ["assess", fps, write(tmp_path / "r.asc", RASTER_2X2)]
+    else:
+        argv = ["validate", fps,
+                write(tmp_path / "m.csv", MATCH_HEADER + "p1,b1,0.0\n"),
+                write(tmp_path / "t.csv",
+                      TRUTH_HEADER + "p1,0.0,0.0,destroyed\n")]
+    assert_fails(argv, 2, capsys, "fp.geojson: ")
+
+
 def test_duplicate_footprint_id_exits_3(tmp_path, capsys):
     doc = json.loads(FOOTPRINT_B1)
     doc["features"].append(doc["features"][0])

@@ -118,6 +118,36 @@ def test_non_collection_document_is_rejected():
         parse_footprints_geojson('{"type": "Feature"}')
 
 
+MALFORMED_COLLECTIONS = {
+    "properties-not-an-object": (
+        {"type": "FeatureCollection", "features": [{
+            "type": "Feature", "id": "b1", "properties": [1],
+            "geometry": json.loads(write_footprints_geojson([UNIT_SQUARE]))
+            ["features"][0]["geometry"]}]},
+        "properties must be an object"),
+    "features-not-a-list": ({"type": "FeatureCollection", "features": 5},
+                            "no feature list"),
+    "features-missing": ({"type": "FeatureCollection"}, "no feature list"),
+}
+
+
+@pytest.mark.parametrize("parse", [parse_footprints_with_properties,
+                                   parse_assessed_geojson])
+@pytest.mark.parametrize("case", sorted(MALFORMED_COLLECTIONS))
+def test_malformed_collections_are_parse_errors(parse, case):
+    doc, message = MALFORMED_COLLECTIONS[case]
+    with pytest.raises(ParseError, match=message):
+        parse(json.dumps(doc))
+
+
+def test_null_properties_read_as_empty():
+    doc = json.loads(write_footprints_geojson([UNIT_SQUARE]))
+    doc["features"][0]["properties"] = None
+    fps, properties = parse_footprints_with_properties(json.dumps(doc))
+    assert fps == [UNIT_SQUARE]
+    assert properties == [{}]
+
+
 def test_invalid_json_reports_source_and_line():
     with pytest.raises(ParseError) as err:
         parse_footprints_geojson('{\n  "type": oops\n}',
@@ -189,6 +219,23 @@ def test_truth_csv_error_paths():
 
     with pytest.raises(UnknownCategory):
         parse_truth_csv(good + "p1,1.0,2.0,obliterated\n")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_truth_csv, "point_id,lon,lat,category\n\np1,1.0,2.0,a,b\n",
+     "expected 4 fields, got 5"),
+    (parse_matches_csv, "point_id,footprint_id,distance_m\n\np1,b1\n",
+     "expected 3 fields, got 2"),
+    (parse_oracle_csv, "footprint_id,category\n\nb1\n",
+     "expected 2 fields, got 1"),
+    (parse_curve_csv, "theta,precision,recall\n\n0.0,1.0,1.0,9\n",
+     "expected 3 fields, got 4"),
+], ids=["truth", "matches", "oracle", "curve"])
+def test_csv_rows_must_have_one_field_per_header_column(parse, text, message):
+    # The blank line 2 is skipped; the short or long row is line 3.
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text, source="x.csv")
+    assert "x.csv:3:" in str(err.value)
 
 
 def test_matches_csv_round_trip_with_unmatched_rows():

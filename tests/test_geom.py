@@ -1,6 +1,6 @@
 """Geometry tests: containment checked against an independent convex-polygon
 oracle, boundary conventions, scalar/vectorised agreement, and the planar
-distance approximations with hand-computed reference values."""
+projection and point-footprint distance with hand-computed reference values."""
 
 import math
 import random
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from damagekit.geom import (EARTH_RADIUS_M, BBox, Footprint, GeoPoint, Ring,
-                            bbox, contains, contains_many, distance_m,
+                            contains, contains_many, metres_per_degree,
                             point_to_footprint_distance_m)
 
 from _oracles import square_footprint, square_ring
@@ -77,9 +77,7 @@ def test_footprint_requires_id_and_extent():
 
 def test_bbox_of_square():
     fp = square_footprint("sq", 0.5, 0.5, 0.5)
-    assert bbox(fp) == BBox(0.0, 0.0, 1.0, 1.0)
-    assert bbox(fp).contains_point(GeoPoint(0.3, 0.99))
-    assert not bbox(fp).contains_point(GeoPoint(1.01, 0.5))
+    assert fp.bounds == BBox(0.0, 0.0, 1.0, 1.0)
 
 
 # ------------------------------------------------------------ containment
@@ -178,47 +176,25 @@ def test_containment_is_translation_equivariant():
                 moved, GeoPoint(lon + shift_lon, lat + shift_lat))
 
 
-# --------------------------------------------------------------- distance
+# ------------------------------------------------------ metres per degree
 
 def test_one_degree_of_latitude_in_metres():
     # Mean Earth radius 6,371,008.8 m gives pi/180 * R per degree.
-    d = distance_m(GeoPoint(10.0, 30.0), GeoPoint(10.0, 31.0), ref_lat=30.5)
-    assert abs(d - 111195.08) < 0.01
+    _, ky = metres_per_degree(30.5)
+    assert abs(ky - 111195.08) < 0.01
 
 
 def test_one_degree_of_longitude_at_60_north():
-    d = distance_m(GeoPoint(10.0, 60.0), GeoPoint(11.0, 60.0), ref_lat=60.0)
-    assert abs(d - 55597.54) < 0.01
+    kx, _ = metres_per_degree(60.0)
+    assert abs(kx - 55597.54) < 0.01
 
 
 def test_distance_shrinks_with_reference_latitude():
-    a, b = GeoPoint(5.0, 0.0), GeoPoint(6.0, 0.0)
-    at_equator = distance_m(a, b, ref_lat=0.0)
-    at_60 = distance_m(a, b, ref_lat=60.0)
-    assert at_60 == pytest.approx(at_equator * math.cos(math.radians(60.0)),
+    kx_equator, ky_equator = metres_per_degree(0.0)
+    kx_60, ky_60 = metres_per_degree(60.0)
+    assert kx_60 == pytest.approx(kx_equator * math.cos(math.radians(60.0)),
                                   rel=1e-12)
-
-
-def test_distance_is_symmetric_and_zero_on_self():
-    rng = random.Random(31337)
-    for _ in range(200):
-        a = GeoPoint(rng.uniform(-179, 179), rng.uniform(-89, 89))
-        b = GeoPoint(rng.uniform(-179, 179), rng.uniform(-89, 89))
-        ref = rng.uniform(-80, 80)
-        assert distance_m(a, b, ref) == distance_m(b, a, ref)
-        assert distance_m(a, a, ref) == 0.0
-
-
-def test_distance_triangle_inequality():
-    rng = random.Random(90210)
-    for _ in range(300):
-        ref = rng.uniform(-70, 70)
-        pts = [GeoPoint(rng.uniform(-10, 10), rng.uniform(-10, 10))
-               for _ in range(3)]
-        a, b, c = pts
-        direct = distance_m(a, c, ref)
-        detour = distance_m(a, b, ref) + distance_m(b, c, ref)
-        assert direct <= detour * (1.0 + 1e-9) + 1e-9
+    assert ky_60 == ky_equator
 
 
 # ------------------------------------------------- point-footprint distance

@@ -6,8 +6,11 @@ import pytest
 from damagekit.errors import (CellCountMismatch, IndexOutOfRange,
                               InvalidClassCode, MissingHeaderKey,
                               NonIntegerCell, ParseError)
+from damagekit.geom import contains
 from damagekit.raster import (DEFAULT_NODATA, ClassRaster, parse_ascii_grid,
-                              pixel_center, write_ascii_grid)
+                              pixel_center, pixel_window, write_ascii_grid)
+
+from _oracles import square_footprint
 
 FIXTURE = """ncols 4
 nrows 3
@@ -62,6 +65,14 @@ def test_parse_rejects_bad_header_values():
         parse_ascii_grid(FIXTURE.replace("nrows 3", "nrows 0"))
 
 
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_parse_rejects_nodata_that_is_a_class_code(code):
+    text = FIXTURE.replace("nodata_value -1", f"nodata_value {code}")
+    with pytest.raises(MissingHeaderKey, match="class code") as err:
+        parse_ascii_grid(text, source="grid.asc")
+    assert "grid.asc:6:" in str(err.value)
+
+
 def test_parse_rejects_non_integer_cell():
     bad = FIXTURE.replace("0 1 2 0", "0 1.5 2 0")
     with pytest.raises(NonIntegerCell) as err:
@@ -104,6 +115,13 @@ def test_class_raster_validates_shape_and_codes():
                     cells=np.zeros((2, 2), dtype=np.int32))
 
 
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_class_raster_rejects_nodata_that_is_a_class_code(code):
+    with pytest.raises(ValueError, match="class code"):
+        ClassRaster(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, nodata=code,
+                    cells=np.full((2, 2), 2, dtype=np.int32))
+
+
 # ---------------------------------------------------------- georeferencing
 
 def test_pixel_center_positions():
@@ -127,6 +145,24 @@ def test_pixel_center_neighbors_are_one_cell_apart():
         a = pixel_center(raster, 1, row)
         b = pixel_center(raster, 1, row + 1)
         assert a.lat - b.lat == pytest.approx(raster.cellsize, rel=1e-12)
+
+
+def test_pixel_window_pads_the_bounds_and_masks_pixel_centres():
+    raster = parse_ascii_grid(FIXTURE)
+    # A 0.2-wide square around the centre of pixel (col 1, row 1).
+    fp = square_footprint("b", 10.75, 20.75, 0.1)
+    window, inside = pixel_window(raster.frame, fp)
+    assert window == (slice(0, 3), slice(0, 3))
+    assert inside.tolist() == [[False, False, False],
+                               [False, True, False],
+                               [False, False, False]]
+    assert contains(fp, pixel_center(raster, 1, 1))
+
+
+def test_pixel_window_is_none_off_the_raster():
+    raster = parse_ascii_grid(FIXTURE)
+    far = square_footprint("far", 50.0, 50.0, 0.1)
+    assert pixel_window(raster.frame, far) is None
 
 
 def test_pixel_center_rejects_out_of_range_indices():
