@@ -47,10 +47,6 @@ class UnknownCategory(ParseError):
     """Damage category string is not one of the five known labels."""
 
 
-class IndexOutOfRange(DamageKitError):
-    """Pixel index outside the raster grid."""
-
-
 class DuplicateFootprintId(DamageKitError):
     """Two footprints share an id."""
 

@@ -9,6 +9,7 @@ comma-separated with no quoting; ids are restricted to [A-Za-z0-9_-].
 from __future__ import annotations
 
 import json
+import re
 from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import ParseError
@@ -22,6 +23,8 @@ MATCH_HEADER = "point_id,footprint_id,distance_m"
 CURVE_HEADER = "theta,precision,recall"
 ORACLE_HEADER = "footprint_id,category"
 
+_ID = re.compile(r"[A-Za-z0-9_-]+")
+
 
 def read_text(path) -> str:
     try:
@@ -34,6 +37,14 @@ def read_text(path) -> str:
 def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def _checked_id(text: str, source, line=None) -> str:
+    """text, if it is a valid id: one or more of [A-Za-z0-9_-]."""
+    if not _ID.fullmatch(text):
+        raise ParseError(f"id {text!r} is not in [A-Za-z0-9_-]+",
+                         source=source, line=line)
+    return text
 
 
 # ---------------------------------------------------------------- GeoJSON
@@ -60,7 +71,7 @@ def _parse_feature(feature, index, source):
     fid = feature.get("id", properties.get("id"))
     if fid is None or fid == "":
         raise ParseError(f"feature {index} has no id", source=source)
-    fid = str(fid)
+    fid = _checked_id(str(fid), source)
     geometry = feature.get("geometry") or {}
     if geometry.get("type") != "Polygon":
         raise ParseError(f"feature {fid!r} geometry must be a Polygon",
@@ -114,16 +125,21 @@ def _footprint_geometry(fp: Footprint):
     }
 
 
-def write_footprints_geojson(footprints: list[Footprint]) -> str:
+def _collection(footprints: list[Footprint], properties) -> str:
+    """Compact FeatureCollection text, one properties dict per footprint."""
     doc = {
         "type": "FeatureCollection",
         "features": [
             {"type": "Feature", "id": fp.id,
-             "geometry": _footprint_geometry(fp), "properties": {}}
-            for fp in footprints
+             "geometry": _footprint_geometry(fp), "properties": props}
+            for fp, props in zip(footprints, properties)
         ],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def write_footprints_geojson(footprints: list[Footprint]) -> str:
+    return _collection(footprints, [{}] * len(footprints))
 
 
 def round_half_up(value: float, places: int = 2) -> float:
@@ -136,21 +152,18 @@ def write_assessed_geojson(footprints: list[Footprint],
                            input_properties: list[dict] | None = None) -> str:
     """Footprints plus their estimates: damage_pct is rounded half-up to
     two decimals; the integer counts keep full fidelity."""
-    features = []
-    for idx, (fp, est) in enumerate(zip(footprints, estimates)):
-        properties = dict(input_properties[idx]) if input_properties else {}
-        properties.update({
+    properties = []
+    for idx, est in enumerate(estimates):
+        props = dict(input_properties[idx]) if input_properties else {}
+        props.update({
             "damage_pct": round_half_up(est.damage_pct),
             "n_inside": est.n_inside,
             "n_damaged": est.n_damaged,
             "supersampled": est.supersampled,
             "no_coverage": est.no_coverage,
         })
-        features.append({"type": "Feature", "id": fp.id,
-                         "geometry": _footprint_geometry(fp),
-                         "properties": properties})
-    doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+        properties.append(props)
+    return _collection(footprints, properties)
 
 
 def parse_assessed_geojson(text: str, source="<geojson>"):
@@ -158,18 +171,22 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
 
     The working damage percentage is rebuilt from the stored counts, so the
     two-decimal display rounding of damage_pct loses nothing downstream.
+    The counts must be JSON integers with 0 <= n_damaged <= n_inside, and
+    the two flags JSON booleans.
     """
     footprints, properties = parse_footprints_with_properties(text, source)
     estimates = []
     for fp, props in zip(footprints, properties):
-        try:
-            n_inside = int(props["n_inside"])
-            n_damaged = int(props["n_damaged"])
-            supersampled = bool(props["supersampled"])
-            no_coverage = bool(props["no_coverage"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"feature {fp.id!r} lacks assessment properties",
-                             source=source) from exc
+        n_inside, n_damaged = props.get("n_inside"), props.get("n_damaged")
+        supersampled = props.get("supersampled")
+        no_coverage = props.get("no_coverage")
+        if not (type(n_inside) is int and type(n_damaged) is int
+                and 0 <= n_damaged <= n_inside
+                and isinstance(supersampled, bool)
+                and isinstance(no_coverage, bool)):
+            raise ParseError(f"feature {fp.id!r} lacks assessment properties "
+                             "(integer counts 0 <= n_damaged <= n_inside, "
+                             "boolean flags)", source=source)
         pct = 100.0 * n_damaged / n_inside if n_inside > 0 else 0.0
         estimates.append(DamageEstimate(fp.id, pct, n_inside, n_damaged,
                                         supersampled=supersampled,
@@ -194,27 +211,26 @@ def _rows(text: str, source, header: str):
             yield number, fields
 
 
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
 def write_truth_csv(points: list[GroundTruthPoint]) -> str:
-    out = [TRUTH_HEADER]
-    for p in points:
-        out.append(f"{p.id},{p.location.lon!r},{p.location.lat!r},"
-                   f"{p.category.label}")
-    return "\n".join(out) + "\n"
+    return _csv(TRUTH_HEADER, (f"{p.id},{p.location.lon!r},{p.location.lat!r},"
+                               f"{p.category.label}" for p in points))
 
 
 def parse_truth_csv(text: str, source="<csv>") -> list[GroundTruthPoint]:
     points = []
     for number, (pid, lon_text, lat_text, label) in _rows(text, source,
                                                            TRUTH_HEADER):
+        _checked_id(pid, source, number)
         try:
             location = GeoPoint(float(lon_text), float(lat_text))
         except ValueError as exc:
             raise ParseError(str(exc), source=source, line=number) from exc
-        category = FemaCategory.from_label(label)
-        try:
-            points.append(GroundTruthPoint(pid, location, category))
-        except ValueError as exc:
-            raise ParseError(str(exc), source=source, line=number) from exc
+        points.append(GroundTruthPoint(pid, location,
+                                       FemaCategory.from_label(label)))
     return points
 
 
@@ -229,25 +245,27 @@ def write_matches_csv(point_ids: list[str],
     footprint and distance fields empty."""
     by_point = {m.point_id: m for m in matched}
     unmatched_set = set(unmatched)
-    out = [MATCH_HEADER]
+    rows = []
     for pid in point_ids:
         m = by_point.get(pid)
         if m is not None:
-            out.append(f"{pid},{m.footprint_id},{m.distance_m!r}")
+            rows.append(f"{pid},{m.footprint_id},{m.distance_m!r}")
         elif pid in unmatched_set:
-            out.append(f"{pid},,")
+            rows.append(f"{pid},,")
         else:
             raise ValueError(f"point {pid!r} neither matched nor unmatched")
-    return "\n".join(out) + "\n"
+    return _csv(MATCH_HEADER, rows)
 
 
 def parse_matches_csv(text: str, source="<csv>"):
     matched = []
     unmatched = []
     for number, (pid, fid, distance_text) in _rows(text, source, MATCH_HEADER):
+        _checked_id(pid, source, number)
         if fid == "" and distance_text == "":
             unmatched.append(pid)
             continue
+        _checked_id(fid, source, number)
         try:
             matched.append(PointMatch(pid, fid, float(distance_text)))
         except ValueError as exc:
@@ -257,24 +275,20 @@ def parse_matches_csv(text: str, source="<csv>"):
 
 
 def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
-    out = [ORACLE_HEADER]
-    for fid, category in oracle_categories.items():
-        out.append(f"{fid},{category.label}")
-    return "\n".join(out) + "\n"
+    return _csv(ORACLE_HEADER, (f"{fid},{category.label}"
+                                for fid, category in oracle_categories.items()))
 
 
 def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:
     oracle = {}
-    for _, (fid, label) in _rows(text, source, ORACLE_HEADER):
-        oracle[fid] = FemaCategory.from_label(label)
+    for number, (fid, label) in _rows(text, source, ORACLE_HEADER):
+        oracle[_checked_id(fid, source, number)] = FemaCategory.from_label(label)
     return oracle
 
 
 def write_curve_csv(points: list[PRPoint]) -> str:
-    out = [CURVE_HEADER]
-    for p in points:
-        out.append(f"{p.theta!r},{p.precision!r},{p.recall!r}")
-    return "\n".join(out) + "\n"
+    return _csv(CURVE_HEADER, (f"{p.theta!r},{p.precision!r},{p.recall!r}"
+                               for p in points))
 
 
 def parse_curve_csv(text: str, source="<csv>") -> list[PRPoint]:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CellCountMismatch, IndexOutOfRange, InvalidClassCode,
-                     MissingHeaderKey, NonIntegerCell)
-from .geom import Footprint, GeoPoint, contains_many
+from .errors import (CellCountMismatch, InvalidClassCode, MissingHeaderKey,
+                     NonIntegerCell)
+from .geom import Footprint, contains_many
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -23,7 +23,9 @@ VALID_CLASSES = (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED)
 
 DEFAULT_NODATA = -1
 
-_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+# In canonical order; every key but the last, nodata_value, is required.
+_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
+                "nodata_value")
 
 
 @dataclass
@@ -81,14 +83,6 @@ def _centres(frame, cols, rows):
     return xll + (cols + 0.5) * cs, yll + (nrows - rows - 0.5) * cs
 
 
-def pixel_center(raster: ClassRaster, col: int, row: int) -> GeoPoint:
-    """Geographic centre of the pixel at (col, row); row 0 is northernmost."""
-    if not (0 <= col < raster.ncols and 0 <= row < raster.nrows):
-        raise IndexOutOfRange(f"pixel ({col}, {row}) outside "
-                              f"{raster.ncols}x{raster.nrows} raster")
-    return GeoPoint(*_centres(raster.frame, col, row))
-
-
 def pixel_window(frame, fp: Footprint):
     """(window, inside) for a footprint on a raster frame, or None off it.
 
@@ -113,25 +107,25 @@ def pixel_window(frame, fp: Footprint):
 
 
 def _header_value(key, text, line_no, source):
-    if key in ("ncols", "nrows"):
-        try:
-            value = int(text)
-        except ValueError:
-            raise MissingHeaderKey(f"{key} must be an integer, got {text!r}",
-                                   source=source, line=line_no) from None
-        if value < 1:
-            raise MissingHeaderKey(f"{key} must be positive, got {value}",
-                                   source=source, line=line_no)
-        return value
+    """The value of one header line; MissingHeaderKey at that line if bad."""
+    integer = key in ("ncols", "nrows", "nodata_value")
     try:
-        value = float(text)
+        value = int(text) if integer else float(text)
     except ValueError:
-        raise MissingHeaderKey(f"{key} must be a number, got {text!r}",
+        kind = "an integer" if integer else "a number"
+        raise MissingHeaderKey(f"{key} must be {kind}, got {text!r}",
                                source=source, line=line_no) from None
-    if key == "cellsize" and not (math.isfinite(value) and value > 0):
-        raise MissingHeaderKey(f"cellsize must be positive, got {text!r}",
-                               source=source, line=line_no)
-    return value
+    if key == "nodata_value" and value in VALID_CLASSES:
+        problem = f"nodata_value {value} is a class code (0, 1 or 2)"
+    elif key in ("ncols", "nrows") and value < 1:
+        problem = f"{key} must be positive, got {value}"
+    elif key == "cellsize" and not (math.isfinite(value) and value > 0):
+        problem = f"cellsize must be positive, got {text!r}"
+    elif not integer and not math.isfinite(value):
+        problem = f"{key} must be finite, got {text!r}"
+    else:
+        return value
+    raise MissingHeaderKey(problem, source=source, line=line_no)
 
 
 def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
@@ -143,16 +137,18 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
     integer cells, each in {0, 1, 2} or equal to the nodata code.
     """
     lines = text.splitlines()
-    header = {}
+    header = {"nodata_value": DEFAULT_NODATA}
     line_idx = 0
     for key in _HEADER_KEYS:
         # Skip blank lines between header entries.
         while line_idx < len(lines) and not lines[line_idx].split():
             line_idx += 1
+        tokens = lines[line_idx].split() if line_idx < len(lines) else [""]
+        if key == "nodata_value" and tokens[0].lower() != key:
+            break  # the optional key is absent
         if line_idx >= len(lines):
             raise MissingHeaderKey(f"missing header key {key}",
                                    source=source, line=len(lines) or 1)
-        tokens = lines[line_idx].split()
         if tokens[0].lower() != key or len(tokens) != 2:
             raise MissingHeaderKey(
                 f"expected header line '{key} <value>', got {lines[line_idx]!r}",
@@ -160,29 +156,7 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
         header[key] = _header_value(key, tokens[1], line_idx + 1, source)
         line_idx += 1
 
-    nodata = DEFAULT_NODATA
-    while line_idx < len(lines) and not lines[line_idx].split():
-        line_idx += 1
-    if line_idx < len(lines):
-        tokens = lines[line_idx].split()
-        if tokens[0].lower() == "nodata_value":
-            if len(tokens) != 2:
-                raise MissingHeaderKey(
-                    f"expected header line 'nodata_value <value>', "
-                    f"got {lines[line_idx]!r}",
-                    source=source, line=line_idx + 1)
-            try:
-                nodata = int(tokens[1])
-            except ValueError:
-                raise MissingHeaderKey(
-                    f"nodata_value must be an integer, got {tokens[1]!r}",
-                    source=source, line=line_idx + 1) from None
-            if nodata in VALID_CLASSES:
-                raise MissingHeaderKey(
-                    f"nodata_value {nodata} is a class code (0, 1 or 2)",
-                    source=source, line=line_idx + 1)
-            line_idx += 1
-
+    nodata = header["nodata_value"]
     ncols = header["ncols"]
     nrows = header["nrows"]
     expected = ncols * nrows

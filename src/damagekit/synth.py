@@ -34,33 +34,16 @@ _MASK64 = (1 << 64) - 1
 _TWO_64 = 2.0 ** 64
 
 
-def splitmix64_next(state: int) -> tuple[int, int]:
-    """One SplitMix64 step: returns (new_state, output)."""
-    state = (state + _GOLDEN_GAMMA) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
-    return state, z ^ (z >> 31)
-
-
 class SplitMix64:
-    """SplitMix64 stream with scalar and bulk draws that stay in lockstep."""
+    """SplitMix64 stream, drawn in blocks of unit floats."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self.state, output = splitmix64_next(self.state)
-        return output
-
-    def next_unit(self) -> float:
-        """Uniform draw in (0, 1): (output + 0.5) / 2**64."""
-        return (self.next_u64() + 0.5) / _TWO_64
-
     def unit_array(self, n: int) -> np.ndarray:
-        """n unit draws at once; identical values to n next_unit() calls.
+        """The next n draws, each (output + 0.5) / 2**64, in (0, 1).
 
         SplitMix64 state advances by a constant per step, so the k-th draw
         is mix(state + k*gamma) and the whole block vectorises.
@@ -93,6 +76,10 @@ class SceneSpec:
     point_drop_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("seed", "grid_cols", "grid_rows"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_cols < 1 or self.grid_rows < 1:
             raise ValueError("grid dimensions must be positive")
         if self.building_size_m <= 0 or self.spacing_m <= 0:
@@ -191,12 +178,13 @@ def generate(spec: SceneSpec) -> SynthScene:
     half = spec.building_size_m / 2.0
     jitter_range = spec.spacing_m / 8.0
 
+    jitter = iter(rng.unit_array(2 * spec.grid_rows * spec.grid_cols).tolist())
     footprints = []
     centroids = []
     for i in range(spec.grid_rows):
         for j in range(spec.grid_cols):
-            jx = (rng.next_unit() * 2.0 - 1.0) * jitter_range
-            jy = (rng.next_unit() * 2.0 - 1.0) * jitter_range
+            jx = (next(jitter) * 2.0 - 1.0) * jitter_range
+            jy = (next(jitter) * 2.0 - 1.0) * jitter_range
             cx = (j + 0.5) * pitch + jx
             cy = (i + 0.5) * pitch + jy
             corners = [
@@ -250,11 +238,10 @@ def generate(spec: SceneSpec) -> SynthScene:
                          cellsize=cs_deg, nodata=DEFAULT_NODATA, cells=cells)
 
     sigma = spec.point_jitter_sigma_m
+    draws = rng.unit_array(3 * len(footprints)).reshape(-1, 3).tolist()
     truth = []
-    for k, (fp, centroid) in enumerate(zip(footprints, centroids)):
-        drop_draw = rng.next_unit()
-        u1 = rng.next_unit()
-        u2 = rng.next_unit()
+    for k, (fp, centroid, (drop_draw, u1, u2)) in enumerate(
+            zip(footprints, centroids, draws)):
         if drop_draw < spec.point_drop_rate:
             continue
         radius = math.sqrt(-2.0 * math.log(u1))

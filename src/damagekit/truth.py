@@ -67,24 +67,22 @@ class BinaryScheme:
 
     @property
     def id(self) -> str:
-        if self.damaged == MAJOR_PLUS.damaged:
-            return "major_plus"
-        if self.damaged == DESTROYED_ONLY.damaged:
-            return "destroyed_only"
+        for name, preset in _PRESETS.items():
+            if self == preset:
+                return name
         return ",".join(c.label for c in sorted(self.damaged))
 
 
 MAJOR_PLUS = BinaryScheme(frozenset({FemaCategory.MAJOR_DAMAGE,
                                      FemaCategory.DESTROYED}))
 DESTROYED_ONLY = BinaryScheme(frozenset({FemaCategory.DESTROYED}))
+_PRESETS = {"major_plus": MAJOR_PLUS, "destroyed_only": DESTROYED_ONLY}
 
 
 def parse_scheme(text: str) -> BinaryScheme:
     """Parse a scheme selector: preset name or comma-separated categories."""
-    if text == "major_plus":
-        return MAJOR_PLUS
-    if text == "destroyed_only":
-        return DESTROYED_ONLY
+    if text in _PRESETS:
+        return _PRESETS[text]
     cats = frozenset(FemaCategory.from_label(part.strip())
                      for part in text.split(","))
     return BinaryScheme(cats)

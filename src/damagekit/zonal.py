@@ -42,34 +42,30 @@ def assess_footprint(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
     if hit is None:
         return DamageEstimate(fp.id, 0.0, 0, 0, supersampled=False, no_coverage=True)
     window, inside = hit
-    window_cells = raster.cells[window]
+    cells = raster.cells[window]
 
-    # Pass 1: pixel centres.
-    usable = inside & (window_cells != raster.nodata)
+    # Pass 1: pixel centres. Pass 2, when no centre is usable: 4x4 subcell
+    # centres per candidate pixel of the window.
+    usable = inside & (cells != raster.nodata)
+    supersampled = not usable.any()
+    if supersampled:
+        rows_slice, cols_slice = window
+        cols = np.arange(cols_slice.start, cols_slice.stop, dtype=np.float64)
+        rows = np.arange(rows_slice.start, rows_slice.stop, dtype=np.float64)
+        sub = (np.arange(4, dtype=np.float64) + 0.5) / 4.0
+        cols_f = (cols[:, np.newaxis] + sub[np.newaxis, :]).ravel()
+        rows_f = (rows[:, np.newaxis] + sub[np.newaxis, :]).ravel()
+        sub_lons = raster.xll + cols_f * raster.cellsize
+        sub_lats = raster.yll + (raster.nrows - rows_f) * raster.cellsize
+        cells = np.repeat(np.repeat(cells, 4, axis=0), 4, axis=1)
+        inside = contains_many(fp, sub_lons[np.newaxis, :], sub_lats[:, np.newaxis])
+        usable = inside & (cells != raster.nodata)
     n_inside = int(np.count_nonzero(usable))
-    n_damaged = int(np.count_nonzero(usable & (window_cells == CLASS_DAMAGED)))
-    if n_inside > 0:
-        return DamageEstimate(fp.id, 100.0 * n_damaged / n_inside,
-                              n_inside, n_damaged)
-
-    # Pass 2: 4x4 subcell centres per candidate pixel of the window.
-    rows_slice, cols_slice = window
-    cols = np.arange(cols_slice.start, cols_slice.stop, dtype=np.float64)
-    rows = np.arange(rows_slice.start, rows_slice.stop, dtype=np.float64)
-    sub = (np.arange(4, dtype=np.float64) + 0.5) / 4.0
-    cols_f = (cols[:, np.newaxis] + sub[np.newaxis, :]).ravel()
-    rows_f = (rows[:, np.newaxis] + sub[np.newaxis, :]).ravel()
-    sub_lons = raster.xll + cols_f * raster.cellsize
-    sub_lats = raster.yll + (raster.nrows - rows_f) * raster.cellsize
-    sub_cells = np.repeat(np.repeat(window_cells, 4, axis=0), 4, axis=1)
-    inside = contains_many(fp, sub_lons[np.newaxis, :], sub_lats[:, np.newaxis])
-    usable = inside & (sub_cells != raster.nodata)
-    n_inside = int(np.count_nonzero(usable))
-    n_damaged = int(np.count_nonzero(usable & (sub_cells == CLASS_DAMAGED)))
-    if n_inside > 0:
-        return DamageEstimate(fp.id, 100.0 * n_damaged / n_inside,
-                              n_inside, n_damaged, supersampled=True)
-    return DamageEstimate(fp.id, 0.0, 0, 0, supersampled=False, no_coverage=True)
+    n_damaged = int(np.count_nonzero(usable & (cells == CLASS_DAMAGED)))
+    if n_inside == 0:
+        return DamageEstimate(fp.id, 0.0, 0, 0, supersampled=False, no_coverage=True)
+    return DamageEstimate(fp.id, 100.0 * n_damaged / n_inside, n_inside,
+                          n_damaged, supersampled=supersampled)
 
 
 def assess_all(raster: ClassRaster, footprints: list[Footprint]) -> list[DamageEstimate]:

@@ -185,3 +185,24 @@ def brute_average_precision(damage_pcts, labels):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def splitmix64_next(state: int) -> tuple[int, int]:
+    """One scalar SplitMix64 step: returns (new_state, 64-bit output)."""
+    mask = (1 << 64) - 1
+    state = (state + 0x9E3779B97F4A7C15) & mask
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return state, z ^ (z >> 31)
+
+
+def splitmix64_units(seed: int, n: int) -> tuple[list[float], int]:
+    """n unit draws (output + 0.5) / 2**64, one scalar step at a time,
+    and the state after the last step."""
+    state = seed & ((1 << 64) - 1)
+    units = []
+    for _ in range(n):
+        state, output = splitmix64_next(state)
+        units.append((output + 0.5) / 2.0 ** 64)
+    return units, state

@@ -122,6 +122,14 @@ def test_invalid_spec_value_exits_2(tmp_path, capsys):
                  "bad scene spec")
 
 
+@pytest.mark.parametrize("spec", ['{"grid_cols": 2.5}', '{"seed": "x"}',
+                                  '{"grid_rows": true}'])
+def test_non_integer_spec_field_exits_2(tmp_path, capsys, spec):
+    path = write(tmp_path / "scene.json", spec)
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 "must be an integer")
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     assert_fails(["assess", str(tmp_path / "none.geojson"),
                   str(tmp_path / "none.asc")], 2, capsys)
@@ -131,6 +139,15 @@ def test_invalid_raster_code_exits_2(tmp_path, capsys):
     fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
     raster = write(tmp_path / "r.asc", RASTER_2X2.replace("2 0", "7 0"))
     assert_fails(["assess", fps, raster], 2, capsys)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", ["xllcorner", "yllcorner"])
+def test_non_finite_raster_corner_exits_2(tmp_path, capsys, key, value):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    raster = write(tmp_path / "r.asc",
+                   RASTER_2X2.replace(f"{key} -0.001", f"{key} {value}"))
+    assert_fails(["assess", fps, raster], 2, capsys, "r.asc:")
 
 
 @pytest.mark.parametrize("command, edit", [
@@ -151,6 +168,23 @@ def test_malformed_feature_collection_exits_2(tmp_path, capsys, command, edit):
                 write(tmp_path / "t.csv",
                       TRUTH_HEADER + "p1,0.0,0.0,destroyed\n")]
     assert_fails(argv, 2, capsys, "fp.geojson: ")
+
+
+@pytest.mark.parametrize("command", ["assess", "match"])
+def test_footprint_id_outside_the_charset_exits_2(tmp_path, capsys, command):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1.replace('"b1"', '"a,b"'))
+    if command == "assess":
+        argv = ["assess", fps, write(tmp_path / "r.asc", RASTER_2X2)]
+    else:
+        argv = ["match", write(tmp_path / "t.csv",
+                               TRUTH_HEADER + "p1,0.0,0.0,destroyed\n"), fps]
+    assert_fails(argv, 2, capsys, "fp.geojson: id 'a,b'")
+
+
+def test_point_id_outside_the_charset_exits_2(tmp_path, capsys):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    truth = write(tmp_path / "t.csv", TRUTH_HEADER + "p:1,0.0,0.0,destroyed\n")
+    assert_fails(["match", truth, fps], 2, capsys, "t.csv:2: id 'p:1'")
 
 
 def test_duplicate_footprint_id_exits_3(tmp_path, capsys):

@@ -54,12 +54,12 @@ def test_footprints_geojson_round_trip_keeps_holes_and_precision():
 
 
 def test_footprints_round_trip_is_exact_for_random_squares():
-    rng = SplitMix64(2024)
+    draws = SplitMix64(2024).unit_array(3 * 25).reshape(-1, 3).tolist()
     fps = []
-    for k in range(25):
-        cx = rng.next_unit() * 360.0 - 180.0
-        cy = rng.next_unit() * 170.0 - 85.0
-        half = rng.next_unit() * 0.01 + 1e-6
+    for k, (u_lon, u_lat, u_half) in enumerate(draws):
+        cx = u_lon * 360.0 - 180.0
+        cy = u_lat * 170.0 - 85.0
+        half = u_half * 0.01 + 1e-6
         hole = half / 3.0 if k % 3 == 0 else None
         fps.append(square_footprint(f"b{k:03d}", cx, cy, half,
                                     hole_half=hole))
@@ -193,6 +193,23 @@ def test_assessed_geojson_requires_assessment_properties():
         parse_assessed_geojson(text)
 
 
+ASSESSED_B1 = write_assessed_geojson([UNIT_SQUARE],
+                                     [DamageEstimate("b1", 25.0, 4, 1)])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_damaged", 12), ("n_damaged", -1), ("n_inside", 3.7),
+    ("n_inside", "4"), ("n_damaged", True), ("supersampled", "false"),
+    ("no_coverage", 0), ("no_coverage", None),
+])
+def test_assessed_geojson_rejects_bad_counts_and_flags(key, value):
+    doc = json.loads(ASSESSED_B1)
+    doc["features"][0]["properties"][key] = value
+    with pytest.raises(ParseError, match="assessment properties") as err:
+        parse_assessed_geojson(json.dumps(doc), source="a.geojson")
+    assert str(err.value).startswith("a.geojson: ")
+
+
 # ------------------------------------------------------------------ CSV
 
 def test_truth_csv_round_trip():
@@ -236,6 +253,30 @@ def test_csv_rows_must_have_one_field_per_header_column(parse, text, message):
     with pytest.raises(ParseError, match=message) as err:
         parse(text, source="x.csv")
     assert "x.csv:3:" in str(err.value)
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_truth_csv, "point_id,lon,lat,category\np;1,1.0,2.0,affected\n", 2),
+    (parse_matches_csv, "point_id,footprint_id,distance_m\np1,,\np 2,,\n", 3),
+    (parse_matches_csv, "point_id,footprint_id,distance_m\np1,b.1,0.5\n", 2),
+    (parse_oracle_csv, "footprint_id,category\nb1,affected\nb\u00e91,affected\n",
+     3),
+], ids=["truth-point", "matches-point", "matches-footprint", "oracle"])
+def test_csv_readers_enforce_the_id_charset(parse, text, line):
+    with pytest.raises(ParseError, match=r"is not in \[A-Za-z0-9_-\]") as err:
+        parse(text, source="x.csv")
+    assert f"x.csv:{line}:" in str(err.value)
+
+
+@pytest.mark.parametrize("parse", [parse_footprints_geojson,
+                                   parse_assessed_geojson])
+@pytest.mark.parametrize("fid", ["a,b", "b 1"])
+def test_geojson_readers_enforce_the_id_charset(parse, fid):
+    doc = json.loads(ASSESSED_B1)
+    doc["features"][0]["id"] = fid
+    with pytest.raises(ParseError, match=r"is not in \[A-Za-z0-9_-\]") as err:
+        parse(json.dumps(doc), source="f.geojson")
+    assert str(err.value).startswith("f.geojson: ")
 
 
 def test_matches_csv_round_trip_with_unmatched_rows():

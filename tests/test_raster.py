@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from damagekit.errors import (CellCountMismatch, IndexOutOfRange,
-                              InvalidClassCode, MissingHeaderKey,
-                              NonIntegerCell, ParseError)
-from damagekit.geom import contains
-from damagekit.raster import (DEFAULT_NODATA, ClassRaster, parse_ascii_grid,
-                              pixel_center, pixel_window, write_ascii_grid)
+from damagekit.errors import (CellCountMismatch, InvalidClassCode,
+                              MissingHeaderKey, NonIntegerCell, ParseError)
+from damagekit.geom import GeoPoint, contains
+from damagekit.raster import (DEFAULT_NODATA, ClassRaster, _centres,
+                              parse_ascii_grid, pixel_window, write_ascii_grid)
 
 from _oracles import square_footprint
 
@@ -73,6 +72,16 @@ def test_parse_rejects_nodata_that_is_a_class_code(code):
     assert "grid.asc:6:" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key, line", [("xllcorner", 3), ("yllcorner", 4)])
+def test_parse_rejects_non_finite_corner(key, line, value):
+    lines = FIXTURE.splitlines(keepends=True)
+    lines[line - 1] = f"{key} {value}\n"
+    with pytest.raises(MissingHeaderKey, match="must be finite") as err:
+        parse_ascii_grid("".join(lines), source="grid.asc")
+    assert f"grid.asc:{line}:" in str(err.value)
+
+
 def test_parse_rejects_non_integer_cell():
     bad = FIXTURE.replace("0 1 2 0", "0 1.5 2 0")
     with pytest.raises(NonIntegerCell) as err:
@@ -127,24 +136,20 @@ def test_class_raster_rejects_nodata_that_is_a_class_code(code):
 def test_pixel_center_positions():
     raster = parse_ascii_grid(FIXTURE)
     # Row 0 is the northernmost row.
-    top_left = pixel_center(raster, 0, 0)
-    assert top_left.lon == pytest.approx(10.25, abs=1e-12)
-    assert top_left.lat == pytest.approx(21.25, abs=1e-12)
-    bottom_right = pixel_center(raster, 3, 2)
-    assert bottom_right.lon == pytest.approx(11.75, abs=1e-12)
-    assert bottom_right.lat == pytest.approx(20.25, abs=1e-12)
+    lon, lat = _centres(raster.frame, 0, 0)
+    assert lon == pytest.approx(10.25, abs=1e-12)
+    assert lat == pytest.approx(21.25, abs=1e-12)
+    lon, lat = _centres(raster.frame, 3, 2)
+    assert lon == pytest.approx(11.75, abs=1e-12)
+    assert lat == pytest.approx(20.25, abs=1e-12)
 
 
 def test_pixel_center_neighbors_are_one_cell_apart():
     raster = parse_ascii_grid(FIXTURE)
-    for col in range(raster.ncols - 1):
-        a = pixel_center(raster, col, 1)
-        b = pixel_center(raster, col + 1, 1)
-        assert b.lon - a.lon == pytest.approx(raster.cellsize, rel=1e-12)
-    for row in range(raster.nrows - 1):
-        a = pixel_center(raster, 1, row)
-        b = pixel_center(raster, 1, row + 1)
-        assert a.lat - b.lat == pytest.approx(raster.cellsize, rel=1e-12)
+    lons, _ = _centres(raster.frame, np.arange(raster.ncols), 1)
+    assert np.diff(lons) == pytest.approx([raster.cellsize] * 3, rel=1e-12)
+    _, lats = _centres(raster.frame, 1, np.arange(raster.nrows))
+    assert -np.diff(lats) == pytest.approx([raster.cellsize] * 2, rel=1e-12)
 
 
 def test_pixel_window_pads_the_bounds_and_masks_pixel_centres():
@@ -156,20 +161,13 @@ def test_pixel_window_pads_the_bounds_and_masks_pixel_centres():
     assert inside.tolist() == [[False, False, False],
                                [False, True, False],
                                [False, False, False]]
-    assert contains(fp, pixel_center(raster, 1, 1))
+    assert contains(fp, GeoPoint(*_centres(raster.frame, 1, 1)))
 
 
 def test_pixel_window_is_none_off_the_raster():
     raster = parse_ascii_grid(FIXTURE)
     far = square_footprint("far", 50.0, 50.0, 0.1)
     assert pixel_window(raster.frame, far) is None
-
-
-def test_pixel_center_rejects_out_of_range_indices():
-    raster = parse_ascii_grid(FIXTURE)
-    for col, row in [(-1, 0), (4, 0), (0, -1), (0, 3)]:
-        with pytest.raises(IndexOutOfRange):
-            pixel_center(raster, col, row)
 
 
 # ------------------------------------------------------------ round-trips

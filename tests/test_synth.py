@@ -11,9 +11,11 @@ from damagekit.errors import SwathOutsideScene
 from damagekit.geom import GeoPoint
 from damagekit.raster import write_ascii_grid
 from damagekit.synth import (SceneSpec, SplitMix64, category_from_swath,
-                             generate, splitmix64_next)
+                             generate)
 from damagekit.truth import FemaCategory, match_points
 from damagekit.zonal import assess_all
+
+from _oracles import splitmix64_next, splitmix64_units
 
 # ------------------------------------------------------------------- RNG
 
@@ -21,6 +23,9 @@ def test_splitmix64_reference_value():
     state, output = splitmix64_next(0)
     assert output == 0xE220A8397B1DCDAF
     assert state == 0x9E3779B97F4A7C15
+    units, state = splitmix64_units(0, 1)
+    assert units == [(0xE220A8397B1DCDAF + 0.5) / 2.0 ** 64]
+    assert SplitMix64(0).unit_array(1).tolist() == units
 
 
 def test_splitmix64_state_advances_by_golden_gamma():
@@ -29,29 +34,16 @@ def test_splitmix64_state_advances_by_golden_gamma():
     assert state2 == (2 * 0x9E3779B97F4A7C15) % 2**64
 
 
-def test_generator_class_matches_free_function():
-    rng = SplitMix64(12345)
-    state = 12345
-    for _ in range(50):
-        state, expected = splitmix64_next(state)
-        assert rng.next_u64() == expected
-    assert rng.state == state
-
-
 def test_unit_draws_are_open_interval():
-    rng = SplitMix64(7)
-    for _ in range(1000):
-        u = rng.next_unit()
-        assert 0.0 < u < 1.0
+    draws = SplitMix64(7).unit_array(1000)
+    assert np.all((draws > 0.0) & (draws < 1.0))
 
 
 def test_bulk_draws_match_scalar_draws_exactly():
-    scalar = SplitMix64(987654321)
+    expected, state = splitmix64_units(987654321, 300)
     bulk = SplitMix64(987654321)
-    expected = np.array([scalar.next_unit() for _ in range(300)])
-    got = bulk.unit_array(300)
-    assert np.array_equal(got, expected)
-    assert bulk.state == scalar.state
+    assert bulk.unit_array(300).tolist() == expected
+    assert bulk.state == state
 
 
 def test_bulk_draws_chunk_consistently():
@@ -86,6 +78,15 @@ def test_spec_validation():
         SceneSpec(point_jitter_sigma_m=-2.0)
     with pytest.raises(ValueError):
         SceneSpec(cellsize_m=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "x"), ("seed", 1.0), ("seed", True),
+    ("grid_cols", 2.5), ("grid_cols", False), ("grid_rows", "3"),
+])
+def test_spec_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SceneSpec(**{field: value})
 
 
 def test_default_swath_runs_along_middle_row():
