@@ -20,12 +20,6 @@ import numpy as np
 EARTH_RADIUS_M = 6_371_008.8  # IUGG mean Earth radius
 _DEG_TO_RAD = math.pi / 180.0
 
-# Internal ring-test states.
-_OUTSIDE = 0
-_INSIDE = 1
-_ON_EDGE = 2
-
-
 @dataclass(frozen=True)
 class GeoPoint:
     """A longitude/latitude position in degrees."""
@@ -88,31 +82,46 @@ class Footprint:
         object.__setattr__(self, "bounds", b)
 
 
-def _ring_state(ring: Ring, lon: float, lat: float) -> int:
-    """Classify a point against one ring: outside, inside, or on an edge.
+def _ring_hits(ring: Ring, x, y):
+    """(on_edge, parity) of a point, or of arrays of points, against a ring.
 
-    Even-odd parity over a horizontal ray toward +lon. The on-edge test is
-    exact (zero cross product within the segment's bounding box); parity
-    alone decides points that are not exactly on an edge.
+    x and y are floats or numpy arrays that broadcast together; the results
+    are bools or boolean arrays to match. Even-odd parity over a horizontal
+    ray toward +lon. The on-edge test is exact (zero cross product within
+    the segment's bounding box); parity alone decides points that are not
+    exactly on an edge. A horizontal edge never straddles the ray, so it
+    takes no part in the parity.
     """
-    on_edge = False
-    parity = False
+    on_edge = parity = False
     verts = ring.vertices
     for i in range(len(verts) - 1):
         x1, y1 = verts[i].lon, verts[i].lat
         x2, y2 = verts[i + 1].lon, verts[i + 1].lat
-        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
-        if (cross == 0.0
-                and min(x1, x2) <= lon <= max(x1, x2)
-                and min(y1, y2) <= lat <= max(y1, y2)):
-            on_edge = True
-        if (y1 > lat) != (y2 > lat):
-            x_cross = x1 + (lat - y1) * (x2 - x1) / (y2 - y1)
-            if lon < x_cross:
-                parity = not parity
-    if on_edge:
-        return _ON_EDGE
-    return _INSIDE if parity else _OUTSIDE
+        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        on_edge |= ((cross == 0.0)
+                    & (min(x1, x2) <= x) & (x <= max(x1, x2))
+                    & (min(y1, y2) <= y) & (y <= max(y1, y2)))
+        if y1 != y2:
+            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            parity ^= ((y1 > y) != (y2 > y)) & (x < x_cross)
+    return on_edge, parity
+
+
+def _inside(fp: Footprint, x, y):
+    """Containment of a point, or of arrays of points, in a footprint.
+
+    A point on the exterior is inside; a point inside the exterior is
+    inside unless it lies strictly inside a hole and on no hole edge.
+    """
+    # "^ True" negates bools and boolean arrays alike; ~True is -2.
+    on_ext, par_ext = _ring_hits(fp.exterior, x, y)
+    on_hole = in_hole = False
+    for hole in fp.holes:
+        on_h, par_h = _ring_hits(hole, x, y)
+        on_hole |= on_h
+        in_hole |= par_h
+    knocked_out = in_hole & (on_hole ^ True)
+    return on_ext | (par_ext & (knocked_out ^ True))
 
 
 def contains(fp: Footprint, p: GeoPoint) -> bool:
@@ -124,66 +133,15 @@ def contains(fp: Footprint, p: GeoPoint) -> bool:
     b = fp.bounds
     if p.lon < b.min_lon or p.lon > b.max_lon or p.lat < b.min_lat or p.lat > b.max_lat:
         return False
-    state = _ring_state(fp.exterior, p.lon, p.lat)
-    if state == _OUTSIDE:
-        return False
-    if state == _ON_EDGE:
-        return True
-    on_hole = False
-    in_hole = False
-    for hole in fp.holes:
-        hole_state = _ring_state(hole, p.lon, p.lat)
-        if hole_state == _ON_EDGE:
-            on_hole = True
-        elif hole_state == _INSIDE:
-            in_hole = True
-    if on_hole:
-        return True
-    return not in_hole
-
-
-def _ring_hits(ring: Ring, lons: np.ndarray, lats: np.ndarray):
-    """Vectorised ring test. Returns (on_edge, parity) boolean arrays.
-
-    Mirrors the _ring_state arithmetic expression for expression so the two
-    give bit-identical answers on the same inputs.
-    """
-    x, y = np.broadcast_arrays(lons, lats)
-    on_edge = np.zeros(x.shape, dtype=bool)
-    parity = np.zeros(x.shape, dtype=bool)
-    verts = ring.vertices
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(len(verts) - 1):
-            x1, y1 = verts[i].lon, verts[i].lat
-            x2, y2 = verts[i + 1].lon, verts[i + 1].lat
-            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-            on_edge |= ((cross == 0.0)
-                        & (min(x1, x2) <= x) & (x <= max(x1, x2))
-                        & (min(y1, y2) <= y) & (y <= max(y1, y2)))
-            straddles = (y1 > y) != (y2 > y)
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            parity ^= straddles & (x < x_cross)
-    return on_edge, parity
+    return bool(_inside(fp, p.lon, p.lat))
 
 
 def contains_many(fp: Footprint, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    """Vectorised contains() over arrays of coordinates (broadcast together).
+    """contains() over arrays of coordinates (broadcast together).
 
     Agrees exactly with contains() for every element.
     """
-    on_ext, par_ext = _ring_hits(fp.exterior, lons, lats)
-    result = on_ext | par_ext
-    if fp.holes:
-        shape = result.shape
-        on_hole = np.zeros(shape, dtype=bool)
-        in_hole = np.zeros(shape, dtype=bool)
-        for hole in fp.holes:
-            on_h, par_h = _ring_hits(hole, lons, lats)
-            on_hole |= on_h
-            in_hole |= par_h & ~on_h
-        knocked_out = in_hole & ~on_hole
-        result &= on_ext | ~knocked_out
-    return result
+    return _inside(fp, np.asarray(lons), np.asarray(lats))
 
 
 def metres_per_degree(ref_lat: float) -> tuple[float, float]:

@@ -1,14 +1,15 @@
 """Esri ASCII grid reader/writer for per-pixel damage classification rasters.
 
 Cell codes: 0 background, 1 intact building, 2 damaged building. Any cell may
-also hold the nodata code (default -1), which must not be one of those three.
-Row 0 is the northernmost row.
+also hold the nodata code (default -1), a 32-bit integer other than those
+three. Row 0 is the northernmost row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,9 +24,19 @@ VALID_CLASSES = (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED)
 
 DEFAULT_NODATA = -1
 
-# In canonical order; every key but the last, nodata_value, is required.
-_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
-                "nodata_value")
+# Header keys in canonical order, each with its type, its rule and the rule
+# in words; every key but the last, nodata_value, is required. ClassRaster's
+# first six fields follow the same order and obey the same rules. Cells are
+# int32, so the nodata code must fit one.
+_HEADER_RULES = {
+    "ncols": (int, lambda v: v > 0, "positive"),
+    "nrows": (int, lambda v: v > 0, "positive"),
+    "xllcorner": (float, math.isfinite, "finite"),
+    "yllcorner": (float, math.isfinite, "finite"),
+    "cellsize": (float, lambda v: 0 < v < math.inf, "positive and finite"),
+    "nodata_value": (int, lambda v: -2**31 <= v < 2**31 and v not in VALID_CLASSES,
+                     "in [-2**31, 2**31) and not a class code (0, 1 or 2)"),
+}
 
 
 @dataclass
@@ -45,16 +56,11 @@ class ClassRaster:
     cells: np.ndarray
 
     def __post_init__(self):
-        self.ncols = int(self.ncols)
-        self.nrows = int(self.nrows)
-        self.xll = float(self.xll)
-        self.yll = float(self.yll)
-        self.cellsize = float(self.cellsize)
-        self.nodata = int(self.nodata)
-        if self.ncols < 1 or self.nrows < 1:
-            raise ValueError("raster dimensions must be positive")
-        if not (math.isfinite(self.cellsize) and self.cellsize > 0):
-            raise ValueError("cellsize must be positive")
+        for f, (kind, rule, wanted) in zip(fields(self), _HEADER_RULES.values()):
+            value = kind(getattr(self, f.name))
+            if not rule(value):
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            setattr(self, f.name, value)
         cells = np.asarray(self.cells)
         if not np.issubdtype(cells.dtype, np.integer):
             raise ValueError("cells must be an integer array")
@@ -62,8 +68,6 @@ class ClassRaster:
             raise ValueError(
                 f"cells shape {cells.shape} does not match "
                 f"(nrows, ncols)=({self.nrows}, {self.ncols})")
-        if self.nodata in VALID_CLASSES:
-            raise ValueError(f"nodata {self.nodata} is a class code")
         bad = ~(np.isin(cells, VALID_CLASSES) | (cells == self.nodata))
         if bad.any():
             row, col = np.argwhere(bad)[0]
@@ -108,24 +112,16 @@ def pixel_window(frame, fp: Footprint):
 
 def _header_value(key, text, line_no, source):
     """The value of one header line; MissingHeaderKey at that line if bad."""
-    integer = key in ("ncols", "nrows", "nodata_value")
+    kind, rule, wanted = _HEADER_RULES[key]
     try:
-        value = int(text) if integer else float(text)
+        value = kind(text)
     except ValueError:
-        kind = "an integer" if integer else "a number"
-        raise MissingHeaderKey(f"{key} must be {kind}, got {text!r}",
-                               source=source, line=line_no) from None
-    if key == "nodata_value" and value in VALID_CLASSES:
-        problem = f"nodata_value {value} is a class code (0, 1 or 2)"
-    elif key in ("ncols", "nrows") and value < 1:
-        problem = f"{key} must be positive, got {value}"
-    elif key == "cellsize" and not (math.isfinite(value) and value > 0):
-        problem = f"cellsize must be positive, got {text!r}"
-    elif not integer and not math.isfinite(value):
-        problem = f"{key} must be finite, got {text!r}"
-    else:
-        return value
-    raise MissingHeaderKey(problem, source=source, line=line_no)
+        wanted = "an integer" if kind is int else "a number"
+        value = None
+    if value is None or not rule(value):
+        raise MissingHeaderKey(f"{key} must be {wanted}, got {text!r}",
+                               source=source, line=line_no)
+    return value
 
 
 def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
@@ -133,13 +129,14 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
 
     Header keys must appear in canonical order (case-insensitive):
     ncols, nrows, xllcorner, yllcorner, cellsize, then an optional
-    nodata_value outside {0, 1, 2}. The body must hold exactly ncols*nrows
-    integer cells, each in {0, 1, 2} or equal to the nodata code.
+    nodata_value, a 32-bit integer outside {0, 1, 2}. The body must hold
+    exactly ncols*nrows integer cells, each in {0, 1, 2} or equal to the
+    nodata code.
     """
     lines = text.splitlines()
     header = {"nodata_value": DEFAULT_NODATA}
     line_idx = 0
-    for key in _HEADER_KEYS:
+    for key in _HEADER_RULES:
         # Skip blank lines between header entries.
         while line_idx < len(lines) and not lines[line_idx].split():
             line_idx += 1
@@ -157,11 +154,10 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
         line_idx += 1
 
     nodata = header["nodata_value"]
-    ncols = header["ncols"]
-    nrows = header["nrows"]
-    expected = ncols * nrows
-    values = np.empty(expected, dtype=np.int64)
-    count = 0
+    expected = header["ncols"] * header["nrows"]
+    # Grown from the body, not allocated from the header: every cell that
+    # passes the class check fits the int32 ('i') typecode.
+    values = array("i")
     for body_idx in range(line_idx, len(lines)):
         for token in lines[body_idx].split():
             try:
@@ -169,25 +165,21 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
             except ValueError:
                 raise NonIntegerCell(f"cell value {token!r} is not an integer",
                                      source=source, line=body_idx + 1) from None
-            if count >= expected:
-                raise CellCountMismatch(
-                    f"more than {expected} cells in body",
-                    source=source, line=body_idx + 1)
             if value != nodata and value not in VALID_CLASSES:
                 raise InvalidClassCode(
                     f"cell value {value} not in {{0, 1, 2}} or nodata ({nodata})",
                     source=source, line=body_idx + 1)
-            values[count] = value
-            count += 1
-    if count != expected:
+            values.append(value)
+        if len(values) > expected:
+            raise CellCountMismatch(f"more than {expected} cells in body",
+                                    source=source, line=body_idx + 1)
+    if len(values) != expected:
         raise CellCountMismatch(
-            f"expected {expected} cells, found {count}",
+            f"expected {expected} cells, found {len(values)}",
             source=source, line=len(lines) or 1)
 
-    cells = values.astype(np.int32).reshape(nrows, ncols)
-    return ClassRaster(ncols=ncols, nrows=nrows, xll=header["xllcorner"],
-                       yll=header["yllcorner"], cellsize=header["cellsize"],
-                       nodata=nodata, cells=cells)
+    cells = np.frombuffer(values, dtype=np.int32).reshape(-1, header["ncols"])
+    return ClassRaster(*(header[key] for key in _HEADER_RULES), cells=cells)
 
 
 def write_ascii_grid(raster: ClassRaster) -> str:

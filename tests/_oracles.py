@@ -12,10 +12,68 @@ import math
 import numpy as np
 
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
-                            contains, point_to_footprint_distance_m)
+                            point_to_footprint_distance_m)
 from damagekit.raster import CLASS_DAMAGED, ClassRaster
 from damagekit.truth import matching_reference_latitude
 from damagekit.zonal import DamageEstimate
+
+
+OUTSIDE, INSIDE, ON_EDGE = 0, 1, 2
+
+
+def ring_state(ring: Ring, lon: float, lat: float) -> int:
+    """Classify a point against one ring: OUTSIDE, INSIDE or ON_EDGE.
+
+    Even-odd parity over a horizontal ray toward +lon, one edge at a time
+    in plain floats. The on-edge test is exact (zero cross product within
+    the segment's bounding box); parity alone decides points that are not
+    exactly on an edge.
+    """
+    on_edge = False
+    parity = False
+    verts = ring.vertices
+    for i in range(len(verts) - 1):
+        x1, y1 = verts[i].lon, verts[i].lat
+        x2, y2 = verts[i + 1].lon, verts[i + 1].lat
+        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
+        if (cross == 0.0
+                and min(x1, x2) <= lon <= max(x1, x2)
+                and min(y1, y2) <= lat <= max(y1, y2)):
+            on_edge = True
+        if (y1 > lat) != (y2 > lat):
+            x_cross = x1 + (lat - y1) * (x2 - x1) / (y2 - y1)
+            if lon < x_cross:
+                parity = not parity
+    if on_edge:
+        return ON_EDGE
+    return INSIDE if parity else OUTSIDE
+
+
+def scalar_contains(fp: Footprint, p: GeoPoint) -> bool:
+    """Reference containment, decided ring by ring with ring_state.
+
+    Boundary points (on the exterior or on a hole edge) count as inside;
+    points strictly inside a hole do not.
+    """
+    b = fp.bounds
+    if p.lon < b.min_lon or p.lon > b.max_lon or p.lat < b.min_lat or p.lat > b.max_lat:
+        return False
+    state = ring_state(fp.exterior, p.lon, p.lat)
+    if state == OUTSIDE:
+        return False
+    if state == ON_EDGE:
+        return True
+    on_hole = False
+    in_hole = False
+    for hole in fp.holes:
+        hole_state = ring_state(hole, p.lon, p.lat)
+        if hole_state == ON_EDGE:
+            on_hole = True
+        elif hole_state == INSIDE:
+            in_hole = True
+    if on_hole:
+        return True
+    return not in_hole
 
 
 def square_ring(cx: float, cy: float, half: float) -> Ring:
@@ -78,7 +136,7 @@ def full_scan_assess(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
                 continue
             lon = raster.xll + (col + 0.5) * raster.cellsize
             lat = raster.yll + (raster.nrows - row - 0.5) * raster.cellsize
-            if contains(fp, GeoPoint(lon, lat)):
+            if scalar_contains(fp, GeoPoint(lon, lat)):
                 n_inside += 1
                 if value == CLASS_DAMAGED:
                     n_damaged += 1
@@ -96,7 +154,7 @@ def full_scan_assess(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
                 for frac_x in offsets:
                     lon = raster.xll + (col + frac_x) * raster.cellsize
                     lat = raster.yll + (raster.nrows - (row + frac_y)) * raster.cellsize
-                    if contains(fp, GeoPoint(lon, lat)):
+                    if scalar_contains(fp, GeoPoint(lon, lat)):
                         n_inside += 1
                         if value == CLASS_DAMAGED:
                             n_damaged += 1

@@ -150,6 +150,23 @@ def test_non_finite_raster_corner_exits_2(tmp_path, capsys, key, value):
     assert_fails(["assess", fps, raster], 2, capsys, "r.asc:")
 
 
+@pytest.mark.parametrize("nodata", ["4294967295", "9223372036854775808"])
+def test_raster_nodata_outside_int32_exits_2(tmp_path, capsys, nodata):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    raster = write(tmp_path / "r.asc",
+                   RASTER_2X2.replace("-1\n2 0", f"{nodata}\n{nodata} 0"))
+    assert_fails(["assess", fps, raster], 2, capsys, "r.asc:6: nodata_value")
+
+
+@pytest.mark.parametrize("ncols", ["100000", "1" * 400],
+                         ids=["1e5x1e5", "400-digit-ncols"])
+def test_raster_declaring_huge_size_exits_2(tmp_path, capsys, ncols):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    raster = write(tmp_path / "r.asc", RASTER_2X2.replace(
+        "ncols 2\nnrows 2", f"ncols {ncols}\nnrows 100000"))
+    assert_fails(["assess", fps, raster], 2, capsys, "r.asc:8: expected")
+
+
 @pytest.mark.parametrize("command, edit", [
     ("assess", lambda doc: doc["features"][0].update(properties=[1])),
     ("validate", lambda doc: doc.update(features=5)),

@@ -12,7 +12,7 @@ from damagekit.geom import (EARTH_RADIUS_M, BBox, Footprint, GeoPoint, Ring,
                             contains, contains_many, metres_per_degree,
                             point_to_footprint_distance_m)
 
-from _oracles import square_footprint, square_ring
+from _oracles import scalar_contains, square_footprint, square_ring
 
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -127,25 +127,65 @@ def test_containment_matches_convex_oracle():
             assert contains(fp, GeoPoint(lon, lat)) == expected
 
 
+def lattice_footprint(fid, rng, q=1.0 / 64.0):
+    """A seeded L-shaped footprint snapped to a q lattice: every edge is
+    axis-aligned, so many probes fall exactly on an edge or its extension."""
+    x0 = rng.randrange(-16, 17) * q
+    y0 = rng.randrange(-16, 17) * q
+    w, h = rng.randint(2, 10), rng.randint(2, 10)
+    cut_x, cut_y = rng.randint(1, w - 1), rng.randint(1, h - 1)
+    corners = [(0, 0), (w, 0), (w, cut_y), (cut_x, cut_y), (cut_x, h), (0, h),
+               (0, 0)]
+    return Footprint(fid, Ring(tuple(GeoPoint(x0 + i * q, y0 + j * q)
+                                     for i, j in corners)))
+
+
 def test_contains_many_matches_scalar_exactly():
+    """contains and contains_many against the ring-by-ring scalar reference
+    of tests/_oracles.py, on random points, every vertex, points along every
+    edge and every lattice node around the snapped shapes."""
     rng = random.Random(77)
+    # A hole in the notch of an L, inside the exterior's bounding box but
+    # outside the exterior: points on the hole's edge stay outside.
+    notch = Ring(tuple(GeoPoint(x, y) for x, y in [
+        (0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.5, 1.0), (0.0, 1.0),
+        (0.0, 0.0)]))
+    stray_hole = Footprint("stray", notch, (square_ring(0.75, 0.75, 0.125),))
     shapes = [
         square_footprint("sq", 0.25, 0.25, 0.25),
         square_footprint("donut", 0.5, 0.5, 0.5, hole_half=0.25),
         regular_polygon("hept", 0.1, -0.2, 0.4, 7),
+        stray_hole,
+        *(lattice_footprint(f"lattice{k}", rng) for k in range(8)),
     ]
     for fp in shapes:
         lons = [rng.uniform(-0.3, 1.3) for _ in range(400)]
         lats = [rng.uniform(-0.3, 1.3) for _ in range(400)]
-        # Also probe exact vertices and edge midpoints.
+        # Also probe exact vertices and points along each edge.
         for ring in (fp.exterior, *fp.holes):
             for a, b in zip(ring.vertices, ring.vertices[1:]):
-                lons.extend([a.lon, (a.lon + b.lon) / 2.0])
-                lats.extend([a.lat, (a.lat + b.lat) / 2.0])
-        got = contains_many(fp, np.array(lons), np.array(lats))
-        expected = np.array([contains(fp, GeoPoint(lon, lat))
-                             for lon, lat in zip(lons, lats)])
-        assert np.array_equal(got, expected)
+                for t in (0.0, 0.25, 0.5):
+                    lons.append(a.lon + t * (b.lon - a.lon))
+                    lats.append(a.lat + t * (b.lat - a.lat))
+        b = fp.bounds
+        for lon in np.arange(b.min_lon - 1 / 32, b.max_lon + 1 / 32, 1 / 128):
+            for lat in np.arange(b.min_lat - 1 / 32, b.max_lat + 1 / 32, 1 / 128):
+                lons.append(float(lon))
+                lats.append(float(lat))
+        expected = [scalar_contains(fp, GeoPoint(lon, lat))
+                    for lon, lat in zip(lons, lats)]
+        got = [contains(fp, GeoPoint(lon, lat)) for lon, lat in zip(lons, lats)]
+        assert all(type(g) is bool for g in got)
+        assert got == expected
+        many = contains_many(fp, np.array(lons), np.array(lats))
+        assert many.dtype == bool
+        assert many.tolist() == expected
+    # numpy scalar coordinates still give a Python bool.
+    assert contains(stray_hole, GeoPoint(*np.array([0.25, 0.25]))) is True
+    on_stray_edge = [(0.625, 0.75), (0.75, 0.875), (0.875, 0.875)]
+    assert not any(contains(stray_hole, GeoPoint(*p)) for p in on_stray_edge)
+    lons, lats = np.array(on_stray_edge).T
+    assert not contains_many(stray_hole, lons, lats).any()
 
 
 def test_contains_many_broadcasts_grid():

@@ -82,6 +82,32 @@ def test_parse_rejects_non_finite_corner(key, line, value):
     assert f"grid.asc:{line}:" in str(err.value)
 
 
+@pytest.mark.parametrize("code", [2**31, 2**32 - 1, 2**63, -2**31 - 1])
+def test_parse_rejects_nodata_outside_int32(code):
+    text = FIXTURE.replace("-1", str(code))
+    with pytest.raises(MissingHeaderKey, match="nodata_value must be in") as err:
+        parse_ascii_grid(text, source="grid.asc")
+    assert "grid.asc:6:" in str(err.value)
+
+
+@pytest.mark.parametrize("code", [2**31 - 1, -2**31])
+def test_parse_accepts_nodata_at_the_int32_limits(code):
+    raster = parse_ascii_grid(FIXTURE.replace("-1", str(code)))
+    assert raster.nodata == code
+    assert raster.cells[2, 2] == code
+    assert write_ascii_grid(raster) == FIXTURE.replace("-1", str(code))
+
+
+@pytest.mark.parametrize("ncols, nrows", [("100000", "100000"), ("1" * 400, "3")],
+                         ids=["1e5x1e5", "400-digit-ncols"])
+def test_parse_huge_declared_size_is_a_cell_count_mismatch(ncols, nrows):
+    text = FIXTURE.replace("ncols 4", f"ncols {ncols}").replace(
+        "nrows 3", f"nrows {nrows}")
+    with pytest.raises(CellCountMismatch, match="expected") as err:
+        parse_ascii_grid(text, source="grid.asc")
+    assert "grid.asc:9:" in str(err.value)
+
+
 def test_parse_rejects_non_integer_cell():
     bad = FIXTURE.replace("0 1 2 0", "0 1.5 2 0")
     with pytest.raises(NonIntegerCell) as err:
@@ -96,6 +122,11 @@ def test_parse_rejects_cell_count_mismatch():
         parse_ascii_grid(FIXTURE.replace("0 0 -1 1", "0 0 -1 1 2"))
     with pytest.raises(CellCountMismatch):
         parse_ascii_grid(FIXTURE + "2\n")
+    # Excess cells are reported at the line that first holds one.
+    with pytest.raises(CellCountMismatch, match="more than 12 cells") as err:
+        parse_ascii_grid(FIXTURE.replace("1 1 2 2", "1 1 2 2 0 0 0 0 0"),
+                         source="grid.asc")
+    assert "grid.asc:8:" in str(err.value)
 
 
 def test_parse_rejects_unknown_class_code():
@@ -129,6 +160,18 @@ def test_class_raster_rejects_nodata_that_is_a_class_code(code):
     with pytest.raises(ValueError, match="class code"):
         ClassRaster(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, nodata=code,
                     cells=np.full((2, 2), 2, dtype=np.int32))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("xll", float("inf")), ("xll", float("nan")), ("yll", float("-inf")),
+    ("nodata", 2**32 - 1), ("nodata", -2**31 - 1),
+])
+def test_class_raster_applies_the_header_rules(field, value):
+    kwargs = dict(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, nodata=-1,
+                  cells=np.zeros((2, 2), dtype=np.int32))
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ClassRaster(**kwargs)
 
 
 # ---------------------------------------------------------- georeferencing
