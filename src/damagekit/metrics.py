@@ -9,18 +9,11 @@ set is defined as 1.0 so precision-recall curves start at recall 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptySampleSet, NoPositiveSamples
 from .truth import MatchedSample
-
-
-@dataclass(frozen=True)
-class ConfusionAtTheta:
-    theta: float
-    tp: int
-    fp: int
-    fn: int
 
 
 @dataclass(frozen=True)
@@ -49,51 +42,38 @@ class ValidationReport:
     curve: PRCurve
 
 
-def confusion(samples: list[MatchedSample], theta: float) -> ConfusionAtTheta:
-    """Confusion counts at one threshold (predicted damaged: pct > theta)."""
-    if not samples:
-        raise EmptySampleSet("confusion counts need at least one sample")
-    tp = fp = fn = 0
-    for s in samples:
-        if s.damage_pct > theta:
-            if s.label == 1:
-                tp += 1
-            else:
-                fp += 1
-        elif s.label == 1:
-            fn += 1
-    return ConfusionAtTheta(theta=theta, tp=tp, fp=fp, fn=fn)
-
-
-def precision_recall(c: ConfusionAtTheta) -> tuple[float, float]:
-    """Precision and recall for one confusion; empty predictions give P=1."""
-    if c.tp + c.fn == 0:
-        raise NoPositiveSamples("recall undefined without positive samples")
-    precision = 1.0 if c.tp + c.fp == 0 else c.tp / (c.tp + c.fp)
-    recall = c.tp / (c.tp + c.fn)
-    return precision, recall
-
-
 def pr_curve(samples: list[MatchedSample]) -> PRCurve:
     """Precision-recall curve over decreasing thresholds.
 
     The threshold set is {100} plus every distinct estimate plus {0},
     swept in strictly decreasing order, so the curve runs from recall 0
-    at theta=100 down to the theta=0 operating point.
+    at theta=100 down to the theta=0 operating point. One pass tallies the
+    positives and negatives at each distinct estimate; the sweep then keeps
+    running counts of the samples strictly above the current threshold, so
+    the cost is one sort of the thresholds. An estimate that is NaN or
+    outside [0, 100] raises ValueError naming its point.
     """
     if not samples:
         raise EmptySampleSet("a PR curve needs at least one sample")
-    if not any(s.label == 1 for s in samples):
+    for s in samples:
+        if not 0.0 <= s.damage_pct <= 100.0:
+            raise ValueError(f"sample {s.point_id}: damage_pct must be in "
+                             f"[0, 100], got {s.damage_pct!r}")
+    positives = Counter(s.damage_pct for s in samples if s.label == 1)
+    negatives = Counter(s.damage_pct for s in samples if s.label != 1)
+    n_positive = positives.total()
+    if n_positive == 0:
         raise NoPositiveSamples("a PR curve needs at least one positive sample")
     thetas = {100.0, 0.0}
     thetas.update(s.damage_pct for s in samples)
     points = []
-    previous_recall = -1.0
+    tp = fp = 0
     for theta in sorted(thetas, reverse=True):
-        precision, recall = precision_recall(confusion(samples, theta))
-        assert recall >= previous_recall, "recall must not decrease"
-        previous_recall = recall
-        points.append(PRPoint(theta=theta, precision=precision, recall=recall))
+        precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
+        points.append(PRPoint(theta=theta, precision=precision,
+                              recall=tp / n_positive))
+        tp += positives[theta]
+        fp += negatives[theta]
     return PRCurve(tuple(points))
 
 
@@ -111,7 +91,6 @@ def validate(samples: list[MatchedSample], scheme_id: str) -> ValidationReport:
     """Full validation: PR curve, theta=0 operating point, and AP."""
     curve = pr_curve(samples)
     operating = curve.points[-1]
-    assert operating.theta == 0.0
     return ValidationReport(
         n_samples=len(samples),
         n_positive=sum(s.label for s in samples),

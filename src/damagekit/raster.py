@@ -29,8 +29,8 @@ DEFAULT_NODATA = -1
 # first six fields follow the same order and obey the same rules. Cells are
 # int32, so the nodata code must fit one.
 _HEADER_RULES = {
-    "ncols": (int, lambda v: v > 0, "positive"),
-    "nrows": (int, lambda v: v > 0, "positive"),
+    "ncols": (int, lambda v: 0 < v < 2**31, "in (0, 2**31)"),
+    "nrows": (int, lambda v: 0 < v < 2**31, "in (0, 2**31)"),
     "xllcorner": (float, math.isfinite, "finite"),
     "yllcorner": (float, math.isfinite, "finite"),
     "cellsize": (float, lambda v: 0 < v < math.inf, "positive and finite"),

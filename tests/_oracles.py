@@ -8,13 +8,16 @@ vectorised code. Tests compare the fast implementations against these.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from damagekit.errors import EmptySampleSet, NoPositiveSamples
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             point_to_footprint_distance_m)
+from damagekit.metrics import PRCurve, PRPoint
 from damagekit.raster import CLASS_DAMAGED, ClassRaster
-from damagekit.truth import matching_reference_latitude
+from damagekit.truth import MatchedSample, matching_reference_latitude
 from damagekit.zonal import DamageEstimate
 
 
@@ -243,6 +246,62 @@ def brute_average_precision(damage_pcts, labels):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+@dataclass(frozen=True)
+class ConfusionAtTheta:
+    theta: float
+    tp: int
+    fp: int
+    fn: int
+
+
+def confusion(samples: list[MatchedSample], theta: float) -> ConfusionAtTheta:
+    """Confusion counts at one threshold (predicted damaged: pct > theta)."""
+    if not samples:
+        raise EmptySampleSet("confusion counts need at least one sample")
+    tp = fp = fn = 0
+    for s in samples:
+        if s.damage_pct > theta:
+            if s.label == 1:
+                tp += 1
+            else:
+                fp += 1
+        elif s.label == 1:
+            fn += 1
+    return ConfusionAtTheta(theta=theta, tp=tp, fp=fp, fn=fn)
+
+
+def precision_recall(c: ConfusionAtTheta) -> tuple[float, float]:
+    """Precision and recall for one confusion; empty predictions give P=1."""
+    if c.tp + c.fn == 0:
+        raise NoPositiveSamples("recall undefined without positive samples")
+    precision = 1.0 if c.tp + c.fp == 0 else c.tp / (c.tp + c.fp)
+    recall = c.tp / (c.tp + c.fn)
+    return precision, recall
+
+
+def pr_curve(samples: list[MatchedSample]) -> PRCurve:
+    """Precision-recall curve over decreasing thresholds.
+
+    The threshold set is {100} plus every distinct estimate plus {0},
+    swept in strictly decreasing order, so the curve runs from recall 0
+    at theta=100 down to the theta=0 operating point.
+    """
+    if not samples:
+        raise EmptySampleSet("a PR curve needs at least one sample")
+    if not any(s.label == 1 for s in samples):
+        raise NoPositiveSamples("a PR curve needs at least one positive sample")
+    thetas = {100.0, 0.0}
+    thetas.update(s.damage_pct for s in samples)
+    points = []
+    previous_recall = -1.0
+    for theta in sorted(thetas, reverse=True):
+        precision, recall = precision_recall(confusion(samples, theta))
+        assert recall >= previous_recall, "recall must not decrease"
+        previous_recall = recall
+        points.append(PRPoint(theta=theta, precision=precision, recall=recall))
+    return PRCurve(tuple(points))
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:

@@ -16,11 +16,11 @@ from time import perf_counter
 import numpy as np
 
 from _oracles import (bbox_prefiltered_match, brute_average_precision,
-                      brute_force_match, build_raster, full_scan_assess,
-                      octagon_footprint, square_footprint)
+                      brute_force_match, build_raster, confusion,
+                      full_scan_assess, octagon_footprint, precision_recall,
+                      square_footprint)
 from damagekit.geom import EARTH_RADIUS_M, GeoPoint
-from damagekit.metrics import (average_precision, confusion, pr_curve,
-                               precision_recall, validate)
+from damagekit.metrics import average_precision, pr_curve, validate
 from damagekit.synth import SceneSpec, generate
 from damagekit.truth import (FemaCategory, GroundTruthPoint, MatchedSample,
                              join_samples, match_points, parse_scheme)

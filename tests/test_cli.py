@@ -158,13 +158,17 @@ def test_raster_nodata_outside_int32_exits_2(tmp_path, capsys, nodata):
     assert_fails(["assess", fps, raster], 2, capsys, "r.asc:6: nodata_value")
 
 
-@pytest.mark.parametrize("ncols", ["100000", "1" * 400],
-                         ids=["1e5x1e5", "400-digit-ncols"])
-def test_raster_declaring_huge_size_exits_2(tmp_path, capsys, ncols):
+@pytest.mark.parametrize("ncols, nrows, needle", [
+    ("100000", "100000", "r.asc:8: expected"),
+    ("1" * 400, "100000", "r.asc:1: ncols must be in (0, 2**31)"),
+    ("1" * 3000, "1" * 3000, "r.asc:1: ncols must be in (0, 2**31)"),
+], ids=["1e5x1e5", "400-digit-ncols", "3000-digit-ncols-nrows"])
+def test_raster_declaring_huge_size_exits_2(tmp_path, capsys, ncols, nrows,
+                                            needle):
     fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
     raster = write(tmp_path / "r.asc", RASTER_2X2.replace(
-        "ncols 2\nnrows 2", f"ncols {ncols}\nnrows 100000"))
-    assert_fails(["assess", fps, raster], 2, capsys, "r.asc:8: expected")
+        "ncols 2\nnrows 2", f"ncols {ncols}\nnrows {nrows}"))
+    assert_fails(["assess", fps, raster], 2, capsys, needle)
 
 
 @pytest.mark.parametrize("command, edit", [

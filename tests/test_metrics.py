@@ -1,17 +1,29 @@
 """Confusion counts, PR curves, and average precision: hand-derived fixture
-values, a from-scratch AP oracle, threshold-set behaviour, and the
-strict-greater-than prediction convention."""
+values, a from-scratch AP oracle, threshold-set behaviour, the
+strict-greater-than prediction convention, a bit-for-bit differential check
+of the sweep against the one-confusion-per-threshold reference, and a
+scaling guard."""
 
+import math
 import random
+import subprocess
+import sys
+from time import perf_counter
 
 import pytest
 
 from damagekit.errors import EmptySampleSet, NoPositiveSamples
-from damagekit.metrics import (ConfusionAtTheta, average_precision, confusion,
-                               pr_curve, precision_recall, validate)
+from damagekit.metrics import average_precision, pr_curve, validate
 from damagekit.truth import MatchedSample
 
-from _oracles import brute_average_precision
+from _oracles import (ConfusionAtTheta, brute_average_precision, confusion,
+                      precision_recall)
+from _oracles import pr_curve as reference_pr_curve
+
+DIFFERENTIAL_SETS = 1200
+DIFFERENTIAL_MAX_SAMPLES = 300
+SCALING_SAMPLES = 50_000
+SCALING_BUDGET_S = 2.0
 
 
 def make_samples(damage_pcts, labels):
@@ -88,6 +100,79 @@ def test_duplicate_estimates_collapse_to_one_threshold():
     samples = make_samples([70.0, 70.0, 70.0, 10.0], [1, 1, 0, 0])
     curve = pr_curve(samples)
     assert [p.theta for p in curve.points] == [100.0, 70.0, 10.0, 0.0]
+
+
+def curve_bits(curve):
+    return [(repr(p.theta), p.precision.hex(), p.recall.hex())
+            for p in curve.points]
+
+
+def random_sample_set(rng):
+    """1..300 samples mixing ties, the 0/-0/100 sentinels, ints and floats
+    of equal value, and 0/1/True/False labels."""
+    n = rng.randint(1, DIFFERENTIAL_MAX_SAMPLES)
+    pool = [rng.choice([0, 0.0, -0.0, 100, 100.0, 50, 50.0,
+                        rng.randint(0, 100), rng.randint(0, 100) + 0.0,
+                        rng.uniform(0.0, 100.0)])
+            for _ in range(rng.randint(1, 40))]
+    continuous = rng.random() < 0.3
+    samples = []
+    for k in range(n):
+        pct = rng.uniform(0.0, 100.0) if continuous else rng.choice(pool)
+        label = rng.choice([0, 1, True, False])
+        samples.append(MatchedSample(f"p{k}", f"b{k}", 0.0, label, pct))
+    return samples
+
+
+def test_curve_matches_reference_bit_for_bit():
+    rng = random.Random(60221)
+    compared = 0
+    for _ in range(DIFFERENTIAL_SETS):
+        samples = random_sample_set(rng)
+        if not any(s.label == 1 for s in samples):
+            with pytest.raises(NoPositiveSamples):
+                pr_curve(samples)
+            continue
+        assert curve_bits(pr_curve(samples)) == \
+            curve_bits(reference_pr_curve(samples))
+        compared += 1
+    assert compared >= 1000
+
+
+def test_validate_scales_to_many_distinct_estimates():
+    rng = random.Random(16180)
+    samples = [MatchedSample(f"p{k}", f"b{k}", 0.0, int(rng.random() < 0.3),
+                             rng.uniform(0.0, 100.0))
+               for k in range(SCALING_SAMPLES)]
+    start = perf_counter()
+    report = validate(samples, "major_plus")
+    elapsed = perf_counter() - start
+    assert len(report.curve.points) == len(
+        {s.damage_pct for s in samples} | {0.0, 100.0})
+    assert elapsed < SCALING_BUDGET_S
+
+
+@pytest.mark.parametrize("pct", [-5.0, math.nan, 120.0],
+                         ids=["negative", "nan", "above-100"])
+def test_curve_rejects_estimate_outside_percent_range(pct):
+    samples = make_samples([40.0, 60.0], [1, 0]) + [
+        MatchedSample("odd7", "b9", 0.0, 1, pct)]
+    with pytest.raises(ValueError, match=r"sample odd7: damage_pct"):
+        pr_curve(samples)
+    with pytest.raises(ValueError, match=r"sample odd7: damage_pct"):
+        validate(samples, "major_plus")
+
+
+def test_out_of_range_estimate_is_rejected_under_optimize(cli_env):
+    """The range check is not an assert, so python -O keeps it."""
+    code = ("from damagekit.metrics import validate\n"
+            "from damagekit.truth import MatchedSample\n"
+            "validate([MatchedSample('p0', 'b0', 0.0, 1, 50.0),\n"
+            "          MatchedSample('odd7', 'b1', 0.0, 0, -5.0)], 'x')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=cli_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "ValueError: sample odd7: damage_pct" in proc.stderr
 
 
 # ------------------------------------------------------ average precision

@@ -98,14 +98,30 @@ def test_parse_accepts_nodata_at_the_int32_limits(code):
     assert write_ascii_grid(raster) == FIXTURE.replace("-1", str(code))
 
 
-@pytest.mark.parametrize("ncols, nrows", [("100000", "100000"), ("1" * 400, "3")],
-                         ids=["1e5x1e5", "400-digit-ncols"])
+@pytest.mark.parametrize("ncols, nrows", [("100000", "100000"),
+                                          (str(2**31 - 1), "1")],
+                         ids=["1e5x1e5", "int32-max-ncols"])
 def test_parse_huge_declared_size_is_a_cell_count_mismatch(ncols, nrows):
     text = FIXTURE.replace("ncols 4", f"ncols {ncols}").replace(
         "nrows 3", f"nrows {nrows}")
     with pytest.raises(CellCountMismatch, match="expected") as err:
         parse_ascii_grid(text, source="grid.asc")
     assert "grid.asc:9:" in str(err.value)
+
+
+@pytest.mark.parametrize("ncols, nrows, line", [
+    ("1" * 400, "3", 1),
+    ("1" * 3000, "1" * 3000, 1),
+    (str(2**31), "3", 1),
+    ("4", str(2**31), 2),
+], ids=["400-digit-ncols", "3000-digit-ncols-nrows", "2**31-ncols",
+        "2**31-nrows"])
+def test_parse_rejects_declared_size_outside_int32(ncols, nrows, line):
+    text = FIXTURE.replace("ncols 4", f"ncols {ncols}").replace(
+        "nrows 3", f"nrows {nrows}")
+    with pytest.raises(MissingHeaderKey, match=r"must be in \(0, 2\*\*31\)") as err:
+        parse_ascii_grid(text, source="grid.asc")
+    assert f"grid.asc:{line}:" in str(err.value)
 
 
 def test_parse_rejects_non_integer_cell():
@@ -164,7 +180,8 @@ def test_class_raster_rejects_nodata_that_is_a_class_code(code):
 
 @pytest.mark.parametrize("field, value", [
     ("xll", float("inf")), ("xll", float("nan")), ("yll", float("-inf")),
-    ("nodata", 2**32 - 1), ("nodata", -2**31 - 1),
+    ("nodata", 2**32 - 1), ("nodata", -2**31 - 1), ("ncols", 2**31),
+    ("nrows", 0),
 ])
 def test_class_raster_applies_the_header_rules(field, value):
     kwargs = dict(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, nodata=-1,
