@@ -27,11 +27,20 @@ _ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def read_text(path) -> str:
+    """The file's text, read as UTF-8 with universal newlines."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(str(exc), source=path) from exc
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is its bytes.
+        before = exc.object[:exc.start]
+        line = (before.count(b"\n") + before.count(b"\r")
+                - before.count(b"\r\n") + 1)
+        raise ParseError(
+            f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
+            source=path, line=line) from None
 
 
 def write_text(path, text: str) -> None:

@@ -8,7 +8,6 @@ three. Row 0 is the northernmost row.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,6 +23,19 @@ VALID_CLASSES = (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED)
 
 DEFAULT_NODATA = -1
 
+# Raster text is read and written in blocks of about this many characters:
+# a row of ncols cells takes about 2 * ncols.
+_BLOCK_CHARS = 2**16
+
+# Byte kinds of the block parser; a byte of kind 0 sends its block to the
+# line loop.
+_DIGIT, _MINUS, _SEPARATOR = 1, 2, 3
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)
+_BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_KIND[ord("-")] = _MINUS
+_BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
+_ZERO = ord("0")
+
 # Header keys in canonical order, each with its type, its rule and the rule
 # in words; every key but the last, nodata_value, is required. ClassRaster's
 # first six fields follow the same order and obey the same rules. Cells are
@@ -37,6 +49,11 @@ _HEADER_RULES = {
     "nodata_value": (int, lambda v: -2**31 <= v < 2**31 and v not in VALID_CLASSES,
                      "in [-2**31, 2**31) and not a class code (0, 1 or 2)"),
 }
+
+
+def _bad_codes(cells, nodata):
+    """Mask of the cells that hold neither a class code nor nodata."""
+    return ((cells < CLASS_BACKGROUND) | (cells > CLASS_DAMAGED)) & (cells != nodata)
 
 
 @dataclass
@@ -68,7 +85,7 @@ class ClassRaster:
             raise ValueError(
                 f"cells shape {cells.shape} does not match "
                 f"(nrows, ncols)=({self.nrows}, {self.ncols})")
-        bad = ~(np.isin(cells, VALID_CLASSES) | (cells == self.nodata))
+        bad = _bad_codes(cells, self.nodata)
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise ValueError(
@@ -131,7 +148,12 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
     ncols, nrows, xllcorner, yllcorner, cellsize, then an optional
     nodata_value, a 32-bit integer outside {0, 1, 2}. The body must hold
     exactly ncols*nrows integer cells, each in {0, 1, 2} or equal to the
-    nodata code.
+    nodata code, in any spelling int() accepts.
+
+    Blocks of body lines are converted with numpy; a block that holds
+    anything but ASCII digits, minus signs and blanks, or a token or code
+    that fails a check, is read again by a line loop with int(), which
+    raises the error at its line.
     """
     lines = text.splitlines()
     header = {"nodata_value": DEFAULT_NODATA}
@@ -155,11 +177,70 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
 
     nodata = header["nodata_value"]
     expected = header["ncols"] * header["nrows"]
-    # Grown from the body, not allocated from the header: every cell that
-    # passes the class check fits the int32 ('i') typecode.
-    values = array("i")
-    for body_idx in range(line_idx, len(lines)):
-        for token in lines[body_idx].split():
+    # n cells take at least 2n - 1 characters, so the text bounds the output
+    # where a huge declared size would not. Every cell that passes the class
+    # check fits int32.
+    cells = np.empty(min(expected, (len(text) + 1) // 2), dtype=np.int32)
+    count = 0
+    rows = _rows_per_block(header["ncols"])
+    for first in range(line_idx, len(lines), rows):
+        block = lines[first:first + rows]
+        values = _block_cells(block, nodata)
+        if values is None or count + len(values) > expected:
+            values = _line_cells(block, first, count, expected, nodata, source)
+        cells[count:count + len(values)] = values
+        count += len(values)
+    if count != expected:
+        raise CellCountMismatch(
+            f"expected {expected} cells, found {count}",
+            source=source, line=len(lines) or 1)
+    del lines  # as large as the text, and ClassRaster's check needs room
+
+    return ClassRaster(*(header[key] for key in _HEADER_RULES),
+                       cells=cells.reshape(-1, header["ncols"]))
+
+
+def _rows_per_block(ncols):
+    """Raster rows per block of about _BLOCK_CHARS characters."""
+    return max(1, _BLOCK_CHARS // (2 * ncols))
+
+
+def _block_cells(lines, nodata):
+    """The cells of some body lines as an int64 array, or None when the line
+    loop must parse them: a byte outside [0-9 \\t-], a token that is not
+    -?[0-9]{1,10}, or a value that is neither a class code nor nodata."""
+    try:  # a separator at both ends: every token has one on each side
+        raw = "\n".join(["", *lines, ""]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    kind = _BYTE_KIND[codes]
+    if not kind.all():
+        return None
+    sep = kind == _SEPARATOR
+    starts = np.flatnonzero(sep[:-1] & ~sep[1:]) + 1
+    ends = np.flatnonzero(~sep[:-1] & sep[1:]) + 1
+    negative = kind[starts] == _MINUS
+    digits = ends - starts - negative
+    if (np.count_nonzero(kind == _MINUS) != np.count_nonzero(negative)
+            or (digits.size and not 1 <= digits.min() <= digits.max() <= 10)):
+        return None  # a minus inside a token, a bare minus, or > 10 digits
+    values = codes[ends - 1].astype(np.int64) - _ZERO
+    for place in range(1, digits.max(initial=1)):
+        longer = np.flatnonzero(digits > place)
+        values[longer] += (codes[ends[longer] - 1 - place].astype(np.int64)
+                           - _ZERO) * 10**place
+    np.negative(values, out=values, where=negative)
+    return None if _bad_codes(values, nodata).any() else values
+
+
+def _line_cells(lines, first, count, expected, nodata, source):
+    """The cells of some body lines, from line index first on, read token by
+    token with int() after count cells; raises at the line of the first bad
+    token or of the first cell past the expected total."""
+    values = []
+    for body_idx, line in enumerate(lines, first):
+        for token in line.split():
             try:
                 value = int(token)
             except ValueError:
@@ -170,16 +251,10 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
                     f"cell value {value} not in {{0, 1, 2}} or nodata ({nodata})",
                     source=source, line=body_idx + 1)
             values.append(value)
-        if len(values) > expected:
+        if count + len(values) > expected:
             raise CellCountMismatch(f"more than {expected} cells in body",
                                     source=source, line=body_idx + 1)
-    if len(values) != expected:
-        raise CellCountMismatch(
-            f"expected {expected} cells, found {len(values)}",
-            source=source, line=len(lines) or 1)
-
-    cells = np.frombuffer(values, dtype=np.int32).reshape(-1, header["ncols"])
-    return ClassRaster(*(header[key] for key in _HEADER_RULES), cells=cells)
+    return values
 
 
 def write_ascii_grid(raster: ClassRaster) -> str:
@@ -196,6 +271,18 @@ def write_ascii_grid(raster: ClassRaster) -> str:
         f"cellsize {raster.cellsize!r}",
         f"nodata_value {raster.nodata}",
     ]
-    for row in raster.cells:
-        out.append(" ".join(str(v) for v in row.tolist()))
-    return "\n".join(out) + "\n"
+    # Every cell is a one-digit class code or nodata, so a block of rows is
+    # one byte array of code and blank pairs; nodata is written as "n" there
+    # and then spelled out.
+    nodata = str(raster.nodata)
+    rows = _rows_per_block(raster.ncols)
+    body = []
+    for start in range(0, raster.nrows, rows):
+        block = raster.cells[start:start + rows]
+        chars = np.empty((len(block), 2 * raster.ncols), dtype=np.uint8)
+        np.add(block, _ZERO, out=chars[:, 0::2], casting="unsafe")
+        chars[:, 0::2][block == raster.nodata] = ord("n")
+        chars[:, 1::2] = ord(" ")
+        chars[:, -1] = ord("\n")
+        body.append(chars.tobytes().decode("ascii").replace("n", nodata))
+    return "".join(["\n".join(out) + "\n", *body])

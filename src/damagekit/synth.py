@@ -32,6 +32,7 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _TWO_64 = 2.0 ** 64
+_NOISE_BLOCK = 2**18  # raster cells noised per block of draws
 
 
 class SplitMix64:
@@ -228,11 +229,14 @@ def generate(spec: SceneSpec) -> SynthScene:
         cells[window][inside] = value
 
     if spec.pixel_noise_rate > 0.0:
-        draws = rng.unit_array(2 * nrows * ncols)
-        flip = draws[0::2] < spec.pixel_noise_rate
-        replacement = np.floor(draws[1::2] * 3.0).astype(np.int32)
+        # Draw k of the stream does not depend on how the draws before it
+        # were blocked, so blocks bound the memory and change no cell.
         flat = cells.ravel()
-        flat[flip] = replacement[flip]
+        for start in range(0, flat.size, _NOISE_BLOCK):
+            block = flat[start:start + _NOISE_BLOCK]
+            draws = rng.unit_array(2 * block.size)
+            flip = draws[0::2] < spec.pixel_noise_rate
+            block[flip] = np.floor(draws[1::2][flip] * 3.0)
 
     raster = ClassRaster(ncols=ncols, nrows=nrows, xll=xll, yll=yll,
                          cellsize=cs_deg, nodata=DEFAULT_NODATA, cells=cells)

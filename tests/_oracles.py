@@ -8,15 +8,19 @@ vectorised code. Tests compare the fast implementations against these.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from damagekit.errors import EmptySampleSet, NoPositiveSamples
+from damagekit.errors import (CellCountMismatch, EmptySampleSet,
+                              InvalidClassCode, MissingHeaderKey,
+                              NoPositiveSamples, NonIntegerCell)
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             point_to_footprint_distance_m)
 from damagekit.metrics import PRCurve, PRPoint
-from damagekit.raster import CLASS_DAMAGED, ClassRaster
+from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
+                              VALID_CLASSES, ClassRaster, _header_value)
 from damagekit.truth import MatchedSample, matching_reference_latitude
 from damagekit.zonal import DamageEstimate
 
@@ -323,3 +327,94 @@ def splitmix64_units(seed: int, n: int) -> tuple[list[float], int]:
         state, output = splitmix64_next(state)
         units.append((output + 0.5) / 2.0 ** 64)
     return units, state
+
+
+def noise_in_one_block(cells, rng, rate):
+    """synth's pixel noise drawn for the whole raster in one block: flip
+    decision then replacement class per cell, row-major."""
+    draws = rng.unit_array(2 * cells.size)
+    flip = draws[0::2] < rate
+    replacement = np.floor(draws[1::2] * 3.0).astype(np.int32)
+    flat = cells.ravel()
+    flat[flip] = replacement[flip]
+    return cells
+
+
+# The raster reader and writer as one token and one str() at a time.
+
+def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
+    """Parse Esri ASCII grid text into a ClassRaster.
+
+    Header keys must appear in canonical order (case-insensitive):
+    ncols, nrows, xllcorner, yllcorner, cellsize, then an optional
+    nodata_value, a 32-bit integer outside {0, 1, 2}. The body must hold
+    exactly ncols*nrows integer cells, each in {0, 1, 2} or equal to the
+    nodata code.
+    """
+    lines = text.splitlines()
+    header = {"nodata_value": DEFAULT_NODATA}
+    line_idx = 0
+    for key in _HEADER_RULES:
+        # Skip blank lines between header entries.
+        while line_idx < len(lines) and not lines[line_idx].split():
+            line_idx += 1
+        tokens = lines[line_idx].split() if line_idx < len(lines) else [""]
+        if key == "nodata_value" and tokens[0].lower() != key:
+            break  # the optional key is absent
+        if line_idx >= len(lines):
+            raise MissingHeaderKey(f"missing header key {key}",
+                                   source=source, line=len(lines) or 1)
+        if tokens[0].lower() != key or len(tokens) != 2:
+            raise MissingHeaderKey(
+                f"expected header line '{key} <value>', got {lines[line_idx]!r}",
+                source=source, line=line_idx + 1)
+        header[key] = _header_value(key, tokens[1], line_idx + 1, source)
+        line_idx += 1
+
+    nodata = header["nodata_value"]
+    expected = header["ncols"] * header["nrows"]
+    # Grown from the body, not allocated from the header: every cell that
+    # passes the class check fits the int32 ('i') typecode.
+    values = array("i")
+    for body_idx in range(line_idx, len(lines)):
+        for token in lines[body_idx].split():
+            try:
+                value = int(token)
+            except ValueError:
+                raise NonIntegerCell(f"cell value {token!r} is not an integer",
+                                     source=source, line=body_idx + 1) from None
+            if value != nodata and value not in VALID_CLASSES:
+                raise InvalidClassCode(
+                    f"cell value {value} not in {{0, 1, 2}} or nodata ({nodata})",
+                    source=source, line=body_idx + 1)
+            values.append(value)
+        if len(values) > expected:
+            raise CellCountMismatch(f"more than {expected} cells in body",
+                                    source=source, line=body_idx + 1)
+    if len(values) != expected:
+        raise CellCountMismatch(
+            f"expected {expected} cells, found {len(values)}",
+            source=source, line=len(lines) or 1)
+
+    cells = np.frombuffer(values, dtype=np.int32).reshape(-1, header["ncols"])
+    return ClassRaster(*(header[key] for key in _HEADER_RULES), cells=cells)
+
+
+
+def write_ascii_grid(raster: ClassRaster) -> str:
+    """Serialise a raster to canonical Esri ASCII grid text.
+
+    Lowercase header keys in canonical order, one raster row per line,
+    LF line endings. parse_ascii_grid() round-trips the result exactly.
+    """
+    out = [
+        f"ncols {raster.ncols}",
+        f"nrows {raster.nrows}",
+        f"xllcorner {raster.xll!r}",
+        f"yllcorner {raster.yll!r}",
+        f"cellsize {raster.cellsize!r}",
+        f"nodata_value {raster.nodata}",
+    ]
+    for row in raster.cells:
+        out.append(" ".join(str(v) for v in row.tolist()))
+    return "\n".join(out) + "\n"

@@ -171,6 +171,21 @@ def test_raster_declaring_huge_size_exits_2(tmp_path, capsys, ncols, nrows,
     assert_fails(["assess", fps, raster], 2, capsys, needle)
 
 
+@pytest.mark.parametrize("command", ["assess", "match"])
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, command):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    if command == "assess":
+        bad = tmp_path / "r.asc"
+        bad.write_bytes(RASTER_2X2.replace("1 1", "1 \xff").encode("latin-1"))
+        argv, needle = ["assess", fps, str(bad)], "r.asc:8: byte 0xff"
+    else:
+        bad = tmp_path / "t.csv"
+        bad.write_bytes(f"{TRUTH_HEADER}p1,0,0,destroyed\r\np\xff,0,0,"
+                        "destroyed\n".encode("latin-1"))
+        argv, needle = ["match", str(bad), fps], "t.csv:3: byte 0xff"
+    assert_fails(argv, 2, capsys, needle)
+
+
 @pytest.mark.parametrize("command, edit", [
     ("assess", lambda doc: doc["features"][0].update(properties=[1])),
     ("validate", lambda doc: doc.update(features=5)),

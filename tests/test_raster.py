@@ -1,8 +1,14 @@
 """ASCII grid parsing/writing, georeferencing, and the failure modes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _oracles
+from damagekit import raster as raster_module
 from damagekit.errors import (CellCountMismatch, InvalidClassCode,
                               MissingHeaderKey, NonIntegerCell, ParseError)
 from damagekit.geom import GeoPoint, contains
@@ -169,6 +175,15 @@ def test_class_raster_validates_shape_and_codes():
     with pytest.raises(ValueError):
         ClassRaster(ncols=2, nrows=2, xll=0, yll=0, cellsize=0.0, nodata=-1,
                     cells=np.zeros((2, 2), dtype=np.int32))
+    # The first bad cell is named, whatever the dtype.
+    for dtype, value in [(np.int32, 3), (np.int32, -2), (np.uint8, 255),
+                         (np.int64, 2**40)]:
+        cells = np.array([[0, 1, 2], [2, 0, 1]], dtype=dtype)
+        cells[1, 1:] = value
+        with pytest.raises(ValueError, match=rf"cell \(1, 1\) holds invalid "
+                                             rf"class code {value}$"):
+            ClassRaster(ncols=3, nrows=2, xll=0, yll=0, cellsize=1, nodata=-1,
+                        cells=cells)
 
 
 @pytest.mark.parametrize("code", [0, 1, 2])
@@ -263,3 +278,103 @@ def test_write_preserves_awkward_float_headers():
     assert again.yll == raster.yll
     assert again.cellsize == raster.cellsize
     assert again.nodata == -9999
+
+
+# ------------------------------------------- block parser and row writer
+
+# With nodata 3 or 7, a digit scan that let a minus stand anywhere would
+# read "-" as 3 and "1-" as 7.
+NODATA_CODES = [-1, -9999, -2**31, 2**31 - 1, 3, 7]
+
+# Pieces inserted into or over a valid body: spellings int() reads that a
+# plain -?[0-9]+ scan does not, bad tokens and codes, blanks and the other
+# line breaks of str.splitlines(). An inserted code is one cell too many.
+MUTATIONS = ["+1", "01", "0", "-0", "-", "1-", "1_0", "\u0662", "\xa0",
+             "\t", "\n", "\n  \t\n", "\r", "\x0b", "\x1c", "\x1f", "1-2", "3",
+             "-2", "00000000002", "99999999999", "x", " 0", "1 "]
+
+
+def outcome(parse, text):
+    """A parse's cells and header, or its error's type and message."""
+    try:
+        raster = parse(text, source="g.asc")
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return raster.frame, raster.nodata, raster.cells.dtype, raster.cells.tolist()
+
+
+@st.composite
+def grid_texts(draw):
+    ncols, nrows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    nodata = draw(st.sampled_from([None] + NODATA_CODES))
+    codes = ["0", "1", "2", str(DEFAULT_NODATA if nodata is None else nodata)]
+    cells = draw(st.lists(st.sampled_from(codes), min_size=ncols * nrows,
+                          max_size=ncols * nrows))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    body = "".join(sep.join(cells[r * ncols:(r + 1) * ncols]) + "\n"
+                   for r in range(nrows))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(body)))
+        cut = draw(st.integers(0, 2))
+        piece = draw(st.sampled_from(MUTATIONS + codes))
+        if draw(st.booleans()):
+            piece = f" {piece} "  # a token of its own
+        body = body[:at] + piece + body[at + cut:]
+    head = (f"ncols {ncols}\nnrows {nrows}\nxllcorner 0.0\nyllcorner 0.0\n"
+            f"cellsize 1.0\n")
+    if nodata is not None:
+        head += f"nodata_value {nodata}\n"
+    return head + body
+
+
+def one_row(cells, nodata):
+    return (f"ncols {len(cells.split())}\nnrows 1\nxllcorner 0\nyllcorner 0\n"
+            f"cellsize 1\nnodata_value {nodata}\n{cells}\n")
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(text=grid_texts(), block_chars=st.integers(1, 40))
+@example(text=one_row("0 - 1", 3), block_chars=40)
+@example(text=one_row("0 1- 1", 7), block_chars=40)
+@example(text=one_row("2 -0 01 -00000000001 00000000002", -1), block_chars=40)
+@example(text=one_row("0 +1 -0 2", -1), block_chars=40)
+@example(text=one_row("1 " + "0" * 22 + "1", -1), block_chars=40)
+def test_block_parser_agrees_with_the_reference(text, block_chars):
+    with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
+        assert outcome(parse_ascii_grid, text) == outcome(
+            _oracles.parse_ascii_grid, text)
+
+
+@pytest.mark.parametrize("line", [7, 9, 12], ids=["first", "middle", "last"])
+def test_overflow_names_the_declared_count_in_any_block(line):
+    body = ["0 1 2 0"] * 6
+    body[line - 7] += " 1" * (25 - 4 * (line - 6))  # cell 25 is on this line
+    text = FIXTURE.replace("nrows 3", "nrows 6").split("0 1 2 0")[0]
+    text += "\n".join(body) + "\n"
+    with mock.patch.object(raster_module, "_BLOCK_CHARS", 16):
+        with pytest.raises(CellCountMismatch) as err:
+            parse_ascii_grid(text, source="g.asc")
+    assert str(err.value) == f"g.asc:{line}: more than 24 cells in body"
+    assert outcome(_oracles.parse_ascii_grid, text)[1] == str(err.value)
+
+
+@st.composite
+def rasters(draw):
+    ncols, nrows = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    nodata = draw(st.sampled_from(NODATA_CODES + [200]))
+    dtype = draw(st.sampled_from(
+        [np.int32, np.int64] + ([np.uint8] if 0 < nodata < 256 else [])))
+    cells = draw(st.lists(st.sampled_from([0, 1, 2, nodata]),
+                          min_size=ncols * nrows, max_size=ncols * nrows))
+    return ClassRaster(ncols=ncols, nrows=nrows, xll=-90.5, yll=32.25,
+                       cellsize=0.1, nodata=nodata,
+                       cells=np.array(cells, dtype=dtype).reshape(nrows, ncols))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(raster=rasters(), block_chars=st.integers(1, 40))
+def test_row_writer_matches_the_reference_byte_for_byte(raster, block_chars):
+    with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
+        text = write_ascii_grid(raster)
+    assert text == _oracles.write_ascii_grid(raster)
+    assert np.array_equal(parse_ascii_grid(text).cells, raster.cells)

@@ -3,10 +3,12 @@ banding, render/oracle agreement, and reproducibility guarantees."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from damagekit import synth
 from damagekit.errors import SwathOutsideScene
 from damagekit.geom import GeoPoint
 from damagekit.raster import write_ascii_grid
@@ -15,7 +17,7 @@ from damagekit.synth import (SceneSpec, SplitMix64, category_from_swath,
 from damagekit.truth import FemaCategory, match_points
 from damagekit.zonal import assess_all
 
-from _oracles import splitmix64_next, splitmix64_units
+from _oracles import noise_in_one_block, splitmix64_next, splitmix64_units
 
 # ------------------------------------------------------------------- RNG
 
@@ -255,3 +257,23 @@ def test_pixel_noise_flips_cells_at_roughly_the_requested_rate():
     differs = np.mean(noisy.raster.cells != clean.raster.cells)
     # A flipped cell keeps its value a third of the time.
     assert 0.15 < differs < 0.25
+
+
+def test_block_noise_matches_one_block_reference():
+    spec = SceneSpec(seed=21, grid_cols=15, grid_rows=15, cellsize_m=0.5,
+                     pixel_noise_rate=0.2, point_jitter_sigma_m=3.0,
+                     point_drop_rate=0.1)
+    noisy = generate(spec)
+    size = noisy.raster.cells.size
+    # At least three blocks, and the last one partial.
+    assert size > 3 * synth._NOISE_BLOCK and size % synth._NOISE_BLOCK
+    rng = SplitMix64(spec.seed)
+    rng.unit_array(2 * spec.grid_cols * spec.grid_rows)  # building jitter
+    clean = generate(replace(spec, pixel_noise_rate=0.0)).raster.cells.copy()
+    expected = noise_in_one_block(clean, rng, spec.pixel_noise_rate)
+    assert np.array_equal(noisy.raster.cells, expected)
+    # The truth draws come after the noise, so they show a partial last
+    # block that drew too many or too few.
+    with mock.patch.object(synth, "_NOISE_BLOCK", size):
+        one_block = generate(spec)
+    assert noisy.truth == one_block.truth
