@@ -11,9 +11,9 @@ INVOCATION EXAMPLES
 
 Data goes to stdout when no output path is given; diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 parse failure, 3 duplicate id, 4 unknown damage
-category, 5 missing estimate for a matched footprint, 6 no positive
-samples, 7 swath misses every building.
+Exit codes: 0 ok, 2 parse failure or unwritable output, 3 duplicate id,
+4 unknown damage category, 5 missing estimate for a matched footprint,
+6 no positive samples, 7 swath misses every building.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from . import formats, plot
 from .errors import (DuplicateFootprintId, DuplicatePointId, EmptySampleSet,
                      MissingEstimate, NoPositiveSamples, ParseError,
-                     SwathOutsideScene, UnknownCategory)
+                     SwathOutsideScene, UnknownCategory, UnwritableOutput)
 from .geom import GeoPoint
 from .raster import parse_ascii_grid, write_ascii_grid
 from .synth import SceneSpec, generate
@@ -63,7 +63,12 @@ def _load_scene_spec(path) -> SceneSpec:
 def cmd_synth(args) -> int:
     spec = _load_scene_spec(args.spec)
     scene = generate(spec)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except FileExistsError as exc:
+        raise UnwritableOutput(args.out_dir, "exists and is not a directory") from exc
+    except OSError as exc:
+        raise UnwritableOutput(args.out_dir, exc.strerror or exc) from exc
     join = os.path.join
     formats.write_text(join(args.out_dir, "footprints.geojson"),
                        formats.write_footprints_geojson(list(scene.footprints)))
@@ -179,7 +184,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnknownCategory as exc:
         return _fail(exc, 4)
-    except ParseError as exc:
+    except (ParseError, UnwritableOutput) as exc:
         return _fail(exc, 2)
     except (DuplicateFootprintId, DuplicatePointId) as exc:
         return _fail(exc, 3)

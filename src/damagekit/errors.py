@@ -47,6 +47,14 @@ class UnknownCategory(ParseError):
     """Damage category string is not one of the five known labels."""
 
 
+class UnwritableOutput(DamageKitError):
+    """An output file or directory cannot be created or written."""
+
+    def __init__(self, path, reason):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+
+
 class DuplicateFootprintId(DamageKitError):
     """Two footprints share an id."""
 

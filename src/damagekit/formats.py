@@ -12,7 +12,7 @@ import json
 import re
 from decimal import ROUND_HALF_UP, Decimal
 
-from .errors import ParseError
+from .errors import ParseError, UnwritableOutput
 from .geom import Footprint, GeoPoint, Ring
 from .metrics import PRPoint, ValidationReport
 from .truth import FemaCategory, GroundTruthPoint, PointMatch
@@ -44,8 +44,12 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    """Write text to the file as UTF-8, newlines untranslated."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UnwritableOutput(path, exc.strerror or exc) from exc
 
 
 def _checked_id(text: str, source, line=None) -> str:

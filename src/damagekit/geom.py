@@ -82,28 +82,41 @@ class Footprint:
         object.__setattr__(self, "bounds", b)
 
 
+def _on_edge(x1, y1, x2, y2, x, y):
+    """Whether points lie exactly on the edge (x1, y1)-(x2, y2): a zero
+    cross product within the edge's closed bounding box. Floats or numpy
+    arrays that broadcast together."""
+    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+    return ((cross == 0.0)
+            & ((x1 <= x) | (x2 <= x)) & ((x <= x1) | (x <= x2))
+            & ((y1 <= y) | (y2 <= y)) & ((y <= y1) | (y <= y2)))
+
+
+def _crossing(x1, y1, x2, y2, y):
+    """(straddles, x_cross) of a non-horizontal edge at latitude y: whether
+    it crosses the ray from latitude y (one end above y, the other not), and
+    the longitude of its line there."""
+    return (y1 > y) != (y2 > y), x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+
+
 def _ring_hits(ring: Ring, x, y):
     """(on_edge, parity) of a point, or of arrays of points, against a ring.
 
     x and y are floats or numpy arrays that broadcast together; the results
     are bools or boolean arrays to match. Even-odd parity over a horizontal
-    ray toward +lon. The on-edge test is exact (zero cross product within
-    the segment's bounding box); parity alone decides points that are not
-    exactly on an edge. A horizontal edge never straddles the ray, so it
-    takes no part in the parity.
+    ray toward +lon. The on-edge test is exact; parity alone decides points
+    that are not exactly on an edge. A horizontal edge never straddles the
+    ray, so it takes no part in the parity.
     """
     on_edge = parity = False
     verts = ring.vertices
     for i in range(len(verts) - 1):
         x1, y1 = verts[i].lon, verts[i].lat
         x2, y2 = verts[i + 1].lon, verts[i + 1].lat
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        on_edge |= ((cross == 0.0)
-                    & (min(x1, x2) <= x) & (x <= max(x1, x2))
-                    & (min(y1, y2) <= y) & (y <= max(y1, y2)))
+        on_edge |= _on_edge(x1, y1, x2, y2, x, y)
         if y1 != y2:
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            parity ^= ((y1 > y) != (y2 > y)) & (x < x_cross)
+            straddles, x_cross = _crossing(x1, y1, x2, y2, y)
+            parity ^= straddles & (x < x_cross)
     return on_edge, parity
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CellCountMismatch, InvalidClassCode, MissingHeaderKey,
                      NonIntegerCell)
-from .geom import Footprint, contains_many
+from .geom import _crossing, _on_edge
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -35,6 +35,10 @@ _BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
 _BYTE_KIND[ord("-")] = _MINUS
 _BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
 _ZERO = ord("0")
+
+# pixel_windows rasterises footprints in chunks of about this many window
+# pixels, counting a footprint's window once per ring.
+_SPAN_PIXELS = 2**16
 
 # Header keys in canonical order, each with its type, its rule and the rule
 # in words; every key but the last, nodata_value, is required. ClassRaster's
@@ -104,27 +108,135 @@ def _centres(frame, cols, rows):
     return xll + (cols + 0.5) * cs, yll + (nrows - rows - 0.5) * cs
 
 
-def pixel_window(frame, fp: Footprint):
-    """(window, inside) for a footprint on a raster frame, or None off it.
+def pixel_windows(frame, footprints):
+    """(window, inside) for each footprint on a raster frame, or None off it.
 
     frame is (ncols, nrows, xll, yll, cellsize). window is the (row slice,
     column slice) of the footprint's bounding box padded by one cell, which
-    holds every pixel whose centre or subcells it can cover; inside is the
-    contains_many mask of the window's pixel centres.
+    holds every pixel whose centre or subcells it can cover; inside is
+    geom's containment mask of the window's pixel centres, bit for bit.
+
+    The scanline rule, batched over footprints in chunks of about
+    _SPAN_PIXELS window pixels per ring: each edge meets every window row
+    whose centre latitude it spans at geom's _crossing, and searchsorted on
+    the exact centre longitudes turns the crossings into each ring's
+    even-odd parity. geom's exact _on_edge runs only on the centres that
+    can lie on an edge.
     """
     ncols, nrows, xll, yll, cs = frame
-    b = fp.bounds
-    col_lo = max(int(math.floor((b.min_lon - xll) / cs)) - 1, 0)
-    col_hi = min(int(math.floor((b.max_lon - xll) / cs)) + 1, ncols - 1)
-    row_lo = max(int(math.floor(nrows - (b.max_lat - yll) / cs)) - 1, 0)
-    row_hi = min(int(math.floor(nrows - (b.min_lat - yll) / cs)) + 1, nrows - 1)
-    if col_lo > col_hi or row_lo > row_hi:
-        return None
-    cols = np.arange(col_lo, col_hi + 1, dtype=np.float64)
-    rows = np.arange(row_lo, row_hi + 1, dtype=np.float64)
-    lons, lats = _centres(frame, cols, rows)
-    inside = contains_many(fp, lons[np.newaxis, :], lats[:, np.newaxis])
-    return (slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)), inside
+    b = np.array([(fp.bounds.max_lat, fp.bounds.min_lat, fp.bounds.min_lon,
+                   fp.bounds.max_lon) for fp in footprints]).reshape(-1, 4)
+    with np.errstate(over="ignore"):  # an infinite bound is clipped too
+        edges = np.floor(np.concatenate([nrows - (b[:, :2] - yll) / cs,
+                                         (b[:, 2:] - xll) / cs], axis=1))
+    # (row_lo, row_hi, col_lo, col_hi), clipped in float so that a bound far
+    # off the raster cannot overflow int64.
+    win = np.clip(edges + [-1, 1, -1, 1], [0, -1, 0, -1],
+                  [nrows, nrows - 1, ncols, ncols - 1]).astype(np.int64)
+    covered = np.flatnonzero((win[:, 0] <= win[:, 1]) & (win[:, 2] <= win[:, 3]))
+    hits = [None] * len(footprints)
+    if not covered.size:
+        return hits
+    cost = ((win[covered, 1] - win[covered, 0] + 1)
+            * (win[covered, 3] - win[covered, 2] + 1)
+            * [1 + len(footprints[i].holes) for i in covered.tolist()])
+    chunk = (np.cumsum(cost) - cost) // _SPAN_PIXELS
+    centres = _centres(frame, np.arange(ncols, dtype=np.float64),
+                       np.arange(nrows, dtype=np.float64))
+    windows = win.tolist()
+    for part in np.split(covered, np.flatnonzero(np.diff(chunk)) + 1):
+        part = part.tolist()
+        masks = _chunk_masks(*centres, [footprints[i] for i in part], win[part])
+        for i, inside in zip(part, masks):
+            row_lo, row_hi, col_lo, col_hi = windows[i]
+            hits[i] = (slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)), inside
+    return hits
+
+
+def _runs(start, stop):
+    """(owner, value) of each value of the ranges start[i] <= value < stop[i],
+    concatenated; an empty range has none."""
+    count = np.maximum(stop - start, 0)
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(count.sum()) + (start - np.cumsum(count) + count)[owner]
+
+
+def _chunk_masks(lons, lats, footprints, win):
+    """pixel_windows' inside masks of some footprints and their windows, from
+    the centre longitudes of every raster column and latitudes of every row."""
+    row_lo, row_hi, col_lo, col_hi = win.T
+    width = col_hi - col_lo + 1
+    size = (row_hi - row_lo + 1) * width
+    # Every exterior, in footprint order, then every hole; ring j's window
+    # pixels start at offset[j], an exterior's where its footprint's do.
+    n_fp = len(footprints)
+    rings = ([fp.exterior for fp in footprints]
+             + [hole for fp in footprints for hole in fp.holes])
+    ring_fp = np.concatenate([np.arange(n_fp), np.repeat(
+        np.arange(n_fp), [len(fp.holes) for fp in footprints])])
+    ring_size = size[ring_fp]
+    offset = np.cumsum(ring_size) - ring_size
+    n_verts = np.array([len(r.vertices) for r in rings])
+    verts = np.array([(v.lon, v.lat) for r in rings for v in r.vertices])
+    start = np.delete(np.arange(len(verts)), np.cumsum(n_verts) - 1)
+    (x1, y1), (x2, y2) = verts[start].T, verts[start + 1].T
+    edge_ring = np.repeat(np.arange(len(rings)), n_verts - 1)
+    edge_fp = ring_fp[edge_ring]
+
+    # (edge, row) pairs: the window rows whose centre latitude lies in the
+    # edge's closed latitude range; -lats rises with the row.
+    south = -lats
+    first = np.searchsorted(south, -np.maximum(y1, y2), "left")
+    stop = np.searchsorted(south, -np.minimum(y1, y2), "right")
+    pair, row = _runs(np.maximum(first, row_lo[edge_fp]),
+                      np.minimum(stop, row_hi[edge_fp] + 1))
+    f = edge_fp[pair]
+    px1, py1, px2, py2, y = x1[pair], y1[pair], x2[pair], y2[pair], lats[row]
+    row_start = (row - row_lo[f]) * width[f]  # within the window
+
+    # Parity: a straddling edge flips the centres west of its crossing, so
+    # each gets a mark at the start of its ring's row and one at the first
+    # centre not west of it; a running count of marks is odd where the
+    # parity is.
+    slanted = np.flatnonzero(py1 != py2)
+    straddles, x_cross = _crossing(px1[slanted], py1[slanted], px2[slanted],
+                                   py2[slanted], y[slanted])
+    flip = slanted[straddles]
+    west = np.searchsorted(lons, x_cross[straddles], "left") - col_lo[f[flip]]
+    mark = offset[edge_ring[pair[flip]]] + row_start[flip]
+    marks = np.bincount(np.concatenate([mark, mark + np.clip(west, 0, width[f[flip]])]),
+                        minlength=ring_size.sum() + 1)
+    parity = (np.cumsum(marks[:-1]) & 1).astype(bool)
+
+    # On-edge candidates. A horizontal edge holds the centres of its row in
+    # its longitude range. A centre on another edge makes the two products
+    # of _on_edge's cross product round to the same value; with u = 2**-53
+    # that puts it within about 4u|x2 - x1| + u|x1| of x_cross, plus at most
+    # 4 * 2**-1075 * (1 + 1 / |y2 - y1|) where the products underflow. slack
+    # covers that and the rounding of x_cross -/+ slack with room to spare.
+    lo_x, hi_x = np.minimum(px1, px2), np.maximum(px1, px2)
+    slack = (2.0**-50 * (np.abs(px2[slanted] - px1[slanted]) + np.abs(px1[slanted]))
+             + 2.0**-1072 / np.abs(py2[slanted] - py1[slanted]) + 2.0**-1072)
+    lo_x[slanted], hi_x[slanted] = x_cross - slack, x_cross + slack
+    cand, col = _runs(np.maximum(np.searchsorted(lons, lo_x, "left"), col_lo[f]),
+                      np.minimum(np.searchsorted(lons, hi_x, "right"), col_hi[f] + 1))
+    e = pair[cand]
+    on = _on_edge(x1[e], y1[e], x2[e], y2[e], lons[col], y[cand])
+    pix = (offset[f[cand]] + row_start[cand] + col - col_lo[f[cand]])[on]
+    on_hole_edge = (edge_ring[e] >= n_fp)[on]
+
+    # Combined as geom._inside does: inside a hole means inside any hole,
+    # not an odd number of them.
+    n_pix = int(size.sum())
+    on_ext, on_hole, in_hole = np.zeros((3, n_pix), dtype=bool)
+    on_ext[pix[~on_hole_edge]] = True
+    on_hole[pix[on_hole_edge]] = True
+    holes = np.arange(n_fp, len(rings))
+    to_fp = np.repeat(offset[ring_fp[holes]] - offset[holes], ring_size[holes])
+    in_hole[(np.arange(n_pix, len(parity)) + to_fp)[parity[n_pix:]]] = True
+    inside = on_ext | (parity[:n_pix] & ~(in_hole & ~on_hole))
+    return [inside[o:o + n].reshape(-1, w)
+            for o, n, w in zip(offset[:n_fp].tolist(), size.tolist(), width.tolist())]
 
 
 def _header_value(key, text, line_no, source):

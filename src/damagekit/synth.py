@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SwathOutsideScene
 from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, Ring
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     DEFAULT_NODATA, ClassRaster, pixel_window)
+                     DEFAULT_NODATA, ClassRaster, pixel_windows)
 from .truth import FemaCategory, GroundTruthPoint
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -217,8 +217,7 @@ def generate(spec: SceneSpec) -> SynthScene:
     # Paint a bare array; ClassRaster then validates the finished cells once.
     cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int32)
     frame = (ncols, nrows, xll, yll, cs_deg)
-    for fp in footprints:
-        hit = pixel_window(frame, fp)
+    for fp, hit in zip(footprints, pixel_windows(frame, footprints)):
         if hit is None:
             continue
         window, inside = hit

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DuplicateFootprintId, check_unique
 from .geom import Footprint, contains_many
-from .raster import CLASS_DAMAGED, ClassRaster, pixel_window
+from .raster import CLASS_DAMAGED, ClassRaster, pixel_windows
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,18 @@ class DamageEstimate:
 
 def assess_footprint(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
     """Estimate the damaged share of one footprint."""
-    hit = pixel_window(raster.frame, fp)
+    return assess_all(raster, [fp])[0]
+
+
+def assess_all(raster: ClassRaster, footprints: list[Footprint]) -> list[DamageEstimate]:
+    """Assess every footprint, preserving input order."""
+    check_unique(footprints, DuplicateFootprintId, "footprint")
+    return [_estimate(raster, fp, hit)
+            for fp, hit in zip(footprints, pixel_windows(raster.frame, footprints))]
+
+
+def _estimate(raster: ClassRaster, fp: Footprint, hit) -> DamageEstimate:
+    """The estimate of one footprint from its pixel_windows entry."""
     if hit is None:
         return DamageEstimate(fp.id, 0.0, 0, 0, supersampled=False, no_coverage=True)
     window, inside = hit
@@ -67,8 +78,3 @@ def assess_footprint(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
     return DamageEstimate(fp.id, 100.0 * n_damaged / n_inside, n_inside,
                           n_damaged, supersampled=supersampled)
 
-
-def assess_all(raster: ClassRaster, footprints: list[Footprint]) -> list[DamageEstimate]:
-    """Assess every footprint, preserving input order."""
-    check_unique(footprints, DuplicateFootprintId, "footprint")
-    return [assess_footprint(raster, fp) for fp in footprints]

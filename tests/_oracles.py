@@ -17,10 +17,11 @@ from damagekit.errors import (CellCountMismatch, EmptySampleSet,
                               InvalidClassCode, MissingHeaderKey,
                               NoPositiveSamples, NonIntegerCell)
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
-                            point_to_footprint_distance_m)
+                            contains_many, point_to_footprint_distance_m)
 from damagekit.metrics import PRCurve, PRPoint
 from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
-                              VALID_CLASSES, ClassRaster, _header_value)
+                              VALID_CLASSES, ClassRaster, _centres,
+                              _header_value)
 from damagekit.truth import MatchedSample, matching_reference_latitude
 from damagekit.zonal import DamageEstimate
 
@@ -127,6 +128,29 @@ def build_raster(cells, cellsize=0.001, xll=0.0, yll=0.0, nodata=-1) -> ClassRas
     nrows, ncols = cells.shape
     return ClassRaster(ncols=ncols, nrows=nrows, xll=xll, yll=yll,
                        cellsize=cellsize, nodata=nodata, cells=cells)
+
+
+def pixel_window(frame, fp: Footprint):
+    """(window, inside) for one footprint on a raster frame, or None off it:
+    the per-footprint reference of raster.pixel_windows.
+
+    window is the (row slice, column slice) of the footprint's bounding box
+    padded by one cell; inside is the contains_many mask of the window's
+    pixel centres.
+    """
+    ncols, nrows, xll, yll, cs = frame
+    b = fp.bounds
+    col_lo = max(int(math.floor((b.min_lon - xll) / cs)) - 1, 0)
+    col_hi = min(int(math.floor((b.max_lon - xll) / cs)) + 1, ncols - 1)
+    row_lo = max(int(math.floor(nrows - (b.max_lat - yll) / cs)) - 1, 0)
+    row_hi = min(int(math.floor(nrows - (b.min_lat - yll) / cs)) + 1, nrows - 1)
+    if col_lo > col_hi or row_lo > row_hi:
+        return None
+    cols = np.arange(col_lo, col_hi + 1, dtype=np.float64)
+    rows = np.arange(row_lo, row_hi + 1, dtype=np.float64)
+    lons, lats = _centres(frame, cols, rows)
+    inside = contains_many(fp, lons[np.newaxis, :], lats[:, np.newaxis])
+    return (slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)), inside
 
 
 def full_scan_assess(raster: ClassRaster, fp: Footprint) -> DamageEstimate:

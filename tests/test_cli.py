@@ -135,6 +135,21 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
                   str(tmp_path / "none.asc")], 2, capsys)
 
 
+def test_output_in_a_missing_directory_exits_2(tmp_path, capsys):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    raster = write(tmp_path / "r.asc", RASTER_2X2)
+    out = tmp_path / "missing-dir" / "a.geojson"
+    assert_fails(["assess", fps, raster, "--out", str(out)], 2, capsys,
+                 f"{out}: No such file or directory")
+
+
+def test_synth_into_an_existing_file_exits_2(tmp_path, capsys):
+    spec = write(tmp_path / "scene.json",
+                 '{"seed": 5, "grid_cols": 4, "grid_rows": 4}')
+    assert_fails(["synth", spec, spec], 2, capsys,
+                 f"{spec}: exists and is not a directory")
+
+
 def test_invalid_raster_code_exits_2(tmp_path, capsys):
     fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
     raster = write(tmp_path / "r.asc", RASTER_2X2.replace("2 0", "7 0"))

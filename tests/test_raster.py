@@ -11,9 +11,9 @@ import _oracles
 from damagekit import raster as raster_module
 from damagekit.errors import (CellCountMismatch, InvalidClassCode,
                               MissingHeaderKey, NonIntegerCell, ParseError)
-from damagekit.geom import GeoPoint, contains
+from damagekit.geom import Footprint, GeoPoint, Ring, contains
 from damagekit.raster import (DEFAULT_NODATA, ClassRaster, _centres,
-                              parse_ascii_grid, pixel_window, write_ascii_grid)
+                              parse_ascii_grid, pixel_windows, write_ascii_grid)
 
 from _oracles import square_footprint
 
@@ -227,11 +227,11 @@ def test_pixel_center_neighbors_are_one_cell_apart():
     assert -np.diff(lats) == pytest.approx([raster.cellsize] * 2, rel=1e-12)
 
 
-def test_pixel_window_pads_the_bounds_and_masks_pixel_centres():
+def test_pixel_windows_pad_the_bounds_and_mask_pixel_centres():
     raster = parse_ascii_grid(FIXTURE)
     # A 0.2-wide square around the centre of pixel (col 1, row 1).
     fp = square_footprint("b", 10.75, 20.75, 0.1)
-    window, inside = pixel_window(raster.frame, fp)
+    [(window, inside)] = pixel_windows(raster.frame, [fp])
     assert window == (slice(0, 3), slice(0, 3))
     assert inside.tolist() == [[False, False, False],
                                [False, True, False],
@@ -239,10 +239,83 @@ def test_pixel_window_pads_the_bounds_and_masks_pixel_centres():
     assert contains(fp, GeoPoint(*_centres(raster.frame, 1, 1)))
 
 
-def test_pixel_window_is_none_off_the_raster():
+def test_pixel_windows_are_none_off_the_raster():
     raster = parse_ascii_grid(FIXTURE)
     far = square_footprint("far", 50.0, 50.0, 0.1)
-    assert pixel_window(raster.frame, far) is None
+    near = square_footprint("near", 10.75, 20.75, 0.1)
+    hits = pixel_windows(raster.frame, [far, near, far])
+    assert hits[0] is None and hits[2] is None
+    assert hits[1][0] == (slice(0, 3), slice(0, 3))
+    assert pixel_windows(raster.frame, []) == []
+
+
+# (xll, yll, cellsize) of the fuzzed frames: plain, metre-sized and
+# few-ulp cells at the scene origin, and cells so small that the cross
+# products underflow.
+FRAMES = [(10.0, 20.0, 0.25), (-90.88, 32.9, 1e-5), (-90.88, 32.9, 3e-14),
+          (0.0, 0.0, 1e-300)]
+
+
+# A vertex sits on a pixel centre, on a pixel corner or between them.
+OFFSETS = st.sampled_from([0, 0, 0.5, 0.25])
+
+
+@st.composite
+def rings(draw, frame, east):
+    """A ring of 3 to 6 vertices near the raster, or east columns east of
+    it; None if two in a row repeat."""
+    ncols, nrows = frame[:2]
+    verts = []
+    for _ in range(draw(st.integers(3, 6))):
+        col = east + draw(st.integers(-3, ncols + 2)) - draw(OFFSETS)
+        row = draw(st.integers(-3, nrows + 2)) - draw(OFFSETS)
+        lon, lat = _centres(frame, col, row)
+        verts.append(GeoPoint(float(lon), float(lat)))
+    verts.append(verts[0])
+    if any(a == b for a, b in zip(verts, verts[1:])):
+        return None
+    return Ring(tuple(verts))
+
+
+@st.composite
+def window_scenes(draw):
+    """A raster frame and footprints with holes, some of them overlapping,
+    on, partly on or off the raster."""
+    xll, yll, cs = draw(st.sampled_from(FRAMES))
+    frame = (draw(st.integers(1, 7)), draw(st.integers(1, 7)), xll, yll, cs)
+    footprints = []
+    for k in range(draw(st.integers(1, 5))):
+        east = draw(st.sampled_from([0, 0, 0, 0, frame[0] + 4]))
+        exterior = draw(rings(frame, east))
+        holes = [draw(rings(frame, east))
+                 for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+        if exterior is None or None in holes:
+            continue
+        lons = {v.lon for v in exterior.vertices}
+        lats = {v.lat for v in exterior.vertices}
+        if len(lons) > 1 and len(lats) > 1:
+            footprints.append(Footprint(f"f{k}", exterior, tuple(holes)))
+    return frame, footprints
+
+
+def same_windows(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a[0] == b[0]
+        and a[1].shape == b[1].shape and a[1].tolist() == b[1].tolist())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scene=window_scenes())
+def test_pixel_windows_match_the_per_footprint_reference(scene):
+    frame, footprints = scene
+    reference = [_oracles.pixel_window(frame, fp) for fp in footprints]
+    batched = pixel_windows(frame, footprints)
+    with mock.patch.object(raster_module, "_SPAN_PIXELS", 1):
+        one_by_one = pixel_windows(frame, footprints)
+    assert len(batched) == len(one_by_one) == len(footprints)
+    for ref, new, alone in zip(reference, batched, one_by_one):
+        assert same_windows(new, ref)
+        assert same_windows(alone, ref)
 
 
 # ------------------------------------------------------------ round-trips

@@ -161,6 +161,20 @@ def test_windowed_assessment_matches_full_scan():
         assert assess_footprint(raster, fp) == full_scan_assess(raster, fp)
 
 
+def test_far_footprint_on_a_tiny_cell_raster_has_no_coverage():
+    """Window bounds 1e301 cells away must not wrap around in int64."""
+    raster = build_raster([[2, 1], [1, 2]], cellsize=1e-300)
+    far = square_footprint("far", 10.0, 10.0, 1.0)
+    west = square_footprint("west", -10.0, -10.0, 1.0)
+    on = rect_footprint("on", 0.0, 0.0, 2e-300, 2e-300)
+    estimates = assess_all(raster, [far, west, on])
+    assert estimates[0] == DamageEstimate("far", 0.0, 0, 0, no_coverage=True)
+    assert estimates[1] == DamageEstimate("west", 0.0, 0, 0, no_coverage=True)
+    assert estimates[2] == DamageEstimate("on", 50.0, 4, 2)
+    for fp, estimate in zip([far, west, on], estimates):
+        assert estimate == full_scan_assess(raster, fp)
+
+
 def test_adding_damage_never_lowers_the_estimate():
     rng = random.Random(424242)
     checked = 0
