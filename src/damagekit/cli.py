@@ -62,13 +62,13 @@ def _load_scene_spec(path) -> SceneSpec:
 
 def cmd_synth(args) -> int:
     spec = _load_scene_spec(args.spec)
-    scene = generate(spec)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except FileExistsError as exc:
         raise UnwritableOutput(args.out_dir, "exists and is not a directory") from exc
     except OSError as exc:
         raise UnwritableOutput(args.out_dir, exc.strerror or exc) from exc
+    scene = generate(spec)
     join = os.path.join
     formats.write_text(join(args.out_dir, "footprints.geojson"),
                        formats.write_footprints_geojson(list(scene.footprints)))

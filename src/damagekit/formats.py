@@ -12,8 +12,10 @@ import json
 import re
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from .errors import ParseError, UnwritableOutput
-from .geom import Footprint, GeoPoint, Ring
+from .geom import Footprint, GeoPoint, footprint_of, footprints_from
 from .metrics import PRPoint, ValidationReport
 from .truth import FemaCategory, GroundTruthPoint, PointMatch
 from .zonal import DamageEstimate
@@ -32,7 +34,7 @@ def read_text(path) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise ParseError(str(exc), source=path) from exc
+        raise ParseError(exc.strerror or str(exc), source=path) from exc
     except UnicodeDecodeError as exc:
         # read() decodes the whole file at once, so exc.object is its bytes.
         before = exc.object[:exc.start]
@@ -70,8 +72,8 @@ def parse_json(text: str, source):
                          line=exc.lineno) from exc
 
 
-def _parse_feature(feature, index, source):
-    """One GeoJSON Feature as (Footprint, its properties dict)."""
+def _feature_parts(feature, index, source):
+    """(id, properties, rings) of one GeoJSON Feature, its rings unchecked."""
     if not isinstance(feature, dict) or feature.get("type") != "Feature":
         raise ParseError(f"feature {index} is not a GeoJSON Feature",
                          source=source)
@@ -92,18 +94,7 @@ def _parse_feature(feature, index, source):
     rings = geometry.get("coordinates")
     if not isinstance(rings, list) or not rings:
         raise ParseError(f"feature {fid!r} has no polygon rings", source=source)
-    built = []
-    for ring in rings:
-        try:
-            vertices = tuple(GeoPoint(float(lon), float(lat))
-                             for lon, lat in ring)
-            built.append(Ring(vertices))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
-    try:
-        return Footprint(fid, built[0], tuple(built[1:])), properties
-    except ValueError as exc:
-        raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
+    return fid, properties, rings
 
 
 def parse_footprints_with_properties(text: str, source="<geojson>"):
@@ -114,8 +105,25 @@ def parse_footprints_with_properties(text: str, source="<geojson>"):
     features = doc.get("features")
     if not isinstance(features, list):
         raise ParseError("FeatureCollection has no feature list", source=source)
-    parsed = [_parse_feature(f, i, source) for i, f in enumerate(features)]
-    return [fp for fp, _ in parsed], [properties for _, properties in parsed]
+    try:  # every ring from one coordinate array
+        ids, properties, rings = zip(*[_feature_parts(f, i, source)
+                                       for i, f in enumerate(features)])
+        coords = np.array([v for rs in rings for r in rs for v in r])
+        if coords.dtype.kind in "biuf" and coords.shape[1:] == (2,):
+            return (footprints_from(ids, coords, [len(r) for rs in rings for r in rs],
+                                    [len(rs) for rs in rings]), list(properties))
+    except (ParseError, TypeError, ValueError, OverflowError):
+        pass
+    # Read again one feature at a time, which raises the first fault's error.
+    footprints, properties = [], []
+    for index, feature in enumerate(features):
+        fid, props, rings = _feature_parts(feature, index, source)
+        try:
+            footprints.append(footprint_of(fid, rings))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
+        properties.append(props)
+    return footprints, properties
 
 
 def parse_footprints_geojson(text: str, source="<geojson>") -> list[Footprint]:
@@ -126,16 +134,9 @@ def load_footprints(path) -> list[Footprint]:
     return parse_footprints_geojson(read_text(path), source=path)
 
 
-def _ring_coordinates(ring: Ring):
-    return [[v.lon, v.lat] for v in ring.vertices]
-
-
 def _footprint_geometry(fp: Footprint):
-    return {
-        "type": "Polygon",
-        "coordinates": [_ring_coordinates(fp.exterior)]
-                       + [_ring_coordinates(h) for h in fp.holes],
-    }
+    return {"type": "Polygon",
+            "coordinates": [r.coords.tolist() for r in (fp.exterior, *fp.holes)]}
 
 
 def _collection(footprints: list[Footprint], properties) -> str:

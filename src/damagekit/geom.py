@@ -42,15 +42,15 @@ class BBox:
     max_lat: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Ring:
-    """A closed polygon ring: first vertex equals the last."""
+    """A closed polygon ring: first vertex equals the last. coords is a
+    read-only (n, 2) float64 array of (lon, lat); rings compare by value."""
 
-    vertices: tuple[GeoPoint, ...]
+    coords: np.ndarray
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: tuple[GeoPoint, ...]):
+        verts = tuple(vertices)
         if len(verts) < 4:
             raise ValueError("ring needs at least 4 vertices including closure")
         first, last = verts[0], verts[-1]
@@ -59,6 +59,19 @@ class Ring:
         for a, b in zip(verts, verts[1:]):
             if a.lon == b.lon and a.lat == b.lat:
                 raise ValueError("ring has two identical consecutive vertices")
+        coords = np.array([x for v in verts for x in (v.lon, v.lat)]).reshape(-1, 2)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+
+    @property
+    def vertices(self) -> tuple[GeoPoint, ...]:
+        return tuple(GeoPoint(lon, lat) for lon, lat in self.coords.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, Ring) and np.array_equal(self.coords, other.coords)
+
+    def __hash__(self):
+        return hash(tuple(self.coords.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -74,8 +87,7 @@ class Footprint:
         if not self.id:
             raise ValueError("footprint id must be a non-empty string")
         object.__setattr__(self, "holes", tuple(self.holes))
-        lons = [v.lon for v in self.exterior.vertices]
-        lats = [v.lat for v in self.exterior.vertices]
+        lons, lats = self.exterior.coords.T.tolist()
         b = BBox(min(lons), min(lats), max(lons), max(lats))
         if b.min_lon == b.max_lon or b.min_lat == b.max_lat:
             raise ValueError("footprint exterior has zero bounding-box extent")
@@ -109,10 +121,8 @@ def _ring_hits(ring: Ring, x, y):
     ray, so it takes no part in the parity.
     """
     on_edge = parity = False
-    verts = ring.vertices
-    for i in range(len(verts) - 1):
-        x1, y1 = verts[i].lon, verts[i].lat
-        x2, y2 = verts[i + 1].lon, verts[i + 1].lat
+    xs, ys = ring.coords.T.tolist()
+    for x1, y1, x2, y2 in zip(xs, ys, xs[1:], ys[1:]):
         on_edge |= _on_edge(x1, y1, x2, y2, x, y)
         if y1 != y2:
             straddles, x_cross = _crossing(x1, y1, x2, y2, y)
@@ -164,38 +174,62 @@ def metres_per_degree(ref_lat: float) -> tuple[float, float]:
     return kx, ky
 
 
-def _segment_dist_sq(px, py, x1, y1, x2, y2):
-    dx = x2 - x1
-    dy = y2 - y1
-    t = ((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy)
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    ex = px - (x1 + t * dx)
-    ey = py - (y1 + t * dy)
-    return ex * ex + ey * ey
+def footprint_of(fid: str, rings) -> Footprint:
+    """A Footprint from rings of (lon, lat) pairs, exterior first, checked one
+    vertex, ring and footprint at a time: the first fault raises its error."""
+    built = [Ring(tuple(GeoPoint(float(lon), float(lat)) for lon, lat in ring))
+             for ring in rings]
+    return Footprint(fid, built[0], tuple(built[1:]))
 
 
-def point_to_footprint_distance_m(p: GeoPoint, fp: Footprint, ref_lat: float) -> float:
-    """Distance from a point to a footprint in metres.
+def footprints_from(ids, coords, sizes, counts) -> list[Footprint]:
+    """Footprints from one (n, 2) array of (lon, lat): ring i is the next
+    sizes[i] rows, footprint j the next counts[j] rings (exterior first) with
+    id ids[j]. One vectorised pass makes every check of GeoPoint, Ring and
+    Footprint; only on a fault are they built by footprint_of, to raise it."""
+    coords = np.asarray(coords, dtype=np.float64).view()
+    sizes, counts = np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    starts, ends = np.cumsum(sizes) - sizes, np.cumsum(sizes)
+    first = np.cumsum(counts) - counts  # each footprint's exterior ring
+    ok = len(sizes) and all(ids) and sizes.min() >= 4
+    if ok:  # in range, closed, no vertex twice in a row, a non-zero extent
+        step = (coords[1:] != coords[:-1]).any(axis=1)
+        step[ends[:-1] - 1] = True  # the step from one ring into the next
+        lo = np.minimum.reduceat(coords, starts)[first]
+        hi = np.maximum.reduceat(coords, starts)[first]
+        ok = ((np.abs(coords) <= [180.0, 90.0]).all() and step.all()
+              and (coords[starts] == coords[ends - 1]).all() and (lo < hi).all())
+    first, counts = first.tolist(), counts.tolist()
+    if not ok:
+        rings = [r.tolist() for r in np.split(coords, ends[:-1])]
+        return [footprint_of(fid, rings[j:j + n]) for fid, j, n in zip(ids, first, counts)]
+    coords.flags.writeable = False
+    rings = [_new(Ring, coords=coords[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+    return [_new(Footprint, id=fid, exterior=rings[j], holes=tuple(rings[j + 1:j + n]),
+                 bounds=BBox(*b0, *b1))
+            for fid, j, n, b0, b1 in zip(ids, first, counts, lo.tolist(), hi.tolist())]
 
-    Zero when the point is inside (boundary included), otherwise the minimum
-    distance to any boundary segment, measured in the equirectangular plane
-    at ref_lat.
-    """
-    if contains(fp, p):
-        return 0.0
-    kx, ky = metres_per_degree(ref_lat)
-    px = p.lon * kx
-    py = p.lat * ky
-    best_sq = math.inf
-    for ring in (fp.exterior, *fp.holes):
-        verts = ring.vertices
-        for i in range(len(verts) - 1):
-            d_sq = _segment_dist_sq(px, py,
-                                    verts[i].lon * kx, verts[i].lat * ky,
-                                    verts[i + 1].lon * kx, verts[i + 1].lat * ky)
-            if d_sq < best_sq:
-                best_sq = d_sq
-    return math.sqrt(best_sq)
+
+def _new(cls, **fields):
+    """An instance of a frozen dataclass from fields already checked."""
+    obj = object.__new__(cls)
+    for field_value in fields.items():
+        object.__setattr__(obj, *field_value)
+    return obj
+
+
+def _runs(start, stop):
+    """(owner, value) of each value of the ranges start[i] <= value < stop[i],
+    concatenated; an empty range has none."""
+    count = np.maximum(stop - start, 0).astype(np.int64)
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(count.sum()) + (start - np.cumsum(count) + count)[owner]
+
+
+def _edges(rings):
+    """(x1, y1, x2, y2, ring) of every edge of the rings, in ring order."""
+    n_verts = np.array([len(r.coords) for r in rings])
+    verts = np.concatenate([r.coords for r in rings])
+    start = np.delete(np.arange(len(verts)), np.cumsum(n_verts) - 1)
+    (x1, y1), (x2, y2) = verts[start].T, verts[start + 1].T
+    return x1, y1, x2, y2, np.repeat(np.arange(len(rings)), n_verts - 1)

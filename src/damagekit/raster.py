@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CellCountMismatch, InvalidClassCode, MissingHeaderKey,
                      NonIntegerCell)
-from .geom import _crossing, _on_edge
+from .geom import _crossing, _edges, _on_edge, _runs
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -153,14 +153,6 @@ def pixel_windows(frame, footprints):
     return hits
 
 
-def _runs(start, stop):
-    """(owner, value) of each value of the ranges start[i] <= value < stop[i],
-    concatenated; an empty range has none."""
-    count = np.maximum(stop - start, 0)
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(count.sum()) + (start - np.cumsum(count) + count)[owner]
-
-
 def _chunk_masks(lons, lats, footprints, win):
     """pixel_windows' inside masks of some footprints and their windows, from
     the centre longitudes of every raster column and latitudes of every row."""
@@ -176,11 +168,7 @@ def _chunk_masks(lons, lats, footprints, win):
         np.arange(n_fp), [len(fp.holes) for fp in footprints])])
     ring_size = size[ring_fp]
     offset = np.cumsum(ring_size) - ring_size
-    n_verts = np.array([len(r.vertices) for r in rings])
-    verts = np.array([(v.lon, v.lat) for r in rings for v in r.vertices])
-    start = np.delete(np.arange(len(verts)), np.cumsum(n_verts) - 1)
-    (x1, y1), (x2, y2) = verts[start].T, verts[start + 1].T
-    edge_ring = np.repeat(np.arange(len(rings)), n_verts - 1)
+    x1, y1, x2, y2, edge_ring = _edges(rings)
     edge_fp = ring_fp[edge_ring]
 
     # (edge, row) pairs: the window rows whose centre latitude lies in the

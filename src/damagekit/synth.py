@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SwathOutsideScene
-from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, Ring
+from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, footprints_from
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
                      DEFAULT_NODATA, ClassRaster, pixel_windows)
 from .truth import FemaCategory, GroundTruthPoint
@@ -102,8 +102,8 @@ class SceneSpec:
             raise ValueError("swath_width_m must be positive")
         if self.swath_start is None or self.swath_end is None:
             mid_y = (self.grid_rows // 2 + 0.5) * pitch
-            start = self._to_geo(-2.0 * pitch, mid_y)
-            end = self._to_geo((self.grid_cols + 2.0) * pitch, mid_y)
+            start = GeoPoint(*self._to_deg(-2.0 * pitch, mid_y))
+            end = GeoPoint(*self._to_deg((self.grid_cols + 2.0) * pitch, mid_y))
             object.__setattr__(self, "swath_start", start)
             object.__setattr__(self, "swath_end", end)
 
@@ -117,9 +117,10 @@ class SceneSpec:
     def m_per_deg_lon(self) -> float:
         return self.m_per_deg_lat * math.cos(self.origin.lat * math.pi / 180.0)
 
-    def _to_geo(self, x_m: float, y_m: float) -> GeoPoint:
-        return GeoPoint(self.origin.lon + x_m / self.m_per_deg_lon,
-                        self.origin.lat + y_m / self.m_per_deg_lat)
+    def _to_deg(self, x_m, y_m):
+        """(lon, lat) of points given in metres: floats or numpy arrays."""
+        return (self.origin.lon + x_m / self.m_per_deg_lon,
+                self.origin.lat + y_m / self.m_per_deg_lat)
 
     def _to_metric(self, p: GeoPoint) -> tuple[float, float]:
         return ((p.lon - self.origin.lon) * self.m_per_deg_lon,
@@ -179,25 +180,19 @@ def generate(spec: SceneSpec) -> SynthScene:
     half = spec.building_size_m / 2.0
     jitter_range = spec.spacing_m / 8.0
 
-    jitter = iter(rng.unit_array(2 * spec.grid_rows * spec.grid_cols).tolist())
-    footprints = []
-    centroids = []
-    for i in range(spec.grid_rows):
-        for j in range(spec.grid_cols):
-            jx = (next(jitter) * 2.0 - 1.0) * jitter_range
-            jy = (next(jitter) * 2.0 - 1.0) * jitter_range
-            cx = (j + 0.5) * pitch + jx
-            cy = (i + 0.5) * pitch + jy
-            corners = [
-                spec._to_geo(cx - half, cy - half),
-                spec._to_geo(cx + half, cy - half),
-                spec._to_geo(cx + half, cy + half),
-                spec._to_geo(cx - half, cy + half),
-            ]
-            ring = Ring(tuple(corners + [corners[0]]))
-            fid = f"b{i * spec.grid_cols + j:06d}"
-            footprints.append(Footprint(fid, ring))
-            centroids.append(spec._to_geo(cx, cy))
+    # Every building's corners and centroid, one array operation each.
+    n = spec.grid_rows * spec.grid_cols
+    jx, jy = ((rng.unit_array(2 * n).reshape(spec.grid_rows, spec.grid_cols, 2)
+               * 2.0 - 1.0) * jitter_range).transpose(2, 0, 1)
+    cx = ((np.arange(spec.grid_cols) + 0.5) * pitch + jx).ravel()
+    cy = ((np.arange(spec.grid_rows)[:, np.newaxis] + 0.5) * pitch + jy).ravel()
+    corner = np.array([-half, half, half, -half, -half])
+    coords = np.stack(spec._to_deg(cx[:, np.newaxis] + corner,
+                                   cy[:, np.newaxis] + corner[[0, 0, 2, 2, 0]]), axis=-1)
+    footprints = footprints_from([f"b{k:06d}" for k in range(n)], coords.reshape(-1, 2),
+                                 [5] * n, [1] * n)
+    centroids = [GeoPoint(lon, lat) for lon, lat in
+                 zip(*(a.tolist() for a in spec._to_deg(cx, cy)))]
 
     oracle = {}
     for fp, centroid in zip(footprints, centroids):
@@ -207,12 +202,11 @@ def generate(spec: SceneSpec) -> SynthScene:
 
     # Raster frame: two cells of margin around every footprint vertex.
     cs_deg = spec.cellsize_m / spec.m_per_deg_lat
-    all_lons = [v.lon for fp in footprints for v in fp.exterior.vertices]
-    all_lats = [v.lat for fp in footprints for v in fp.exterior.vertices]
-    xll = min(all_lons) - 2.0 * cs_deg
-    yll = min(all_lats) - 2.0 * cs_deg
-    ncols = int(math.ceil((max(all_lons) + 2.0 * cs_deg - xll) / cs_deg))
-    nrows = int(math.ceil((max(all_lats) + 2.0 * cs_deg - yll) / cs_deg))
+    (lon_lo, lat_lo), (lon_hi, lat_hi) = coords.min(axis=(0, 1)), coords.max(axis=(0, 1))
+    xll = float(lon_lo) - 2.0 * cs_deg
+    yll = float(lat_lo) - 2.0 * cs_deg
+    ncols = int(math.ceil((float(lon_hi) + 2.0 * cs_deg - xll) / cs_deg))
+    nrows = int(math.ceil((float(lat_hi) + 2.0 * cs_deg - yll) / cs_deg))
 
     # Paint a bare array; ClassRaster then validates the finished cells once.
     cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int32)

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
                      UnknownCategory, check_unique)
-from .geom import (Footprint, GeoPoint, metres_per_degree,
-                   point_to_footprint_distance_m)
+from .geom import (Footprint, GeoPoint, _crossing, _edges, _on_edge, _runs,
+                   metres_per_degree)
 from .zonal import DamageEstimate
 
 
@@ -114,19 +116,16 @@ def matching_reference_latitude(points: list[GroundTruthPoint],
                                 footprints: list[Footprint]) -> float:
     """Mean latitude over all point locations and footprint ring vertices.
 
-    Each ring's closing duplicate vertex is excluded from the mean.
+    Each ring's closing duplicate vertex is excluded from the mean. The sum
+    runs in order, one value at a time.
     """
-    total = 0.0
-    count = 0
-    for p in points:
-        total += p.location.lat
-        count += 1
-    for fp in footprints:
-        for ring in (fp.exterior, *fp.holes):
-            for v in ring.vertices[:-1]:
-                total += v.lat
-                count += 1
-    return total / count if count else 0.0
+    lats = np.concatenate([[0.0], [p.location.lat for p in points]]
+                          + [r.coords[:-1, 1] for fp in footprints
+                             for r in (fp.exterior, *fp.holes)])
+    return float(np.cumsum(lats)[-1]) / (len(lats) - 1) if len(lats) > 1 else 0.0
+
+
+_PAIR_EDGES = 2**13  # (point, candidate footprint, edge) triples per chunk
 
 
 def match_points(points: list[GroundTruthPoint],
@@ -135,55 +134,99 @@ def match_points(points: list[GroundTruthPoint],
     """Match each point to its nearest footprint within radius_m.
 
     Returns (matched, unmatched): matched is a list of PointMatch in input
-    point order, unmatched a list of point ids in input order. Candidate
-    lookup uses a uniform grid over footprint bounding boxes with cell size
-    equal to the radius; a footprint within the radius of a point always
-    lands in one of the nine cells around that point, so scanning the 3x3
-    neighbourhood is exhaustive. Distances come from
-    point_to_footprint_distance_m at the scene's mean latitude.
+    point order, unmatched a list of point ids in input order. Candidates
+    come from a uniform grid with cell size equal to the radius: a footprint
+    within the radius of a point overlaps one of the nine cells around it.
+    The distance, in the equirectangular plane at the scene's mean latitude,
+    is 0 for a point inside (boundary included), else to the nearest edge.
     """
     if not (radius_m > 0):
         raise ValueError("radius_m must be positive")
     check_unique(points, DuplicatePointId, "point")
     check_unique(footprints, DuplicateFootprintId, "footprint")
+    if not points or not footprints:
+        return [], [p.id for p in points]
+    kx, ky = metres_per_degree(matching_reference_latitude(points, footprints))
+    footprints = sorted(footprints, key=lambda fp: fp.id)  # ties go to the lower index
+    x, y = np.array([(p.location.lon, p.location.lat) for p in points]).T
+    box = np.array([(fp.bounds.min_lon, fp.bounds.min_lat, fp.bounds.max_lon,
+                     fp.bounds.max_lat) for fp in footprints])
+    by_cell, cand, lo, hi = _candidates(
+        np.floor(x * kx / radius_m), np.floor(y * ky / radius_m),
+        np.floor(box * [kx, ky, kx, ky] / radius_m))
+    edges = _edges([r for fp in footprints for r in (fp.exterior, *fp.holes)])
+    ring_fp = np.repeat(np.arange(len(footprints)), [1 + len(fp.holes) for fp in footprints])
+    n_edges = np.bincount(ring_fp[edges[4]])
+    first_edge = np.cumsum(n_edges) - n_edges
 
-    ref_lat = matching_reference_latitude(points, footprints)
-    kx, ky = metres_per_degree(ref_lat)
+    # Chunks of about _PAIR_EDGES (point, candidate, edge) triples; each
+    # point keeps its nearest candidate so far, and of those the smallest id.
+    best_d, best_f = np.full(len(points), math.inf), np.zeros(len(points), dtype=np.int64)
+    cost = (hi - lo) * n_edges[cand]
+    chunk = (np.cumsum(cost) - cost) // _PAIR_EDGES
+    parts = np.split(np.arange(len(cand)), np.flatnonzero(np.diff(chunk)) + 1)
+    for part in parts if len(cand) else ():
+        owner, at = _runs(lo[part], hi[part])
+        p, f = by_cell[at], cand[part][owner]
+        owner, e = _runs(first_edge[f], first_edge[f] + n_edges[f])
+        d = _distances(x[p], y[p], box[f], owner, *(a[e] for a in edges), kx, ky)
+        first = np.lexsort((f, d, p))
+        first = first[np.diff(p[first], prepend=-1) != 0]
+        p, d, f = p[first], d[first], f[first]
+        won = (d < best_d[p]) | ((d == best_d[p]) & (f < best_f[p]))
+        best_d[p[won]], best_f[p[won]] = d[won], f[won]
+    near = best_d <= radius_m
+    return ([PointMatch(points[i].id, footprints[f].id, d) for i, f, d in
+             zip(np.flatnonzero(near).tolist(), best_f[near].tolist(), best_d[near].tolist())],
+            [points[i].id for i in np.flatnonzero(~near).tolist()])
 
-    grid: dict[tuple[int, int], list[int]] = {}
-    for idx, fp in enumerate(footprints):
-        b = fp.bounds
-        cx_lo = math.floor(b.min_lon * kx / radius_m)
-        cx_hi = math.floor(b.max_lon * kx / radius_m)
-        cy_lo = math.floor(b.min_lat * ky / radius_m)
-        cy_hi = math.floor(b.max_lat * ky / radius_m)
-        for cx in range(cx_lo, cx_hi + 1):
-            for cy in range(cy_lo, cy_hi + 1):
-                grid.setdefault((cx, cy), []).append(idx)
 
-    matched = []
-    unmatched = []
-    for p in points:
-        cx = math.floor(p.location.lon * kx / radius_m)
-        cy = math.floor(p.location.lat * ky / radius_m)
-        candidates = set()
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                candidates.update(grid.get((cx + dx, cy + dy), ()))
-        best_d = math.inf
-        best_id = None
-        for idx in candidates:
-            fp = footprints[idx]
-            d = point_to_footprint_distance_m(p.location, fp, ref_lat)
-            if d < best_d or (d == best_d and best_id is not None
-                              and fp.id < best_id):
-                best_d = d
-                best_id = fp.id
-        if best_id is not None and best_d <= radius_m:
-            matched.append(PointMatch(p.id, best_id, best_d))
-        else:
-            unmatched.append(p.id)
-    return matched, unmatched
+def _candidates(pcx, pcy, cells):
+    """Candidate pairs: points and footprints whose grid cells are within one
+    cell in x and in y. Returns the points sorted by cell, and the ranges
+    (footprint, lo, hi) of that order, one per (footprint, column)."""
+    xs, col = np.unique(pcx, return_inverse=True)
+    ys, row = np.unique(pcy, return_inverse=True)
+    by_cell = np.lexsort((row, col))
+    key = (col * len(ys) + row)[by_cell]
+    x0, y0, x1, y1 = cells.T
+    f, c = _runs(x0 - 1.0, x1 + 2.0)  # every column from x0 - 1 to x1 + 1
+    c_rank = np.searchsorted(xs, c)
+    here = xs[np.minimum(c_rank, len(xs) - 1)] == c
+    lo = np.searchsorted(key, c_rank * len(ys) + np.searchsorted(ys, y0[f] - 1.0))
+    hi = np.searchsorted(key, c_rank * len(ys) + np.searchsorted(ys, y1[f] + 1.0, "right"))
+    keep = np.flatnonzero(here & (hi > lo))
+    return by_cell, f[keep], lo[keep], hi[keep]
+
+
+def _distances(x, y, box, owner, x1, y1, x2, y2, ring, kx, ky):
+    """Distance in metres from points (x, y) to footprints with bounding
+    boxes box, from the edges (x1, y1)-(x2, y2) of each point's footprint:
+    owner[i] is edge i's point, and ring[i] its ring, in ring order."""
+    px, py = x[owner], y[owner]
+    # Containment as geom.contains decides it (bounding box, then _on_edge and
+    # the _crossing parity per ring, and _inside's hole rule), then the nearest
+    # edge; one whose squared length underflows to 0 measures to its start.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        straddles, x_cross = _crossing(x1, y1, x2, y2, py)
+        new_point = np.diff(owner, prepend=-1) != 0
+        ring_at = np.flatnonzero(new_point | (np.diff(ring, prepend=-1) != 0))
+        on = np.logical_or.reduceat(_on_edge(x1, y1, x2, y2, px, py), ring_at)
+        odd = np.logical_xor.reduceat(straddles & (px < x_cross), ring_at)
+        hole = np.diff(owner[ring_at], prepend=-1) == 0  # not a point's first ring
+        exterior = np.flatnonzero(~hole)
+        in_hole = (np.logical_or.reduceat(odd & hole, exterior)
+                   & ~np.logical_or.reduceat(on & hole, exterior))
+        inside = ((box[:, 0] <= x) & (x <= box[:, 2]) & (box[:, 1] <= y) & (y <= box[:, 3])
+                  & (on[exterior] | (odd[exterior] & ~in_hole)))
+        qx, qy, ax, ay = px * kx, py * ky, x1 * kx, y1 * ky
+        dx, dy = x2 * kx - ax, y2 * ky - ay
+        den = dx * dx + dy * dy
+        t = np.clip(np.divide((qx - ax) * dx + (qy - ay) * dy, den,
+                              out=np.zeros_like(den), where=den > 0.0), 0.0, 1.0)
+        ex, ey = qx - (ax + t * dx), qy - (ay + t * dy)
+        d_sq = np.minimum.reduceat(ex * ex + ey * ey, np.flatnonzero(new_point))
+    return np.where(inside, 0.0, np.sqrt(d_sq))
 
 
 def join_samples(matched: list[PointMatch],

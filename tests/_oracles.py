@@ -15,14 +15,15 @@ import numpy as np
 
 from damagekit.errors import (CellCountMismatch, EmptySampleSet,
                               InvalidClassCode, MissingHeaderKey,
-                              NoPositiveSamples, NonIntegerCell)
+                              NoPositiveSamples, NonIntegerCell, ParseError)
+from damagekit.formats import _checked_id, parse_json
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
-                            contains_many, point_to_footprint_distance_m)
+                            contains_many, metres_per_degree)
 from damagekit.metrics import PRCurve, PRPoint
 from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
                               VALID_CLASSES, ClassRaster, _centres,
                               _header_value)
-from damagekit.truth import MatchedSample, matching_reference_latitude
+from damagekit.truth import MatchedSample
 from damagekit.zonal import DamageEstimate
 
 
@@ -82,6 +83,111 @@ def scalar_contains(fp: Footprint, p: GeoPoint) -> bool:
     if on_hole:
         return True
     return not in_hole
+
+
+def segment_dist_sq(px, py, x1, y1, x2, y2):
+    """Squared distance from (px, py) to the segment (x1, y1)-(x2, y2); a
+    segment whose squared length is 0 measures to its first end."""
+    dx = x2 - x1
+    dy = y2 - y1
+    den = dx * dx + dy * dy
+    t = ((px - x1) * dx + (py - y1) * dy) / den if den > 0.0 else 0.0
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    ex = px - (x1 + t * dx)
+    ey = py - (y1 + t * dy)
+    return ex * ex + ey * ey
+
+
+def point_to_footprint_distance_m(p: GeoPoint, fp: Footprint, ref_lat: float) -> float:
+    """Distance from a point to a footprint in metres.
+
+    Zero when the point is inside (boundary included), otherwise the minimum
+    distance to any boundary segment, measured in the equirectangular plane
+    at ref_lat, one segment at a time.
+    """
+    if scalar_contains(fp, p):
+        return 0.0
+    kx, ky = metres_per_degree(ref_lat)
+    px = p.lon * kx
+    py = p.lat * ky
+    best_sq = math.inf
+    for ring in (fp.exterior, *fp.holes):
+        verts = ring.vertices
+        for i in range(len(verts) - 1):
+            d_sq = segment_dist_sq(px, py,
+                                   verts[i].lon * kx, verts[i].lat * ky,
+                                   verts[i + 1].lon * kx, verts[i + 1].lat * ky)
+            if d_sq < best_sq:
+                best_sq = d_sq
+    return math.sqrt(best_sq)
+
+
+def reference_latitude(points, footprints) -> float:
+    """Mean latitude of the points and the ring vertices (closing vertex
+    excluded), summed one value at a time in a Python loop."""
+    total = 0.0
+    count = 0
+    for p in points:
+        total += p.location.lat
+        count += 1
+    for fp in footprints:
+        for ring in (fp.exterior, *fp.holes):
+            for v in ring.vertices[:-1]:
+                total += v.lat
+                count += 1
+    return total / count if count else 0.0
+
+
+def _parse_feature(feature, index, source):
+    """One GeoJSON Feature as (Footprint, its properties dict)."""
+    if not isinstance(feature, dict) or feature.get("type") != "Feature":
+        raise ParseError(f"feature {index} is not a GeoJSON Feature",
+                         source=source)
+    properties = feature.get("properties")
+    if properties is None:
+        properties = {}
+    elif not isinstance(properties, dict):
+        raise ParseError(f"feature {index} properties must be an object",
+                         source=source)
+    fid = feature.get("id", properties.get("id"))
+    if fid is None or fid == "":
+        raise ParseError(f"feature {index} has no id", source=source)
+    fid = _checked_id(str(fid), source)
+    geometry = feature.get("geometry") or {}
+    if geometry.get("type") != "Polygon":
+        raise ParseError(f"feature {fid!r} geometry must be a Polygon",
+                         source=source)
+    rings = geometry.get("coordinates")
+    if not isinstance(rings, list) or not rings:
+        raise ParseError(f"feature {fid!r} has no polygon rings", source=source)
+    built = []
+    for ring in rings:
+        try:
+            vertices = tuple(GeoPoint(float(lon), float(lat))
+                             for lon, lat in ring)
+            built.append(Ring(vertices))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
+    try:
+        return Footprint(fid, built[0], tuple(built[1:])), properties
+    except ValueError as exc:
+        raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
+
+
+def parse_footprints_one_by_one(text: str, source="<geojson>"):
+    """The FeatureCollection reader one feature, ring and GeoPoint at a
+    time: ([Footprint], [input properties])."""
+    doc = parse_json(text, source)
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise ParseError("expected a GeoJSON FeatureCollection", source=source)
+    features = doc.get("features")
+    if not isinstance(features, list):
+        raise ParseError("FeatureCollection has no feature list", source=source)
+    parsed = [_parse_feature(f, i, source) for i, f in enumerate(features)]
+    return [fp for fp, _ in parsed], [properties for _, properties in parsed]
 
 
 def square_ring(cx: float, cy: float, half: float) -> Ring:
@@ -201,7 +307,7 @@ def brute_force_match(points, footprints, radius_m):
     Distance ties break toward the lexicographically smaller footprint id.
     Returns (matched (point_id, footprint_id, distance) triples, unmatched ids).
     """
-    ref_lat = matching_reference_latitude(points, footprints)
+    ref_lat = reference_latitude(points, footprints)
     matched = []
     unmatched = []
     for p in points:
@@ -225,7 +331,7 @@ def bbox_prefiltered_match(points, footprints, radius_m):
     itself, so candidates rejected by the prefilter cannot fall within the
     radius. Fast enough for large cross-check scenes.
     """
-    ref_lat = matching_reference_latitude(points, footprints)
+    ref_lat = reference_latitude(points, footprints)
     kx = math.cos(ref_lat * math.pi / 180.0) * EARTH_RADIUS_M * math.pi / 180.0
     ky = EARTH_RADIUS_M * math.pi / 180.0
     min_x = np.array([fp.bounds.min_lon for fp in footprints]) * kx

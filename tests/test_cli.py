@@ -131,8 +131,10 @@ def test_non_integer_spec_field_exits_2(tmp_path, capsys, spec):
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
-    assert_fails(["assess", str(tmp_path / "none.geojson"),
-                  str(tmp_path / "none.asc")], 2, capsys)
+    missing = tmp_path / "none.geojson"
+    assert main(["assess", str(missing), str(tmp_path / "none.asc")]) == 2
+    assert capsys.readouterr().err == (
+        f"damagekit: error: {missing}: No such file or directory\n")
 
 
 def test_output_in_a_missing_directory_exits_2(tmp_path, capsys):
@@ -148,6 +150,43 @@ def test_synth_into_an_existing_file_exits_2(tmp_path, capsys):
                  '{"seed": 5, "grid_cols": 4, "grid_rows": 4}')
     assert_fails(["synth", spec, spec], 2, capsys,
                  f"{spec}: exists and is not a directory")
+
+
+def test_synth_checks_the_output_directory_before_generating(
+        tmp_path, capsys, monkeypatch):
+    def generate(spec):
+        raise AssertionError("generate ran before the output check")
+
+    monkeypatch.setattr("damagekit.cli.generate", generate)
+    spec = write(tmp_path / "scene.json", '{"seed": 5}')
+    assert_fails(["synth", spec, spec], 2, capsys,
+                 f"{spec}: exists and is not a directory")
+
+
+def test_coordinate_too_large_for_a_float_exits_2(tmp_path, capsys):
+    huge = "1" + "0" * 400  # a JSON integer that float() cannot hold
+    fps = write(tmp_path / "fp.geojson",
+                FOOTPRINT_B1.replace("[0.001,-0.001]", f"[{huge},0]"))
+    truth = write(tmp_path / "t.csv", TRUTH_HEADER + "p1,0.0,0.0,affected\n")
+    assert_fails(["match", truth, fps], 2, capsys,
+                 "feature 'b1': int too large to convert to float")
+
+
+def test_match_measures_an_underflowing_edge_to_its_first_end(tmp_path, capsys):
+    # The edge (1e-200, 0)-(0, 0) projects to a segment whose squared
+    # length underflows to 0.
+    ring = [[0, 0], [0, 1e-4], [1e-4, 1e-4], [1e-4, 0], [1e-200, 0], [0, 0]]
+    fps = write(tmp_path / "fp.geojson", json.dumps({
+        "type": "FeatureCollection", "features": [{
+            "type": "Feature", "id": "b1", "properties": {},
+            "geometry": {"type": "Polygon", "coordinates": [ring]}}]}))
+    truth = write(tmp_path / "t.csv", TRUTH_HEADER + "p1,-1e-05,-1e-05,affected\n")
+    out = tmp_path / "m.csv"
+    assert main(["match", truth, fps, "--out", str(out)]) == 0
+    pid, fid, distance = out.read_text().splitlines()[1].split(",")
+    assert (pid, fid) == ("p1", "b1")
+    # sqrt(2) * 1e-5 degrees at the reference latitude, about 1.57 m.
+    assert float(distance) == pytest.approx(1.5725, abs=1e-3)
 
 
 def test_invalid_raster_code_exits_2(tmp_path, capsys):

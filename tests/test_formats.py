@@ -4,11 +4,14 @@ Writers promise canonical bytes (repr floats, LF endings), so most tests
 assert bit-exact round trips rather than approximate equality.
 """
 
+import gc
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import square_footprint
+from _oracles import parse_footprints_one_by_one, square_footprint
 from damagekit.errors import ParseError, UnknownCategory
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
                                parse_footprints_geojson,
@@ -153,6 +156,133 @@ def test_invalid_json_reports_source_and_line():
         parse_footprints_geojson('{\n  "type": oops\n}',
                                  source="bad.geojson")
     assert "bad.geojson:2:" in str(err.value)
+
+
+def lattice_feature(fid, x, y, w, h, hole=False):
+    """A rectangle feature on a 1/64-degree lattice, with a hole if asked."""
+    def ring(x0, y0, x1, y1):
+        return [[x0 / 64, y0 / 64], [x1 / 64, y0 / 64], [x1 / 64, y1 / 64],
+                [x0 / 64, y1 / 64], [x0 / 64, y0 / 64]]
+    rings = [ring(x, y, x + w, y + h)]
+    if hole and w > 2 and h > 2:
+        rings.append(ring(x + 1, y + 1, x + w - 1, y + h - 1))
+    return {"type": "Feature", "id": fid, "properties": {"k": fid},
+            "geometry": {"type": "Polygon", "coordinates": rings}}
+
+
+def set_vertex(k, value):
+    def edit(feature):
+        feature["geometry"]["coordinates"][0][k] = value
+    return edit
+
+
+def set_coordinate(k, axis, value):
+    def edit(feature):
+        feature["geometry"]["coordinates"][0][k][axis] = value
+    return edit
+
+
+def set_ring(ring):
+    def edit(feature):
+        feature["geometry"]["coordinates"][0] = ring
+    return edit
+
+
+def set_id(fid):
+    def edit(feature):
+        feature["id"] = fid
+    return edit
+
+
+# Faults the batch reader must report exactly as the one-by-one reader
+# does, and inputs it must read the same although its array rejects them.
+FEATURE_EDITS = {
+    "non-numeric": set_coordinate(1, 0, "east"),
+    "numeric-string": set_coordinate(1, 0, "0.25"),
+    "boolean": set_coordinate(0, 1, True),
+    "null": set_coordinate(2, 1, None),
+    "three-element-vertex": set_vertex(2, [0.5, 0.5, 0.0]),
+    "vertex-not-a-list": set_vertex(1, 7),
+    "latitude-out-of-range": set_coordinate(1, 1, 91.5),
+    "longitude-not-finite": set_coordinate(1, 0, float("inf")),
+    "huge-integer": set_coordinate(1, 0, 10**30),
+    "unclosed": set_coordinate(4, 0, 0.75),
+    "consecutive-duplicate": set_ring([[0, 0], [1, 0], [1, 0], [1, 1], [0, 0]]),
+    "too-few-vertices": set_ring([[0, 0], [1, 0], [0, 0]]),
+    "ring-not-a-list": set_ring(5),
+    "zero-extent": set_ring([[0, 0], [1, 0], [2, 0], [0, 0]]),
+    "bad-id": set_id("a,b"),
+    "no-id": set_id(""),
+}
+
+
+def read_both(doc):
+    """(outcome of the batch reader, outcome of the one-by-one reader): the
+    footprints with their bounds and the properties, or the error text."""
+    text = json.dumps(doc)
+    outcomes = []
+    for parse in (parse_footprints_with_properties, parse_footprints_one_by_one):
+        try:
+            fps, properties = parse(text, source="in.geojson")
+            outcomes.append((fps, [fp.bounds for fp in fps], properties))
+        except ParseError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize("edit", sorted(FEATURE_EDITS))
+def test_batch_reader_reports_faults_as_the_one_by_one_reader(edit):
+    features = [lattice_feature("b1", 0, 0, 4, 4),
+                lattice_feature("b2", 8, 0, 4, 4, hole=True)]
+    FEATURE_EDITS[edit](features[1])
+    batch, reference = read_both({"type": "FeatureCollection", "features": features})
+    assert batch == reference
+
+
+def test_a_bad_ring_is_reported_before_a_bad_id_in_a_later_feature():
+    features = [lattice_feature("b1", 0, 0, 4, 4), lattice_feature("b2", 8, 0, 4, 4)]
+    FEATURE_EDITS["unclosed"](features[0])
+    FEATURE_EDITS["bad-id"](features[1])
+    batch, reference = read_both({"type": "FeatureCollection", "features": features})
+    assert batch == reference == (
+        "in.geojson: feature 'b1': ring is not closed (first vertex != last)")
+
+
+@st.composite
+def edited_collections(draw):
+    features = []
+    for k in range(draw(st.integers(0, 5))):
+        feature = lattice_feature(f"b{k}", draw(st.integers(-9, 9)),
+                                  draw(st.integers(-9, 9)), draw(st.integers(1, 6)),
+                                  draw(st.integers(1, 6)), hole=draw(st.booleans()))
+        edit = draw(st.sampled_from([None] * 6 + sorted(FEATURE_EDITS)))
+        if edit is not None:
+            FEATURE_EDITS[edit](feature)
+        features.append(feature)
+    return {"type": "FeatureCollection", "features": features}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(doc=edited_collections())
+@example(doc={"type": "FeatureCollection", "features": []})
+def test_batch_reader_matches_the_one_by_one_reader(doc):
+    batch, reference = read_both(doc)
+    assert batch == reference
+
+
+def test_parsed_footprints_share_one_coordinate_array():
+    features = [lattice_feature(f"b{k}", k * 8, 0, 4, 4, hole=k % 2 == 0)
+                for k in range(1000)]
+    text = json.dumps({"type": "FeatureCollection", "features": features})
+    gc.collect()
+    before = len(gc.get_objects())
+    fps = parse_footprints_geojson(text)
+    gc.collect()
+    # The list; per footprint itself, its BBox and its exterior; per hole,
+    # the ring and the holes tuple. No GeoPoint per vertex.
+    assert len(gc.get_objects()) - before <= 1 + 3 * len(fps) + 2 * 500
+    assert fps[0].exterior.coords.base is fps[-2].holes[0].coords.base
+    assert not fps[0].exterior.coords.flags.writeable
 
 
 # ----------------------------------------------------- assessed GeoJSON

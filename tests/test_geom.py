@@ -7,12 +7,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damagekit.geom import (EARTH_RADIUS_M, BBox, Footprint, GeoPoint, Ring,
-                            contains, contains_many, metres_per_degree,
-                            point_to_footprint_distance_m)
+                            contains, contains_many, footprints_from,
+                            metres_per_degree)
 
-from _oracles import scalar_contains, square_footprint, square_ring
+from _oracles import (point_to_footprint_distance_m, scalar_contains,
+                      square_footprint, square_ring)
 
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -73,6 +76,70 @@ def test_footprint_requires_id_and_extent():
                        GeoPoint(0, 0)))
     with pytest.raises(ValueError):
         Footprint("line", degenerate)
+
+
+def test_rings_hold_a_read_only_array_and_compare_by_value():
+    ring = square_ring(0.5, 0.5, 0.5)
+    assert ring.coords.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                    [0.0, 1.0], [0.0, 0.0]]
+    assert ring.vertices[1] == GeoPoint(1.0, 0.0)
+    assert not ring.coords.flags.writeable
+    signed = Ring((GeoPoint(-0.0, 0.0), GeoPoint(1.0, 0.0), GeoPoint(1.0, 1.0),
+                   GeoPoint(-0.0, 1.0), GeoPoint(-0.0, 0.0)))
+    # -0.0 == 0.0, so the hash must not see the sign either.
+    assert signed == ring and hash(signed) == hash(ring)
+    assert ring != square_ring(0.5, 0.5, 0.25) and ring != ring.vertices
+    assert len({ring, signed, square_ring(0.5, 0.5, 0.5)}) == 1
+
+
+GOOD = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, -3.0, 4.0, 7.0])
+ANY = st.sampled_from([0.0, 1.0, -3.0, 95.0, 200.0, float("nan"), float("-inf")])
+
+
+@st.composite
+def ring_lists(draw):
+    """(lon, lat) pairs, most rings closed, in range and free of repeats;
+    some of any length, with values out of range, or unclosed."""
+    rare = draw(st.integers(0, 5)) == 0
+    values = ANY if rare else GOOD
+    n = draw(st.integers(0, 6)) if rare else draw(st.integers(3, 5))
+    pairs = [(draw(values), draw(values)) for _ in range(n)]
+    if pairs and draw(st.integers(0, 9)) == 0:  # flat: a zero extent
+        pairs = [(lon, pairs[0][1]) for lon, _ in pairs]
+    if pairs and draw(st.integers(0, 7)):
+        pairs.append(pairs[0])
+    return pairs
+
+
+def outcome(build):
+    try:
+        fps = build()
+        return fps, [fp.bounds for fp in fps]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(features=st.lists(st.tuples(st.sampled_from(["a", "b", "c", ""]),
+                                   st.lists(ring_lists(), min_size=1, max_size=3)),
+                         max_size=4))
+def test_batch_builder_matches_direct_construction(features):
+    def direct():
+        footprints = []
+        for fid, rings in features:
+            built = [Ring(tuple(GeoPoint(lon, lat) for lon, lat in ring))
+                     for ring in rings]
+            footprints.append(Footprint(fid, built[0], tuple(built[1:])))
+        return footprints
+
+    def batch():
+        coords = [pair for _, rings in features for ring in rings for pair in ring]
+        return footprints_from([fid for fid, _ in features],
+                               np.array(coords, dtype=np.float64).reshape(-1, 2),
+                               [len(ring) for _, rings in features for ring in rings],
+                               [len(rings) for _, rings in features])
+
+    assert outcome(batch) == outcome(direct)
 
 
 def test_bbox_of_square():

@@ -3,19 +3,29 @@
 
 import math
 import random
+import tracemalloc
+from time import perf_counter
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import damagekit.truth as truth_module
 
 from damagekit.errors import (DuplicateFootprintId, DuplicatePointId,
                               MissingEstimate, UnknownCategory)
-from damagekit.geom import EARTH_RADIUS_M, GeoPoint
+from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
+                            footprints_from)
 from damagekit.truth import (DESTROYED_ONLY, MAJOR_PLUS, BinaryScheme,
                              FemaCategory, GroundTruthPoint, PointMatch,
                              binarize, join_samples, match_points,
                              matching_reference_latitude, parse_scheme)
 from damagekit.zonal import DamageEstimate
 
-from _oracles import brute_force_match, square_footprint
+from _oracles import (brute_force_match, rect_footprint, reference_latitude,
+                      square_footprint)
 
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -190,6 +200,125 @@ def test_growing_radius_only_adds_matches():
         for pid, pair in by_radius[small].items():
             assert by_radius[large][pid] == pair
         assert len(by_radius[large]) >= len(by_radius[small])
+
+
+# Lattice step in degrees (about 3.4 m): lattice coordinates, and their sums
+# with the base latitudes below, are exact, so points land exactly on edges
+# and vertices, and mirrored footprints tie exactly.
+STEP = 2.0 ** -15
+
+
+@st.composite
+def match_scenes(draw):
+    """Footprints on a lattice (rectangles, rectangles with a hole, slanted
+    quadrilaterals), some mirrored across longitude 0 or sharing edges, up
+    to 14 steps wide so that they span several grid cells; points on
+    lattice nodes, half-steps or off the lattice, some on longitude 0."""
+    lat0 = draw(st.sampled_from([0.0, 32.9, -60.0]))
+    ids = iter(draw(st.permutations([f"f{k:02d}" for k in range(12)])))
+    node = lambda x, y: GeoPoint(x * STEP, lat0 + y * STEP)  # noqa: E731
+    footprints = []
+    for _ in range(draw(st.integers(1, 5))):
+        x0, y0 = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+        w, h = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+        slant = draw(st.integers(1 - w, 3))
+        kind = draw(st.sampled_from(["rect", "hole", "slanted"]))
+        for sign in (1, -1)[:1 + draw(st.booleans())]:
+            corners = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+            if kind == "slanted":
+                corners[2] = (x0 + w + slant, y0 + h)
+            ring = Ring(tuple(node(sign * x, y) for x, y in corners + corners[:1]))
+            holes = ()
+            if kind == "hole" and w > 2 and h > 2:
+                inner = [(x0 + 1, y0 + 1), (x0 + w - 1, y0 + 1),
+                         (x0 + w - 1, y0 + h - 1), (x0 + 1, y0 + h - 1)]
+                holes = (Ring(tuple(node(sign * x, y) for x, y in inner + inner[:1])),)
+            footprints.append(Footprint(next(ids), ring, holes))
+    points = []
+    for k in range(draw(st.integers(1, 8))):
+        scale = draw(st.sampled_from([1.0, 0.5, 0.37]))
+        x = draw(st.sampled_from([0, draw(st.integers(-30, 30))])) * scale
+        y = draw(st.integers(-30, 30)) * scale
+        points.append(truth_point(f"p{k}", x * STEP, lat0 + y * STEP))
+    radius = draw(st.sampled_from([3.0, 10.0, 20.0, 45.0]))
+    return points, footprints, radius
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(scene=match_scenes(), pair_edges=st.sampled_from([1, 3, 2**15]))
+def test_batched_matching_agrees_with_brute_force(scene, pair_edges):
+    points, footprints, radius = scene
+    with mock.patch.object(truth_module, "_PAIR_EDGES", pair_edges):
+        matched, unmatched = match_points(points, footprints, radius)
+    ref_matched, ref_unmatched = brute_force_match(points, footprints, radius)
+    assert [tuple(m) for m in matched] == ref_matched
+    assert unmatched == ref_unmatched
+
+
+def test_shared_edge_ties_at_zero_go_to_the_smaller_id():
+    west = rect_footprint("zz", -2 * STEP, 0.0, 0.0, 2 * STEP)
+    east = rect_footprint("mm", 0.0, 0.0, 2 * STEP, 2 * STEP)
+    on_edge = [truth_point("p1", 0.0, STEP), truth_point("p2", 0.0, 0.0)]
+    for footprints in ([west, east], [east, west]):
+        matched, _ = match_points(on_edge, footprints, 5.0)
+        assert matched == [PointMatch("p1", "mm", 0.0), PointMatch("p2", "mm", 0.0)]
+
+
+def lattice_scene(side, seed):
+    """side x side square footprints 10 m wide at a 20 m pitch, built from
+    one coordinate array, and one jittered point per footprint."""
+    rng = random.Random(seed)
+    m_lon = M_PER_DEG_LAT * math.cos(math.radians(32.9))
+    cx = np.tile(np.arange(side) * 20.0, side)
+    cy = np.repeat(np.arange(side) * 20.0, side)
+    corner = np.array([-5.0, 5.0, 5.0, -5.0, -5.0])
+    coords = np.stack([-90.88 + (cx[:, None] + corner) / m_lon,
+                       32.9 + (cy[:, None] + corner[[0, 0, 2, 2, 0]]) / M_PER_DEG_LAT],
+                      axis=-1).reshape(-1, 2)
+    n = side * side
+    footprints = footprints_from([f"b{k:06d}" for k in range(n)], coords,
+                                 [5] * n, [1] * n)
+    points = [truth_point(f"p{k:06d}",
+                          -90.88 + (x + rng.gauss(0.0, 6.0)) / m_lon,
+                          32.9 + (y + rng.gauss(0.0, 6.0)) / M_PER_DEG_LAT)
+              for k, (x, y) in enumerate(zip(cx.tolist(), cy.tolist()))]
+    return points, footprints
+
+
+def test_matching_scales_to_many_points_and_footprints():
+    points, footprints = lattice_scene(200, seed=31)  # 40,000 of each
+    start = perf_counter()
+    matched, unmatched = match_points(points, footprints, 20.0)
+    elapsed = perf_counter() - start
+    assert len(matched) + len(unmatched) == 40_000
+    assert elapsed < 5.0
+
+
+def test_matching_memory_is_bounded_by_its_chunks():
+    points, footprints = lattice_scene(80, seed=32)
+    tracemalloc.start()
+    try:
+        matched, _ = match_points(points, footprints, 20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matched) == 6400
+    assert peak < 8_000_000
+
+
+def test_reference_latitude_sums_in_input_order():
+    rng = random.Random(0)
+    points = [truth_point(f"p{k}", 0.0, rng.uniform(-60.0, 60.0))
+              for k in range(300)]
+    footprints = [square_footprint(f"b{k}", 0.0, rng.uniform(-60.0, 60.0), 1e-4)
+                  for k in range(25)]
+    lats = ([p.location.lat for p in points]
+            + [v.lat for fp in footprints for v in fp.exterior.vertices[:-1]])
+    expected = reference_latitude(points, footprints)
+    # Pairwise and compensated sums both differ in the last bit here.
+    assert float(np.sum(lats)) / len(lats) != expected
+    assert math.fsum(lats) / len(lats) != expected
+    assert matching_reference_latitude(points, footprints) == expected
 
 
 def test_reference_latitude_averages_points_and_vertices():
