@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import re
 from decimal import ROUND_HALF_UP, Decimal
-
-import numpy as np
+from itertools import chain
 
 from .errors import ParseError, UnwritableOutput
 from .geom import Footprint, GeoPoint, footprint_of, footprints_from
@@ -108,9 +107,10 @@ def parse_footprints_with_properties(text: str, source="<geojson>"):
     try:  # every ring from one coordinate array
         ids, properties, rings = zip(*[_feature_parts(f, i, source)
                                        for i, f in enumerate(features)])
-        coords = np.array([v for rs in rings for r in rs for v in r])
-        if coords.dtype.kind in "biuf" and coords.shape[1:] == (2,):
-            return (footprints_from(ids, coords, [len(r) for rs in rings for r in rs],
+        vertices = list(chain.from_iterable(chain.from_iterable(rings)))
+        numbers = list(chain.from_iterable(vertices))  # JSON numbers: no bool, no string
+        if set(map(len, vertices)) == {2} and set(map(type, numbers)) <= {int, float}:
+            return (footprints_from(ids, numbers, [len(r) for rs in rings for r in rs],
                                     [len(rs) for rs in rings]), list(properties))
     except (ParseError, TypeError, ValueError, OverflowError):
         pass

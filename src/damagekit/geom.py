@@ -111,40 +111,30 @@ def _crossing(x1, y1, x2, y2, y):
     return (y1 > y) != (y2 > y), x1 + (y - y1) * (x2 - x1) / (y2 - y1)
 
 
-def _ring_hits(ring: Ring, x, y):
-    """(on_edge, parity) of a point, or of arrays of points, against a ring.
-
-    x and y are floats or numpy arrays that broadcast together; the results
-    are bools or boolean arrays to match. Even-odd parity over a horizontal
-    ray toward +lon. The on-edge test is exact; parity alone decides points
-    that are not exactly on an edge. A horizontal edge never straddles the
-    ray, so it takes no part in the parity.
-    """
-    on_edge = parity = False
-    xs, ys = ring.coords.T.tolist()
-    for x1, y1, x2, y2 in zip(xs, ys, xs[1:], ys[1:]):
-        on_edge |= _on_edge(x1, y1, x2, y2, x, y)
-        if y1 != y2:
-            straddles, x_cross = _crossing(x1, y1, x2, y2, y)
-            parity ^= straddles & (x < x_cross)
-    return on_edge, parity
+def _hole_rule(on_ext, odd_ext, on_hole, odd_hole):
+    """Containment from boolean arrays of points' states against footprints'
+    rings: on the exterior, or inside it and in no hole unless on a hole edge."""
+    return on_ext | (odd_ext & ~(odd_hole & ~on_hole))
 
 
-def _inside(fp: Footprint, x, y):
-    """Containment of a point, or of arrays of points, in a footprint.
-
-    A point on the exterior is inside; a point inside the exterior is
-    inside unless it lies strictly inside a hole and on no hole edge.
-    """
-    # "^ True" negates bools and boolean arrays alike; ~True is -2.
-    on_ext, par_ext = _ring_hits(fp.exterior, x, y)
-    on_hole = in_hole = False
-    for hole in fp.holes:
-        on_h, par_h = _ring_hits(hole, x, y)
-        on_hole |= on_h
-        in_hole |= par_h
-    knocked_out = in_hole & (on_hole ^ True)
-    return on_ext | (par_ext & (knocked_out ^ True))
+def _inside_pairs(x, y, pair, x1, y1, x2, y2, ring):
+    """Containment of scattered points, one per (point, footprint) pair, that
+    lie in their footprint's bounding box (the caller's test): pair k's point
+    is (x[k], y[k]), and edge row i, (x1, y1)-(x2, y2), belongs to pair pair[i]
+    and ring ring[i], rows grouped by pair, then ring, exterior first. An
+    exact on-edge test, then even-odd parity over a ray toward +lon."""
+    px, py = x[pair], y[pair]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        straddles, x_cross = _crossing(x1, y1, x2, y2, py)
+    ring_at = np.flatnonzero((np.diff(pair, prepend=-1) != 0)
+                             | (np.diff(ring, prepend=-1) != 0))
+    on = np.logical_or.reduceat(_on_edge(x1, y1, x2, y2, px, py), ring_at)
+    odd = np.logical_xor.reduceat(straddles & (px < x_cross), ring_at)
+    hole = np.diff(pair[ring_at], prepend=-1) == 0  # not a pair's first ring
+    exterior = np.flatnonzero(~hole)
+    return _hole_rule(on[exterior], odd[exterior],
+                      np.logical_or.reduceat(on & hole, exterior),
+                      np.logical_or.reduceat(odd & hole, exterior))
 
 
 def contains(fp: Footprint, p: GeoPoint) -> bool:
@@ -156,15 +146,9 @@ def contains(fp: Footprint, p: GeoPoint) -> bool:
     b = fp.bounds
     if p.lon < b.min_lon or p.lon > b.max_lon or p.lat < b.min_lat or p.lat > b.max_lat:
         return False
-    return bool(_inside(fp, p.lon, p.lat))
-
-
-def contains_many(fp: Footprint, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    """contains() over arrays of coordinates (broadcast together).
-
-    Agrees exactly with contains() for every element.
-    """
-    return _inside(fp, np.asarray(lons), np.asarray(lats))
+    *edges, ring = _edges((fp.exterior, *fp.holes))
+    return bool(_inside_pairs(np.array([p.lon]), np.array([p.lat]),
+                              np.zeros(len(ring), dtype=np.int64), *edges, ring)[0])
 
 
 def metres_per_degree(ref_lat: float) -> tuple[float, float]:
@@ -175,19 +159,27 @@ def metres_per_degree(ref_lat: float) -> tuple[float, float]:
 
 
 def footprint_of(fid: str, rings) -> Footprint:
-    """A Footprint from rings of (lon, lat) pairs, exterior first, checked one
-    vertex, ring and footprint at a time: the first fault raises its error."""
-    built = [Ring(tuple(GeoPoint(float(lon), float(lat)) for lon, lat in ring))
+    """A Footprint from rings of (lon, lat) pairs of ints or floats, exterior
+    first, checked one vertex, ring and footprint at a time: the first fault
+    raises its error."""
+    built = [Ring(tuple(GeoPoint(_number(lon), _number(lat)) for lon, lat in ring))
              for ring in rings]
     return Footprint(fid, built[0], tuple(built[1:]))
 
 
+def _number(value) -> float:
+    """value as a float if it is an int or a float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"coordinate {value!r} is not a number")
+    return float(value)
+
+
 def footprints_from(ids, coords, sizes, counts) -> list[Footprint]:
-    """Footprints from one (n, 2) array of (lon, lat): ring i is the next
-    sizes[i] rows, footprint j the next counts[j] rings (exterior first) with
+    """Footprints from n (lon, lat) rows, as an (n, 2) array or flattened: ring
+    i is the next sizes[i] rows, footprint j the next counts[j] rings (exterior first) with
     id ids[j]. One vectorised pass makes every check of GeoPoint, Ring and
     Footprint; only on a fault are they built by footprint_of, to raise it."""
-    coords = np.asarray(coords, dtype=np.float64).view()
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
     sizes, counts = np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
     starts, ends = np.cumsum(sizes) - sizes, np.cumsum(sizes)
     first = np.cumsum(counts) - counts  # each footprint's exterior ring

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CellCountMismatch, InvalidClassCode, MissingHeaderKey,
                      NonIntegerCell)
-from .geom import _crossing, _edges, _on_edge, _runs
+from .geom import _crossing, _edges, _hole_rule, _on_edge, _runs
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -113,15 +113,15 @@ def pixel_windows(frame, footprints):
 
     frame is (ncols, nrows, xll, yll, cellsize). window is the (row slice,
     column slice) of the footprint's bounding box padded by one cell, which
-    holds every pixel whose centre or subcells it can cover; inside is
-    geom's containment mask of the window's pixel centres, bit for bit.
+    holds every pixel whose centre it can cover; inside is the mask of the
+    window's pixel centres under geom's containment rule, bit for bit.
 
     The scanline rule, batched over footprints in chunks of about
     _SPAN_PIXELS window pixels per ring: each edge meets every window row
     whose centre latitude it spans at geom's _crossing, and searchsorted on
     the exact centre longitudes turns the crossings into each ring's
     even-odd parity. geom's exact _on_edge runs only on the centres that
-    can lie on an edge.
+    can lie on an edge, and geom's _hole_rule combines the rings.
     """
     ncols, nrows, xll, yll, cs = frame
     b = np.array([(fp.bounds.max_lat, fp.bounds.min_lat, fp.bounds.min_lon,
@@ -213,8 +213,7 @@ def _chunk_masks(lons, lats, footprints, win):
     pix = (offset[f[cand]] + row_start[cand] + col - col_lo[f[cand]])[on]
     on_hole_edge = (edge_ring[e] >= n_fp)[on]
 
-    # Combined as geom._inside does: inside a hole means inside any hole,
-    # not an odd number of them.
+    # Inside a hole means inside any hole, not an odd number of them.
     n_pix = int(size.sum())
     on_ext, on_hole, in_hole = np.zeros((3, n_pix), dtype=bool)
     on_ext[pix[~on_hole_edge]] = True
@@ -222,7 +221,7 @@ def _chunk_masks(lons, lats, footprints, win):
     holes = np.arange(n_fp, len(rings))
     to_fp = np.repeat(offset[ring_fp[holes]] - offset[holes], ring_size[holes])
     in_hole[(np.arange(n_pix, len(parity)) + to_fp)[parity[n_pix:]]] = True
-    inside = on_ext | (parity[:n_pix] & ~(in_hole & ~on_hole))
+    inside = _hole_rule(on_ext, parity[:n_pix], on_hole, in_hole)
     return [inside[o:o + n].reshape(-1, w)
             for o, n, w in zip(offset[:n_fp].tolist(), size.tolist(), width.tolist())]
 

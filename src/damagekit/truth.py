@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
                      UnknownCategory, check_unique)
-from .geom import (Footprint, GeoPoint, _crossing, _edges, _on_edge, _runs,
+from .geom import (Footprint, GeoPoint, _edges, _inside_pairs, _runs,
                    metres_per_degree)
 from .zonal import DamageEstimate
 
@@ -203,29 +203,18 @@ def _distances(x, y, box, owner, x1, y1, x2, y2, ring, kx, ky):
     """Distance in metres from points (x, y) to footprints with bounding
     boxes box, from the edges (x1, y1)-(x2, y2) of each point's footprint:
     owner[i] is edge i's point, and ring[i] its ring, in ring order."""
-    px, py = x[owner], y[owner]
-    # Containment as geom.contains decides it (bounding box, then _on_edge and
-    # the _crossing parity per ring, and _inside's hole rule), then the nearest
-    # edge; one whose squared length underflows to 0 measures to its start.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        straddles, x_cross = _crossing(x1, y1, x2, y2, py)
-        new_point = np.diff(owner, prepend=-1) != 0
-        ring_at = np.flatnonzero(new_point | (np.diff(ring, prepend=-1) != 0))
-        on = np.logical_or.reduceat(_on_edge(x1, y1, x2, y2, px, py), ring_at)
-        odd = np.logical_xor.reduceat(straddles & (px < x_cross), ring_at)
-        hole = np.diff(owner[ring_at], prepend=-1) == 0  # not a point's first ring
-        exterior = np.flatnonzero(~hole)
-        in_hole = (np.logical_or.reduceat(odd & hole, exterior)
-                   & ~np.logical_or.reduceat(on & hole, exterior))
-        inside = ((box[:, 0] <= x) & (x <= box[:, 2]) & (box[:, 1] <= y) & (y <= box[:, 3])
-                  & (on[exterior] | (odd[exterior] & ~in_hole)))
-        qx, qy, ax, ay = px * kx, py * ky, x1 * kx, y1 * ky
-        dx, dy = x2 * kx - ax, y2 * ky - ay
-        den = dx * dx + dy * dy
-        t = np.clip(np.divide((qx - ax) * dx + (qy - ay) * dy, den,
-                              out=np.zeros_like(den), where=den > 0.0), 0.0, 1.0)
-        ex, ey = qx - (ax + t * dx), qy - (ay + t * dy)
-        d_sq = np.minimum.reduceat(ex * ex + ey * ey, np.flatnonzero(new_point))
+    # 0 inside, as geom.contains decides it, else to the nearest edge; one whose
+    # squared length underflows to 0 measures to its start.
+    inside = ((box[:, 0] <= x) & (x <= box[:, 2]) & (box[:, 1] <= y) & (y <= box[:, 3])
+              & _inside_pairs(x, y, owner, x1, y1, x2, y2, ring))
+    qx, qy, ax, ay = x[owner] * kx, y[owner] * ky, x1 * kx, y1 * ky
+    dx, dy = x2 * kx - ax, y2 * ky - ay
+    den = dx * dx + dy * dy
+    t = np.clip(np.divide((qx - ax) * dx + (qy - ay) * dy, den,
+                          out=np.zeros_like(den), where=den > 0.0), 0.0, 1.0)
+    ex, ey = qx - (ax + t * dx), qy - (ay + t * dy)
+    d_sq = np.minimum.reduceat(ex * ex + ey * ey,
+                               np.flatnonzero(np.diff(owner, prepend=-1) != 0))
     return np.where(inside, 0.0, np.sqrt(d_sq))
 
 

@@ -4,8 +4,8 @@ A building's damage percentage is the share of damaged-class pixels among
 the raster pixels whose centres fall inside its footprint. Nodata pixels
 count in neither numerator nor denominator; background pixels inside the
 footprint stay in the denominator. Footprints too small to capture any
-pixel centre fall back to a 4x4 subcell supersampling of the pixels that
-overlap their bounding box.
+usable pixel centre fall back to the centres of a frame four times finer
+(4x4 subcells per pixel), each reading the pixel it lies in.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateFootprintId, check_unique
-from .geom import Footprint, contains_many
+from .geom import Footprint
 from .raster import CLASS_DAMAGED, ClassRaster, pixel_windows
 
 
@@ -24,7 +24,8 @@ class DamageEstimate:
     """Estimated damage for one footprint.
 
     damage_pct is 100 * n_damaged / n_inside (0.0 when nothing was sampled).
-    supersampled marks estimates that came from the 4x4 subcell fallback;
+    supersampled marks estimates counted on the subcell centres of the frame
+    four times finer, for a footprint that holds no usable pixel centre;
     no_coverage marks footprints with no usable raster coverage at all.
     """
 
@@ -36,45 +37,32 @@ class DamageEstimate:
     no_coverage: bool = False
 
 
-def assess_footprint(raster: ClassRaster, fp: Footprint) -> DamageEstimate:
-    """Estimate the damaged share of one footprint."""
-    return assess_all(raster, [fp])[0]
-
-
 def assess_all(raster: ClassRaster, footprints: list[Footprint]) -> list[DamageEstimate]:
     """Assess every footprint, preserving input order."""
     check_unique(footprints, DuplicateFootprintId, "footprint")
-    return [_estimate(raster, fp, hit)
-            for fp, hit in zip(footprints, pixel_windows(raster.frame, footprints))]
+    estimates = _estimates(raster, footprints, 1)
+    missed = [i for i, e in enumerate(estimates) if e.no_coverage]
+    for i, fine in zip(missed, _estimates(raster, [footprints[i] for i in missed], 4)):
+        estimates[i] = fine
+    return estimates
 
 
-def _estimate(raster: ClassRaster, fp: Footprint, hit) -> DamageEstimate:
-    """The estimate of one footprint from its pixel_windows entry."""
-    if hit is None:
-        return DamageEstimate(fp.id, 0.0, 0, 0, supersampled=False, no_coverage=True)
-    window, inside = hit
-    cells = raster.cells[window]
-
-    # Pass 1: pixel centres. Pass 2, when no centre is usable: 4x4 subcell
-    # centres per candidate pixel of the window.
-    usable = inside & (cells != raster.nodata)
-    supersampled = not usable.any()
-    if supersampled:
-        rows_slice, cols_slice = window
-        cols = np.arange(cols_slice.start, cols_slice.stop, dtype=np.float64)
-        rows = np.arange(rows_slice.start, rows_slice.stop, dtype=np.float64)
-        sub = (np.arange(4, dtype=np.float64) + 0.5) / 4.0
-        cols_f = (cols[:, np.newaxis] + sub[np.newaxis, :]).ravel()
-        rows_f = (rows[:, np.newaxis] + sub[np.newaxis, :]).ravel()
-        sub_lons = raster.xll + cols_f * raster.cellsize
-        sub_lats = raster.yll + (raster.nrows - rows_f) * raster.cellsize
-        cells = np.repeat(np.repeat(cells, 4, axis=0), 4, axis=1)
-        inside = contains_many(fp, sub_lons[np.newaxis, :], sub_lats[:, np.newaxis])
-        usable = inside & (cells != raster.nodata)
-    n_inside = int(np.count_nonzero(usable))
-    n_damaged = int(np.count_nonzero(usable & (cells == CLASS_DAMAGED)))
-    if n_inside == 0:
-        return DamageEstimate(fp.id, 0.0, 0, 0, supersampled=False, no_coverage=True)
-    return DamageEstimate(fp.id, 100.0 * n_damaged / n_inside, n_inside,
-                          n_damaged, supersampled=supersampled)
-
+def _estimates(raster: ClassRaster, footprints: list[Footprint], k: int):
+    """The estimates of the footprints from the usable centres of the frame k
+    times finer than the raster's, each reading the cell it lies in."""
+    frame = (k * raster.ncols, k * raster.nrows, raster.xll, raster.yll, raster.cellsize / k)
+    estimates = []
+    for fp, hit in zip(footprints, pixel_windows(frame, footprints)):
+        n_inside = n_damaged = 0
+        if hit is not None:
+            (rows, cols), inside = hit
+            if k > 1:  # the cell each fine centre lies in; slices read a view
+                rows, cols = np.ix_(np.r_[rows] // k, np.r_[cols] // k)
+            cells = raster.cells[rows, cols]
+            usable = inside & (cells != raster.nodata)
+            n_inside = int(np.count_nonzero(usable))
+            n_damaged = int(np.count_nonzero(usable & (cells == CLASS_DAMAGED)))
+        estimates.append(DamageEstimate(fp.id, 100.0 * n_damaged / n_inside, n_inside,
+                                        n_damaged, supersampled=k > 1) if n_inside
+                         else DamageEstimate(fp.id, 0.0, 0, 0, no_coverage=True))
+    return estimates

@@ -2,8 +2,14 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import damagekit
+
+# Every property test draws the same examples on every run, so Tier-1 is
+# deterministic; tests set only their own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

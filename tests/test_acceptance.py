@@ -24,7 +24,7 @@ from damagekit.metrics import average_precision, pr_curve, validate
 from damagekit.synth import SceneSpec, generate
 from damagekit.truth import (FemaCategory, GroundTruthPoint, MatchedSample,
                              join_samples, match_points, parse_scheme)
-from damagekit.zonal import assess_all, assess_footprint
+from damagekit.zonal import assess_all
 
 ZONAL_PAIRS = 200
 ZONAL_BUDGET_S = 10.0
@@ -91,7 +91,7 @@ def test_criterion_1_zonal_oracle_equivalence():
     mismatches = 0
     for seed in range(ZONAL_PAIRS):
         raster, fp = random_zonal_pair(seed)
-        if assess_footprint(raster, fp) != full_scan_assess(raster, fp):
+        if assess_all(raster, [fp])[0] != full_scan_assess(raster, fp):
             mismatches += 1
     elapsed = perf_counter() - start
     report(1, "zonal oracle equivalence",

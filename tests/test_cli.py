@@ -172,6 +172,15 @@ def test_coordinate_too_large_for_a_float_exits_2(tmp_path, capsys):
                  "feature 'b1': int too large to convert to float")
 
 
+@pytest.mark.parametrize("coordinate", ['"0.001"', "true"])
+def test_coordinate_that_is_not_a_number_exits_2(tmp_path, capsys, coordinate):
+    fps = write(tmp_path / "fp.geojson",
+                FOOTPRINT_B1.replace("[0.001,-0.001]", f"[{coordinate},-0.001]"))
+    raster = write(tmp_path / "r.asc", RASTER_2X2)
+    assert_fails(["assess", fps, raster], 2, capsys,
+                 f"feature 'b1': coordinate {json.loads(coordinate)!r} is not a number")
+
+
 def test_match_measures_an_underflowing_edge_to_its_first_end(tmp_path, capsys):
     # The edge (1e-200, 0)-(0, 0) projects to a segment whose squared
     # length underflows to 0.

@@ -248,6 +248,23 @@ def test_a_bad_ring_is_reported_before_a_bad_id_in_a_later_feature():
         "in.geojson: feature 'b1': ring is not closed (first vertex != last)")
 
 
+@pytest.mark.parametrize("parse", [parse_footprints_with_properties,
+                                   parse_footprints_one_by_one])
+@pytest.mark.parametrize("ring, bad", [
+    ([[0, 0], ["0.25", 0], [0.25, 1], [0, 1], [0, 0]], "'0.25'"),
+    ([[0, 0], [0.25, 0], [0.25, True], [0, 1], [0, 0]], "True"),
+    ([[False, False], [True, False], [True, True], [False, True], [False, False]],
+     "False"),
+], ids=["string", "boolean", "all-boolean"])
+def test_coordinates_must_be_json_numbers(parse, ring, bad):
+    doc = {"type": "FeatureCollection", "features": [
+        lattice_feature("b1", 0, 0, 4, 4), lattice_feature("b2", 8, 0, 4, 4)]}
+    doc["features"][1]["geometry"]["coordinates"] = [ring]
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc), source="in.geojson")
+    assert str(err.value) == f"in.geojson: feature 'b2': coordinate {bad} is not a number"
+
+
 @st.composite
 def edited_collections(draw):
     features = []
@@ -262,7 +279,7 @@ def edited_collections(draw):
     return {"type": "FeatureCollection", "features": features}
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(doc=edited_collections())
 @example(doc={"type": "FeatureCollection", "features": []})
 def test_batch_reader_matches_the_one_by_one_reader(doc):

@@ -304,7 +304,7 @@ def same_windows(a, b):
         and a[1].shape == b[1].shape and a[1].tolist() == b[1].tolist())
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(scene=window_scenes())
 def test_pixel_windows_match_the_per_footprint_reference(scene):
     frame, footprints = scene
@@ -405,7 +405,7 @@ def one_row(cells, nodata):
             f"cellsize 1\nnodata_value {nodata}\n{cells}\n")
 
 
-@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@settings(max_examples=600)
 @given(text=grid_texts(), block_chars=st.integers(1, 40))
 @example(text=one_row("0 - 1", 3), block_chars=40)
 @example(text=one_row("0 1- 1", 7), block_chars=40)
@@ -444,7 +444,7 @@ def rasters(draw):
                        cells=np.array(cells, dtype=dtype).reshape(nrows, ncols))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(raster=rasters(), block_chars=st.integers(1, 40))
 def test_row_writer_matches_the_reference_byte_for_byte(raster, block_chars):
     with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):

@@ -244,7 +244,7 @@ def match_scenes(draw):
     return points, footprints, radius
 
 
-@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@settings(max_examples=250)
 @given(scene=match_scenes(), pair_edges=st.sampled_from([1, 3, 2**15]))
 def test_batched_matching_agrees_with_brute_force(scene, pair_edges):
     points, footprints, radius = scene
@@ -253,6 +253,23 @@ def test_batched_matching_agrees_with_brute_force(scene, pair_edges):
     ref_matched, ref_unmatched = brute_force_match(points, footprints, radius)
     assert [tuple(m) for m in matched] == ref_matched
     assert unmatched == ref_unmatched
+
+
+@settings(max_examples=150)
+@given(scene=match_scenes(), data=st.data())
+def test_matching_does_not_depend_on_point_order(scene, data):
+    points, footprints, radius = scene
+    order = data.draw(st.permutations(range(len(points))))
+    # The reference latitude is a sum in point order, whose last bit moves
+    # distances by about 1e-9 m; it is pinned so that the rest is compared.
+    ref_lat = matching_reference_latitude(points, footprints)
+    with mock.patch.object(truth_module, "matching_reference_latitude",
+                           lambda *_: ref_lat):
+        matched, unmatched = match_points(points, footprints, radius)
+        again, unmatched_again = match_points([points[i] for i in order],
+                                              footprints, radius)
+    assert again == [m for i in order for m in matched if m.point_id == points[i].id]
+    assert unmatched_again == [points[i].id for i in order if points[i].id in unmatched]
 
 
 def test_shared_edge_ties_at_zero_go_to_the_smaller_id():
