@@ -36,7 +36,7 @@ _BYTE_KIND[ord("-")] = _MINUS
 _BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
 _ZERO = ord("0")
 
-# pixel_windows rasterises footprints in chunks of about this many window
+# inside_pixels rasterises footprints in chunks of about this many window
 # pixels, counting a footprint's window once per ring.
 _SPAN_PIXELS = 2**16
 
@@ -108,20 +108,20 @@ def _centres(frame, cols, rows):
     return xll + (cols + 0.5) * cs, yll + (nrows - rows - 0.5) * cs
 
 
-def pixel_windows(frame, footprints):
-    """(window, inside) for each footprint on a raster frame, or None off it.
-
-    frame is (ncols, nrows, xll, yll, cellsize). window is the (row slice,
-    column slice) of the footprint's bounding box padded by one cell, which
-    holds every pixel whose centre it can cover; inside is the mask of the
-    window's pixel centres under geom's containment rule, bit for bit.
+def inside_pixels(frame, footprints):
+    """(part, owner, row, col) int64 arrays per chunk of footprints on a
+    raster frame (ncols, nrows, xll, yll, cellsize). part holds the chunk's
+    footprint indices; each pixel whose centre lies inside footprint
+    part[owner] under geom's containment rule, bit for bit, gives one owner,
+    row and col, in footprint order, then row-major.
 
     The scanline rule, batched over footprints in chunks of about
-    _SPAN_PIXELS window pixels per ring: each edge meets every window row
-    whose centre latitude it spans at geom's _crossing, and searchsorted on
-    the exact centre longitudes turns the crossings into each ring's
-    even-odd parity. geom's exact _on_edge runs only on the centres that
-    can lie on an edge, and geom's _hole_rule combines the rings.
+    _SPAN_PIXELS pixels per ring of their windows, each the bounding box
+    padded by one cell: each edge meets every window row whose centre
+    latitude it spans at geom's _crossing, and searchsorted on the exact
+    centre longitudes turns the crossings into each ring's even-odd parity.
+    geom's exact _on_edge runs only on the centres that can lie on an edge,
+    and geom's _hole_rule combines the rings.
     """
     ncols, nrows, xll, yll, cs = frame
     b = np.array([(fp.bounds.max_lat, fp.bounds.min_lat, fp.bounds.min_lon,
@@ -134,28 +134,21 @@ def pixel_windows(frame, footprints):
     win = np.clip(edges + [-1, 1, -1, 1], [0, -1, 0, -1],
                   [nrows, nrows - 1, ncols, ncols - 1]).astype(np.int64)
     covered = np.flatnonzero((win[:, 0] <= win[:, 1]) & (win[:, 2] <= win[:, 3]))
-    hits = [None] * len(footprints)
-    if not covered.size:
-        return hits
     cost = ((win[covered, 1] - win[covered, 0] + 1)
             * (win[covered, 3] - win[covered, 2] + 1)
             * [1 + len(footprints[i].holes) for i in covered.tolist()])
     chunk = (np.cumsum(cost) - cost) // _SPAN_PIXELS
     centres = _centres(frame, np.arange(ncols, dtype=np.float64),
                        np.arange(nrows, dtype=np.float64))
-    windows = win.tolist()
-    for part in np.split(covered, np.flatnonzero(np.diff(chunk)) + 1):
-        part = part.tolist()
-        masks = _chunk_masks(*centres, [footprints[i] for i in part], win[part])
-        for i, inside in zip(part, masks):
-            row_lo, row_hi, col_lo, col_hi = windows[i]
-            hits[i] = (slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)), inside
-    return hits
+    parts = np.split(covered, np.flatnonzero(np.diff(chunk)) + 1)
+    for part in parts if covered.size else ():
+        yield part, *_chunk_pixels(*centres, [footprints[i] for i in part.tolist()],
+                                   win[part])
 
 
-def _chunk_masks(lons, lats, footprints, win):
-    """pixel_windows' inside masks of some footprints and their windows, from
-    the centre longitudes of every raster column and latitudes of every row."""
+def _chunk_pixels(lons, lats, footprints, win):
+    """inside_pixels' (owner, row, col) of some footprints and their windows,
+    from the centre longitudes of every column and latitudes of every row."""
     row_lo, row_hi, col_lo, col_hi = win.T
     width = col_hi - col_lo + 1
     size = (row_hi - row_lo + 1) * width
@@ -222,8 +215,11 @@ def _chunk_masks(lons, lats, footprints, win):
     to_fp = np.repeat(offset[ring_fp[holes]] - offset[holes], ring_size[holes])
     in_hole[(np.arange(n_pix, len(parity)) + to_fp)[parity[n_pix:]]] = True
     inside = _hole_rule(on_ext, parity[:n_pix], on_hole, in_hole)
-    return [inside[o:o + n].reshape(-1, w)
-            for o, n, w in zip(offset[:n_fp].tolist(), size.tolist(), width.tolist())]
+    # The window pixels run window row by window row, in footprint order.
+    line_fp, line_row = _runs(row_lo, row_hi + 1)
+    line, col = _runs(col_lo[line_fp], col_hi[line_fp] + 1)
+    line = line[inside]
+    return line_fp[line], line_row[line], col[inside]
 
 
 def _header_value(key, text, line_no, source):

@@ -17,6 +17,7 @@ the raster noise stage is skipped and consumes no draws.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import SwathOutsideScene
 from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, footprints_from
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     DEFAULT_NODATA, ClassRaster, pixel_windows)
+                     DEFAULT_NODATA, ClassRaster, inside_pixels)
 from .truth import FemaCategory, GroundTruthPoint
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -58,6 +59,19 @@ class SplitMix64:
         return (z.astype(np.float64) + 0.5) / _TWO_64
 
 
+# SceneSpec's float fields, each an int or a float but not a bool, with its
+# rule and the rule in words; swath_width_m may also be None, for the default.
+_FLOAT_RULES = {
+    "building_size_m": (lambda v: v > 0, "a positive finite number"),
+    "spacing_m": (lambda v: v > 0, "a positive finite number"),
+    "swath_width_m": (lambda v: v > 0, "a positive finite number"),
+    "cellsize_m": (lambda v: v > 0, "a positive finite number"),
+    "pixel_noise_rate": (lambda v: 0 <= v <= 1, "a number within [0, 1]"),
+    "point_drop_rate": (lambda v: 0 <= v <= 1, "a number within [0, 1]"),
+    "point_jitter_sigma_m": (lambda v: v >= 0, "a non-negative finite number"),
+}
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Parameters of a synthetic scene. Same spec, same bytes out."""
@@ -83,23 +97,18 @@ class SceneSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_cols < 1 or self.grid_rows < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.building_size_m <= 0 or self.spacing_m <= 0:
-            raise ValueError("building size and spacing must be positive")
-        if self.cellsize_m <= 0:
-            raise ValueError("cellsize_m must be positive")
-        if not 0.0 <= self.pixel_noise_rate <= 1.0:
-            raise ValueError("pixel_noise_rate must be within [0, 1]")
-        if not 0.0 <= self.point_drop_rate <= 1.0:
-            raise ValueError("point_drop_rate must be within [0, 1]")
-        if self.point_jitter_sigma_m < 0:
-            raise ValueError("point_jitter_sigma_m must be non-negative")
+        for name, (rule, wanted) in _FLOAT_RULES.items():
+            value = getattr(self, name)
+            if value is None and name == "swath_width_m":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (abs(value) <= sys.float_info.max and rule(value))):
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
         pitch = self.building_size_m + self.spacing_m
         # Default swath: along the middle building row, clear past both ends,
         # narrow enough that only that row falls in the destroyed band.
         if self.swath_width_m is None:
             object.__setattr__(self, "swath_width_m", 0.8 * pitch)
-        if self.swath_width_m <= 0:
-            raise ValueError("swath_width_m must be positive")
         if self.swath_start is None or self.swath_end is None:
             mid_y = (self.grid_rows // 2 + 0.5) * pitch
             start = GeoPoint(*self._to_deg(-2.0 * pitch, mid_y))
@@ -211,15 +220,9 @@ def generate(spec: SceneSpec) -> SynthScene:
     # Paint a bare array; ClassRaster then validates the finished cells once.
     cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int32)
     frame = (ncols, nrows, xll, yll, cs_deg)
-    for fp, hit in zip(footprints, pixel_windows(frame, footprints)):
-        if hit is None:
-            continue
-        window, inside = hit
-        if oracle[fp.id] in (FemaCategory.MAJOR_DAMAGE, FemaCategory.DESTROYED):
-            value = CLASS_DAMAGED
-        else:
-            value = CLASS_BUILDING
-        cells[window][inside] = value
+    damaged = np.array(list(oracle.values())) >= FemaCategory.MAJOR_DAMAGE
+    for part, owner, row, col in inside_pixels(frame, footprints):
+        cells[row, col] = np.where(damaged[part][owner], CLASS_DAMAGED, CLASS_BUILDING)
 
     if spec.pixel_noise_rate > 0.0:
         # Draw k of the stream does not depend on how the draws before it

@@ -184,18 +184,18 @@ def match_points(points: list[GroundTruthPoint],
 def _candidates(pcx, pcy, cells):
     """Candidate pairs: points and footprints whose grid cells are within one
     cell in x and in y. Returns the points sorted by cell, and the ranges
-    (footprint, lo, hi) of that order, one per (footprint, column)."""
+    (footprint, lo, hi) of that order, one per (footprint, point column)."""
     xs, col = np.unique(pcx, return_inverse=True)
     ys, row = np.unique(pcy, return_inverse=True)
     by_cell = np.lexsort((row, col))
     key = (col * len(ys) + row)[by_cell]
     x0, y0, x1, y1 = cells.T
-    f, c = _runs(x0 - 1.0, x1 + 2.0)  # every column from x0 - 1 to x1 + 1
-    c_rank = np.searchsorted(xs, c)
-    here = xs[np.minimum(c_rank, len(xs) - 1)] == c
+    # The ranks in xs of the columns from x0 - 1 to x1 + 1 that hold points;
+    # a radius far below the footprint size makes most columns empty.
+    f, c_rank = _runs(np.searchsorted(xs, x0 - 1.0), np.searchsorted(xs, x1 + 1.0, "right"))
     lo = np.searchsorted(key, c_rank * len(ys) + np.searchsorted(ys, y0[f] - 1.0))
     hi = np.searchsorted(key, c_rank * len(ys) + np.searchsorted(ys, y1[f] + 1.0, "right"))
-    keep = np.flatnonzero(here & (hi > lo))
+    keep = np.flatnonzero(hi > lo)
     return by_cell, f[keep], lo[keep], hi[keep]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DuplicateFootprintId, check_unique
 from .geom import Footprint
-from .raster import CLASS_DAMAGED, ClassRaster, pixel_windows
+from .raster import CLASS_DAMAGED, ClassRaster, inside_pixels
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,11 @@ def _estimates(raster: ClassRaster, footprints: list[Footprint], k: int):
     """The estimates of the footprints from the usable centres of the frame k
     times finer than the raster's, each reading the cell it lies in."""
     frame = (k * raster.ncols, k * raster.nrows, raster.xll, raster.yll, raster.cellsize / k)
-    estimates = []
-    for fp, hit in zip(footprints, pixel_windows(frame, footprints)):
-        n_inside = n_damaged = 0
-        if hit is not None:
-            (rows, cols), inside = hit
-            if k > 1:  # the cell each fine centre lies in; slices read a view
-                rows, cols = np.ix_(np.r_[rows] // k, np.r_[cols] // k)
-            cells = raster.cells[rows, cols]
-            usable = inside & (cells != raster.nodata)
-            n_inside = int(np.count_nonzero(usable))
-            n_damaged = int(np.count_nonzero(usable & (cells == CLASS_DAMAGED)))
-        estimates.append(DamageEstimate(fp.id, 100.0 * n_damaged / n_inside, n_inside,
-                                        n_damaged, supersampled=k > 1) if n_inside
-                         else DamageEstimate(fp.id, 0.0, 0, 0, no_coverage=True))
-    return estimates
+    n_inside, n_damaged = np.zeros((2, len(footprints)), dtype=np.int64)
+    for part, owner, row, col in inside_pixels(frame, footprints):
+        cells = raster.cells[row // k, col // k]
+        n_inside[part] = np.bincount(owner[cells != raster.nodata], minlength=len(part))
+        n_damaged[part] = np.bincount(owner[cells == CLASS_DAMAGED], minlength=len(part))
+    return [DamageEstimate(fp.id, 100.0 * d / n, n, d, supersampled=k > 1) if n
+            else DamageEstimate(fp.id, 0.0, 0, 0, no_coverage=True)
+            for fp, n, d in zip(footprints, n_inside.tolist(), n_damaged.tolist())]

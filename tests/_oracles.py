@@ -107,7 +107,7 @@ def ring_hits(ring: Ring, x, y):
 def contains_many(fp: Footprint, lons, lats) -> np.ndarray:
     """Containment of arrays of points (broadcast together) in a footprint,
     ring by ring with ring_hits and no bounding-box test: the reference of
-    raster.pixel_windows' masks.
+    raster.inside_pixels.
 
     A point on the exterior is inside; a point inside the exterior is
     inside unless it lies strictly inside a hole and on no hole edge.
@@ -281,7 +281,7 @@ def build_raster(cells, cellsize=0.001, xll=0.0, yll=0.0, nodata=-1) -> ClassRas
 
 def pixel_window(frame, fp: Footprint):
     """(window, inside) for one footprint on a raster frame, or None off it:
-    the per-footprint reference of raster.pixel_windows.
+    the per-footprint reference of raster.inside_pixels.
 
     window is the (row slice, column slice) of the footprint's bounding box
     padded by one cell; inside is the contains_many mask of the window's

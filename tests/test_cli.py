@@ -130,6 +130,15 @@ def test_non_integer_spec_field_exits_2(tmp_path, capsys, spec):
                  "must be an integer")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("point_jitter_sigma_m", "NaN"), ("cellsize_m", "NaN"),
+    ("swath_width_m", "Infinity"), ("building_size_m", "true")])
+def test_non_finite_spec_float_exits_2(tmp_path, capsys, field, value):
+    path = write(tmp_path / "scene.json", f'{{"{field}": {value}}}')
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 f"bad scene spec: {field} must be a ")
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "none.geojson"
     assert main(["assess", str(missing), str(tmp_path / "none.asc")]) == 2

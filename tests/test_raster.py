@@ -13,7 +13,7 @@ from damagekit.errors import (CellCountMismatch, InvalidClassCode,
                               MissingHeaderKey, NonIntegerCell, ParseError)
 from damagekit.geom import Footprint, GeoPoint, Ring, contains
 from damagekit.raster import (DEFAULT_NODATA, ClassRaster, _centres,
-                              parse_ascii_grid, pixel_windows, write_ascii_grid)
+                              inside_pixels, parse_ascii_grid, write_ascii_grid)
 
 from _oracles import square_footprint
 
@@ -227,26 +227,24 @@ def test_pixel_center_neighbors_are_one_cell_apart():
     assert -np.diff(lats) == pytest.approx([raster.cellsize] * 2, rel=1e-12)
 
 
-def test_pixel_windows_pad_the_bounds_and_mask_pixel_centres():
+def test_inside_pixels_give_the_pixel_centres_inside():
     raster = parse_ascii_grid(FIXTURE)
     # A 0.2-wide square around the centre of pixel (col 1, row 1).
     fp = square_footprint("b", 10.75, 20.75, 0.1)
-    [(window, inside)] = pixel_windows(raster.frame, [fp])
-    assert window == (slice(0, 3), slice(0, 3))
-    assert inside.tolist() == [[False, False, False],
-                               [False, True, False],
-                               [False, False, False]]
+    [chunk] = inside_pixels(raster.frame, [fp])
+    assert [a.tolist() for a in chunk] == [[0], [0], [1], [1]]
+    assert all(a.dtype == np.int64 for a in chunk)
     assert contains(fp, GeoPoint(*_centres(raster.frame, 1, 1)))
 
 
-def test_pixel_windows_are_none_off_the_raster():
+def test_inside_pixels_skip_footprints_off_the_raster():
     raster = parse_ascii_grid(FIXTURE)
     far = square_footprint("far", 50.0, 50.0, 0.1)
     near = square_footprint("near", 10.75, 20.75, 0.1)
-    hits = pixel_windows(raster.frame, [far, near, far])
-    assert hits[0] is None and hits[2] is None
-    assert hits[1][0] == (slice(0, 3), slice(0, 3))
-    assert pixel_windows(raster.frame, []) == []
+    [chunk] = inside_pixels(raster.frame, [far, near, far])
+    assert [a.tolist() for a in chunk] == [[1], [0], [1], [1]]
+    assert list(inside_pixels(raster.frame, [far])) == []
+    assert list(inside_pixels(raster.frame, [])) == []
 
 
 # (xll, yll, cellsize) of the fuzzed frames: plain, metre-sized and
@@ -298,24 +296,41 @@ def window_scenes(draw):
     return frame, footprints
 
 
-def same_windows(a, b):
-    return (a is None and b is None) or (
-        a is not None and b is not None and a[0] == b[0]
-        and a[1].shape == b[1].shape and a[1].tolist() == b[1].tolist())
+def reference_pixels(frame, footprints):
+    """(footprint, row, col) of every pixel centre inside a footprint, from
+    the per-footprint reference windows, in footprint order, then row-major."""
+    triples = []
+    for i, fp in enumerate(footprints):
+        hit = _oracles.pixel_window(frame, fp)
+        if hit is not None:
+            (rows, cols), inside = hit
+            for row, col in zip(*np.nonzero(inside)):
+                triples.append((i, rows.start + int(row), cols.start + int(col)))
+    return triples
+
+
+def chunked_pixels(frame, footprints):
+    """inside_pixels' chunks as (footprint, row, col) triples, checking that
+    their arrays are int64 and that part rises and never repeats."""
+    triples, last = [], -1
+    for chunk in inside_pixels(frame, footprints):
+        assert all(a.dtype == np.int64 for a in chunk)
+        part, owner, row, col = chunk
+        assert part.size and part[0] > last and (np.diff(part) > 0).all()
+        assert len(owner) == len(row) == len(col)
+        last = part[-1]
+        triples += zip(part[owner].tolist(), row.tolist(), col.tolist())
+    return triples
 
 
 @settings(max_examples=300)
 @given(scene=window_scenes())
-def test_pixel_windows_match_the_per_footprint_reference(scene):
+def test_inside_pixels_match_the_per_footprint_reference(scene):
     frame, footprints = scene
-    reference = [_oracles.pixel_window(frame, fp) for fp in footprints]
-    batched = pixel_windows(frame, footprints)
+    reference = reference_pixels(frame, footprints)
+    assert chunked_pixels(frame, footprints) == reference
     with mock.patch.object(raster_module, "_SPAN_PIXELS", 1):
-        one_by_one = pixel_windows(frame, footprints)
-    assert len(batched) == len(one_by_one) == len(footprints)
-    for ref, new, alone in zip(reference, batched, one_by_one):
-        assert same_windows(new, ref)
-        assert same_windows(alone, ref)
+        assert chunked_pixels(frame, footprints) == reference
 
 
 # ------------------------------------------------------------ round-trips

@@ -91,6 +91,25 @@ def test_spec_rejects_non_integer_counts(field, value):
         SceneSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("building_size_m", True), ("spacing_m", math.inf),
+    pytest.param("spacing_m", 10**400, id="spacing_m-10**400"),
+    ("swath_width_m", math.nan), ("swath_width_m", "24"), ("cellsize_m", math.nan),
+    ("cellsize_m", -math.inf), ("pixel_noise_rate", math.nan),
+    ("point_drop_rate", False), ("point_jitter_sigma_m", math.nan),
+    ("point_jitter_sigma_m", math.inf),
+])
+def test_spec_rejects_non_finite_floats(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        SceneSpec(**{field: value})
+
+
+def test_spec_accepts_integers_for_floats():
+    assert SceneSpec(building_size_m=10, spacing_m=20, swath_width_m=24,
+                     cellsize_m=1, pixel_noise_rate=0, point_drop_rate=1,
+                     point_jitter_sigma_m=0) == SceneSpec(point_drop_rate=1.0)
+
+
 def test_default_swath_runs_along_middle_row():
     spec = SceneSpec()
     assert spec.swath_width_m == 24.0  # 0.8 * (10 m building + 20 m spacing)

@@ -172,19 +172,20 @@ def random_match_scene(rng, n_footprints=60, n_points=80):
 
 def test_grid_matching_agrees_with_brute_force():
     """The spatial-hash matcher must reproduce the no-index scan exactly:
-    same pairs, same distances, same leftovers."""
+    same pairs, same distances, same leftovers. Radii far below the
+    footprint size make grids of many columns per footprint."""
     rng = random.Random(61803)
     for round_no in range(8):
         points, footprints = random_match_scene(rng)
-        radius = rng.choice([8.0, 20.0, 35.0])
-        matched, unmatched = match_points(points, footprints, radius)
-        ref_matched, ref_unmatched = brute_force_match(points, footprints,
-                                                       radius)
-        assert [(m.point_id, m.footprint_id) for m in matched] == \
-               [(pid, fid) for pid, fid, _ in ref_matched]
-        for m, (_, _, ref_d) in zip(matched, ref_matched):
-            assert m.distance_m == ref_d
-        assert unmatched == ref_unmatched
+        for radius in (rng.choice([8.0, 20.0, 35.0]), 1e-9, 1e-300):
+            matched, unmatched = match_points(points, footprints, radius)
+            ref_matched, ref_unmatched = brute_force_match(points, footprints,
+                                                           radius)
+            assert [(m.point_id, m.footprint_id) for m in matched] == \
+                   [(pid, fid) for pid, fid, _ in ref_matched]
+            for m, (_, _, ref_d) in zip(matched, ref_matched):
+                assert m.distance_m == ref_d
+            assert unmatched == ref_unmatched
 
 
 def test_growing_radius_only_adds_matches():
