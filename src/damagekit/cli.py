@@ -11,21 +11,22 @@ INVOCATION EXAMPLES
 
 Data goes to stdout when no output path is given; diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 parse failure or unwritable output, 3 duplicate id,
-4 unknown damage category, 5 missing estimate for a matched footprint,
-6 no positive samples, 7 swath misses every building.
+Exit codes: 0 ok, 2 parse failure, unknown matched point or unwritable
+output, 3 duplicate id, 4 unknown damage category, 5 missing estimate for a
+matched footprint, 6 no positive samples, 7 swath misses every building.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
 
-from . import formats, plot
+from . import formats, metrics, plot
 from .errors import (DuplicateFootprintId, DuplicatePointId, EmptySampleSet,
-                     MissingEstimate, NoPositiveSamples, ParseError,
+                     MissingEstimate, MissingPoint, NoPositiveSamples, ParseError,
                      SwathOutsideScene, UnknownCategory, UnwritableOutput)
 from .geom import GeoPoint
 from .raster import parse_ascii_grid, write_ascii_grid
@@ -108,16 +109,14 @@ def cmd_match(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .metrics import validate
-
     scheme = parse_scheme(args.scheme)
-    _, estimates = formats.parse_assessed_geojson(
+    estimates = formats.parse_estimates_geojson(
         formats.read_text(args.assessed), source=args.assessed)
     matched, _ = formats.parse_matches_csv(formats.read_text(args.matched),
                                            source=args.matched)
     points = formats.load_truth(args.points)
     samples = join_samples(matched, estimates, points, scheme)
-    report = validate(samples, scheme.id)
+    report = metrics.validate(samples, scheme.id)
     _emit(formats.write_report_json(report), args.report)
     if args.curve is not None:
         formats.write_text(args.curve,
@@ -180,11 +179,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command's data hold no reference cycles for it to find
     try:
         return args.func(args)
     except UnknownCategory as exc:
         return _fail(exc, 4)
-    except (ParseError, UnwritableOutput) as exc:
+    except (ParseError, UnwritableOutput, MissingPoint) as exc:
         return _fail(exc, 2)
     except (DuplicateFootprintId, DuplicatePointId) as exc:
         return _fail(exc, 3)
@@ -196,6 +197,9 @@ def main(argv=None) -> int:
         return _fail(exc, 7)
     except ValueError as exc:
         return _fail(exc, 2)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _fail(exc, code: int) -> int:

@@ -67,6 +67,10 @@ class MissingEstimate(DamageKitError):
     """A matched footprint has no damage estimate."""
 
 
+class MissingPoint(DamageKitError, ValueError):
+    """A matched point is not in the point list."""
+
+
 class EmptySampleSet(DamageKitError):
     """Metrics requested over zero samples."""
 
@@ -79,10 +83,10 @@ class SwathOutsideScene(DamageKitError):
     """Synthetic damage swath misses every building in the scene."""
 
 
-def check_unique(items, error, kind):
-    """Raise error on the first item whose id repeats an earlier item's."""
+def check_unique(ids, error, kind):
+    """Raise error on the first id that repeats an earlier one."""
     seen = set()
-    for item in items:
-        if item.id in seen:
-            raise error(f"duplicate {kind} id {item.id!r}")
-        seen.add(item.id)
+    for item_id in ids:
+        if item_id in seen:
+            raise error(f"duplicate {kind} id {item_id!r}")
+        seen.add(item_id)

@@ -13,8 +13,10 @@ import re
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
 
+import numpy as np
+
 from .errors import ParseError, UnwritableOutput
-from .geom import Footprint, GeoPoint, footprint_of, footprints_from
+from .geom import Footprint, GeoPoint, _checked_rings, footprint_of, footprints_from
 from .metrics import PRPoint, ValidationReport
 from .truth import FemaCategory, GroundTruthPoint, PointMatch
 from .zonal import DamageEstimate
@@ -96,24 +98,38 @@ def _feature_parts(feature, index, source):
     return fid, properties, rings
 
 
-def parse_footprints_with_properties(text: str, source="<geojson>"):
-    """Parse a FeatureCollection into ([Footprint], [input properties])."""
+def _collection_parts(text: str, source):
+    """(features, parts) of a FeatureCollection: parts is (properties, ids,
+    coords, sizes, counts) in footprints_from's layout, or None on a fault,
+    for the caller to read the features one at a time, which names it."""
     doc = parse_json(text, source)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection", source=source)
     features = doc.get("features")
     if not isinstance(features, list):
         raise ParseError("FeatureCollection has no feature list", source=source)
-    try:  # every ring from one coordinate array
+    try:
         ids, properties, rings = zip(*[_feature_parts(f, i, source)
                                        for i, f in enumerate(features)])
         vertices = list(chain.from_iterable(chain.from_iterable(rings)))
         numbers = list(chain.from_iterable(vertices))  # JSON numbers: no bool, no string
         if set(map(len, vertices)) == {2} and set(map(type, numbers)) <= {int, float}:
-            return (footprints_from(ids, numbers, [len(r) for rs in rings for r in rs],
-                                    [len(rs) for rs in rings]), list(properties))
+            coords = np.array(numbers, dtype=np.float64).reshape(-1, 2)
+            return features, (list(properties), ids, coords,
+                              [len(r) for rs in rings for r in rs], [len(rs) for rs in rings])
     except (ParseError, TypeError, ValueError, OverflowError):
         pass
+    return features, None
+
+
+def parse_footprints_with_properties(text: str, source="<geojson>"):
+    """Parse a FeatureCollection into ([Footprint], [input properties])."""
+    features, parts = _collection_parts(text, source)
+    if parts is not None:
+        try:
+            return footprints_from(*parts[1:]), parts[0]
+        except (TypeError, ValueError, OverflowError):
+            pass
     # Read again one feature at a time, which raises the first fault's error.
     footprints, properties = [], []
     for index, feature in enumerate(features):
@@ -185,12 +201,24 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
 
     The working damage percentage is rebuilt from the stored counts, so the
     two-decimal display rounding of damage_pct loses nothing downstream.
-    The counts must be JSON integers with 0 <= n_damaged <= n_inside, and
-    the two flags JSON booleans.
     """
     footprints, properties = parse_footprints_with_properties(text, source)
+    return footprints, _estimates([fp.id for fp in footprints], properties, source)
+
+
+def parse_estimates_geojson(text: str, source="<geojson>") -> list[DamageEstimate]:
+    """parse_assessed_geojson(text, source)[1], same checks, no Footprint built."""
+    _, parts = _collection_parts(text, source)
+    if parts is None or _checked_rings(*parts[2:]) is None:
+        return parse_assessed_geojson(text, source)[1]  # one feature at a time
+    return _estimates(parts[1], parts[0], source)
+
+
+def _estimates(ids, properties, source) -> list[DamageEstimate]:
+    """The estimates in assessed features' properties: the counts must be JSON
+    integers with 0 <= n_damaged <= n_inside, and the two flags JSON booleans."""
     estimates = []
-    for fp, props in zip(footprints, properties):
+    for fid, props in zip(ids, properties):
         n_inside, n_damaged = props.get("n_inside"), props.get("n_damaged")
         supersampled = props.get("supersampled")
         no_coverage = props.get("no_coverage")
@@ -198,14 +226,13 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
                 and 0 <= n_damaged <= n_inside
                 and isinstance(supersampled, bool)
                 and isinstance(no_coverage, bool)):
-            raise ParseError(f"feature {fp.id!r} lacks assessment properties "
+            raise ParseError(f"feature {fid!r} lacks assessment properties "
                              "(integer counts 0 <= n_damaged <= n_inside, "
                              "boolean flags)", source=source)
         pct = 100.0 * n_damaged / n_inside if n_inside > 0 else 0.0
-        estimates.append(DamageEstimate(fp.id, pct, n_inside, n_damaged,
-                                        supersampled=supersampled,
-                                        no_coverage=no_coverage))
-    return footprints, estimates
+        estimates.append(DamageEstimate(fid, pct, n_inside, n_damaged,
+                                        supersampled, no_coverage))
+    return estimates
 
 
 # -------------------------------------------------------------------- CSV

@@ -177,29 +177,38 @@ def _number(value) -> float:
 def footprints_from(ids, coords, sizes, counts) -> list[Footprint]:
     """Footprints from n (lon, lat) rows, as an (n, 2) array or flattened: ring
     i is the next sizes[i] rows, footprint j the next counts[j] rings (exterior first) with
-    id ids[j]. One vectorised pass makes every check of GeoPoint, Ring and
+    id ids[j]. One vectorised pass, _checked_rings, makes every check of GeoPoint, Ring and
     Footprint; only on a fault are they built by footprint_of, to raise it."""
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
-    sizes, counts = np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    starts, ends = np.cumsum(sizes) - sizes, np.cumsum(sizes)
-    first = np.cumsum(counts) - counts  # each footprint's exterior ring
-    ok = len(sizes) and all(ids) and sizes.min() >= 4
-    if ok:  # in range, closed, no vertex twice in a row, a non-zero extent
-        step = (coords[1:] != coords[:-1]).any(axis=1)
-        step[ends[:-1] - 1] = True  # the step from one ring into the next
-        lo = np.minimum.reduceat(coords, starts)[first]
-        hi = np.maximum.reduceat(coords, starts)[first]
-        ok = ((np.abs(coords) <= [180.0, 90.0]).all() and step.all()
-              and (coords[starts] == coords[ends - 1]).all() and (lo < hi).all())
-    first, counts = first.tolist(), counts.tolist()
-    if not ok:
-        rings = [r.tolist() for r in np.split(coords, ends[:-1])]
-        return [footprint_of(fid, rings[j:j + n]) for fid, j, n in zip(ids, first, counts)]
+    checked = _checked_rings(coords, sizes, counts) if all(ids) else None
+    if checked is None:
+        rings = iter(r.tolist() for r in np.split(coords, np.cumsum(sizes)[:-1]))
+        return [footprint_of(f, [next(rings) for _ in range(n)]) for f, n in zip(ids, counts)]
+    starts, ends, first, lo, hi = (a.tolist() for a in checked)
     coords.flags.writeable = False
-    rings = [_new(Ring, coords=coords[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+    rings = [_new(Ring, coords=coords[a:b]) for a, b in zip(starts, ends)]
     return [_new(Footprint, id=fid, exterior=rings[j], holes=tuple(rings[j + 1:j + n]),
                  bounds=BBox(*b0, *b1))
-            for fid, j, n, b0, b1 in zip(ids, first, counts, lo.tolist(), hi.tolist())]
+            for fid, j, n, b0, b1 in zip(ids, first, counts, lo, hi)]
+
+
+def _checked_rings(coords, sizes, counts):
+    """Every check of GeoPoint, Ring and Footprint on the (n, 2) float64 rows of
+    footprints_from's layout in one pass: (starts, ends, first, lo, hi), each
+    ring's rows and each footprint's exterior ring and bounds; None on a fault."""
+    sizes, counts = np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    if not len(sizes) or sizes.min() < 4:
+        return None
+    starts, ends = np.cumsum(sizes) - sizes, np.cumsum(sizes)
+    first = np.cumsum(counts) - counts
+    # In range, closed, no vertex twice in a row, a non-zero extent.
+    step = (coords[1:] != coords[:-1]).any(axis=1)
+    step[ends[:-1] - 1] = True  # the step from one ring into the next
+    lo = np.minimum.reduceat(coords, starts)[first]
+    hi = np.maximum.reduceat(coords, starts)[first]
+    ok = ((np.abs(coords) <= [180.0, 90.0]).all() and step.all()
+          and (coords[starts] == coords[ends - 1]).all() and (lo < hi).all())
+    return (starts, ends, first, lo, hi) if ok else None
 
 
 def _new(cls, **fields):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
-                     UnknownCategory, check_unique)
+                     MissingPoint, UnknownCategory, check_unique)
 from .geom import (Footprint, GeoPoint, _edges, _inside_pairs, _runs,
                    metres_per_degree)
 from .zonal import DamageEstimate
@@ -101,8 +101,7 @@ class PointMatch(NamedTuple):
     distance_m: float
 
 
-@dataclass(frozen=True)
-class MatchedSample:
+class MatchedSample(NamedTuple):
     """One ground-truth point joined with its matched footprint's estimate."""
 
     point_id: str
@@ -135,15 +134,15 @@ def match_points(points: list[GroundTruthPoint],
 
     Returns (matched, unmatched): matched is a list of PointMatch in input
     point order, unmatched a list of point ids in input order. Candidates
-    come from a uniform grid with cell size equal to the radius: a footprint
+    come from a uniform grid of cells max(radius_m, 1e-6 m) wide: a footprint
     within the radius of a point overlaps one of the nine cells around it.
     The distance, in the equirectangular plane at the scene's mean latitude,
     is 0 for a point inside (boundary included), else to the nearest edge.
     """
     if not (radius_m > 0):
         raise ValueError("radius_m must be positive")
-    check_unique(points, DuplicatePointId, "point")
-    check_unique(footprints, DuplicateFootprintId, "footprint")
+    check_unique((p.id for p in points), DuplicatePointId, "point")
+    check_unique((fp.id for fp in footprints), DuplicateFootprintId, "footprint")
     if not points or not footprints:
         return [], [p.id for p in points]
     kx, ky = metres_per_degree(matching_reference_latitude(points, footprints))
@@ -151,9 +150,10 @@ def match_points(points: list[GroundTruthPoint],
     x, y = np.array([(p.location.lon, p.location.lat) for p in points]).T
     box = np.array([(fp.bounds.min_lon, fp.bounds.min_lat, fp.bounds.max_lon,
                      fp.bounds.max_lat) for fp in footprints])
+    cell = max(radius_m, 1e-6)  # |x * kx| < 2.1e7 m: cell indices stay exact below 2**53
     by_cell, cand, lo, hi = _candidates(
-        np.floor(x * kx / radius_m), np.floor(y * ky / radius_m),
-        np.floor(box * [kx, ky, kx, ky] / radius_m))
+        np.floor(x * kx / cell), np.floor(y * ky / cell),
+        np.floor(box * [kx, ky, kx, ky] / cell))
     edges = _edges([r for fp in footprints for r in (fp.exterior, *fp.holes)])
     ring_fp = np.repeat(np.arange(len(footprints)), [1 + len(fp.holes) for fp in footprints])
     n_edges = np.bincount(ring_fp[edges[4]])
@@ -224,24 +224,20 @@ def join_samples(matched: list[PointMatch],
                  scheme: BinaryScheme) -> list[MatchedSample]:
     """Join matches with estimates and binarised point labels.
 
-    Raises MissingEstimate when a matched footprint has no estimate.
+    Raises DuplicateFootprintId or DuplicatePointId on a repeated id, and
+    MissingEstimate or MissingPoint on a match to an absent one.
     """
-    est_by_id = {e.footprint_id: e for e in estimates}
-    point_by_id = {p.id: p for p in points}
-    samples = []
-    for m in matched:
-        est = est_by_id.get(m.footprint_id)
-        if est is None:
-            raise MissingEstimate(
-                f"no damage estimate for matched footprint {m.footprint_id!r}")
-        point = point_by_id.get(m.point_id)
-        if point is None:
-            raise ValueError(f"matched point {m.point_id!r} not in point list")
-        samples.append(MatchedSample(
-            point_id=m.point_id,
-            footprint_id=m.footprint_id,
-            distance_m=m.distance_m,
-            label=binarize(point.category, scheme),
-            damage_pct=est.damage_pct,
-        ))
-    return samples
+    pct = {e.footprint_id: e.damage_pct for e in estimates}
+    label = {p.id: binarize(p.category, scheme) for p in points}
+    if len(pct) < len(estimates):
+        check_unique((e.footprint_id for e in estimates), DuplicateFootprintId, "footprint")
+    if len(label) < len(points):
+        check_unique((p.id for p in points), DuplicatePointId, "point")
+    if len({m.point_id for m in matched}) < len(matched):
+        check_unique((m.point_id for m in matched), DuplicatePointId, "matched point")
+    for pid, fid, _ in matched:
+        if fid not in pct:
+            raise MissingEstimate(f"no damage estimate for matched footprint {fid!r}")
+        if pid not in label:
+            raise MissingPoint(f"matched point {pid!r} not in point list")
+    return [MatchedSample(*m, label[m.point_id], pct[m.footprint_id]) for m in matched]

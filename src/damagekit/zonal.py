@@ -39,7 +39,7 @@ class DamageEstimate:
 
 def assess_all(raster: ClassRaster, footprints: list[Footprint]) -> list[DamageEstimate]:
     """Assess every footprint, preserving input order."""
-    check_unique(footprints, DuplicateFootprintId, "footprint")
+    check_unique((fp.id for fp in footprints), DuplicateFootprintId, "footprint")
     estimates = _estimates(raster, footprints, 1)
     missed = [i for i, e in enumerate(estimates) if e.no_coverage]
     for i, fine in zip(missed, _estimates(raster, [footprints[i] for i in missed], 4)):

@@ -5,6 +5,7 @@ subprocess test confirms that `python -m damagekit` starts the CLI as a
 program and that pyproject.toml declares the `damagekit` console script.
 """
 
+import gc
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from damagekit import plot
 from damagekit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -308,6 +310,99 @@ def test_duplicate_point_id_exits_3(tmp_path, capsys):
     truth = write(tmp_path / "t.csv", TRUTH_HEADER
                   + "p1,0.0,0.0,destroyed\np1,0.0,0.0,affected\n")
     assert_fails(["match", truth, fps], 3, capsys)
+
+
+def validate_inputs(tmp_path, matches="p1,b1,0.0\n",
+                    truth="p1,0.0,0.0,destroyed\n"):
+    """validate's three input paths: an assessment of FOOTPRINT_B1, and the
+    matches and truth rows."""
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    raster = write(tmp_path / "r.asc", RASTER_2X2)
+    assessed = tmp_path / "a.geojson"
+    assert main(["assess", fps, raster, "--out", str(assessed)]) == 0
+    return [str(assessed), write(tmp_path / "m.csv", MATCH_HEADER + matches),
+            write(tmp_path / "t.csv", TRUTH_HEADER + truth)]
+
+
+def test_validate_duplicate_assessed_footprint_exits_3(tmp_path, capsys):
+    inputs = validate_inputs(tmp_path)
+    doc = json.loads(Path(inputs[0]).read_text())
+    doc["features"].append(doc["features"][0])
+    write(Path(inputs[0]), json.dumps(doc))
+    assert_fails(["validate", *inputs], 3, capsys,
+                 "duplicate footprint id 'b1'")
+
+
+def test_validate_duplicate_truth_point_exits_3(tmp_path, capsys):
+    inputs = validate_inputs(tmp_path, matches="p1,b1,0.0\np2,,\n",
+                             truth="p1,0.0,0.0,destroyed\np2,0.0,0.0,affected\n"
+                                   "p2,0.0,0.0,destroyed\n")
+    assert_fails(["validate", *inputs], 3, capsys, "duplicate point id 'p2'")
+
+
+def test_validate_duplicate_matched_point_exits_3(tmp_path, capsys):
+    inputs = validate_inputs(tmp_path, matches="p1,b1,0.0\np1,b1,0.0\n")
+    assert_fails(["validate", *inputs], 3, capsys,
+                 "duplicate matched point id 'p1'")
+
+
+def test_validate_matched_point_missing_from_the_points_exits_2(tmp_path, capsys):
+    inputs = validate_inputs(tmp_path, matches="p1,b1,0.0\np9,b1,0.0\n")
+    assert_fails(["validate", *inputs], 2, capsys,
+                 "matched point 'p9' not in point list")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["success", "exit-2", "raises"])
+def test_main_restores_the_cyclic_collector(tmp_path, capsys, monkeypatch,
+                                            enabled, outcome):
+    curve = write(tmp_path / "c.csv", "theta,precision,recall\n"
+                  + ("" if outcome == "exit-2" else "0.0,1.0,1.0\n"))
+    if outcome == "raises":
+        def broken(points):
+            assert not gc.isenabled()
+            raise RuntimeError("renderer failed")
+        monkeypatch.setattr(plot, "render_pr_curve_svg", broken)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="renderer failed"):
+                main(["pr-plot", curve])
+        else:
+            assert main(["pr-plot", curve]) == (0 if outcome == "success" else 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_paused_command_leaves_garbage_that_does_not_grow_with_the_scene(tmp_path):
+    """The collector is off while a command runs, so this checks the premise
+    that a command's data hold no reference cycles: what gc finds after each
+    command of the round trip is the same for a 4x4 and a 40x40 scene."""
+    def round_trip_garbage(side):
+        top = tmp_path / str(side)
+        out, assessed, matched = top / "scene", top / "a.geojson", top / "m.csv"
+        spec = write(tmp_path / f"{side}.json", json.dumps(
+            {"seed": 5, "grid_cols": side, "grid_rows": side, "cellsize_m": 1.0}))
+        garbage = []
+        for argv in (["synth", spec, str(out)],
+                     ["assess", str(out / "footprints.geojson"), str(out / "raster.asc"),
+                      "--out", str(assessed)],
+                     ["match", str(out / "truth.csv"), str(out / "footprints.geojson"),
+                      "--out", str(matched)],
+                     ["validate", str(assessed), str(matched), str(out / "truth.csv"),
+                      "--report", str(top / "r.json"), "--curve", str(top / "c.csv")],
+                     ["pr-plot", str(top / "c.csv"), "--out", str(top / "c.svg")]):
+            gc.collect()
+            assert main(argv) == 0
+            garbage.append(gc.collect())
+        return garbage
+
+    round_trip_garbage(4)  # first calls fill caches once
+    small, large = round_trip_garbage(4), round_trip_garbage(40)
+    assert small == large
+    assert max(large) < 1000
 
 
 def test_unknown_category_exits_4(tmp_path, capsys):

@@ -6,14 +6,18 @@ assert bit-exact round trips rather than approximate equality.
 
 import gc
 import json
+import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import parse_footprints_one_by_one, square_footprint
+from damagekit import formats
 from damagekit.errors import ParseError, UnknownCategory
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
+                               parse_estimates_geojson,
                                parse_footprints_geojson,
                                parse_footprints_with_properties,
                                parse_matches_csv, parse_oracle_csv,
@@ -135,7 +139,8 @@ MALFORMED_COLLECTIONS = {
 
 
 @pytest.mark.parametrize("parse", [parse_footprints_with_properties,
-                                   parse_assessed_geojson])
+                                   parse_assessed_geojson,
+                                   parse_estimates_geojson])
 @pytest.mark.parametrize("case", sorted(MALFORMED_COLLECTIONS))
 def test_malformed_collections_are_parse_errors(parse, case):
     doc, message = MALFORMED_COLLECTIONS[case]
@@ -352,9 +357,56 @@ ASSESSED_B1 = write_assessed_geojson([UNIT_SQUARE],
 def test_assessed_geojson_rejects_bad_counts_and_flags(key, value):
     doc = json.loads(ASSESSED_B1)
     doc["features"][0]["properties"][key] = value
-    with pytest.raises(ParseError, match="assessment properties") as err:
-        parse_assessed_geojson(json.dumps(doc), source="a.geojson")
-    assert str(err.value).startswith("a.geojson: ")
+    for parse in (parse_assessed_geojson, parse_estimates_geojson):
+        with pytest.raises(ParseError, match="assessment properties") as err:
+            parse(json.dumps(doc), source="a.geojson")
+        assert str(err.value).startswith("a.geojson: ")
+
+
+def assessed_lattice(rng, n):
+    """n assessed lattice features, some with holes, with an extra property
+    and random counts and flags; coordinates that are whole numbers are
+    JSON integers."""
+    features = []
+    for k in range(n):
+        scale = rng.choice([1, 64])  # 64: every coordinate a whole number
+        feature = lattice_feature(f"b{k}", rng.randrange(-60, 60) * scale,
+                                  rng.randrange(-60, 60) * scale, rng.randint(1, 6) * scale,
+                                  rng.randint(1, 6) * scale, hole=rng.random() < 0.5)
+        for ring in feature["geometry"]["coordinates"]:
+            ring[:] = [[int(c) if c == int(c) else c for c in vertex] for vertex in ring]
+        n_inside = rng.choice([0, rng.randrange(1, 5000)])
+        feature["properties"].update(
+            n_inside=n_inside, n_damaged=rng.randint(0, n_inside), damage_pct=-1.0,
+            supersampled=rng.random() < 0.2, no_coverage=n_inside == 0)
+        features.append(feature)
+    return {"type": "FeatureCollection", "features": features}
+
+
+def test_estimates_reader_matches_the_assessed_reader(monkeypatch):
+    """The estimates reader builds no footprint, yet returns the assessed
+    reader's estimates and, on every ring and id fault, its error text."""
+    rng = random.Random(2023)
+    texts = [json.dumps(assessed_lattice(rng, n)) for n in (0, 1, 5, 40)]
+    assert re.search(r"\[-?\d+, -?\d+\]", texts[-1]) and "]], [[" in texts[-1]  # ints, holes
+    expected = [parse_assessed_geojson(text)[1] for text in texts]
+
+    def build(*args):
+        raise AssertionError("a footprint was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "footprints_from", build)
+        patch.setattr(formats, "footprint_of", build)
+        assert [parse_estimates_geojson(text) for text in texts] == expected
+    for edit in sorted(FEATURE_EDITS):
+        doc = assessed_lattice(rng, 3)
+        FEATURE_EDITS[edit](doc["features"][1])
+        messages = []
+        for parse in (parse_assessed_geojson, parse_estimates_geojson):
+            with pytest.raises(ParseError) as err:
+                parse(json.dumps(doc), source="a.geojson")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], edit
 
 
 # ------------------------------------------------------------------ CSV
@@ -416,7 +468,8 @@ def test_csv_readers_enforce_the_id_charset(parse, text, line):
 
 
 @pytest.mark.parametrize("parse", [parse_footprints_geojson,
-                                   parse_assessed_geojson])
+                                   parse_assessed_geojson,
+                                   parse_estimates_geojson])
 @pytest.mark.parametrize("fid", ["a,b", "b 1"])
 def test_geojson_readers_enforce_the_id_charset(parse, fid):
     doc = json.loads(ASSESSED_B1)

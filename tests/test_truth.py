@@ -173,11 +173,12 @@ def random_match_scene(rng, n_footprints=60, n_points=80):
 def test_grid_matching_agrees_with_brute_force():
     """The spatial-hash matcher must reproduce the no-index scan exactly:
     same pairs, same distances, same leftovers. Radii far below the
-    footprint size make grids of many columns per footprint."""
+    footprint size make grids of many columns per footprint; below the least
+    grid cell, 1e-305 and the least subnormal, the cell stops shrinking."""
     rng = random.Random(61803)
     for round_no in range(8):
         points, footprints = random_match_scene(rng)
-        for radius in (rng.choice([8.0, 20.0, 35.0]), 1e-9, 1e-300):
+        for radius in (rng.choice([8.0, 20.0, 35.0]), 1e-9, 1e-300, 1e-305, 5e-324):
             matched, unmatched = match_points(points, footprints, radius)
             ref_matched, ref_unmatched = brute_force_match(points, footprints,
                                                            radius)
