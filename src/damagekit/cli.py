@@ -11,9 +11,11 @@ INVOCATION EXAMPLES
 
 Data goes to stdout when no output path is given; diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 parse failure, unknown matched point or unwritable
-output, 3 duplicate id, 4 unknown damage category, 5 missing estimate for a
-matched footprint, 6 no positive samples, 7 swath misses every building.
+Exit codes are the errors' exit_code: 0 ok, 2 bad input (a file, --radius-m,
+a --scheme of every category, a scene spec whose buildings collapse), unknown
+matched point or unwritable output, 3 duplicate id, 4 unknown damage category,
+5 missing estimate, 6 no positive samples, 7 swath misses every building.
+Any other exception is a bug, and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ import os
 import sys
 
 from . import formats, metrics, plot
-from .errors import (DuplicateFootprintId, DuplicatePointId, EmptySampleSet,
-                     MissingEstimate, MissingPoint, NoPositiveSamples, ParseError,
-                     SwathOutsideScene, UnknownCategory, UnwritableOutput)
+from .errors import DamageKitError, ParseError, UnwritableOutput
 from .geom import GeoPoint
 from .raster import parse_ascii_grid, write_ascii_grid
 from .synth import SceneSpec, generate
@@ -97,6 +97,8 @@ def cmd_assess(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if not args.radius_m > 0:
+        raise ParseError(f"must be positive, got {args.radius_m!r}", source="--radius-m")
     points = formats.load_truth(args.points)
     footprints = formats.load_footprints(args.footprints)
     matched, unmatched = match_points(points, footprints,
@@ -109,7 +111,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scheme = parse_scheme(args.scheme)
+    scheme = parse_scheme(args.scheme, source="--scheme")
     estimates = formats.parse_estimates_geojson(
         formats.read_text(args.assessed), source=args.assessed)
     matched, _ = formats.parse_matches_csv(formats.read_text(args.matched),
@@ -183,28 +185,12 @@ def main(argv=None) -> int:
     gc.disable()  # a command's data hold no reference cycles for it to find
     try:
         return args.func(args)
-    except UnknownCategory as exc:
-        return _fail(exc, 4)
-    except (ParseError, UnwritableOutput, MissingPoint) as exc:
-        return _fail(exc, 2)
-    except (DuplicateFootprintId, DuplicatePointId) as exc:
-        return _fail(exc, 3)
-    except MissingEstimate as exc:
-        return _fail(exc, 5)
-    except (NoPositiveSamples, EmptySampleSet) as exc:
-        return _fail(exc, 6)
-    except SwathOutsideScene as exc:
-        return _fail(exc, 7)
-    except ValueError as exc:
-        return _fail(exc, 2)
+    except DamageKitError as exc:
+        print(f"damagekit: error: {exc}", file=sys.stderr)
+        return exc.exit_code
     finally:
         if collecting:
             gc.enable()
-
-
-def _fail(exc, code: int) -> int:
-    print(f"damagekit: error: {exc}", file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

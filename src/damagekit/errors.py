@@ -6,11 +6,12 @@ is known, so command-line tools can print "file:line: message" diagnostics.
 
 
 class DamageKitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; exit_code is the CLI's exit status."""
+    exit_code = 2
 
 
 class ParseError(DamageKitError):
-    """Malformed input file or stream."""
+    """Malformed input: a file, a stream or an option's value, named by source."""
 
     def __init__(self, message, source=None, line=None):
         super().__init__(message)
@@ -45,6 +46,7 @@ class InvalidClassCode(ParseError):
 
 class UnknownCategory(ParseError):
     """Damage category string is not one of the five known labels."""
+    exit_code = 4
 
 
 class UnwritableOutput(DamageKitError):
@@ -57,14 +59,17 @@ class UnwritableOutput(DamageKitError):
 
 class DuplicateFootprintId(DamageKitError):
     """Two footprints share an id."""
+    exit_code = 3
 
 
 class DuplicatePointId(DamageKitError):
     """Two ground-truth points share an id."""
+    exit_code = 3
 
 
 class MissingEstimate(DamageKitError):
     """A matched footprint has no damage estimate."""
+    exit_code = 5
 
 
 class MissingPoint(DamageKitError, ValueError):
@@ -73,14 +78,17 @@ class MissingPoint(DamageKitError, ValueError):
 
 class EmptySampleSet(DamageKitError):
     """Metrics requested over zero samples."""
+    exit_code = 6
 
 
 class NoPositiveSamples(DamageKitError):
     """Metrics requested over samples with no positive labels."""
+    exit_code = 6
 
 
 class SwathOutsideScene(DamageKitError):
     """Synthetic damage swath misses every building in the scene."""
+    exit_code = 7
 
 
 def check_unique(ids, error, kind):

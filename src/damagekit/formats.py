@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, UnwritableOutput
-from .geom import Footprint, GeoPoint, _checked_rings, footprint_of, footprints_from
+from .geom import Footprint, GeoPoint, _built_footprints, _checked_rings, footprint_of
 from .metrics import PRPoint, ValidationReport
 from .truth import FemaCategory, GroundTruthPoint, PointMatch
 from .zonal import DamageEstimate
@@ -71,6 +71,8 @@ def parse_json(text: str, source):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", source=source,
                          line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limit
+        raise ParseError(f"invalid JSON: {exc}", source=source) from exc
 
 
 def _feature_parts(feature, index, source):
@@ -99,9 +101,9 @@ def _feature_parts(feature, index, source):
 
 
 def _collection_parts(text: str, source):
-    """(features, parts) of a FeatureCollection: parts is (properties, ids,
-    coords, sizes, counts) in footprints_from's layout, or None on a fault,
-    for the caller to read the features one at a time, which names it."""
+    """(ids, properties, coords, counts, checked) of a FeatureCollection, with
+    checked what _checked_rings returns. On any fault the features are read
+    again one at a time, which raises the first fault's ParseError."""
     doc = parse_json(text, source)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection", source=source)
@@ -109,37 +111,31 @@ def _collection_parts(text: str, source):
     if not isinstance(features, list):
         raise ParseError("FeatureCollection has no feature list", source=source)
     try:
-        ids, properties, rings = zip(*[_feature_parts(f, i, source)
-                                       for i, f in enumerate(features)])
+        parts = [_feature_parts(f, i, source) for i, f in enumerate(features)]
+        ids, properties, rings = ([part[k] for part in parts] for k in range(3))
         vertices = list(chain.from_iterable(chain.from_iterable(rings)))
         numbers = list(chain.from_iterable(vertices))  # JSON numbers: no bool, no string
-        if set(map(len, vertices)) == {2} and set(map(type, numbers)) <= {int, float}:
+        if set(map(len, vertices)) <= {2} and set(map(type, numbers)) <= {int, float}:
             coords = np.array(numbers, dtype=np.float64).reshape(-1, 2)
-            return features, (list(properties), ids, coords,
-                              [len(r) for rs in rings for r in rs], [len(rs) for rs in rings])
+            counts = [len(rs) for rs in rings]
+            checked = _checked_rings(coords, [len(r) for rs in rings for r in rs], counts)
+            if checked is not None:
+                return ids, properties, coords, counts, checked
     except (ParseError, TypeError, ValueError, OverflowError):
         pass
-    return features, None
+    for index, feature in enumerate(features):
+        fid, _, rings = _feature_parts(feature, index, source)
+        try:
+            footprint_of(fid, rings)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
+    raise AssertionError("_checked_rings rejected rings that footprint_of accepts")
 
 
 def parse_footprints_with_properties(text: str, source="<geojson>"):
     """Parse a FeatureCollection into ([Footprint], [input properties])."""
-    features, parts = _collection_parts(text, source)
-    if parts is not None:
-        try:
-            return footprints_from(*parts[1:]), parts[0]
-        except (TypeError, ValueError, OverflowError):
-            pass
-    # Read again one feature at a time, which raises the first fault's error.
-    footprints, properties = [], []
-    for index, feature in enumerate(features):
-        fid, props, rings = _feature_parts(feature, index, source)
-        try:
-            footprints.append(footprint_of(fid, rings))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
-        properties.append(props)
-    return footprints, properties
+    ids, properties, coords, counts, checked = _collection_parts(text, source)
+    return _built_footprints(ids, coords, counts, checked), properties
 
 
 def parse_footprints_geojson(text: str, source="<geojson>") -> list[Footprint]:
@@ -208,26 +204,23 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
 
 def parse_estimates_geojson(text: str, source="<geojson>") -> list[DamageEstimate]:
     """parse_assessed_geojson(text, source)[1], same checks, no Footprint built."""
-    _, parts = _collection_parts(text, source)
-    if parts is None or _checked_rings(*parts[2:]) is None:
-        return parse_assessed_geojson(text, source)[1]  # one feature at a time
-    return _estimates(parts[1], parts[0], source)
+    return _estimates(*_collection_parts(text, source)[:2], source)
 
 
 def _estimates(ids, properties, source) -> list[DamageEstimate]:
     """The estimates in assessed features' properties: the counts must be JSON
-    integers with 0 <= n_damaged <= n_inside, and the two flags JSON booleans."""
+    integers, 0 <= n_damaged <= n_inside <= 2**53, and the flags JSON booleans."""
     estimates = []
     for fid, props in zip(ids, properties):
         n_inside, n_damaged = props.get("n_inside"), props.get("n_damaged")
         supersampled = props.get("supersampled")
         no_coverage = props.get("no_coverage")
         if not (type(n_inside) is int and type(n_damaged) is int
-                and 0 <= n_damaged <= n_inside
+                and 0 <= n_damaged <= n_inside <= 2**53
                 and isinstance(supersampled, bool)
                 and isinstance(no_coverage, bool)):
             raise ParseError(f"feature {fid!r} lacks assessment properties "
-                             "(integer counts 0 <= n_damaged <= n_inside, "
+                             "(integer counts 0 <= n_damaged <= n_inside <= 2**53, "
                              "boolean flags)", source=source)
         pct = 100.0 * n_damaged / n_inside if n_inside > 0 else 0.0
         estimates.append(DamageEstimate(fid, pct, n_inside, n_damaged,
@@ -271,7 +264,7 @@ def parse_truth_csv(text: str, source="<csv>") -> list[GroundTruthPoint]:
         except ValueError as exc:
             raise ParseError(str(exc), source=source, line=number) from exc
         points.append(GroundTruthPoint(pid, location,
-                                       FemaCategory.from_label(label)))
+                                       FemaCategory.from_label(label, source, number)))
     return points
 
 
@@ -323,7 +316,8 @@ def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
 def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:
     oracle = {}
     for number, (fid, label) in _rows(text, source, ORACLE_HEADER):
-        oracle[_checked_id(fid, source, number)] = FemaCategory.from_label(label)
+        category = FemaCategory.from_label(label, source, number)
+        oracle[_checked_id(fid, source, number)] = category
     return oracle
 
 

@@ -184,6 +184,11 @@ def footprints_from(ids, coords, sizes, counts) -> list[Footprint]:
     if checked is None:
         rings = iter(r.tolist() for r in np.split(coords, np.cumsum(sizes)[:-1]))
         return [footprint_of(f, [next(rings) for _ in range(n)]) for f, n in zip(ids, counts)]
+    return _built_footprints(ids, coords, counts, checked)
+
+
+def _built_footprints(ids, coords, counts, checked) -> list[Footprint]:
+    """Footprints from footprints_from's rows and _checked_rings' result on them."""
     starts, ends, first, lo, hi = (a.tolist() for a in checked)
     coords.flags.writeable = False
     rings = [_new(Ring, coords=coords[a:b]) for a, b in zip(starts, ends)]
@@ -197,7 +202,7 @@ def _checked_rings(coords, sizes, counts):
     footprints_from's layout in one pass: (starts, ends, first, lo, hi), each
     ring's rows and each footprint's exterior ring and bounds; None on a fault."""
     sizes, counts = np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    if not len(sizes) or sizes.min() < 4:
+    if len(sizes) and sizes.min() < 4:
         return None
     starts, ends = np.cumsum(sizes) - sizes, np.cumsum(sizes)
     first = np.cumsum(counts) - counts

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SwathOutsideScene
+from .errors import ParseError, SwathOutsideScene
 from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, footprints_from
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
                      DEFAULT_NODATA, ClassRaster, inside_pixels)
@@ -198,8 +198,11 @@ def generate(spec: SceneSpec) -> SynthScene:
     corner = np.array([-half, half, half, -half, -half])
     coords = np.stack(spec._to_deg(cx[:, np.newaxis] + corner,
                                    cy[:, np.newaxis] + corner[[0, 0, 2, 2, 0]]), axis=-1)
-    footprints = footprints_from([f"b{k:06d}" for k in range(n)], coords.reshape(-1, 2),
-                                 [5] * n, [1] * n)
+    try:
+        footprints = footprints_from([f"b{k:06d}" for k in range(n)], coords.reshape(-1, 2),
+                                     [5] * n, [1] * n)
+    except ValueError as exc:
+        raise ParseError(f"building_size_m and spacing_m give a bad footprint: {exc}") from exc
     centroids = [GeoPoint(lon, lat) for lon, lat in
                  zip(*(a.tolist() for a in spec._to_deg(cx, cy)))]
 

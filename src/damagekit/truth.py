@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
-                     MissingPoint, UnknownCategory, check_unique)
+                     MissingPoint, ParseError, UnknownCategory, check_unique)
 from .geom import (Footprint, GeoPoint, _edges, _inside_pairs, _runs,
                    metres_per_degree)
 from .zonal import DamageEstimate
@@ -36,11 +36,11 @@ class FemaCategory(IntEnum):
         return self.name.lower()
 
     @classmethod
-    def from_label(cls, label: str) -> "FemaCategory":
+    def from_label(cls, label: str, source=None, line=None) -> "FemaCategory":
         try:
             return cls[label.upper()]
         except KeyError:
-            raise UnknownCategory(f"unknown damage category {label!r}") from None
+            raise UnknownCategory(f"unknown damage category {label!r}", source, line) from None
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,16 @@ DESTROYED_ONLY = BinaryScheme(frozenset({FemaCategory.DESTROYED}))
 _PRESETS = {"major_plus": MAJOR_PLUS, "destroyed_only": DESTROYED_ONLY}
 
 
-def parse_scheme(text: str) -> BinaryScheme:
-    """Parse a scheme selector: preset name or comma-separated categories."""
+def parse_scheme(text: str, source=None) -> BinaryScheme:
+    """Parse a preset name or comma-separated categories; errors name source."""
     if text in _PRESETS:
         return _PRESETS[text]
-    cats = frozenset(FemaCategory.from_label(part.strip())
+    cats = frozenset(FemaCategory.from_label(part.strip(), source)
                      for part in text.split(","))
-    return BinaryScheme(cats)
+    try:
+        return BinaryScheme(cats)
+    except ValueError as exc:
+        raise ParseError(str(exc), source=source) from exc
 
 
 def binarize(category: FemaCategory, scheme: BinaryScheme) -> int:
@@ -116,12 +119,12 @@ def matching_reference_latitude(points: list[GroundTruthPoint],
     """Mean latitude over all point locations and footprint ring vertices.
 
     Each ring's closing duplicate vertex is excluded from the mean. The sum
-    runs in order, one value at a time.
+    is exact before its one rounding (math.fsum), so no order changes it.
     """
-    lats = np.concatenate([[0.0], [p.location.lat for p in points]]
+    lats = np.concatenate([[p.location.lat for p in points]]
                           + [r.coords[:-1, 1] for fp in footprints
                              for r in (fp.exterior, *fp.holes)])
-    return float(np.cumsum(lats)[-1]) / (len(lats) - 1) if len(lats) > 1 else 0.0
+    return math.fsum(lats.tolist()) / len(lats) if len(lats) else 0.0
 
 
 _PAIR_EDGES = 2**13  # (point, candidate footprint, edge) triples per chunk

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,18 +167,14 @@ def point_to_footprint_distance_m(p: GeoPoint, fp: Footprint, ref_lat: float) ->
 
 def reference_latitude(points, footprints) -> float:
     """Mean latitude of the points and the ring vertices (closing vertex
-    excluded), summed one value at a time in a Python loop."""
-    total = 0.0
-    count = 0
-    for p in points:
-        total += p.location.lat
-        count += 1
+    excluded), gathered one value at a time in a Python loop: the sum is
+    exact, in fractions, and rounded once, as math.fsum rounds it."""
+    lats = [p.location.lat for p in points]
     for fp in footprints:
         for ring in (fp.exterior, *fp.holes):
             for v in ring.vertices[:-1]:
-                total += v.lat
-                count += 1
-    return total / count if count else 0.0
+                lats.append(v.lat)
+    return float(sum(map(Fraction, lats))) / len(lats) if lats else 0.0
 
 
 def _parse_feature(feature, index, source):

@@ -352,7 +352,7 @@ ASSESSED_B1 = write_assessed_geojson([UNIT_SQUARE],
 @pytest.mark.parametrize("key, value", [
     ("n_damaged", 12), ("n_damaged", -1), ("n_inside", 3.7),
     ("n_inside", "4"), ("n_damaged", True), ("supersampled", "false"),
-    ("no_coverage", 0), ("no_coverage", None),
+    ("no_coverage", 0), ("no_coverage", None), ("n_inside", 10**400),
 ])
 def test_assessed_geojson_rejects_bad_counts_and_flags(key, value):
     doc = json.loads(ASSESSED_B1)
@@ -395,7 +395,7 @@ def test_estimates_reader_matches_the_assessed_reader(monkeypatch):
         raise AssertionError("a footprint was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(formats, "footprints_from", build)
+        patch.setattr(formats, "_built_footprints", build)
         patch.setattr(formats, "footprint_of", build)
         assert [parse_estimates_geojson(text) for text in texts] == expected
     for edit in sorted(FEATURE_EDITS):
@@ -407,6 +407,33 @@ def test_estimates_reader_matches_the_assessed_reader(monkeypatch):
                 parse(json.dumps(doc), source="a.geojson")
             messages.append(str(err.value))
         assert messages[0] == messages[1], edit
+
+
+@pytest.mark.parametrize("parse", [parse_footprints_with_properties,
+                                   parse_assessed_geojson, parse_estimates_geojson])
+@pytest.mark.parametrize("edit", [None, "empty", "unclosed", "bad-id"])
+def test_a_geojson_read_parses_once_and_checks_its_rings_at_most_once(
+        monkeypatch, parse, edit):
+    """A fault is named by reading the parsed features again, not the text;
+    an empty collection takes the batch path; a bad id ends the batch pass
+    before its ring check."""
+    doc = assessed_lattice(random.Random(5), 3)
+    if edit == "empty":
+        doc["features"] = []
+    elif edit is not None:
+        FEATURE_EDITS[edit](doc["features"][1])
+    calls = []
+    for name in ("parse_json", "_checked_rings"):
+        def counted(*args, _name=name, _function=getattr(formats, name)):
+            calls.append(_name)
+            return _function(*args)
+        monkeypatch.setattr(formats, name, counted)
+    if edit in FEATURE_EDITS:
+        with pytest.raises(ParseError):
+            parse(json.dumps(doc), source="a.geojson")
+    else:
+        parse(json.dumps(doc), source="a.geojson")
+    assert calls == ["parse_json", "_checked_rings"][:1 if edit == "bad-id" else 2]
 
 
 # ------------------------------------------------------------------ CSV

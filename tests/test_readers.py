@@ -1,0 +1,143 @@
+"""Property tests over every file reader: mutated input ends in a ParseError
+or a result, never in another exception, and each writer's text reads back
+to what was written."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import square_footprint
+from damagekit.errors import ParseError
+from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
+                               parse_estimates_geojson, parse_footprints_geojson,
+                               parse_footprints_with_properties, parse_matches_csv,
+                               parse_oracle_csv, parse_truth_csv,
+                               write_assessed_geojson, write_curve_csv,
+                               write_footprints_geojson, write_matches_csv,
+                               write_oracle_csv, write_truth_csv)
+from damagekit.geom import Footprint, GeoPoint, Ring
+from damagekit.metrics import PRPoint
+from damagekit.raster import ClassRaster, parse_ascii_grid, write_ascii_grid
+from damagekit.truth import FemaCategory, GroundTruthPoint, PointMatch
+from damagekit.zonal import DamageEstimate
+
+FOOTPRINTS = [square_footprint("b1", -90.88, 32.9, 1e-4),
+              square_footprint("b-2", -90.87, 32.9, 2e-4, hole_half=5e-5)]
+ESTIMATES = [DamageEstimate("b1", 25.0, 4, 1),
+             DamageEstimate("b-2", 0.0, 0, 0, no_coverage=True)]
+POINTS = [GroundTruthPoint("p1", GeoPoint(-90.88, 32.9), FemaCategory.DESTROYED),
+          GroundTruthPoint("p_2", GeoPoint(-90.87, 32.91), FemaCategory.AFFECTED)]
+GRID = ClassRaster(ncols=3, nrows=2, xll=-90.881, yll=32.899, cellsize=0.001,
+                   nodata=-9999, cells=np.array([[0, 1, 2], [-9999, 1, 0]]))
+
+VALID_TEXTS = {
+    parse_ascii_grid: write_ascii_grid(GRID),
+    parse_footprints_with_properties: write_footprints_geojson(FOOTPRINTS),
+    parse_assessed_geojson: write_assessed_geojson(FOOTPRINTS, ESTIMATES),
+    parse_estimates_geojson: write_assessed_geojson(FOOTPRINTS, ESTIMATES),
+    parse_truth_csv: write_truth_csv(POINTS),
+    parse_matches_csv: write_matches_csv(["p1", "p_2"], [PointMatch("p1", "b1", 0.5)],
+                                         ["p_2"]),
+    parse_oracle_csv: write_oracle_csv({"b1": FemaCategory.MINOR_DAMAGE}),
+    parse_curve_csv: write_curve_csv([PRPoint(100.0, 1.0, 0.0), PRPoint(0.0, 0.5, 1.0)]),
+}
+
+# Pieces that break a token, a row, a number's range or a document's shape.
+PIECES = ["", "0", "1", "-", "-1", ".", ",", ",,", "\n", "\r", "\t", " ", '"', "[", "]",
+          "{", "}", ":", "e999", "1e-400", "NaN", "Infinity", "true", "null", "x",
+          "٢", "\xa0", "\x00", "180.5", "91", '"id"', "b1", "destroyed",
+          "0" * 400, "9" * 5000]
+
+
+TOKEN = re.compile(r'-?[0-9.]+(?:e-?[0-9]+)?|"[^"\n]*"|[A-Za-z_]+')
+
+
+@st.composite
+def mutations(draw, text):
+    """text after one to four edits: a piece spliced in over zero to three
+    characters, a slice of text copied to another place, or a token (number,
+    string or word) replaced by a piece."""
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["splice", "copy", "token"]))
+        piece = draw(st.sampled_from(PIECES))
+        tokens = list(TOKEN.finditer(text))
+        if kind == "token" and tokens:
+            token = draw(st.sampled_from(tokens))
+            text = text[:token.start()] + piece + text[token.end():]
+            continue
+        at = draw(st.integers(0, len(text)))
+        if kind == "copy":
+            start = draw(st.integers(0, len(text)))
+            piece = text[start:start + draw(st.integers(1, 80))]
+        text = text[:at] + piece + text[at + draw(st.integers(0, 3)):]
+    return text
+
+
+@pytest.mark.parametrize("parse", VALID_TEXTS, ids=lambda parse: parse.__name__)
+@settings(max_examples=80)
+@given(data=st.data())
+def test_readers_raise_only_parse_errors_on_mutated_text(parse, data):
+    text = data.draw(mutations(VALID_TEXTS[parse]))
+    try:
+        parse(text, source="in")
+    except ParseError as exc:
+        assert str(exc).startswith("in:")
+
+
+ids = st.from_regex(r"[A-Za-z0-9_-]{1,6}", fullmatch=True)
+lons, lats = st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)
+
+
+@st.composite
+def rectangles(draw):
+    """A Footprint with distinct corners (x0, y0)-(x1, y1) and maybe a hole."""
+    fid = draw(ids)
+    corners = draw(st.lists(st.tuples(lons, lats), min_size=2, max_size=4))
+    rings = []
+    for (x0, y0), (x1, y1) in zip(corners[0::2], corners[1::2]):
+        if x0 == x1 or y0 == y1:
+            break
+        rings.append(Ring(tuple(GeoPoint(x, y) for x, y in
+                                [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])))
+    if not rings:
+        rings = [square_footprint(fid, 0.0, 0.0, 1.0).exterior]
+    return Footprint(fid, rings[0], tuple(rings[1:]))
+
+
+def estimate_of(fid, n_inside, n_damaged, supersampled):
+    return DamageEstimate(fid, 100.0 * n_damaged / n_inside if n_inside else 0.0,
+                          n_inside, n_damaged, supersampled, n_inside == 0)
+
+
+@settings(max_examples=40)
+@given(footprints=st.lists(rectangles(), max_size=4, unique_by=lambda fp: fp.id),
+       counts=st.lists(st.tuples(st.integers(0, 2**53), st.integers(0, 2**53),
+                                 st.booleans()), min_size=4, max_size=4),
+       points=st.lists(st.builds(GroundTruthPoint, ids, st.builds(GeoPoint, lons, lats),
+                                 st.sampled_from(FemaCategory)),
+                       max_size=5, unique_by=lambda p: p.id),
+       distances=st.lists(st.one_of(st.none(), st.floats(0.0, 1e9)), min_size=5, max_size=5),
+       curve=st.lists(st.builds(PRPoint, *[st.floats(allow_nan=False)] * 3), min_size=1,
+                      max_size=4))
+def test_writers_round_trip_through_their_readers(footprints, counts, points,
+                                                  distances, curve):
+    assert parse_footprints_geojson(write_footprints_geojson(footprints)) == footprints
+
+    estimates = [estimate_of(fp.id, max(a, b), min(a, b), flag)
+                 for fp, (a, b, flag) in zip(footprints, counts)]
+    assessed = write_assessed_geojson(footprints, estimates)
+    assert parse_assessed_geojson(assessed) == (footprints, estimates)
+    assert parse_estimates_geojson(assessed) == estimates
+
+    assert parse_truth_csv(write_truth_csv(points)) == points
+    matched = [PointMatch(p.id, fp.id, d) for p, fp, d in
+               zip(points, footprints * 2, distances) if d is not None]
+    unmatched = [p.id for p in points if p.id not in {m.point_id for m in matched}]
+    assert parse_matches_csv(write_matches_csv([p.id for p in points], matched,
+                                               unmatched)) == (matched, unmatched)
+    oracle = {fp.id: FemaCategory(k % 5) for k, fp in enumerate(footprints)}
+    assert parse_oracle_csv(write_oracle_csv(oracle)) == oracle
+    assert parse_curve_csv(write_curve_csv(curve)) == curve
