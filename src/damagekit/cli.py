@@ -12,8 +12,8 @@ INVOCATION EXAMPLES
 Data goes to stdout when no output path is given; diagnostics go to stderr.
 
 Exit codes are the errors' exit_code: 0 ok, 2 bad input (a file, --radius-m,
-a --scheme of every category, a scene spec whose buildings collapse), unknown
-matched point or unwritable output, 3 duplicate id, 4 unknown damage category,
+a --scheme of every category, a scene spec whose buildings collapse or whose
+raster is too large), unknown matched point or unwritable output, 3 duplicate id, 4 unknown damage category,
 5 missing estimate, 6 no positive samples, 7 swath misses every building.
 Any other exception is a bug, and ends in a traceback.
 """
@@ -54,8 +54,15 @@ def _load_scene_spec(path) -> SceneSpec:
     try:
         for key in ("origin", "swath_start", "swath_end"):
             if key in kwargs:
-                lon, lat = kwargs[key]
-                kwargs[key] = GeoPoint(float(lon), float(lat))
+                # Two JSON numbers, as GeoJSON positions are: no bool, no string.
+                value = kwargs[key]
+                if not (isinstance(value, list) and len(value) == 2
+                        and {type(v) for v in value} <= {int, float}):
+                    raise ValueError(f"{key} must be a list of two numbers, got {value!r}")
+                try:
+                    kwargs[key] = GeoPoint(float(value[0]), float(value[1]))
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{key}: {exc}") from exc
         return SceneSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad scene spec: {exc}", source=path) from exc

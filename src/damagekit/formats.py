@@ -9,6 +9,7 @@ comma-separated with no quoting; ids are restricted to [A-Za-z0-9_-].
 from __future__ import annotations
 
 import json
+import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
@@ -301,10 +302,13 @@ def parse_matches_csv(text: str, source="<csv>"):
             continue
         _checked_id(fid, source, number)
         try:
-            matched.append(PointMatch(pid, fid, float(distance_text)))
-        except ValueError as exc:
-            raise ParseError(f"bad distance {distance_text!r}",
-                             source=source, line=number) from exc
+            distance = float(distance_text)
+        except ValueError:
+            distance = math.nan
+        if not 0.0 <= distance < math.inf:  # what match writes: finite, 0 or more
+            raise ParseError(f"bad distance {distance_text!r}, not a finite number >= 0",
+                             source=source, line=number)
+        matched.append(PointMatch(pid, fid, distance))
     return matched, unmatched
 
 
@@ -330,12 +334,14 @@ def parse_curve_csv(text: str, source="<csv>") -> list[PRPoint]:
     points = []
     for number, fields in _rows(text, source, CURVE_HEADER):
         try:
-            points.append(PRPoint(theta=float(fields[0]),
-                                  precision=float(fields[1]),
-                                  recall=float(fields[2])))
+            theta, precision, recall = map(float, fields)
         except ValueError as exc:
             raise ParseError("bad curve row", source=source,
                              line=number) from exc
+        if not (0.0 <= theta <= 100.0 and 0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
+            raise ParseError("bad curve row: theta must lie in [0, 100] and precision "
+                             "and recall in [0, 1]", source=source, line=number)
+        points.append(PRPoint(theta, precision, recall))
     if not points:
         raise ParseError("curve has no data rows", source=source, line=1)
     return points

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParseError, SwathOutsideScene
 from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, footprints_from
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     DEFAULT_NODATA, ClassRaster, inside_pixels)
+                     DEFAULT_NODATA, _HEADER_RULES, ClassRaster, inside_pixels)
 from .truth import FemaCategory, GroundTruthPoint
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -131,9 +131,10 @@ class SceneSpec:
         return (self.origin.lon + x_m / self.m_per_deg_lon,
                 self.origin.lat + y_m / self.m_per_deg_lat)
 
-    def _to_metric(self, p: GeoPoint) -> tuple[float, float]:
-        return ((p.lon - self.origin.lon) * self.m_per_deg_lon,
-                (p.lat - self.origin.lat) * self.m_per_deg_lat)
+    def _to_metric(self, lon, lat):
+        """Metres east/north of the origin of (lon, lat): floats or numpy arrays."""
+        return ((lon - self.origin.lon) * self.m_per_deg_lon,
+                (lat - self.origin.lat) * self.m_per_deg_lat)
 
 
 @dataclass(frozen=True)
@@ -144,36 +145,20 @@ class SynthScene:
     oracle_categories: dict[str, FemaCategory]
 
 
-def _distance_to_segment_m(spec: SceneSpec, p: GeoPoint) -> float:
-    px, py = spec._to_metric(p)
-    x1, y1 = spec._to_metric(spec.swath_start)
-    x2, y2 = spec._to_metric(spec.swath_end)
-    dx = x2 - x1
-    dy = y2 - y1
+def category_from_swath(lon, lat, spec: SceneSpec) -> np.ndarray:
+    """FEMA codes of centroids (lon, lat arrays) from their distance to the
+    swath centreline: within 0.5, 1, 1.5 and 2 swath widths of it."""
+    px, py = spec._to_metric(lon, lat)
+    x1, y1 = spec._to_metric(spec.swath_start.lon, spec.swath_start.lat)
+    x2, y2 = spec._to_metric(spec.swath_end.lon, spec.swath_end.lat)
+    dx, dy = x2 - x1, y2 - y1
     denom = dx * dx + dy * dy
-    if denom == 0.0:
-        return math.hypot(px - x1, py - y1)
-    t = ((px - x1) * dx + (py - y1) * dy) / denom
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
-
-
-def category_from_swath(centroid: GeoPoint, spec: SceneSpec) -> FemaCategory:
-    """Damage category from distance between centroid and swath centreline."""
-    d = _distance_to_segment_m(spec, centroid)
-    w = spec.swath_width_m
-    if d <= 0.5 * w:
-        return FemaCategory.DESTROYED
-    if d <= w:
-        return FemaCategory.MAJOR_DAMAGE
-    if d <= 1.5 * w:
-        return FemaCategory.MINOR_DAMAGE
-    if d <= 2.0 * w:
-        return FemaCategory.AFFECTED
-    return FemaCategory.NO_VISIBLE_DAMAGE
+    # A zero-length swath leaves t at 0, so x1 + t * dx is x1 exactly.
+    t = np.clip(((px - x1) * dx + (py - y1) * dy) / denom, 0.0, 1.0) if denom else 0.0
+    # math.hypot, not np.hypot: they differ in the last bit on some pairs.
+    d = list(map(math.hypot, (px - (x1 + t * dx)).tolist(), (py - (y1 + t * dy)).tolist()))
+    bands = np.searchsorted(np.array([0.5, 1.0, 1.5, 2.0]) * spec.swath_width_m, d)
+    return FemaCategory.DESTROYED - bands
 
 
 def generate(spec: SceneSpec) -> SynthScene:
@@ -198,32 +183,39 @@ def generate(spec: SceneSpec) -> SynthScene:
     corner = np.array([-half, half, half, -half, -half])
     coords = np.stack(spec._to_deg(cx[:, np.newaxis] + corner,
                                    cy[:, np.newaxis] + corner[[0, 0, 2, 2, 0]]), axis=-1)
+    ids = [f"b{k:06d}" for k in range(n)]
     try:
-        footprints = footprints_from([f"b{k:06d}" for k in range(n)], coords.reshape(-1, 2),
-                                     [5] * n, [1] * n)
+        footprints = footprints_from(ids, coords.reshape(-1, 2), [5] * n, [1] * n)
     except ValueError as exc:
         raise ParseError(f"building_size_m and spacing_m give a bad footprint: {exc}") from exc
-    centroids = [GeoPoint(lon, lat) for lon, lat in
-                 zip(*(a.tolist() for a in spec._to_deg(cx, cy)))]
-
-    oracle = {}
-    for fp, centroid in zip(footprints, centroids):
-        oracle[fp.id] = category_from_swath(centroid, spec)
-    if all(c == FemaCategory.NO_VISIBLE_DAMAGE for c in oracle.values()):
+    lon, lat = spec._to_deg(cx, cy)
+    codes = category_from_swath(lon, lat, spec)
+    if not codes.any():
         raise SwathOutsideScene("no building lies within any damage band")
+    # FemaCategory members in code order, picked per building without a loop.
+    categories = np.array(list(FemaCategory), dtype=object)[codes].tolist()
 
-    # Raster frame: two cells of margin around every footprint vertex.
+    # Raster frame: two cells of margin around every footprint vertex. It
+    # must pass the header rules that assess applies when it reads it back.
     cs_deg = spec.cellsize_m / spec.m_per_deg_lat
-    (lon_lo, lat_lo), (lon_hi, lat_hi) = coords.min(axis=(0, 1)), coords.max(axis=(0, 1))
-    xll = float(lon_lo) - 2.0 * cs_deg
-    yll = float(lat_lo) - 2.0 * cs_deg
-    ncols = int(math.ceil((float(lon_hi) + 2.0 * cs_deg - xll) / cs_deg))
-    nrows = int(math.ceil((float(lat_hi) + 2.0 * cs_deg - yll) / cs_deg))
+    xll, yll = (coords.min(axis=(0, 1)) - 2.0 * cs_deg).tolist()
+    with np.errstate(divide="ignore", over="ignore"):
+        sizes = np.ceil((coords.max(axis=(0, 1)) + 2.0 * cs_deg - (xll, yll)) / cs_deg)
+    for key, value in zip(("cellsize", "ncols", "nrows"), (cs_deg, *sizes.tolist())):
+        _, rule, wanted = _HEADER_RULES[key]
+        if not rule(value):
+            raise ParseError(f"cellsize_m {spec.cellsize_m!r} gives raster {key} "
+                             f"{value!r}, not {wanted}")
+    ncols, nrows = map(int, sizes)
 
     # Paint a bare array; ClassRaster then validates the finished cells once.
-    cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int32)
+    try:
+        cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int32)
+    except MemoryError as exc:
+        raise ParseError(f"cellsize_m {spec.cellsize_m!r} gives a {ncols}x{nrows} "
+                         "raster, too large to allocate") from exc
     frame = (ncols, nrows, xll, yll, cs_deg)
-    damaged = np.array(list(oracle.values())) >= FemaCategory.MAJOR_DAMAGE
+    damaged = codes >= FemaCategory.MAJOR_DAMAGE
     for part, owner, row, col in inside_pixels(frame, footprints):
         cells[row, col] = np.where(damaged[part][owner], CLASS_DAMAGED, CLASS_BUILDING)
 
@@ -240,19 +232,16 @@ def generate(spec: SceneSpec) -> SynthScene:
     raster = ClassRaster(ncols=ncols, nrows=nrows, xll=xll, yll=yll,
                          cellsize=cs_deg, nodata=DEFAULT_NODATA, cells=cells)
 
+    # Box-Muller with math's log, cos and sin: numpy's differ in the last bit.
+    drop, u1, u2 = rng.unit_array(3 * n).reshape(-1, 3).T
+    kept = np.flatnonzero(drop >= spec.point_drop_rate)
+    radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1[kept].tolist()))))
+    angle = (2.0 * math.pi * u2[kept]).tolist()
     sigma = spec.point_jitter_sigma_m
-    draws = rng.unit_array(3 * len(footprints)).reshape(-1, 3).tolist()
-    truth = []
-    for k, (fp, centroid, (drop_draw, u1, u2)) in enumerate(
-            zip(footprints, centroids, draws)):
-        if drop_draw < spec.point_drop_rate:
-            continue
-        radius = math.sqrt(-2.0 * math.log(u1))
-        dx = sigma * (radius * math.cos(2.0 * math.pi * u2))
-        dy = sigma * (radius * math.sin(2.0 * math.pi * u2))
-        location = GeoPoint(centroid.lon + dx / spec.m_per_deg_lon,
-                            centroid.lat + dy / spec.m_per_deg_lat)
-        truth.append(GroundTruthPoint(f"p{k:06d}", location, oracle[fp.id]))
+    x = lon[kept] + sigma * (radius * list(map(math.cos, angle))) / spec.m_per_deg_lon
+    y = lat[kept] + sigma * (radius * list(map(math.sin, angle))) / spec.m_per_deg_lat
+    truth = [GroundTruthPoint(f"p{k:06d}", GeoPoint(*xy), categories[k])
+             for k, *xy in zip(kept.tolist(), x.tolist(), y.tolist())]
 
     return SynthScene(footprints=tuple(footprints), raster=raster,
-                      truth=tuple(truth), oracle_categories=oracle)
+                      truth=tuple(truth), oracle_categories=dict(zip(ids, categories)))

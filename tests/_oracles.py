@@ -24,7 +24,7 @@ from damagekit.metrics import PRCurve, PRPoint
 from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
                               VALID_CLASSES, ClassRaster, _centres,
                               _header_value)
-from damagekit.truth import MatchedSample
+from damagekit.truth import FemaCategory, GroundTruthPoint, MatchedSample
 from damagekit.zonal import DamageEstimate
 
 
@@ -540,6 +540,85 @@ def noise_in_one_block(cells, rng, rate):
     flat[flip] = replacement[flip]
     return cells
 
+
+
+# synth's survey, one building and one point at a time.
+
+def swath_distance_m(spec, p: GeoPoint) -> float:
+    """Metres from p to the swath centreline segment, converting both swath
+    ends to metres on every call; a zero-length swath measures to its start."""
+    px, py = spec._to_metric(p.lon, p.lat)
+    x1, y1 = spec._to_metric(spec.swath_start.lon, spec.swath_start.lat)
+    x2, y2 = spec._to_metric(spec.swath_end.lon, spec.swath_end.lat)
+    dx = x2 - x1
+    dy = y2 - y1
+    denom = dx * dx + dy * dy
+    if denom == 0.0:
+        return math.hypot(px - x1, py - y1)
+    t = ((px - x1) * dx + (py - y1) * dy) / denom
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
+
+
+def swath_category(spec, centroid: GeoPoint) -> FemaCategory:
+    """The band rule, one centroid at a time: a distance on a band's edge
+    falls in the inner band."""
+    d = swath_distance_m(spec, centroid)
+    w = spec.swath_width_m
+    if d <= 0.5 * w:
+        return FemaCategory.DESTROYED
+    if d <= w:
+        return FemaCategory.MAJOR_DAMAGE
+    if d <= 1.5 * w:
+        return FemaCategory.MINOR_DAMAGE
+    if d <= 2.0 * w:
+        return FemaCategory.AFFECTED
+    return FemaCategory.NO_VISIBLE_DAMAGE
+
+
+def survey_one_by_one(spec, centroids, categories, draws):
+    """Truth points from (drop, u1, u2) draw triples, one point at a time: a
+    drop decision, then one Box-Muller pair for the x/y jitter in metres."""
+    sigma = spec.point_jitter_sigma_m
+    truth = []
+    for k, (centroid, category, (drop_draw, u1, u2)) in enumerate(
+            zip(centroids, categories, draws)):
+        if drop_draw < spec.point_drop_rate:
+            continue
+        radius = math.sqrt(-2.0 * math.log(u1))
+        dx = sigma * (radius * math.cos(2.0 * math.pi * u2))
+        dy = sigma * (radius * math.sin(2.0 * math.pi * u2))
+        location = GeoPoint(centroid.lon + dx / spec.m_per_deg_lon,
+                            centroid.lat + dy / spec.m_per_deg_lat)
+        truth.append(GroundTruthPoint(f"p{k:06d}", location, category))
+    return truth
+
+
+def scene_survey_one_by_one(spec, noise_cells: int):
+    """(truth points, oracle categories) of a scene, built from scalar draws:
+    two per building for its jitter, two per cell of a noisy raster of
+    noise_cells cells, then three per point."""
+    n = spec.grid_rows * spec.grid_cols
+    units, state = splitmix64_units(spec.seed, 2 * n)
+    pitch = spec.building_size_m + spec.spacing_m
+    jitter_range = spec.spacing_m / 8.0
+    centroids = []
+    for k in range(n):
+        row, col = divmod(k, spec.grid_cols)
+        x = (col + 0.5) * pitch + (units[2 * k] * 2.0 - 1.0) * jitter_range
+        y = (row + 0.5) * pitch + (units[2 * k + 1] * 2.0 - 1.0) * jitter_range
+        centroids.append(GeoPoint(spec.origin.lon + x / spec.m_per_deg_lon,
+                                  spec.origin.lat + y / spec.m_per_deg_lat))
+    categories = [swath_category(spec, c) for c in centroids]
+    if spec.pixel_noise_rate > 0.0:
+        state += 2 * noise_cells * 0x9E3779B97F4A7C15
+    units, _ = splitmix64_units(state, 3 * n)
+    draws = [units[3 * k:3 * k + 3] for k in range(n)]
+    oracle = {f"b{k:06d}": category for k, category in enumerate(categories)}
+    return survey_one_by_one(spec, centroids, categories, draws), oracle
 
 # The raster reader and writer as one token and one str() at a time.
 

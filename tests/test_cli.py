@@ -141,6 +141,48 @@ def test_non_finite_spec_float_exits_2(tmp_path, capsys, field, value):
                  f"bad scene spec: {field} must be a ")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("origin", ["-90.88", True]), ("origin", [-90.88, True]), ("origin", [-90.88]),
+    ("swath_start", [-90.88, 32.9, 0.0]), ("swath_end", "-90.88,32.9"),
+    ("swath_end", {"lon": -90.88, "lat": 32.9}), ("origin", [None, 32.9])])
+def test_spec_coordinates_must_be_two_json_numbers(tmp_path, capsys, key, value):
+    path = write(tmp_path / "scene.json",
+                 json.dumps({"grid_cols": 4, "grid_rows": 4, key: value}))
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 f"scene.json: bad scene spec: {key} must be a list of two numbers")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value, needle", [
+    ("[1e400, 32.9]", "origin: longitude out of range: inf"),
+    pytest.param("[-90.88, " + "9" * 400 + "]", "origin: int too large to convert to float",
+                 id="400-digit-latitude"),
+    ("[-90.88, 91]", "origin: latitude out of range: 91.0")])
+def test_spec_coordinates_out_of_range_name_their_key(tmp_path, capsys, value, needle):
+    path = write(tmp_path / "scene.json", f'{{"origin": {value}}}')
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 f"bad scene spec: {needle}")
+
+
+def test_spec_coordinates_accept_integers(tmp_path, capsys):
+    path = write(tmp_path / "scene.json",
+                 '{"grid_cols": 3, "grid_rows": 3, "origin": [-90, 33]}')
+    assert main(["synth", path, str(tmp_path / "o")]) == 0
+    assert "9 truth points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cellsize, needle", [
+    ("4e-7", "cellsize_m 4e-07 gives a 122683068x108853976 raster, too large to allocate"),
+    ("1e-12", "cellsize_m 1e-12 gives raster ncols 49073225336696.0, not in (0, 2**31)"),
+    ("1e-300", "cellsize_m 1e-300 gives raster ncols "),
+    ("5e-324", "cellsize_m 5e-324 gives raster cellsize 0.0, not positive and finite")])
+def test_tiny_cellsize_exits_2(tmp_path, capsys, cellsize, needle):
+    path = write(tmp_path / "scene.json",
+                 f'{{"grid_cols": 2, "grid_rows": 2, "cellsize_m": {cellsize}}}')
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys, needle)
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "none.geojson"
     assert main(["assess", str(missing), str(tmp_path / "none.asc")]) == 2
@@ -520,6 +562,22 @@ def test_swath_outside_scene_exits_7(tmp_path, capsys):
         "swath_start": [10.0, 10.0], "swath_end": [11.0, 10.0],
     }))
     assert_fails(["synth", spec, str(tmp_path / "o")], 7, capsys)
+
+
+def test_curve_outside_the_unit_square_exits_2(tmp_path, capsys):
+    curve = write(tmp_path / "c.csv", "theta,precision,recall\n70.0,nan,7\n")
+    assert_fails(["pr-plot", curve], 2, capsys, "c.csv:2: bad curve row")
+
+
+def test_matched_distance_that_match_cannot_write_exits_2(tmp_path, capsys):
+    assessed = tmp_path / "a.geojson"
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    assert main(["assess", fps, write(tmp_path / "r.asc", RASTER_2X2),
+                 "--out", str(assessed)]) == 0
+    truth = write(tmp_path / "t.csv", TRUTH_HEADER + "p1,0.0,0.0,destroyed\n")
+    matched = write(tmp_path / "m.csv", MATCH_HEADER + "p1,b1,nan\n")
+    assert_fails(["validate", str(assessed), matched, truth], 2, capsys,
+                 "m.csv:2: bad distance 'nan'")
 
 
 def test_empty_curve_exits_2(tmp_path, capsys):

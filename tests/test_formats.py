@@ -527,6 +527,18 @@ def test_matches_csv_bad_distance_reports_line():
     assert "m.csv:2:" in str(err.value)
 
 
+@pytest.mark.parametrize("distance", ["nan", "inf", "-inf", "-3", "-1e-300"])
+def test_matches_csv_rejects_distances_match_cannot_write(distance):
+    text = f"point_id,footprint_id,distance_m\np1,b1,0.0\np2,b1,{distance}\n"
+    with pytest.raises(ParseError, match=f"^m.csv:3: bad distance '{distance}'"):
+        parse_matches_csv(text, source="m.csv")
+
+
+def test_matches_csv_accepts_zero_and_finite_distances():
+    text = "point_id,footprint_id,distance_m\np1,b1,0.0\np2,b1,-0.0\np3,b1,1e308\n"
+    assert [m.distance_m for m in parse_matches_csv(text)[0]] == [0.0, 0.0, 1e308]
+
+
 def test_oracle_csv_round_trip_preserves_order():
     oracle = {"b2": FemaCategory.MAJOR_DAMAGE, "b1": FemaCategory.AFFECTED}
     back = parse_oracle_csv(write_oracle_csv(oracle))
@@ -539,6 +551,22 @@ def test_curve_csv_round_trip_is_exact():
               PRPoint(62.5, 2.0 / 3.0, 0.5),
               PRPoint(0.0, 0.41000000000000003, 1.0)]
     assert parse_curve_csv(write_curve_csv(points)) == points
+
+
+@pytest.mark.parametrize("row", [
+    "70.0,nan,7.0", "50.0,0.5,nan", "nan,0.5,0.5", "inf,1.0,0.0",
+    "100.5,1.0,0.0", "-1e-300,1.0,1.0", "50.0,1.5,0.5", "50.0,0.5,-0.25",
+    "50.0,-inf,0.5", "50.0,0.5,inf"])
+def test_curve_csv_rejects_values_a_pr_curve_cannot_hold(row):
+    text = f"theta,precision,recall\n100.0,1.0,0.0\n{row}\n"
+    with pytest.raises(ParseError, match="^c.csv:3: bad curve row: theta must lie"):
+        parse_curve_csv(text, source="c.csv")
+
+
+def test_curve_csv_accepts_the_closed_ranges():
+    text = "theta,precision,recall\n100,1,0\n0.0,0.0,1.0\n-0.0,1e-300,0.5\n"
+    assert [tuple(vars(p).values()) for p in parse_curve_csv(text)] == \
+        [(100.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-0.0, 1e-300, 0.5)]
 
 
 def test_curve_csv_without_data_rows_is_an_error():

@@ -120,8 +120,8 @@ def estimate_of(fid, n_inside, n_damaged, supersampled):
                                  st.sampled_from(FemaCategory)),
                        max_size=5, unique_by=lambda p: p.id),
        distances=st.lists(st.one_of(st.none(), st.floats(0.0, 1e9)), min_size=5, max_size=5),
-       curve=st.lists(st.builds(PRPoint, *[st.floats(allow_nan=False)] * 3), min_size=1,
-                      max_size=4))
+       curve=st.lists(st.builds(PRPoint, st.floats(0.0, 100.0), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=4))
 def test_writers_round_trip_through_their_readers(footprints, counts, points,
                                                   distances, curve):
     assert parse_footprints_geojson(write_footprints_geojson(footprints)) == footprints

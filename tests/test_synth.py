@@ -10,6 +10,7 @@ import pytest
 
 from damagekit import synth
 from damagekit.errors import SwathOutsideScene
+from damagekit.formats import write_oracle_csv, write_truth_csv
 from damagekit.geom import GeoPoint
 from damagekit.raster import write_ascii_grid
 from damagekit.synth import (SceneSpec, SplitMix64, category_from_swath,
@@ -17,7 +18,9 @@ from damagekit.synth import (SceneSpec, SplitMix64, category_from_swath,
 from damagekit.truth import FemaCategory, match_points
 from damagekit.zonal import assess_all
 
-from _oracles import noise_in_one_block, splitmix64_next, splitmix64_units
+from _oracles import (noise_in_one_block, scene_survey_one_by_one,
+                      splitmix64_next, splitmix64_units, swath_category,
+                      swath_distance_m)
 
 # ------------------------------------------------------------------- RNG
 
@@ -124,17 +127,82 @@ def test_swath_bands_cover_all_categories():
     spec = SceneSpec(grid_cols=11, grid_rows=11, swath_width_m=50.0)
     mid_y = (11 // 2 + 0.5) * 30.0
 
-    def centroid_at(offset_m):
-        return GeoPoint(spec.origin.lon + 150.0 / spec.m_per_deg_lon,
-                        spec.origin.lat + (mid_y + offset_m) / spec.m_per_deg_lat)
+    def category_at(offset_m):
+        lon = np.array([spec.origin.lon + 150.0 / spec.m_per_deg_lon])
+        lat = np.array([spec.origin.lat + (mid_y + offset_m) / spec.m_per_deg_lat])
+        return FemaCategory(category_from_swath(lon, lat, spec)[0])
 
-    assert category_from_swath(centroid_at(0.0), spec) is FemaCategory.DESTROYED
-    assert category_from_swath(centroid_at(24.9), spec) is FemaCategory.DESTROYED
-    assert category_from_swath(centroid_at(25.1), spec) is FemaCategory.MAJOR_DAMAGE
-    assert category_from_swath(centroid_at(50.1), spec) is FemaCategory.MINOR_DAMAGE
-    assert category_from_swath(centroid_at(75.1), spec) is FemaCategory.AFFECTED
-    assert category_from_swath(centroid_at(100.1), spec) is \
-        FemaCategory.NO_VISIBLE_DAMAGE
+    assert category_at(0.0) is FemaCategory.DESTROYED
+    assert category_at(24.9) is FemaCategory.DESTROYED
+    assert category_at(25.1) is FemaCategory.MAJOR_DAMAGE
+    assert category_at(50.1) is FemaCategory.MINOR_DAMAGE
+    assert category_at(75.1) is FemaCategory.AFFECTED
+    assert category_at(100.1) is FemaCategory.NO_VISIBLE_DAMAGE
+
+
+def _swath_codes_and_reference(spec, lon, lat):
+    codes = category_from_swath(np.array(lon), np.array(lat), spec)
+    reference = [swath_category(spec, GeoPoint(x, y)) for x, y in zip(lon, lat)]
+    return codes.tolist(), reference
+
+
+def _centroids_near_swath(spec, rng, n):
+    """n random (lon, lat) lists within three swath widths of the scene."""
+    reach = 3.0 * spec.swath_width_m
+    pitch = spec.building_size_m + spec.spacing_m
+    x = rng.uniform(-reach, spec.grid_cols * pitch + reach, n)
+    y = rng.uniform(-reach, spec.grid_rows * pitch + reach, n)
+    return [a.tolist() for a in spec._to_deg(x, y)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_array_bands_match_scalar_rule_on_random_centroids(seed):
+    rng = np.random.default_rng(seed)
+    spec = SceneSpec(grid_cols=7, grid_rows=9)
+    start, end = (GeoPoint(*spec._to_deg(*xy)) for xy in rng.uniform(0, 210, (2, 2)).tolist())
+    for spec in (spec, replace(spec, swath_width_m=float(rng.uniform(10, 90)),
+                               swath_start=start, swath_end=end)):
+        codes, reference = _swath_codes_and_reference(
+            spec, *_centroids_near_swath(spec, rng, 2000))
+        assert codes == reference
+        assert len(set(codes)) == 5
+
+
+def test_array_bands_match_scalar_rule_on_band_edges():
+    """Widths chosen so that each centroid's distance is exactly a band edge
+    (0.5, 1, 1.5 or 2 widths), and the widths one ulp either side. The swath
+    is diagonal, so both terms of each distance's hypot are nonzero."""
+    spec = SceneSpec(grid_cols=5, grid_rows=5)
+    spec = replace(spec, swath_start=GeoPoint(*spec._to_deg(-20.0, 10.0)),
+                   swath_end=GeoPoint(*spec._to_deg(170.0, 140.0)))
+    lon, lat = _centroids_near_swath(spec, np.random.default_rng(11), 1000)
+    edges_hit = 0
+    for x, y in zip(lon, lat):
+        d = swath_distance_m(spec, GeoPoint(x, y))
+        for factor in (0.5, 1.0, 1.5, 2.0):
+            width = d / factor
+            for candidate in (width, math.nextafter(width, 0.0),
+                              math.nextafter(width, math.inf)):
+                if d > 0.0 and factor * candidate == d:
+                    width = candidate
+            edges_hit += factor * width == d
+            for w in (width, math.nextafter(width, 0.0), math.nextafter(width, math.inf)):
+                if w > 0.0:
+                    codes, reference = _swath_codes_and_reference(
+                        replace(spec, swath_width_m=w), [x], [y])
+                    assert codes == reference
+    assert edges_hit >= 3800
+
+
+def test_array_bands_match_scalar_rule_on_zero_length_swath():
+    spec = SceneSpec(grid_cols=6, grid_rows=6, swath_width_m=40.0)
+    spec = replace(spec, swath_end=spec.swath_start)
+    lon, lat = _centroids_near_swath(spec, np.random.default_rng(5), 500)
+    lon.append(spec.swath_start.lon)
+    lat.append(spec.swath_start.lat)
+    codes, reference = _swath_codes_and_reference(spec, lon, lat)
+    assert codes == reference
+    assert codes[-1] == FemaCategory.DESTROYED
 
 
 def test_wide_swath_scene_populates_every_band():
@@ -296,3 +364,70 @@ def test_block_noise_matches_one_block_reference():
     with mock.patch.object(synth, "_NOISE_BLOCK", size):
         one_block = generate(spec)
     assert noisy.truth == one_block.truth
+
+
+# ------------------------------------------- survey against scalar loops
+
+@pytest.mark.parametrize("drop_rate, sigma", [(0.0, 4.0), (0.3, 4.0), (1.0, 4.0),
+                                              (0.3, 0.0), (0.0, 0)])
+def test_array_survey_matches_scalar_loop(drop_rate, sigma):
+    spec = SceneSpec(seed=13, grid_cols=9, grid_rows=7, swath_width_m=40.0,
+                     point_drop_rate=drop_rate, point_jitter_sigma_m=sigma)
+    scene = generate(spec)
+    truth, oracle = scene_survey_one_by_one(spec, scene.raster.cells.size)
+    assert list(scene.truth) == truth
+    assert scene.oracle_categories == oracle
+    assert all(type(p.location.lon) is float and type(p.location.lat) is float
+               for p in scene.truth)
+    if drop_rate == 0.0:
+        assert len(truth) == 63
+    elif drop_rate == 1.0:
+        assert truth == []
+    else:
+        assert 0 < len(truth) < 63
+
+
+def test_array_survey_matches_scalar_loop_where_jitter_dominates():
+    """Near (0, 0) a 500 m jitter is as large as the centroid's own
+    coordinate, so a last-bit change in log, cos or sin reaches truth.csv."""
+    spec = SceneSpec(seed=17, grid_cols=40, grid_rows=40, origin=GeoPoint(0.0, 0.0),
+                     point_jitter_sigma_m=500.0)
+    scene = generate(spec)
+    truth, _ = scene_survey_one_by_one(spec, scene.raster.cells.size)
+    assert write_truth_csv(list(scene.truth)) == write_truth_csv(truth)
+
+
+def _random_small_spec(rng):
+    spec = SceneSpec(
+        seed=int(rng.integers(2**40)), grid_cols=int(rng.integers(1, 9)),
+        grid_rows=int(rng.integers(1, 9)), building_size_m=float(rng.uniform(2, 20)),
+        spacing_m=float(rng.uniform(1, 30)), cellsize_m=float(rng.choice([1.0, 2.5, 4.0])),
+        swath_width_m=float(rng.uniform(1, 80)),
+        pixel_noise_rate=float(rng.choice([0.0, 0.1])),
+        point_jitter_sigma_m=float(rng.choice([0.0, rng.uniform(0, 10)])),
+        point_drop_rate=float(rng.choice([0.0, 0.3, rng.uniform(), 1.0])))
+    if rng.uniform() < 0.3:
+        start, end = (GeoPoint(*spec._to_deg(*xy))
+                      for xy in rng.uniform(-50, 250, (2, 2)).tolist())
+        spec = replace(spec, swath_start=start,
+                       swath_end=start if rng.uniform() < 0.2 else end)
+    return spec
+
+
+def test_seeded_sweep_truth_and_oracle_bytes_match_scalar_references():
+    rng = np.random.default_rng(20231)
+    written = outside = 0
+    for _ in range(60):
+        spec = _random_small_spec(rng)
+        try:
+            scene = generate(spec)
+        except SwathOutsideScene:
+            truth, oracle = scene_survey_one_by_one(spec, 0)
+            assert set(oracle.values()) == {FemaCategory.NO_VISIBLE_DAMAGE}
+            outside += 1
+            continue
+        truth, oracle = scene_survey_one_by_one(spec, scene.raster.cells.size)
+        assert write_truth_csv(list(scene.truth)) == write_truth_csv(truth)
+        assert write_oracle_csv(scene.oracle_categories) == write_oracle_csv(oracle)
+        written += 1
+    assert written >= 50
