@@ -27,12 +27,12 @@ DEFAULT_NODATA = -1
 # a row of ncols cells takes about 2 * ncols.
 _BLOCK_CHARS = 2**16
 
-# Byte kinds of the block parser; a byte of kind 0 sends its block to the
+# Byte kinds of the block reader: the writer's one-byte cells, "n" standing
+# for nodata, and its separators. A byte of kind 0 sends its block to the
 # line loop.
-_DIGIT, _MINUS, _SEPARATOR = 1, 2, 3
+_CELL, _SEPARATOR = 1, 2
 _BYTE_KIND = np.zeros(256, dtype=np.uint8)
-_BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_KIND[ord("-")] = _MINUS
+_BYTE_KIND[[ord("0"), ord("1"), ord("2"), ord("n")]] = _CELL
 _BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
 _ZERO = ord("0")
 
@@ -53,11 +53,6 @@ _HEADER_RULES = {
     "nodata_value": (int, lambda v: -2**31 <= v < 2**31 and v not in VALID_CLASSES,
                      "in [-2**31, 2**31) and not a class code (0, 1 or 2)"),
 }
-
-
-def _bad_codes(cells, nodata):
-    """Mask of the cells that hold neither a class code nor nodata."""
-    return ((cells < CLASS_BACKGROUND) | (cells > CLASS_DAMAGED)) & (cells != nodata)
 
 
 @dataclass
@@ -89,7 +84,8 @@ class ClassRaster:
             raise ValueError(
                 f"cells shape {cells.shape} does not match "
                 f"(nrows, ncols)=({self.nrows}, {self.ncols})")
-        bad = _bad_codes(cells, self.nodata)
+        bad = (((cells < CLASS_BACKGROUND) | (cells > CLASS_DAMAGED))
+               & (cells != self.nodata))
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise ValueError(
@@ -245,10 +241,9 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
     exactly ncols*nrows integer cells, each in {0, 1, 2} or equal to the
     nodata code, in any spelling int() accepts.
 
-    Blocks of body lines are converted with numpy; a block that holds
-    anything but ASCII digits, minus signs and blanks, or a token or code
-    that fails a check, is read again by a line loop with int(), which
-    raises the error at its line.
+    Blocks of body lines in write_ascii_grid()'s spelling are converted with
+    numpy; any other block is read by a line loop with int(), which raises
+    the error at its line.
     """
     lines = text.splitlines()
     header = {"nodata_value": DEFAULT_NODATA}
@@ -302,31 +297,22 @@ def _rows_per_block(ncols):
 
 def _block_cells(lines, nodata):
     """The cells of some body lines as an int64 array, or None when the line
-    loop must parse them: a byte outside [0-9 \\t-], a token that is not
-    -?[0-9]{1,10}, or a value that is neither a class code nor nodata."""
-    try:  # a separator at both ends: every token has one on each side
-        raw = "\n".join(["", *lines, ""]).encode("ascii")
+    loop must parse them: anything but the writer's spelling, one-byte class
+    codes and str(nodata) between blanks and tabs, one cell per token."""
+    block = "\n".join(lines)
+    if "n" in block:
+        return None
+    try:
+        raw = block.replace(str(nodata), "n").encode("ascii")
     except UnicodeEncodeError:
         return None
     codes = np.frombuffer(raw, dtype=np.uint8)
-    kind = _BYTE_KIND[codes]
-    if not kind.all():
+    kind = _BYTE_KIND.take(codes)  # take and compress: faster than indexing
+    cell = kind == _CELL
+    if not kind.all() or (cell[:-1] & cell[1:]).any():
         return None
-    sep = kind == _SEPARATOR
-    starts = np.flatnonzero(sep[:-1] & ~sep[1:]) + 1
-    ends = np.flatnonzero(~sep[:-1] & sep[1:]) + 1
-    negative = kind[starts] == _MINUS
-    digits = ends - starts - negative
-    if (np.count_nonzero(kind == _MINUS) != np.count_nonzero(negative)
-            or (digits.size and not 1 <= digits.min() <= digits.max() <= 10)):
-        return None  # a minus inside a token, a bare minus, or > 10 digits
-    values = codes[ends - 1].astype(np.int64) - _ZERO
-    for place in range(1, digits.max(initial=1)):
-        longer = np.flatnonzero(digits > place)
-        values[longer] += (codes[ends[longer] - 1 - place].astype(np.int64)
-                           - _ZERO) * 10**place
-    np.negative(values, out=values, where=negative)
-    return None if _bad_codes(values, nodata).any() else values
+    codes = codes.compress(cell).astype(np.int64)
+    return np.where(codes == ord("n"), nodata, codes - _ZERO)
 
 
 def _line_cells(lines, first, count, expected, nodata, source):

@@ -238,8 +238,14 @@ def generate(spec: SceneSpec) -> SynthScene:
     radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1[kept].tolist()))))
     angle = (2.0 * math.pi * u2[kept]).tolist()
     sigma = spec.point_jitter_sigma_m
-    x = lon[kept] + sigma * (radius * list(map(math.cos, angle))) / spec.m_per_deg_lon
-    y = lat[kept] + sigma * (radius * list(map(math.sin, angle))) / spec.m_per_deg_lat
+    with np.errstate(over="ignore"):  # a point off the globe is refused below
+        x = lon[kept] + sigma * (radius * list(map(math.cos, angle))) / spec.m_per_deg_lon
+        y = lat[kept] + sigma * (radius * list(map(math.sin, angle))) / spec.m_per_deg_lat
+    off = np.flatnonzero(~((np.abs(x) <= 180.0) & (np.abs(y) <= 90.0)))
+    if off.size:
+        k, at = kept[off[0]], (x[off[0]].item(), y[off[0]].item())
+        raise ParseError(f"point_jitter_sigma_m {sigma!r} puts point p{k:06d} at "
+                         f"(lon, lat) {at}, outside [-180, 180] x [-90, 90]")
     truth = [GroundTruthPoint(f"p{k:06d}", GeoPoint(*xy), categories[k])
              for k, *xy in zip(kept.tolist(), x.tolist(), y.tolist())]
 

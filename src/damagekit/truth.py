@@ -137,8 +137,10 @@ def match_points(points: list[GroundTruthPoint],
 
     Returns (matched, unmatched): matched is a list of PointMatch in input
     point order, unmatched a list of point ids in input order. Candidates
-    come from a uniform grid of cells max(radius_m, 1e-6 m) wide: a footprint
-    within the radius of a point overlaps one of the nine cells around it.
+    come from uniform grids, the first of cells min(radius_m, twice the
+    median footprint extent) wide, and each next one twice as wide, up to
+    radius_m, for the points not yet within one cell of a footprint; no cell
+    is narrower than 1e-6 m.
     The distance, in the equirectangular plane at the scene's mean latitude,
     is 0 for a point inside (boundary included), else to the nearest edge.
     """
@@ -153,31 +155,40 @@ def match_points(points: list[GroundTruthPoint],
     x, y = np.array([(p.location.lon, p.location.lat) for p in points]).T
     box = np.array([(fp.bounds.min_lon, fp.bounds.min_lat, fp.bounds.max_lon,
                      fp.bounds.max_lat) for fp in footprints])
-    cell = max(radius_m, 1e-6)  # |x * kx| < 2.1e7 m: cell indices stay exact below 2**53
-    by_cell, cand, lo, hi = _candidates(
-        np.floor(x * kx / cell), np.floor(y * ky / cell),
-        np.floor(box * [kx, ky, kx, ky] / cell))
     edges = _edges([r for fp in footprints for r in (fp.exterior, *fp.holes)])
     ring_fp = np.repeat(np.arange(len(footprints)), [1 + len(fp.holes) for fp in footprints])
     n_edges = np.bincount(ring_fp[edges[4]])
     first_edge = np.cumsum(n_edges) - n_edges
-
-    # Chunks of about _PAIR_EDGES (point, candidate, edge) triples; each
-    # point keeps its nearest candidate so far, and of those the smallest id.
     best_d, best_f = np.full(len(points), math.inf), np.zeros(len(points), dtype=np.int64)
-    cost = (hi - lo) * n_edges[cand]
-    chunk = (np.cumsum(cost) - cost) // _PAIR_EDGES
-    parts = np.split(np.arange(len(cand)), np.flatnonzero(np.diff(chunk)) + 1)
-    for part in parts if len(cand) else ():
-        owner, at = _runs(lo[part], hi[part])
-        p, f = by_cell[at], cand[part][owner]
-        owner, e = _runs(first_edge[f], first_edge[f] + n_edges[f])
-        d = _distances(x[p], y[p], box[f], owner, *(a[e] for a in edges), kx, ky)
-        first = np.lexsort((f, d, p))
-        first = first[np.diff(p[first], prepend=-1) != 0]
-        p, d, f = p[first], d[first], f[first]
-        won = (d < best_d[p]) | ((d == best_d[p]) & (f < best_f[p]))
-        best_d[p[won]], best_f[p[won]] = d[won], f[won]
+
+    # Rounds of grid cells that double up to the radius. A footprint within a
+    # cell's width of a point overlaps one of the nine cells around it, so a
+    # point whose best distance is within the cell is done. Each round runs
+    # in chunks of about _PAIR_EDGES (point, candidate, edge) triples; each
+    # point keeps its nearest candidate so far, and of those the smallest id.
+    extent = np.maximum((box[:, 2] - box[:, 0]) * kx, (box[:, 3] - box[:, 1]) * ky)
+    cell = max(min(radius_m, 2.0 * float(np.median(extent))), 1e-6)
+    active = np.arange(len(points))
+    while active.size:
+        # |x * kx| < 2.1e7 m: cell indices stay exact below 2**53
+        by_cell, cand, lo, hi = _candidates(
+            np.floor(x[active] * kx / cell), np.floor(y[active] * ky / cell),
+            np.floor(box * [kx, ky, kx, ky] / cell))
+        cost = (hi - lo) * n_edges[cand]
+        chunk = (np.cumsum(cost) - cost) // _PAIR_EDGES
+        parts = np.split(np.arange(len(cand)), np.flatnonzero(np.diff(chunk)) + 1)
+        for part in parts if len(cand) else ():
+            owner, at = _runs(lo[part], hi[part])
+            p, f = active[by_cell[at]], cand[part][owner]
+            owner, e = _runs(first_edge[f], first_edge[f] + n_edges[f])
+            d = _distances(x[p], y[p], box[f], owner, *(a[e] for a in edges), kx, ky)
+            first = np.lexsort((f, d, p))
+            first = first[np.diff(p[first], prepend=-1) != 0]
+            p, d, f = p[first], d[first], f[first]
+            won = (d < best_d[p]) | ((d == best_d[p]) & (f < best_f[p]))
+            best_d[p[won]], best_f[p[won]] = d[won], f[won]
+        active = active[best_d[active] > cell] if cell < radius_m else active[:0]
+        cell = min(2.0 * cell, radius_m)
     near = best_d <= radius_m
     return ([PointMatch(points[i].id, footprints[f].id, d) for i, f, d in
              zip(np.flatnonzero(near).tolist(), best_f[near].tolist(), best_d[near].tolist())],

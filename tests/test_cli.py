@@ -183,6 +183,15 @@ def test_tiny_cellsize_exits_2(tmp_path, capsys, cellsize, needle):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+def test_point_jittered_off_the_globe_exits_2(tmp_path, capsys):
+    path = write(tmp_path / "scene.json",
+                 '{"grid_cols": 2, "grid_rows": 2, "point_jitter_sigma_m": 1e9}')
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 "point_jitter_sigma_m 1000000000.0 puts point p000000 at (lon, lat) "
+                 "(2844.73393766613, ")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "none.geojson"
     assert main(["assess", str(missing), str(tmp_path / "none.asc")]) == 2

@@ -375,11 +375,12 @@ def test_write_preserves_awkward_float_headers():
 NODATA_CODES = [-1, -9999, -2**31, 2**31 - 1, 3, 7]
 
 # Pieces inserted into or over a valid body: spellings int() reads that a
-# plain -?[0-9]+ scan does not, bad tokens and codes, blanks and the other
-# line breaks of str.splitlines(). An inserted code is one cell too many.
+# plain -?[0-9]+ scan does not, bad tokens and codes, blanks, the other line
+# breaks of str.splitlines() and the writer's nodata placeholder "n". An
+# inserted code is one cell too many.
 MUTATIONS = ["+1", "01", "0", "-0", "-", "1-", "1_0", "\u0662", "\xa0",
              "\t", "\n", "\n  \t\n", "\r", "\x0b", "\x1c", "\x1f", "1-2", "3",
-             "-2", "00000000002", "99999999999", "x", " 0", "1 "]
+             "-2", "00000000002", "99999999999", "x", " 0", "1 ", "n"]
 
 
 def outcome(parse, text):
@@ -444,6 +445,20 @@ def test_overflow_names_the_declared_count_in_any_block(line):
             parse_ascii_grid(text, source="g.asc")
     assert str(err.value) == f"g.asc:{line}: more than 24 cells in body"
     assert outcome(_oracles.parse_ascii_grid, text)[1] == str(err.value)
+
+
+@pytest.mark.parametrize("nodata", NODATA_CODES)
+def test_the_writers_bytes_never_reach_the_line_loop(nodata):
+    cells = np.random.default_rng(7).choice([0, 1, 2, nodata], size=(6, 7))
+    cells[0, 0] = cells[-1, -1] = nodata
+    raster = ClassRaster(ncols=7, nrows=6, xll=0.0, yll=0.0, cellsize=1.0,
+                         nodata=nodata, cells=cells)
+    for block_chars in range(1, 41):
+        with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(raster_module, "_line_cells",
+                                  side_effect=AssertionError("line loop ran")):
+            again = parse_ascii_grid(write_ascii_grid(raster))
+        assert np.array_equal(again.cells, cells)
 
 
 @st.composite

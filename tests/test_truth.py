@@ -174,11 +174,13 @@ def test_grid_matching_agrees_with_brute_force():
     """The spatial-hash matcher must reproduce the no-index scan exactly:
     same pairs, same distances, same leftovers. Radii far below the
     footprint size make grids of many columns per footprint; below the least
-    grid cell, 1e-305 and the least subnormal, the cell stops shrinking."""
+    grid cell, 1e-305 and the least subnormal, the cell stops shrinking.
+    Radii far above it, 1e4 m and inf, take rounds of doubling cells."""
     rng = random.Random(61803)
     for round_no in range(8):
         points, footprints = random_match_scene(rng)
-        for radius in (rng.choice([8.0, 20.0, 35.0]), 1e-9, 1e-300, 1e-305, 5e-324):
+        for radius in (rng.choice([8.0, 20.0, 35.0]), 1e-9, 1e-300, 1e-305, 5e-324,
+                       1e4, math.inf):
             matched, unmatched = match_points(points, footprints, radius)
             ref_matched, ref_unmatched = brute_force_match(points, footprints,
                                                            radius)
@@ -306,6 +308,23 @@ def test_matching_scales_to_many_points_and_footprints():
     elapsed = perf_counter() - start
     assert len(matched) + len(unmatched) == 40_000
     assert elapsed < 5.0
+
+
+def test_matching_at_any_radius_measures_few_pairs_per_point():
+    """With cells as wide as the radius, an infinite one would make every
+    (point, footprint) pair a candidate: 900**2 of them here."""
+    points, footprints = lattice_scene(30, seed=33)
+    rows = []
+    distances = truth_module._distances
+
+    def counted(x, *args):
+        rows.append(len(x))
+        return distances(x, *args)
+
+    with mock.patch.object(truth_module, "_distances", counted):
+        matched, unmatched = match_points(points, footprints, math.inf)
+    assert len(matched) == 900 and unmatched == []
+    assert sum(rows) <= 40 * len(points)
 
 
 def test_matching_memory_is_bounded_by_its_chunks():
