@@ -9,9 +9,10 @@ random class. Ground-truth points sit at building centroids with optional
 Gaussian jitter and random drops.
 
 All randomness comes from a SplitMix64 stream seeded by the scene spec, with
-a fixed draw budget per entity (2 per building, 2 per noisy pixel, 3 per
-point) so output is reproducible bit for bit. When pixel_noise_rate is zero
-the raster noise stage is skipped and consumes no draws.
+a fixed draw budget per entity (2 per building, 2 per cell of a noisy raster,
+the second computed only where the cell flips, 3 per point) so output is
+reproducible bit for bit. When pixel_noise_rate is zero the raster noise
+stage is skipped and consumes no draws.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _TWO_64 = 2.0 ** 64
 _NOISE_BLOCK = 2**18  # raster cells noised per block of draws
+# Scene size caps: 41 times survey-dense's 6,400 buildings, and 18 times
+# scene-fine's 3.74M cells (256 MiB of int32 cells).
+_MAX_BUILDINGS = 2**18
+_MAX_CELLS = 2**26
 
 
 class SplitMix64:
@@ -44,19 +49,34 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def unit_array(self, n: int) -> np.ndarray:
-        """The next n draws, each (output + 0.5) / 2**64, in (0, 1).
+    def _mixed(self, z: np.ndarray) -> np.ndarray:
+        """Outputs of the draws z uint64 steps ahead (1 is the next), mixed in
+        place in z; the state does not move. Draw k is mix(state + k*gamma),
+        so any subset of draws computes on its own."""
+        z *= np.uint64(_GOLDEN_GAMMA)
+        z += np.uint64(self.state)
+        for shift, factor in ((30, _MIX_1), (27, _MIX_2)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(factor)
+        z ^= z >> np.uint64(31)
+        return z
 
-        SplitMix64 state advances by a constant per step, so the k-th draw
-        is mix(state + k*gamma) and the whole block vectorises.
-        """
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + steps * np.uint64(_GOLDEN_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-        z = z ^ (z >> np.uint64(31))
+    def unit_array(self, n: int) -> np.ndarray:
+        """The next n draws, each (output + 0.5) / 2**64, in (0, 1)."""
+        z = self._mixed(np.arange(1, n + 1, dtype=np.uint64))
         self.state = (self.state + n * _GOLDEN_GAMMA) & _MASK64
         return (z.astype(np.float64) + 0.5) / _TWO_64
+
+
+def _flip_threshold(rate: float) -> int:
+    """The least output t whose draw (float(t) + 0.5) / 2**64 is at least rate,
+    by bisection on that monotone predicate: a draw is below rate iff its
+    output is below t. At rate 1 the top 1,024 outputs round to 2**64."""
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if (float(mid) + 0.5) / _TWO_64 >= rate else (mid + 1, hi)
+    return lo
 
 
 # SceneSpec's float fields, each an int or a float but not a bool, with its
@@ -104,7 +124,18 @@ class SceneSpec:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not (abs(value) <= sys.float_info.max and rule(value))):
                 raise ValueError(f"{name} must be {wanted}, got {value!r}")
+        n = self.grid_cols * self.grid_rows
+        if n > _MAX_BUILDINGS:
+            raise ValueError(f"grid_cols x grid_rows gives {n:,} buildings, "
+                             f"above the cap of {_MAX_BUILDINGS:,}")
         pitch = self.building_size_m + self.spacing_m
+        # A bound on the raster frame's cells: the lattice's extent in cells
+        # (columns narrow with the latitude), plus margins and rounding up.
+        cells = ((self.grid_cols * pitch * self.m_per_deg_lat / self.m_per_deg_lon
+                  / self.cellsize_m + 5.0) * (self.grid_rows * pitch / self.cellsize_m + 5.0))
+        if not cells <= _MAX_CELLS:
+            raise ValueError(f"cellsize_m {self.cellsize_m!r} gives a raster of up to "
+                             f"{cells:.4g} cells on this grid, above the cap of {_MAX_CELLS:,}")
         # Default swath: along the middle building row, clear past both ends,
         # narrow enough that only that row falls in the destroyed band.
         if self.swath_width_m is None:
@@ -165,7 +196,8 @@ def generate(spec: SceneSpec) -> SynthScene:
     """Build the full synthetic scene for a spec.
 
     PRNG draw order: per building jitter x then y in row-major lattice
-    order; raster noise row-major (flip decision then replacement class,
+    order; raster noise row-major, two draws per cell (flip decision then
+    replacement class, the second computed only where the cell flips;
     skipped entirely at rate 0); per point in footprint-id order a drop
     decision then one Box-Muller pair for the x/y jitter.
     """
@@ -220,14 +252,16 @@ def generate(spec: SceneSpec) -> SynthScene:
         cells[row, col] = np.where(damaged[part][owner], CLASS_DAMAGED, CLASS_BUILDING)
 
     if spec.pixel_noise_rate > 0.0:
-        # Draw k of the stream does not depend on how the draws before it
-        # were blocked, so blocks bound the memory and change no cell.
+        # Cell k of a block reads draws 2k+1 (flip) and 2k+2 (replacement
+        # class); the second is mixed only where the cell flips.
         flat = cells.ravel()
+        t = np.uint64(_flip_threshold(spec.pixel_noise_rate))
         for start in range(0, flat.size, _NOISE_BLOCK):
             block = flat[start:start + _NOISE_BLOCK]
-            draws = rng.unit_array(2 * block.size)
-            flip = draws[0::2] < spec.pixel_noise_rate
-            block[flip] = np.floor(draws[1::2][flip] * 3.0)
+            flip = np.flatnonzero(rng._mixed(np.arange(1, 2 * block.size, 2, np.uint64)) < t)
+            z = rng._mixed(2 * flip.astype(np.uint64) + np.uint64(2))
+            block[flip] = np.floor((z.astype(np.float64) + 0.5) / _TWO_64 * 3.0)
+            rng.state = (rng.state + 2 * block.size * _GOLDEN_GAMMA) & _MASK64
 
     raster = ClassRaster(ncols=ncols, nrows=nrows, xll=xll, yll=yll,
                          cellsize=cs_deg, nodata=DEFAULT_NODATA, cells=cells)

@@ -176,11 +176,34 @@ def test_spec_coordinates_accept_integers(tmp_path, capsys):
     ("1e-12", "cellsize_m 1e-12 gives raster ncols 49073225336696.0, not in (0, 2**31)"),
     ("1e-300", "cellsize_m 1e-300 gives raster ncols "),
     ("5e-324", "cellsize_m 5e-324 gives raster cellsize 0.0, not positive and finite")])
-def test_tiny_cellsize_exits_2(tmp_path, capsys, cellsize, needle):
+def test_tiny_cellsize_exits_2(tmp_path, capsys, monkeypatch, cellsize, needle):
+    """generate's own frame rules, which stay behind the spec's cell cap:
+    the cap is lifted to reach them."""
+    monkeypatch.setattr("damagekit.synth._MAX_CELLS", float("inf"))
     path = write(tmp_path / "scene.json",
                  f'{{"grid_cols": 2, "grid_rows": 2, "cellsize_m": {cellsize}}}')
     assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys, needle)
     assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("spec, needle", [
+    ('"grid_cols": 2, "grid_rows": 2, "cellsize_m": 4e-7',
+     "cellsize_m 4e-07 gives a raster of up to 2.68e+16 cells on this grid, "
+     "above the cap of 67,108,864"),
+    ('"grid_cols": 2, "grid_rows": 2, "cellsize_m": 5e-324',
+     "cellsize_m 5e-324 gives a raster of up to inf cells"),
+    ('"grid_cols": 1000, "grid_rows": 1000, "cellsize_m": 100',
+     "grid_cols x grid_rows gives 1,000,000 buildings, above the cap of 262,144")])
+def test_scene_over_the_size_caps_exits_2_before_generating(tmp_path, capsys, monkeypatch,
+                                                            spec, needle):
+    def generate(spec):
+        raise AssertionError("the spec must be refused before generate")
+
+    monkeypatch.setattr("damagekit.cli.generate", generate)
+    path = write(tmp_path / "scene.json", f"{{{spec}}}")
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 f"scene.json: bad scene spec: {needle}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_point_jittered_off_the_globe_exits_2(tmp_path, capsys):

@@ -2,6 +2,8 @@
 banding, render/oracle agreement, and reproducibility guarantees."""
 
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -105,6 +107,46 @@ def test_spec_rejects_non_integer_counts(field, value):
 def test_spec_rejects_non_finite_floats(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a "):
         SceneSpec(**{field: value})
+
+
+@pytest.mark.parametrize("kwargs, needle", [
+    (dict(grid_cols=513, grid_rows=512), "grid_cols x grid_rows gives 262,656 buildings, "
+                                         "above the cap of 262,144"),
+    (dict(grid_cols=2**40, grid_rows=2**40), "gives 1,208,925,819,614,629,174,706,176 buildings"),
+    (dict(cellsize_m=0.1), "cellsize_m 0.1 gives a raster of up to 9.657e+07 cells on this "
+                           "grid, above the cap of 67,108,864"),
+    (dict(grid_cols=1, cellsize_m=1e-300), "gives a raster of up to inf cells"),
+    (dict(origin=GeoPoint(0.0, 90.0)), "gives a raster of up to 1.33e+22 cells"),
+])
+def test_spec_refuses_scenes_over_the_size_caps(kwargs, needle):
+    """Refused at construction, before generate draws or allocates."""
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        SceneSpec(**kwargs)
+
+
+def test_size_caps_admit_the_benchmark_scenes_and_the_largest_grid():
+    SceneSpec(grid_cols=30, grid_rows=30, cellsize_m=0.5)  # 3.74M cells
+    SceneSpec(grid_cols=80, grid_rows=80, spacing_m=10.0, cellsize_m=2.0)
+    SceneSpec(grid_cols=512, grid_rows=512, cellsize_m=5.0)
+
+
+def test_cell_cap_bounds_the_frame_that_generate_builds():
+    """With the cap one cell below a scene's raster, its spec is refused;
+    with the cap 15% above the raster of a mid-size scene, admitted."""
+    rng = np.random.default_rng(77)
+    for _ in range(25):
+        spec = _random_small_spec(rng)
+        try:
+            cells = generate(spec).raster.cells.size
+        except SwathOutsideScene:
+            continue
+        with mock.patch.object(synth, "_MAX_CELLS", cells - 1), \
+                pytest.raises(ValueError, match="above the cap"):
+            replace(spec)
+    spec = SceneSpec(seed=3, grid_cols=12, grid_rows=10, cellsize_m=0.5)
+    cells = generate(spec).raster.cells.size
+    with mock.patch.object(synth, "_MAX_CELLS", int(1.15 * cells)):
+        replace(spec)
 
 
 def test_spec_accepts_integers_for_floats():
@@ -364,6 +406,122 @@ def test_block_noise_matches_one_block_reference():
     with mock.patch.object(synth, "_NOISE_BLOCK", size):
         one_block = generate(spec)
     assert noisy.truth == one_block.truth
+
+
+def _unmix(z):
+    """The state whose SplitMix64 output is z: the mix run backwards."""
+    mask = (1 << 64) - 1
+    for shift, factor in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+        x = z
+        for _ in range(64 // shift + 1):
+            x = z ^ (x >> shift)
+        z = x if factor is None else (x * pow(factor, -1, 1 << 64)) & mask
+    return z
+
+
+def test_unmix_inverts_the_output_mix():
+    state, output = splitmix64_next(12345)
+    assert _unmix(output) == state
+
+
+def _noise_against_reference(spec):
+    """((cells, final stream state) from generate, the same from the
+    one-block reference noise on the noiseless cells)."""
+    streams = []
+
+    class Recorded(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append(self)
+
+    with mock.patch.object(synth, "SplitMix64", Recorded):
+        noisy = generate(spec)
+    n = spec.grid_cols * spec.grid_rows
+    rng = SplitMix64(spec.seed)
+    rng.unit_array(2 * n)  # building jitter
+    clean = generate(replace(spec, pixel_noise_rate=0.0)).raster.cells.copy()
+    expected = noise_in_one_block(clean, rng, spec.pixel_noise_rate)
+    rng.unit_array(3 * n)  # survey
+    return (noisy.raster.cells, streams[0].state), (expected, rng.state)
+
+
+@pytest.mark.parametrize("rate", [1e-12, 0.05, 0.5, 1.0])
+def test_noise_matches_one_block_reference_at_rate(rate):
+    spec = SceneSpec(seed=31, grid_cols=12, grid_rows=12, cellsize_m=0.5,
+                     pixel_noise_rate=rate, point_jitter_sigma_m=2.0)
+    (cells, state), (expected, expected_state) = _noise_against_reference(spec)
+    assert cells.size > 2 * synth._NOISE_BLOCK and cells.size % synth._NOISE_BLOCK
+    assert np.array_equal(cells, expected)
+    assert state == expected_state
+    flipped = np.mean(cells != generate(replace(spec, pixel_noise_rate=0.0)).raster.cells)
+    assert flipped == 0.0 if rate < 1e-6 else abs(flipped - 2 * rate / 3) < 0.01
+
+
+def _draw_reaches(z, rate):
+    """Whether output z's unit draw, as unit_array computes it, is at least rate."""
+    return (float(z) + 0.5) / 2.0 ** 64 >= rate
+
+
+@pytest.mark.parametrize("rate", [2.0**-60, 1e-12, 0.05, 1 / 3, 0.5, 0.999, 1.0])
+def test_flip_threshold_is_the_least_output_whose_draw_reaches_the_rate(rate):
+    t = synth._flip_threshold(rate)
+    assert 0 < t < 2**64
+    assert _draw_reaches(t, rate) and not _draw_reaches(t - 1, rate)
+
+
+def test_flip_threshold_at_the_rate_extremes():
+    # At rate 1 the top 1,024 outputs round to 2**64: their draws are 1.0,
+    # so they keep their cells, as unit_array's floats do.
+    assert synth._flip_threshold(1.0) == 2**64 - 1024
+    assert SplitMix64(_unmix(2**64 - 1) - 0x9E3779B97F4A7C15).unit_array(1)[0] == 1.0
+    # Below half an output's step no draw is under the rate.
+    assert synth._flip_threshold(2.0**-66) == 0
+
+
+# Outputs from the bottom of the range to the top, below 2**53, where each
+# output is its own float, and above, where runs of outputs share one.
+THRESHOLD_OUTPUTS = [3, 2**52 + 1, 2**60 + 12345, 0x5555_5555_5555_5555,
+                     2**63 + 2**10, 2**64 - 2**11 - 1]
+
+
+@pytest.mark.parametrize("z", THRESHOLD_OUTPUTS)
+def test_noise_matches_one_block_reference_at_threshold_rates(z):
+    """Rates at a draw's exact value and one float either side. For each,
+    seeds are chosen so that in one scene cell 0 draws exactly the rate's
+    threshold output t and keeps its class, and in another cell 1 draws
+    t - 1 and flips."""
+    spec = SceneSpec(grid_cols=2, grid_rows=2, point_jitter_sigma_m=1.0)
+    gamma = 0x9E3779B97F4A7C15
+    at_rate = (float(z) + 0.5) / 2.0 ** 64
+    for rate in (math.nextafter(at_rate, 0.0), at_rate, math.nextafter(at_rate, 1.0)):
+        t = synth._flip_threshold(rate)
+        for cell, output in ((0, t), (1, t - 1)):
+            # Cell k's flip decision is draw 2k + 1 after the 2n jitter draws.
+            seed = (_unmix(output) - (2 * 4 + 2 * cell + 1) * gamma) % 2**64
+            noisy_spec = replace(spec, seed=seed, pixel_noise_rate=rate)
+            (cells, state), (expected, expected_state) = _noise_against_reference(noisy_spec)
+            assert np.array_equal(cells, expected)
+            assert state == expected_state
+            rng = SplitMix64(seed)
+            draws = rng.unit_array(2 * 4 + 2 * cell + 2)[-2:]
+            assert (draws[0] < rate) == (output < t)
+            if np.floor(draws[1] * 3.0) != 0:  # a margin cell's replacement shows
+                assert (cells.flat[cell] != 0) == (output < t)
+
+
+def test_generate_peak_memory_on_scene_fine():
+    """The noise stage holds one block of flip draws, not two float draws
+    per cell: the seed-5 scene-fine spec peaked at 31.7 MiB before."""
+    spec = SceneSpec(seed=5, grid_cols=30, grid_rows=30, cellsize_m=0.5,
+                     pixel_noise_rate=0.05, point_jitter_sigma_m=4.0,
+                     swath_width_m=270.0)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2**20
 
 
 # ------------------------------------------- survey against scalar loops
