@@ -119,12 +119,10 @@ def cmd_match(args) -> int:
 
 def cmd_validate(args) -> int:
     scheme = parse_scheme(args.scheme, source="--scheme")
-    estimates = formats.parse_estimates_geojson(
-        formats.read_text(args.assessed), source=args.assessed)
-    matched, _ = formats.parse_matches_csv(formats.read_text(args.matched),
-                                           source=args.matched)
-    points = formats.load_truth(args.points)
-    samples = join_samples(matched, estimates, points, scheme)
+    estimates = formats.estimate_columns(formats.read_text(args.assessed), args.assessed)
+    matched = formats.match_columns(formats.read_text(args.matched), args.matched)[0]
+    points = formats.truth_columns(formats.read_text(args.points), args.points)
+    samples = join_samples(matched, estimates[:2], points[:2], scheme)
     report = metrics.validate(samples, scheme.id)
     _emit(formats.write_report_json(report), args.report)
     if args.curve is not None:

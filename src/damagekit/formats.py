@@ -12,7 +12,7 @@ import json
 import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -56,12 +56,13 @@ def write_text(path, text: str) -> None:
         raise UnwritableOutput(path, exc.strerror or exc) from exc
 
 
-def _checked_id(text: str, source, line=None) -> str:
-    """text, if it is a valid id: one or more of [A-Za-z0-9_-]."""
-    if not _ID.fullmatch(text):
-        raise ParseError(f"id {text!r} is not in [A-Za-z0-9_-]+",
-                         source=source, line=line)
-    return text
+def _checked_ids(texts, source, line=None):
+    """texts, if each is a valid id: one or more of [A-Za-z0-9_-]. With none
+    empty, they are all valid when their concatenation is."""
+    if texts and not (all(texts) and _ID.fullmatch("".join(texts))):
+        bad = next(text for text in texts if not _ID.fullmatch(text))
+        raise ParseError(f"id {bad!r} is not in [A-Za-z0-9_-]+", source=source, line=line)
+    return texts
 
 
 # ---------------------------------------------------------------- GeoJSON
@@ -90,7 +91,7 @@ def _feature_parts(feature, index, source):
     fid = feature.get("id", properties.get("id"))
     if fid is None or fid == "":
         raise ParseError(f"feature {index} has no id", source=source)
-    fid = _checked_id(str(fid), source)
+    fid = _checked_ids([str(fid)], source)[0]
     geometry = feature.get("geometry") or {}
     if geometry.get("type") != "Polygon":
         raise ParseError(f"feature {fid!r} geometry must be a Polygon",
@@ -200,50 +201,77 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
     two-decimal display rounding of damage_pct loses nothing downstream.
     """
     footprints, properties = parse_footprints_with_properties(text, source)
-    return footprints, _estimates([fp.id for fp in footprints], properties, source)
+    columns = _estimate_columns([fp.id for fp in footprints], properties, source)
+    return footprints, list(map(DamageEstimate, *columns))
 
 
 def parse_estimates_geojson(text: str, source="<geojson>") -> list[DamageEstimate]:
     """parse_assessed_geojson(text, source)[1], same checks, no Footprint built."""
-    return _estimates(*_collection_parts(text, source)[:2], source)
+    return list(map(DamageEstimate, *estimate_columns(text, source)))
 
 
-def _estimates(ids, properties, source) -> list[DamageEstimate]:
-    """The estimates in assessed features' properties: the counts must be JSON
-    integers, 0 <= n_damaged <= n_inside <= 2**53, and the flags JSON booleans."""
-    estimates = []
-    for fid, props in zip(ids, properties):
-        n_inside, n_damaged = props.get("n_inside"), props.get("n_damaged")
-        supersampled = props.get("supersampled")
-        no_coverage = props.get("no_coverage")
-        if not (type(n_inside) is int and type(n_damaged) is int
-                and 0 <= n_damaged <= n_inside <= 2**53
-                and isinstance(supersampled, bool)
-                and isinstance(no_coverage, bool)):
+def estimate_columns(text: str, source="<geojson>"):
+    """parse_estimates_geojson's fields as columns: (ids, damage_pct, n_inside,
+    n_damaged, supersampled, no_coverage)."""
+    return _estimate_columns(*_collection_parts(text, source)[:2], source)
+
+
+def _estimate_columns(ids, properties, source):
+    """The counts must be JSON integers, 0 <= n_damaged <= n_inside <= 2**53,
+    and the flags JSON booleans; a fault is named by a pass feature by feature."""
+    columns = [[props.get(key) for props in properties]
+               for key in ("n_inside", "n_damaged", "supersampled", "no_coverage")]
+    n_inside, n_damaged, supersampled, no_coverage = columns
+    try:
+        if (set(map(type, n_inside + n_damaged)) <= {int}
+                and set(map(type, supersampled + no_coverage)) <= {bool}):
+            n, d = np.array(n_inside, dtype=np.int64), np.array(n_damaged, dtype=np.int64)
+            if ((0 <= d) & (d <= n) & (n <= 2**53)).all():
+                pct = np.divide(100.0 * d, n, out=np.zeros(len(n)), where=n > 0)
+                return [ids, pct.tolist(), *columns]
+    except OverflowError:  # a count past int64
+        pass
+    for fid, n, d, s, c in zip(ids, *columns):
+        if not (type(n) is int and type(d) is int and 0 <= d <= n <= 2**53
+                and type(s) is bool and type(c) is bool):
             raise ParseError(f"feature {fid!r} lacks assessment properties "
                              "(integer counts 0 <= n_damaged <= n_inside <= 2**53, "
                              "boolean flags)", source=source)
-        pct = 100.0 * n_damaged / n_inside if n_inside > 0 else 0.0
-        estimates.append(DamageEstimate(fid, pct, n_inside, n_damaged,
-                                        supersampled, no_coverage))
-    return estimates
+    raise AssertionError("the estimate columns rejected features that pass one by one")
 
 
 # -------------------------------------------------------------------- CSV
 
-def _rows(text: str, source, header: str):
-    """(line number, fields) per data row, one field per header column."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != header:
+def _columns(text: str, source, header: str, read):
+    """read(columns, None) of a CSV's data rows, one tuple of field texts per
+    header column; lines end at LF, CR LF or CR. On any fault read raises a
+    ParseError, and then each row is read on its own, with its line number."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}", source=source, line=1)
     width = header.count(",") + 1
+    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    if set(map(len, rows)) <= {width}:
+        try:
+            return read(list(zip(*rows)) or [()] * width, None)
+        except ParseError:
+            pass
     for number, line in enumerate(lines[1:], start=2):
         if line.strip():
             fields = line.split(",")
             if len(fields) != width:
                 raise ParseError(f"expected {width} fields, got {len(fields)}",
                                  source=source, line=number)
-            yield number, fields
+            read([(field,) for field in fields], number)
+    raise AssertionError(f"{read.__qualname__} rejected rows it accepts one by one")
+
+
+def _categories(labels, source, line) -> list[FemaCategory]:
+    """The category of each label, read as FemaCategory.from_label reads it."""
+    categories = list(map(FemaCategory.__members__.get, map(str.upper, labels)))
+    if None in categories:
+        return [FemaCategory.from_label(label, source, line) for label in labels]
+    return categories
 
 
 def _csv(header: str, rows) -> str:
@@ -255,18 +283,24 @@ def write_truth_csv(points: list[GroundTruthPoint]) -> str:
                                f"{p.category.label}" for p in points))
 
 
-def parse_truth_csv(text: str, source="<csv>") -> list[GroundTruthPoint]:
-    points = []
-    for number, (pid, lon_text, lat_text, label) in _rows(text, source,
-                                                           TRUTH_HEADER):
-        _checked_id(pid, source, number)
+def truth_columns(text: str, source="<csv>"):
+    """(ids, categories, lons, lats) of a truth CSV, with parse_truth_csv's checks."""
+    def read(columns, line):
+        ids, lon_texts, lat_texts, labels = columns
+        _checked_ids(ids, source, line)
         try:
-            location = GeoPoint(float(lon_text), float(lat_text))
+            lons, lats = list(map(float, lon_texts)), list(map(float, lat_texts))
+            if not ((np.abs(lons) <= 180.0).all() and (np.abs(lats) <= 90.0).all()):
+                list(map(GeoPoint, lons, lats))  # raises the first point's range error
         except ValueError as exc:
-            raise ParseError(str(exc), source=source, line=number) from exc
-        points.append(GroundTruthPoint(pid, location,
-                                       FemaCategory.from_label(label, source, number)))
-    return points
+            raise ParseError(str(exc), source=source, line=line) from exc
+        return ids, _categories(labels, source, line), lons, lats
+    return _columns(text, source, TRUTH_HEADER, read)
+
+
+def parse_truth_csv(text: str, source="<csv>") -> list[GroundTruthPoint]:
+    ids, categories, lons, lats = truth_columns(text, source)
+    return list(map(GroundTruthPoint, ids, map(GeoPoint, lons, lats), categories))
 
 
 def load_truth(path) -> list[GroundTruthPoint]:
@@ -278,38 +312,36 @@ def write_matches_csv(point_ids: list[str],
                       unmatched: list[str]) -> str:
     """One row per input point in input order; unmatched rows leave the
     footprint and distance fields empty."""
-    by_point = {m.point_id: m for m in matched}
-    unmatched_set = set(unmatched)
-    rows = []
-    for pid in point_ids:
-        m = by_point.get(pid)
-        if m is not None:
-            rows.append(f"{pid},{m.footprint_id},{m.distance_m!r}")
-        elif pid in unmatched_set:
-            rows.append(f"{pid},,")
-        else:
-            raise ValueError(f"point {pid!r} neither matched nor unmatched")
-    return _csv(MATCH_HEADER, rows)
+    rows = dict.fromkeys(unmatched, ",,")
+    rows.update((m.point_id, f",{m.footprint_id},{m.distance_m!r}") for m in matched)
+    missing = [pid for pid in point_ids if pid not in rows]
+    if missing:
+        raise ValueError(f"point {missing[0]!r} neither matched nor unmatched")
+    return _csv(MATCH_HEADER, (pid + rows[pid] for pid in point_ids))
+
+
+def match_columns(text: str, source="<csv>"):
+    """((point ids, footprint ids, distances), unmatched ids) of a matches CSV."""
+    def read(columns, line):
+        hit = [f + d != "" for f, d in zip(*columns[1:])]  # unmatched: both empty
+        pids, fids, texts = (list(compress(column, hit)) for column in columns)
+        _checked_ids(columns[0], source, line)
+        _checked_ids(fids, source, line)
+        try:
+            distances = np.array(list(map(float, texts)))
+        except ValueError:  # names the right text in the one-row reads that report it
+            distances = np.array([math.nan])
+        bad = ~((0.0 <= distances) & (distances < math.inf))  # as match writes them
+        if bad.any():
+            raise ParseError(f"bad distance {texts[bad.argmax()]!r}, not a finite number "
+                             ">= 0", source=source, line=line)
+        return (pids, fids, distances.tolist()), [p for p, h in zip(columns[0], hit) if not h]
+    return _columns(text, source, MATCH_HEADER, read)
 
 
 def parse_matches_csv(text: str, source="<csv>"):
-    matched = []
-    unmatched = []
-    for number, (pid, fid, distance_text) in _rows(text, source, MATCH_HEADER):
-        _checked_id(pid, source, number)
-        if fid == "" and distance_text == "":
-            unmatched.append(pid)
-            continue
-        _checked_id(fid, source, number)
-        try:
-            distance = float(distance_text)
-        except ValueError:
-            distance = math.nan
-        if not 0.0 <= distance < math.inf:  # what match writes: finite, 0 or more
-            raise ParseError(f"bad distance {distance_text!r}, not a finite number >= 0",
-                             source=source, line=number)
-        matched.append(PointMatch(pid, fid, distance))
-    return matched, unmatched
+    (pids, fids, distances), unmatched = match_columns(text, source)
+    return list(map(PointMatch, pids, fids, distances)), unmatched
 
 
 def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
@@ -318,11 +350,10 @@ def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
 
 
 def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:
-    oracle = {}
-    for number, (fid, label) in _rows(text, source, ORACLE_HEADER):
-        category = FemaCategory.from_label(label, source, number)
-        oracle[_checked_id(fid, source, number)] = category
-    return oracle
+    def read(columns, line):
+        categories = _categories(columns[1], source, line)  # checked before the ids
+        return dict(zip(_checked_ids(columns[0], source, line), categories))
+    return _columns(text, source, ORACLE_HEADER, read)
 
 
 def write_curve_csv(points: list[PRPoint]) -> str:
@@ -331,17 +362,16 @@ def write_curve_csv(points: list[PRPoint]) -> str:
 
 
 def parse_curve_csv(text: str, source="<csv>") -> list[PRPoint]:
-    points = []
-    for number, fields in _rows(text, source, CURVE_HEADER):
+    def read(columns, line):
         try:
-            theta, precision, recall = map(float, fields)
+            values = np.array([list(map(float, column)) for column in columns])
         except ValueError as exc:
-            raise ParseError("bad curve row", source=source,
-                             line=number) from exc
-        if not (0.0 <= theta <= 100.0 and 0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
+            raise ParseError("bad curve row", source=source, line=line) from exc
+        if not ((0.0 <= values) & (values <= [[100.0], [1.0], [1.0]])).all():
             raise ParseError("bad curve row: theta must lie in [0, 100] and precision "
-                             "and recall in [0, 1]", source=source, line=number)
-        points.append(PRPoint(theta, precision, recall))
+                             "and recall in [0, 1]", source=source, line=line)
+        return list(map(PRPoint, *values.tolist()))
+    points = _columns(text, source, CURVE_HEADER, read)
     if not points:
         raise ParseError("curve has no data rows", source=source, line=1)
     return points

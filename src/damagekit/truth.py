@@ -19,7 +19,6 @@ from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
                      MissingPoint, ParseError, UnknownCategory, check_unique)
 from .geom import (Footprint, GeoPoint, _edges, _inside_pairs, _runs,
                    metres_per_degree)
-from .zonal import DamageEstimate
 
 
 class FemaCategory(IntEnum):
@@ -232,26 +231,27 @@ def _distances(x, y, box, owner, x1, y1, x2, y2, ring, kx, ky):
     return np.where(inside, 0.0, np.sqrt(d_sq))
 
 
-def join_samples(matched: list[PointMatch],
-                 estimates: list[DamageEstimate],
-                 points: list[GroundTruthPoint],
-                 scheme: BinaryScheme) -> list[MatchedSample]:
-    """Join matches with estimates and binarised point labels.
+def join_samples(matched, estimates, points, scheme: BinaryScheme) -> list[MatchedSample]:
+    """Join matches with estimates and binarised point labels, each given as
+    columns: matched (point ids, footprint ids, distances), estimates
+    (footprint ids, damage percentages) and points (point ids, categories).
 
     Raises DuplicateFootprintId or DuplicatePointId on a repeated id, and
     MissingEstimate or MissingPoint on a match to an absent one.
     """
-    pct = {e.footprint_id: e.damage_pct for e in estimates}
-    label = {p.id: binarize(p.category, scheme) for p in points}
-    if len(pct) < len(estimates):
-        check_unique((e.footprint_id for e in estimates), DuplicateFootprintId, "footprint")
-    if len(label) < len(points):
-        check_unique((p.id for p in points), DuplicatePointId, "point")
-    if len({m.point_id for m in matched}) < len(matched):
-        check_unique((m.point_id for m in matched), DuplicatePointId, "matched point")
-    for pid, fid, _ in matched:
+    point_ids, footprint_ids, distances = matched
+    pct = dict(zip(*estimates))
+    label = {pid: binarize(category, scheme) for pid, category in zip(*points)}
+    if len(pct) < len(estimates[0]):
+        check_unique(estimates[0], DuplicateFootprintId, "footprint")
+    if len(label) < len(points[0]):
+        check_unique(points[0], DuplicatePointId, "point")
+    if len(set(point_ids)) < len(point_ids):
+        check_unique(point_ids, DuplicatePointId, "matched point")
+    for pid, fid in zip(point_ids, footprint_ids):
         if fid not in pct:
             raise MissingEstimate(f"no damage estimate for matched footprint {fid!r}")
         if pid not in label:
             raise MissingPoint(f"matched point {pid!r} not in point list")
-    return [MatchedSample(*m, label[m.point_id], pct[m.footprint_id]) for m in matched]
+    return list(map(MatchedSample, point_ids, footprint_ids, distances,
+                    map(label.get, point_ids), map(pct.get, footprint_ids)))

@@ -8,23 +8,27 @@ vectorised code. Tests compare the fast implementations against these.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from damagekit.errors import (CellCountMismatch, EmptySampleSet,
-                              InvalidClassCode, MissingHeaderKey,
-                              NoPositiveSamples, NonIntegerCell, ParseError)
-from damagekit.formats import _checked_id, parse_json
+from damagekit.errors import (CellCountMismatch, DuplicateFootprintId,
+                              DuplicatePointId, EmptySampleSet,
+                              InvalidClassCode, MissingEstimate, MissingHeaderKey,
+                              MissingPoint, NoPositiveSamples, NonIntegerCell,
+                              ParseError, check_unique)
+from damagekit.formats import _collection_parts, parse_json
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             _crossing, _on_edge, metres_per_degree)
 from damagekit.metrics import PRCurve, PRPoint
 from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
                               VALID_CLASSES, ClassRaster, _centres,
                               _header_value)
-from damagekit.truth import FemaCategory, GroundTruthPoint, MatchedSample
+from damagekit.truth import (FemaCategory, GroundTruthPoint, MatchedSample,
+                             PointMatch, binarize)
 from damagekit.zonal import DamageEstimate
 
 
@@ -177,6 +181,14 @@ def reference_latitude(points, footprints) -> float:
     return float(sum(map(Fraction, lats))) / len(lats) if lats else 0.0
 
 
+def _checked_id(text: str, source, line=None) -> str:
+    """text, if it is a valid id: one or more of [A-Za-z0-9_-]."""
+    if not re.fullmatch(r"[A-Za-z0-9_-]+", text):
+        raise ParseError(f"id {text!r} is not in [A-Za-z0-9_-]+",
+                         source=source, line=line)
+    return text
+
+
 def _parse_feature(feature, index, source):
     """One GeoJSON Feature as (Footprint, its properties dict)."""
     if not isinstance(feature, dict) or feature.get("type") != "Feature":
@@ -228,6 +240,140 @@ def parse_footprints_one_by_one(text: str, source="<geojson>"):
         raise ParseError("FeatureCollection has no feature list", source=source)
     parsed = [_parse_feature(f, i, source) for i, f in enumerate(features)]
     return [fp for fp, _ in parsed], [properties for _, properties in parsed]
+
+
+def estimates_one_by_one(text: str, source="<geojson>") -> list[DamageEstimate]:
+    """The assessed-properties reader one feature at a time, after the
+    library's collection checks: each feature's counts must be JSON integers,
+    0 <= n_damaged <= n_inside <= 2**53, and its flags JSON booleans."""
+    ids, properties = _collection_parts(text, source)[:2]
+    estimates = []
+    for fid, props in zip(ids, properties):
+        n_inside, n_damaged = props.get("n_inside"), props.get("n_damaged")
+        supersampled = props.get("supersampled")
+        no_coverage = props.get("no_coverage")
+        if not (type(n_inside) is int and type(n_damaged) is int
+                and 0 <= n_damaged <= n_inside <= 2**53
+                and isinstance(supersampled, bool)
+                and isinstance(no_coverage, bool)):
+            raise ParseError(f"feature {fid!r} lacks assessment properties "
+                             "(integer counts 0 <= n_damaged <= n_inside <= 2**53, "
+                             "boolean flags)", source=source)
+        pct = 100.0 * n_damaged / n_inside if n_inside > 0 else 0.0
+        estimates.append(DamageEstimate(fid, pct, n_inside, n_damaged,
+                                        supersampled, no_coverage))
+    return estimates
+
+
+# ------------------------------------------------------ CSV, one row at a time
+
+def csv_rows(text: str, source, header: str):
+    """(line number, fields) per data row, one field per header column.
+    Lines end at LF, CR LF or CR only; blank lines are skipped."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[0].strip() != header:
+        raise ParseError(f"expected header {header!r}", source=source, line=1)
+    width = header.count(",") + 1
+    for number, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ParseError(f"expected {width} fields, got {len(fields)}",
+                                 source=source, line=number)
+            yield number, fields
+
+
+def parse_truth_csv_by_row(text: str, source="<csv>") -> list[GroundTruthPoint]:
+    points = []
+    for number, (pid, lon_text, lat_text, label) in csv_rows(
+            text, source, "point_id,lon,lat,category"):
+        _checked_id(pid, source, number)
+        try:
+            location = GeoPoint(float(lon_text), float(lat_text))
+        except ValueError as exc:
+            raise ParseError(str(exc), source=source, line=number) from exc
+        points.append(GroundTruthPoint(pid, location,
+                                       FemaCategory.from_label(label, source, number)))
+    return points
+
+
+def parse_matches_csv_by_row(text: str, source="<csv>"):
+    matched = []
+    unmatched = []
+    for number, (pid, fid, distance_text) in csv_rows(
+            text, source, "point_id,footprint_id,distance_m"):
+        _checked_id(pid, source, number)
+        if fid == "" and distance_text == "":
+            unmatched.append(pid)
+            continue
+        _checked_id(fid, source, number)
+        try:
+            distance = float(distance_text)
+        except ValueError:
+            distance = math.nan
+        if not 0.0 <= distance < math.inf:
+            raise ParseError(f"bad distance {distance_text!r}, not a finite number >= 0",
+                             source=source, line=number)
+        matched.append(PointMatch(pid, fid, distance))
+    return matched, unmatched
+
+
+def parse_oracle_csv_by_row(text: str, source="<csv>") -> dict[str, FemaCategory]:
+    oracle = {}
+    for number, (fid, label) in csv_rows(text, source, "footprint_id,category"):
+        category = FemaCategory.from_label(label, source, number)
+        oracle[_checked_id(fid, source, number)] = category
+    return oracle
+
+
+def parse_curve_csv_by_row(text: str, source="<csv>") -> list[PRPoint]:
+    points = []
+    for number, fields in csv_rows(text, source, "theta,precision,recall"):
+        try:
+            theta, precision, recall = map(float, fields)
+        except ValueError as exc:
+            raise ParseError("bad curve row", source=source,
+                             line=number) from exc
+        if not (0.0 <= theta <= 100.0 and 0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
+            raise ParseError("bad curve row: theta must lie in [0, 100] and precision "
+                             "and recall in [0, 1]", source=source, line=number)
+        points.append(PRPoint(theta, precision, recall))
+    if not points:
+        raise ParseError("curve has no data rows", source=source, line=1)
+    return points
+
+
+# ------------------------------------------------------------------ joins
+
+def join_columns(matched: list[PointMatch], estimates: list[DamageEstimate],
+                 points: list[GroundTruthPoint]):
+    """join_samples' column arguments from object lists: (point ids, footprint
+    ids, distances), (footprint ids, damage percentages) and (point ids,
+    categories)."""
+    return (([m.point_id for m in matched], [m.footprint_id for m in matched],
+             [m.distance_m for m in matched]),
+            ([e.footprint_id for e in estimates], [e.damage_pct for e in estimates]),
+            ([p.id for p in points], [p.category for p in points]))
+
+
+def join_samples_by_row(matched: list[PointMatch], estimates: list[DamageEstimate],
+                        points: list[GroundTruthPoint], scheme) -> list[MatchedSample]:
+    """The join over object lists: dicts by id, the duplicate checks in order
+    (estimates, points, matches), then one pass over the matches."""
+    pct = {e.footprint_id: e.damage_pct for e in estimates}
+    label = {p.id: binarize(p.category, scheme) for p in points}
+    if len(pct) < len(estimates):
+        check_unique((e.footprint_id for e in estimates), DuplicateFootprintId, "footprint")
+    if len(label) < len(points):
+        check_unique((p.id for p in points), DuplicatePointId, "point")
+    if len({m.point_id for m in matched}) < len(matched):
+        check_unique((m.point_id for m in matched), DuplicatePointId, "matched point")
+    for pid, fid, _ in matched:
+        if fid not in pct:
+            raise MissingEstimate(f"no damage estimate for matched footprint {fid!r}")
+        if pid not in label:
+            raise MissingPoint(f"matched point {pid!r} not in point list")
+    return [MatchedSample(*m, label[m.point_id], pct[m.footprint_id]) for m in matched]
 
 
 def square_ring(cx: float, cy: float, half: float) -> Ring:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from damagekit import errors, plot
+import damagekit.metrics
+from damagekit import errors, formats, plot
 from damagekit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -426,6 +427,80 @@ def test_validate_matched_point_missing_from_the_points_exits_2(tmp_path, capsys
                  "matched point 'p9' not in point list")
 
 
+BAD_COUNT = ('"n_inside":4,', '"n_inside":-4,')
+DUPLICATE = ('"features":[', '"features":[{"type":"Feature","id":"b1","geometry":'
+             '{"type":"Polygon","coordinates":[[[0,0],[1,0],[1,1],[0,0]]]},"properties":'
+             '{"n_inside":1,"n_damaged":0,"supersampled":false,"no_coverage":false}},')
+
+
+@pytest.mark.parametrize("assessed, matches, truth, code, message", [
+    (DUPLICATE, "p1,b1,x\n", "p1,0.0,0.0,destroyed\n", 2,
+     "{m}:2: bad distance 'x', not a finite number >= 0"),
+    (DUPLICATE, "p1,b1,0.0\n", "p1,0.0,0.0,destroyed\np:2,0.0,0.0,affected\n", 2,
+     "{t}:3: id 'p:2' is not in [A-Za-z0-9_-]+"),
+    (BAD_COUNT, "p1,b1,x\n", "p1,0.0,0.0,vaporized\n", 2,
+     "{a}: feature 'b1' lacks assessment properties (integer counts "
+     "0 <= n_damaged <= n_inside <= 2**53, boolean flags)"),
+    (None, "p1,b1,-1\n", "p1,0.0,0.0,vaporized\n", 2,
+     "{m}:2: bad distance '-1', not a finite number >= 0"),
+    (None, "p1,b1,0.0\np1,b9,0.0\n", "p1,0.0,0.0,vaporized\n", 4,
+     "{t}:2: unknown damage category 'vaporized'"),
+    (DUPLICATE, "p1,b1,0.0\np1,b1,0.0\n", "p1,0.0,0.0,affected\np1,0.0,0.0,destroyed\n", 3,
+     "duplicate footprint id 'b1'"),
+    (None, "p1,b9,0.0\np1,b1,0.0\n", "p1,0.0,0.0,affected\np1,0.0,0.0,destroyed\n", 3,
+     "duplicate point id 'p1'"),
+    (None, "p9,b9,0.0\np9,b1,0.0\n", "p1,0.0,0.0,destroyed\n", 3,
+     "duplicate matched point id 'p9'"),
+    (None, "p9,b1,0.0\np1,b9,0.0\n", "p1,0.0,0.0,destroyed\n", 2,
+     "matched point 'p9' not in point list"),
+    (None, "p9,b9,0.0\n", "p1,0.0,0.0,destroyed\n", 5,
+     "no damage estimate for matched footprint 'b9'"),
+], ids=["duplicate-estimate+bad-match", "duplicate-estimate+bad-truth",
+        "bad-count+bad-match+bad-category", "bad-match+bad-category",
+        "bad-category+duplicate-match", "duplicate-estimate+point+match",
+        "duplicate-point+match+missing-estimate", "duplicate-match+missing-both",
+        "missing-point-then-estimate", "missing-both-in-one-row"])
+def test_validate_reports_the_first_of_several_faults(tmp_path, capsys, assessed,
+                                                      matches, truth, code, message):
+    # The files are read in argument order, each whole, before the join's
+    # duplicate checks (estimates, points, matches) and its missing-id pass.
+    inputs = validate_inputs(tmp_path, matches=matches, truth=truth)
+    if assessed is not None:
+        text = Path(inputs[0]).read_text()
+        assert assessed[0] in text
+        write(Path(inputs[0]), text.replace(*assessed, 1))
+    assert main(["validate", *inputs]) == code
+    a, m, t = inputs
+    assert capsys.readouterr().err == f"damagekit: error: {message.format(a=a, m=m, t=t)}\n"
+
+
+def test_validate_calls_metrics_validate_through_its_module(tmp_path, monkeypatch):
+    # Fault injection that patches damagekit.metrics.validate relies on this.
+    inputs = validate_inputs(tmp_path)
+
+    def injected(samples, scheme_id):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(damagekit.metrics, "validate", injected)
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["validate", *inputs])
+
+
+def test_validate_builds_no_per_row_objects(tmp_path, capsys, monkeypatch):
+    inputs = validate_inputs(tmp_path, matches="p1,b1,0.0\np2,,\n",
+                             truth="p1,0.0,0.0,destroyed\np2,1.0,1.0,affected\n")
+    assert main(["validate", *inputs]) == 0
+    expected = capsys.readouterr().out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("validate built a per-row object")
+
+    for name in ("GeoPoint", "GroundTruthPoint", "PointMatch", "DamageEstimate"):
+        monkeypatch.setattr(formats, name, refused)
+    assert main(["validate", *inputs]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("outcome", ["success", "exit-2", "raises"])
 def test_main_restores_the_cyclic_collector(tmp_path, capsys, monkeypatch,
@@ -545,6 +620,20 @@ def test_count_too_large_for_a_float_exits_2(tmp_path, capsys):
     text = Path(inputs[0]).read_text()
     assert '"n_inside":4,' in text
     write(Path(inputs[0]), text.replace('"n_inside":4,', f'"n_inside":{10**400},'))
+    assert_fails(["validate", *inputs], 2, capsys,
+                 f"error: {inputs[0]}: feature 'b1' lacks assessment properties")
+
+
+@pytest.mark.parametrize("counts", [
+    f'"n_inside":{2**53 + 1},"n_damaged":1,', f'"n_inside":{2**53},"n_damaged":{2**53 + 1},',
+    '"n_inside":-1,"n_damaged":1,', '"n_inside":true,"n_damaged":1,',
+    '"n_inside":4.0,"n_damaged":1,', '"n_inside":4,"n_damaged":5,'])
+def test_counts_past_the_exact_rule_exit_2(tmp_path, capsys, counts):
+    # 2**53 + 1 rounds to 2**53 as a float: only an integer test rejects it.
+    inputs = validate_inputs(tmp_path)
+    text = Path(inputs[0]).read_text()
+    assert '"n_inside":4,"n_damaged":1,' in text
+    write(Path(inputs[0]), text.replace('"n_inside":4,"n_damaged":1,', counts))
     assert_fails(["validate", *inputs], 2, capsys,
                  f"error: {inputs[0]}: feature 'b1' lacks assessment properties")
 
