@@ -79,7 +79,7 @@ def cmd_synth(args) -> int:
     scene = generate(spec)
     join = os.path.join
     formats.write_text(join(args.out_dir, "footprints.geojson"),
-                       formats.write_footprints_geojson(list(scene.footprints)))
+                       formats.write_footprints_geojson(scene.footprints))
     formats.write_text(join(args.out_dir, "raster.asc"),
                        write_ascii_grid(scene.raster))
     formats.write_text(join(args.out_dir, "truth.csv"),

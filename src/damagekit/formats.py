@@ -12,12 +12,14 @@ import json
 import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain, compress
+from collections.abc import Sequence
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
 from .errors import ParseError, UnwritableOutput
-from .geom import Footprint, GeoPoint, _built_footprints, _checked_rings, footprint_of
+from .geom import (Footprint, FootprintArray, GeoPoint, _built_footprints, _checked_rings,
+                   footprint_of)
 from .metrics import PRPoint, ValidationReport
 from .truth import FemaCategory, GroundTruthPoint, PointMatch
 from .zonal import DamageEstimate
@@ -103,7 +105,7 @@ def _feature_parts(feature, index, source):
 
 
 def _collection_parts(text: str, source):
-    """(ids, properties, coords, counts, checked) of a FeatureCollection, with
+    """(ids, properties, coords, checked) of a FeatureCollection, with
     checked what _checked_rings returns. On any fault the features are read
     again one at a time, which raises the first fault's ParseError."""
     doc = parse_json(text, source)
@@ -119,10 +121,10 @@ def _collection_parts(text: str, source):
         numbers = list(chain.from_iterable(vertices))  # JSON numbers: no bool, no string
         if set(map(len, vertices)) <= {2} and set(map(type, numbers)) <= {int, float}:
             coords = np.array(numbers, dtype=np.float64).reshape(-1, 2)
-            counts = [len(rs) for rs in rings]
-            checked = _checked_rings(coords, [len(r) for rs in rings for r in rs], counts)
+            checked = _checked_rings(coords, [len(r) for rs in rings for r in rs],
+                                     list(map(len, rings)))
             if checked is not None:
-                return ids, properties, coords, counts, checked
+                return ids, properties, coords, checked
     except (ParseError, TypeError, ValueError, OverflowError):
         pass
     for index, feature in enumerate(features):
@@ -135,39 +137,58 @@ def _collection_parts(text: str, source):
 
 
 def parse_footprints_with_properties(text: str, source="<geojson>"):
-    """Parse a FeatureCollection into ([Footprint], [input properties])."""
-    ids, properties, coords, counts, checked = _collection_parts(text, source)
-    return _built_footprints(ids, coords, counts, checked), properties
+    """Parse a FeatureCollection into (FootprintArray, [input properties])."""
+    ids, properties, coords, checked = _collection_parts(text, source)
+    return _built_footprints(ids, coords, checked), properties
 
 
-def parse_footprints_geojson(text: str, source="<geojson>") -> list[Footprint]:
+def parse_footprints_geojson(text: str, source="<geojson>") -> FootprintArray:
     return parse_footprints_with_properties(text, source)[0]
 
 
-def load_footprints(path) -> list[Footprint]:
+def load_footprints(path) -> FootprintArray:
     return parse_footprints_geojson(read_text(path), source=path)
 
 
-def _footprint_geometry(fp: Footprint):
-    return {"type": "Polygon",
-            "coordinates": [r.coords.tolist() for r in (fp.exterior, *fp.holes)]}
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_FEATURE = '{"type":"Feature","id":%s,"geometry":{"type":"Polygon","coordinates":[[['
+_PROPERTIES = ']]]},"properties":%s}'
+_CHUNK = 1024  # footprints the writers format at a time
 
 
-def _collection(footprints: list[Footprint], properties) -> str:
-    """Compact FeatureCollection text, one properties dict per footprint."""
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {"type": "Feature", "id": fp.id,
-             "geometry": _footprint_geometry(fp), "properties": props}
-            for fp, props in zip(footprints, properties)
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+def _collection(footprints: Sequence[Footprint], properties) -> str:
+    """Compact FeatureCollection text, one properties text per footprint: the
+    bytes of json.dumps of the whole document. It is formatted _CHUNK
+    footprints at a time, so one chunk's pieces are freed before the next's
+    are made; a chunk past the last properties text adds nothing."""
+    fps, properties = FootprintArray.of(footprints), iter(properties)
+    chunks = (_features(fps[lo:lo + _CHUNK], list(islice(properties, _CHUNK)))
+              for lo in range(0, len(fps), _CHUNK))
+    return '{"type":"FeatureCollection","features":[' + ",".join(filter(None, chunks)) + "]}\n"
 
 
-def write_footprints_geojson(footprints: list[Footprint]) -> str:
-    return _collection(footprints, [{}] * len(footprints))
+def _features(fps: FootprintArray, properties: list[str]) -> str:
+    """The features of the footprints with the properties texts, as many as
+    there are texts, joined from four pieces per vertex: x, ",", y and the
+    separator after it. Each distinct coordinate (by bit pattern, so -0.0
+    stays apart) goes through float.__repr__, as in json.dumps, once."""
+    fps = fps[:len(properties)]
+    if not properties:
+        return ""
+    bits, which = np.unique(fps.coords.ravel().view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    pieces = np.full((len(fps.coords), 4), "],[", dtype=object)
+    pieces[:, 0::2], pieces[:, 1] = reprs[which.reshape(-1, 2)], ","
+    pieces[fps.ring_offsets[1:] - 1, 3] = "]],[["
+    ids = list(map(json.dumps, fps.ids))
+    pieces[fps.ring_offsets[fps.geom_offsets[1:]] - 1, 3] = [
+        _PROPERTIES % text + "," + _FEATURE % fid for text, fid in zip(properties, ids[1:])
+    ] + [_PROPERTIES % properties[-1]]
+    return "".join([_FEATURE % ids[0], *pieces.ravel().tolist()])
+
+
+def write_footprints_geojson(footprints: Sequence[Footprint]) -> str:
+    return _collection(footprints, repeat("{}"))
 
 
 def round_half_up(value: float, places: int = 2) -> float:
@@ -175,22 +196,19 @@ def round_half_up(value: float, places: int = 2) -> float:
     return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def write_assessed_geojson(footprints: list[Footprint],
+def write_assessed_geojson(footprints: Sequence[Footprint],
                            estimates: list[DamageEstimate],
                            input_properties: list[dict] | None = None) -> str:
     """Footprints plus their estimates: damage_pct is rounded half-up to
-    two decimals; the integer counts keep full fidelity."""
-    properties = []
-    for idx, est in enumerate(estimates):
-        props = dict(input_properties[idx]) if input_properties else {}
-        props.update({
-            "damage_pct": round_half_up(est.damage_pct),
-            "n_inside": est.n_inside,
-            "n_damaged": est.n_damaged,
-            "supersampled": est.supersampled,
-            "no_coverage": est.no_coverage,
-        })
-        properties.append(props)
+    two decimals, each distinct value once; the integer counts keep full
+    fidelity."""
+    pct = np.array([est.damage_pct for est in estimates], dtype=np.float64)
+    bits, which = np.unique(pct.view(np.int64), return_inverse=True)  # -0.0 is not 0.0
+    shown = np.array(list(map(round_half_up, bits.view(np.float64).tolist())))[which]
+    properties = (_COMPACT.encode(dict(
+        props, damage_pct=rounded, n_inside=est.n_inside, n_damaged=est.n_damaged,
+        supersampled=est.supersampled, no_coverage=est.no_coverage))
+        for est, rounded, props in zip(estimates, shown.tolist(), input_properties or repeat({})))
     return _collection(footprints, properties)
 
 
@@ -201,7 +219,7 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
     two-decimal display rounding of damage_pct loses nothing downstream.
     """
     footprints, properties = parse_footprints_with_properties(text, source)
-    columns = _estimate_columns([fp.id for fp in footprints], properties, source)
+    columns = _estimate_columns(footprints.ids, properties, source)
     return footprints, list(map(DamageEstimate, *columns))
 
 

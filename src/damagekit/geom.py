@@ -13,6 +13,7 @@ increasing longitude, and points that lie exactly on any boundary edge
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,65 @@ class Footprint:
         object.__setattr__(self, "bounds", b)
 
 
+class FootprintArray(Sequence):
+    """Read-only footprints in GeoArrow's polygon layout: ring i is the rows
+    ring_offsets[i] to ring_offsets[i + 1] of the (n, 2) float64 (lon, lat)
+    buffer coords, and footprint j the rings geom_offsets[j] to
+    geom_offsets[j + 1], exterior first, with bounds[j] (min_lon, min_lat,
+    max_lon, max_lat) and ids[j]. An index or iteration builds Footprint views;
+    a slice is a FootprintArray. footprints_from and FootprintArray.of build
+    one; the constructor takes arrays already checked."""
+
+    __slots__ = ("coords", "ring_offsets", "geom_offsets", "bounds", "ids")
+
+    def __init__(self, coords, ring_offsets, geom_offsets, bounds, ids):
+        for name, value in zip(self.__slots__, (coords, ring_offsets, geom_offsets, bounds)):
+            value.flags.writeable = False
+            setattr(self, name, value)
+        self.ids = tuple(ids)
+
+    @classmethod
+    def of(cls, footprints) -> FootprintArray:
+        """footprints if it is a FootprintArray, else the collection of its Footprints."""
+        if isinstance(footprints, cls):
+            return footprints
+        rings = [r.coords for fp in footprints for r in (fp.exterior, *fp.holes)]
+        bounds = [(b.min_lon, b.min_lat, b.max_lon, b.max_lat)
+                  for b in (fp.bounds for fp in footprints)]
+        return cls(np.concatenate(rings or [np.empty((0, 2))]), _offsets(list(map(len, rings))),
+                   _offsets([1 + len(fp.holes) for fp in footprints]),
+                   np.array(bounds).reshape(-1, 4), [fp.id for fp in footprints])
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        j = range(len(self))[index]
+        ends = self.ring_offsets[self.geom_offsets[j]:self.geom_offsets[j + 1] + 1].tolist()
+        rings = [_new(Ring, coords=self.coords[a:b]) for a, b in zip(ends, ends[1:])]
+        return _new(Footprint, id=self.ids[j], exterior=rings[0], holes=tuple(rings[1:]),
+                    bounds=BBox(*self.bounds[j].tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple)) and all(isinstance(fp, Footprint) for fp in other):
+            other = FootprintArray.of(other)
+        if not isinstance(other, FootprintArray):
+            return NotImplemented
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("geom_offsets", "ring_offsets", "coords"))
+
+    def take(self, which) -> FootprintArray:
+        """The footprints which[0], which[1], ... (an int array) as a FootprintArray."""
+        _, rings = _runs(self.geom_offsets[which], self.geom_offsets[which + 1])
+        _, rows = _runs(self.ring_offsets[rings], self.ring_offsets[rings + 1])
+        return FootprintArray(self.coords[rows], _offsets(np.diff(self.ring_offsets)[rings]),
+                              _offsets(np.diff(self.geom_offsets)[which]), self.bounds[which],
+                              [self.ids[j] for j in which.tolist()])
+
+
 def _on_edge(x1, y1, x2, y2, x, y):
     """Whether points lie exactly on the edge (x1, y1)-(x2, y2): a zero
     cross product within the edge's closed bounding box. Floats or numpy
@@ -146,7 +206,7 @@ def contains(fp: Footprint, p: GeoPoint) -> bool:
     b = fp.bounds
     if p.lon < b.min_lon or p.lon > b.max_lon or p.lat < b.min_lat or p.lat > b.max_lat:
         return False
-    *edges, ring = _edges((fp.exterior, *fp.holes))
+    *edges, ring = _edges(FootprintArray.of([fp]), np.arange(1 + len(fp.holes)))
     return bool(_inside_pairs(np.array([p.lon]), np.array([p.lat]),
                               np.zeros(len(ring), dtype=np.int64), *edges, ring)[0])
 
@@ -174,38 +234,34 @@ def _number(value) -> float:
     return float(value)
 
 
-def footprints_from(ids, coords, sizes, counts) -> list[Footprint]:
-    """Footprints from n (lon, lat) rows, as an (n, 2) array or flattened: ring
-    i is the next sizes[i] rows, footprint j the next counts[j] rings (exterior first) with
-    id ids[j]. One vectorised pass, _checked_rings, makes every check of GeoPoint, Ring and
-    Footprint; only on a fault are they built by footprint_of, to raise it."""
-    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
+def footprints_from(ids, coords, sizes, counts) -> FootprintArray:
+    """The footprints of n (lon, lat) rows, copied from an (n, 2) array or flattened:
+    ring i is the next sizes[i] rows, footprint j the next counts[j] rings (exterior
+    first) with id ids[j]. One vectorised pass, _checked_rings, makes every check of
+    GeoPoint, Ring and Footprint; only on a fault are they built by footprint_of, to
+    raise it."""
+    coords = np.array(coords, dtype=np.float64).reshape(-1, 2)
     checked = _checked_rings(coords, sizes, counts) if all(ids) else None
     if checked is None:
         rings = iter(r.tolist() for r in np.split(coords, np.cumsum(sizes)[:-1]))
         return [footprint_of(f, [next(rings) for _ in range(n)]) for f, n in zip(ids, counts)]
-    return _built_footprints(ids, coords, counts, checked)
+    return _built_footprints(ids, coords, checked)
 
 
-def _built_footprints(ids, coords, counts, checked) -> list[Footprint]:
-    """Footprints from footprints_from's rows and _checked_rings' result on them."""
-    starts, ends, first, lo, hi = (a.tolist() for a in checked)
-    coords.flags.writeable = False
-    rings = [_new(Ring, coords=coords[a:b]) for a, b in zip(starts, ends)]
-    return [_new(Footprint, id=fid, exterior=rings[j], holes=tuple(rings[j + 1:j + n]),
-                 bounds=BBox(*b0, *b1))
-            for fid, j, n, b0, b1 in zip(ids, first, counts, lo, hi)]
+def _built_footprints(ids, coords, checked) -> FootprintArray:
+    """The footprints of footprints_from's rows, given _checked_rings' result on them."""
+    return FootprintArray(coords, *checked, ids)
 
 
 def _checked_rings(coords, sizes, counts):
     """Every check of GeoPoint, Ring and Footprint on the (n, 2) float64 rows of
-    footprints_from's layout in one pass: (starts, ends, first, lo, hi), each
-    ring's rows and each footprint's exterior ring and bounds; None on a fault."""
-    sizes, counts = np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    footprints_from's layout in one pass: FootprintArray's ring_offsets,
+    geom_offsets and bounds, or None on a fault."""
+    sizes = np.asarray(sizes, dtype=np.int64)
     if len(sizes) and sizes.min() < 4:
         return None
-    starts, ends = np.cumsum(sizes) - sizes, np.cumsum(sizes)
-    first = np.cumsum(counts) - counts
+    ring_offsets, geom_offsets = _offsets(sizes), _offsets(counts)
+    starts, ends, first = ring_offsets[:-1], ring_offsets[1:], geom_offsets[:-1]
     # In range, closed, no vertex twice in a row, a non-zero extent.
     step = (coords[1:] != coords[:-1]).any(axis=1)
     step[ends[:-1] - 1] = True  # the step from one ring into the next
@@ -213,7 +269,12 @@ def _checked_rings(coords, sizes, counts):
     hi = np.maximum.reduceat(coords, starts)[first]
     ok = ((np.abs(coords) <= [180.0, 90.0]).all() and step.all()
           and (coords[starts] == coords[ends - 1]).all() and (lo < hi).all())
-    return (starts, ends, first, lo, hi) if ok else None
+    return (ring_offsets, geom_offsets, np.concatenate([lo, hi], axis=1)) if ok else None
+
+
+def _offsets(sizes):
+    """[0, s0, s0 + s1, ...]: where each run of the given sizes starts, and the end."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
 
 def _new(cls, **fields):
@@ -232,10 +293,9 @@ def _runs(start, stop):
     return owner, np.arange(count.sum()) + (start - np.cumsum(count) + count)[owner]
 
 
-def _edges(rings):
-    """(x1, y1, x2, y2, ring) of every edge of the rings, in ring order."""
-    n_verts = np.array([len(r.coords) for r in rings])
-    verts = np.concatenate([r.coords for r in rings])
-    start = np.delete(np.arange(len(verts)), np.cumsum(n_verts) - 1)
-    (x1, y1), (x2, y2) = verts[start].T, verts[start + 1].T
-    return x1, y1, x2, y2, np.repeat(np.arange(len(rings)), n_verts - 1)
+def _edges(fps, rings):
+    """(x1, y1, x2, y2, ring) of every edge of the collection's rings rings[k],
+    in that order, ring holding each edge's k."""
+    ring, row = _runs(fps.ring_offsets[rings], fps.ring_offsets[rings + 1] - 1)
+    (x1, y1), (x2, y2) = fps.coords[row].T, fps.coords[row + 1].T
+    return x1, y1, x2, y2, ring

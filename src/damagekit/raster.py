@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CellCountMismatch, InvalidClassCode, MissingHeaderKey,
                      NonIntegerCell)
-from .geom import _crossing, _edges, _hole_rule, _on_edge, _runs
+from .geom import FootprintArray, _crossing, _edges, _hole_rule, _on_edge, _runs
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -105,11 +105,12 @@ def _centres(frame, cols, rows):
 
 
 def inside_pixels(frame, footprints):
-    """(part, owner, row, col) int64 arrays per chunk of footprints on a
-    raster frame (ncols, nrows, xll, yll, cellsize). part holds the chunk's
-    footprint indices; each pixel whose centre lies inside footprint
-    part[owner] under geom's containment rule, bit for bit, gives one owner,
-    row and col, in footprint order, then row-major.
+    """(part, owner, row, col) int64 arrays per chunk of footprints (a
+    FootprintArray or a sequence of Footprints) on a raster frame (ncols,
+    nrows, xll, yll, cellsize). part holds the chunk's footprint indices;
+    each pixel whose centre lies inside footprint part[owner] under geom's
+    containment rule, bit for bit, gives one owner, row and col, in
+    footprint order, then row-major.
 
     The scanline rule, batched over footprints in chunks of about
     _SPAN_PIXELS pixels per ring of their windows, each the bounding box
@@ -120,8 +121,8 @@ def inside_pixels(frame, footprints):
     and geom's _hole_rule combines the rings.
     """
     ncols, nrows, xll, yll, cs = frame
-    b = np.array([(fp.bounds.max_lat, fp.bounds.min_lat, fp.bounds.min_lon,
-                   fp.bounds.max_lon) for fp in footprints]).reshape(-1, 4)
+    fps = FootprintArray.of(footprints)
+    b = fps.bounds[:, [3, 1, 0, 2]]  # (max_lat, min_lat, min_lon, max_lon)
     with np.errstate(over="ignore"):  # an infinite bound is clipped too
         edges = np.floor(np.concatenate([nrows - (b[:, :2] - yll) / cs,
                                          (b[:, 2:] - xll) / cs], axis=1))
@@ -132,32 +133,30 @@ def inside_pixels(frame, footprints):
     covered = np.flatnonzero((win[:, 0] <= win[:, 1]) & (win[:, 2] <= win[:, 3]))
     cost = ((win[covered, 1] - win[covered, 0] + 1)
             * (win[covered, 3] - win[covered, 2] + 1)
-            * [1 + len(footprints[i].holes) for i in covered.tolist()])
+            * np.diff(fps.geom_offsets)[covered])
     chunk = (np.cumsum(cost) - cost) // _SPAN_PIXELS
     centres = _centres(frame, np.arange(ncols, dtype=np.float64),
                        np.arange(nrows, dtype=np.float64))
     parts = np.split(covered, np.flatnonzero(np.diff(chunk)) + 1)
     for part in parts if covered.size else ():
-        yield part, *_chunk_pixels(*centres, [footprints[i] for i in part.tolist()],
-                                   win[part])
+        yield part, *_chunk_pixels(*centres, fps, part, win[part])
 
 
-def _chunk_pixels(lons, lats, footprints, win):
-    """inside_pixels' (owner, row, col) of some footprints and their windows,
-    from the centre longitudes of every column and latitudes of every row."""
+def _chunk_pixels(lons, lats, fps, part, win):
+    """inside_pixels' (owner, row, col) of the footprints part of a collection
+    and their windows, from the centre longitudes of every column and
+    latitudes of every row."""
     row_lo, row_hi, col_lo, col_hi = win.T
     width = col_hi - col_lo + 1
     size = (row_hi - row_lo + 1) * width
     # Every exterior, in footprint order, then every hole; ring j's window
     # pixels start at offset[j], an exterior's where its footprint's do.
-    n_fp = len(footprints)
-    rings = ([fp.exterior for fp in footprints]
-             + [hole for fp in footprints for hole in fp.holes])
-    ring_fp = np.concatenate([np.arange(n_fp), np.repeat(
-        np.arange(n_fp), [len(fp.holes) for fp in footprints])])
+    n_fp = len(part)
+    hole_fp, hole_rings = _runs(fps.geom_offsets[part] + 1, fps.geom_offsets[part + 1])
+    ring_fp = np.concatenate([np.arange(n_fp), hole_fp])
     ring_size = size[ring_fp]
     offset = np.cumsum(ring_size) - ring_size
-    x1, y1, x2, y2, edge_ring = _edges(rings)
+    x1, y1, x2, y2, edge_ring = _edges(fps, np.concatenate([fps.geom_offsets[part], hole_rings]))
     edge_fp = ring_fp[edge_ring]
 
     # (edge, row) pairs: the window rows whose centre latitude lies in the
@@ -207,7 +206,7 @@ def _chunk_pixels(lons, lats, footprints, win):
     on_ext, on_hole, in_hole = np.zeros((3, n_pix), dtype=bool)
     on_ext[pix[~on_hole_edge]] = True
     on_hole[pix[on_hole_edge]] = True
-    holes = np.arange(n_fp, len(rings))
+    holes = np.arange(n_fp, len(ring_fp))
     to_fp = np.repeat(offset[ring_fp[holes]] - offset[holes], ring_size[holes])
     in_hole[(np.arange(n_pix, len(parity)) + to_fp)[parity[n_pix:]]] = True
     inside = _hole_rule(on_ext, parity[:n_pix], on_hole, in_hole)

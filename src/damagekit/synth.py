@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, SwathOutsideScene
-from .geom import EARTH_RADIUS_M, Footprint, GeoPoint, footprints_from
+from .geom import EARTH_RADIUS_M, FootprintArray, GeoPoint, footprints_from
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
                      DEFAULT_NODATA, _HEADER_RULES, ClassRaster, inside_pixels)
 from .truth import FemaCategory, GroundTruthPoint
@@ -170,7 +170,7 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class SynthScene:
-    footprints: tuple[Footprint, ...]
+    footprints: FootprintArray
     raster: ClassRaster
     truth: tuple[GroundTruthPoint, ...]
     oracle_categories: dict[str, FemaCategory]
@@ -283,5 +283,5 @@ def generate(spec: SceneSpec) -> SynthScene:
     truth = [GroundTruthPoint(f"p{k:06d}", GeoPoint(*xy), categories[k])
              for k, *xy in zip(kept.tolist(), x.tolist(), y.tolist())]
 
-    return SynthScene(footprints=tuple(footprints), raster=raster,
+    return SynthScene(footprints=footprints, raster=raster,
                       truth=tuple(truth), oracle_categories=dict(zip(ids, categories)))

@@ -9,6 +9,7 @@ lexicographically smallest footprint id.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
                      MissingPoint, ParseError, UnknownCategory, check_unique)
-from .geom import (Footprint, GeoPoint, _edges, _inside_pairs, _runs,
+from .geom import (Footprint, FootprintArray, GeoPoint, _edges, _inside_pairs, _runs,
                    metres_per_degree)
 
 
@@ -114,23 +115,23 @@ class MatchedSample(NamedTuple):
 
 
 def matching_reference_latitude(points: list[GroundTruthPoint],
-                                footprints: list[Footprint]) -> float:
+                                footprints: Sequence[Footprint]) -> float:
     """Mean latitude over all point locations and footprint ring vertices.
 
     Each ring's closing duplicate vertex is excluded from the mean. The sum
     is exact before its one rounding (math.fsum), so no order changes it.
     """
-    lats = np.concatenate([[p.location.lat for p in points]]
-                          + [r.coords[:-1, 1] for fp in footprints
-                             for r in (fp.exterior, *fp.holes)])
-    return math.fsum(lats.tolist()) / len(lats) if len(lats) else 0.0
+    fps = FootprintArray.of(footprints)
+    closing = fps.ring_offsets[1:] - 1
+    lats = [p.location.lat for p in points] + np.delete(fps.coords[:, 1], closing).tolist()
+    return math.fsum(lats) / len(lats) if lats else 0.0
 
 
 _PAIR_EDGES = 2**13  # (point, candidate footprint, edge) triples per chunk
 
 
 def match_points(points: list[GroundTruthPoint],
-                 footprints: list[Footprint],
+                 footprints: Sequence[Footprint],
                  radius_m: float = 20.0):
     """Match each point to its nearest footprint within radius_m.
 
@@ -146,17 +147,18 @@ def match_points(points: list[GroundTruthPoint],
     if not (radius_m > 0):
         raise ValueError("radius_m must be positive")
     check_unique((p.id for p in points), DuplicatePointId, "point")
-    check_unique((fp.id for fp in footprints), DuplicateFootprintId, "footprint")
-    if not points or not footprints:
+    fps = FootprintArray.of(footprints)
+    check_unique(fps.ids, DuplicateFootprintId, "footprint")
+    if not points or not fps:
         return [], [p.id for p in points]
-    kx, ky = metres_per_degree(matching_reference_latitude(points, footprints))
-    footprints = sorted(footprints, key=lambda fp: fp.id)  # ties go to the lower index
+    kx, ky = metres_per_degree(matching_reference_latitude(points, fps))
+    # Footprint f below is fps[by_id[f]], in id order: ties go to the lower f.
+    by_id = np.argsort(np.array(fps.ids, dtype=object), kind="stable")
     x, y = np.array([(p.location.lon, p.location.lat) for p in points]).T
-    box = np.array([(fp.bounds.min_lon, fp.bounds.min_lat, fp.bounds.max_lon,
-                     fp.bounds.max_lat) for fp in footprints])
-    edges = _edges([r for fp in footprints for r in (fp.exterior, *fp.holes)])
-    ring_fp = np.repeat(np.arange(len(footprints)), [1 + len(fp.holes) for fp in footprints])
-    n_edges = np.bincount(ring_fp[edges[4]])
+    box = fps.bounds[by_id]
+    ring_fp, rings = _runs(fps.geom_offsets[by_id], fps.geom_offsets[by_id + 1])
+    edges = _edges(fps, rings)
+    n_edges = np.bincount(ring_fp[edges[4]], minlength=len(fps))
     first_edge = np.cumsum(n_edges) - n_edges
     best_d, best_f = np.full(len(points), math.inf), np.zeros(len(points), dtype=np.int64)
 
@@ -189,8 +191,9 @@ def match_points(points: list[GroundTruthPoint],
         active = active[best_d[active] > cell] if cell < radius_m else active[:0]
         cell = min(2.0 * cell, radius_m)
     near = best_d <= radius_m
-    return ([PointMatch(points[i].id, footprints[f].id, d) for i, f, d in
-             zip(np.flatnonzero(near).tolist(), best_f[near].tolist(), best_d[near].tolist())],
+    return ([PointMatch(points[i].id, fps.ids[f], d) for i, f, d in
+             zip(np.flatnonzero(near).tolist(), by_id[best_f[near]].tolist(),
+                 best_d[near].tolist())],
             [points[i].id for i in np.flatnonzero(~near).tolist()])
 
 

@@ -10,12 +10,13 @@ usable pixel centre fall back to the centres of a frame four times finer
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicateFootprintId, check_unique
-from .geom import Footprint
+from .geom import Footprint, FootprintArray
 from .raster import CLASS_DAMAGED, ClassRaster, inside_pixels
 
 
@@ -37,25 +38,27 @@ class DamageEstimate:
     no_coverage: bool = False
 
 
-def assess_all(raster: ClassRaster, footprints: list[Footprint]) -> list[DamageEstimate]:
+def assess_all(raster: ClassRaster, footprints: Sequence[Footprint]) -> list[DamageEstimate]:
     """Assess every footprint, preserving input order."""
-    check_unique((fp.id for fp in footprints), DuplicateFootprintId, "footprint")
-    estimates = _estimates(raster, footprints, 1)
-    missed = [i for i, e in enumerate(estimates) if e.no_coverage]
-    for i, fine in zip(missed, _estimates(raster, [footprints[i] for i in missed], 4)):
-        estimates[i] = fine
-    return estimates
+    fps = FootprintArray.of(footprints)
+    check_unique(fps.ids, DuplicateFootprintId, "footprint")
+    n_inside, n_damaged = _counts(raster, fps, 1)
+    fine = n_inside == 0  # counted again on the frame four times finer
+    n_inside[fine], n_damaged[fine] = _counts(raster, fps.take(np.flatnonzero(fine)), 4)
+    return [DamageEstimate(fid, 100.0 * d / n, n, d, supersampled=k) if n
+            else DamageEstimate(fid, 0.0, 0, 0, no_coverage=True)
+            for fid, n, d, k in zip(fps.ids, n_inside.tolist(), n_damaged.tolist(),
+                                    fine.tolist())]
 
 
-def _estimates(raster: ClassRaster, footprints: list[Footprint], k: int):
-    """The estimates of the footprints from the usable centres of the frame k
-    times finer than the raster's, each reading the cell it lies in."""
+def _counts(raster: ClassRaster, fps: FootprintArray, k: int):
+    """(n_inside, n_damaged) of the footprints: their usable centres of the
+    frame k times finer than the raster's, each reading the cell it lies in,
+    and of those the damaged ones."""
     frame = (k * raster.ncols, k * raster.nrows, raster.xll, raster.yll, raster.cellsize / k)
-    n_inside, n_damaged = np.zeros((2, len(footprints)), dtype=np.int64)
-    for part, owner, row, col in inside_pixels(frame, footprints):
+    n_inside, n_damaged = np.zeros((2, len(fps)), dtype=np.int64)
+    for part, owner, row, col in inside_pixels(frame, fps):
         cells = raster.cells[row // k, col // k]
         n_inside[part] = np.bincount(owner[cells != raster.nodata], minlength=len(part))
         n_damaged[part] = np.bincount(owner[cells == CLASS_DAMAGED], minlength=len(part))
-    return [DamageEstimate(fp.id, 100.0 * d / n, n, d, supersampled=k > 1) if n
-            else DamageEstimate(fp.id, 0.0, 0, 0, no_coverage=True)
-            for fp, n, d in zip(footprints, n_inside.tolist(), n_damaged.tolist())]
+    return n_inside, n_damaged

@@ -7,6 +7,7 @@ vectorised code. Tests compare the fast implementations against these.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from array import array
@@ -20,7 +21,7 @@ from damagekit.errors import (CellCountMismatch, DuplicateFootprintId,
                               InvalidClassCode, MissingEstimate, MissingHeaderKey,
                               MissingPoint, NoPositiveSamples, NonIntegerCell,
                               ParseError, check_unique)
-from damagekit.formats import _collection_parts, parse_json
+from damagekit.formats import _collection_parts, parse_json, round_half_up
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             _crossing, _on_edge, metres_per_degree)
 from damagekit.metrics import PRCurve, PRPoint
@@ -240,6 +241,41 @@ def parse_footprints_one_by_one(text: str, source="<geojson>"):
         raise ParseError("FeatureCollection has no feature list", source=source)
     parsed = [_parse_feature(f, i, source) for i, f in enumerate(features)]
     return [fp for fp, _ in parsed], [properties for _, properties in parsed]
+
+
+def collection_text(footprints, properties) -> str:
+    """The FeatureCollection writer one dict per feature and per geometry,
+    through one json.dumps of the whole document: the bytes that
+    formats.write_footprints_geojson and write_assessed_geojson must give."""
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "id": fp.id,
+             "geometry": {"type": "Polygon", "coordinates": [
+                 r.coords.tolist() for r in (fp.exterior, *fp.holes)]},
+             "properties": props}
+            for fp, props in zip(footprints, properties)
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def assessed_properties(estimates, input_properties=None) -> list[dict]:
+    """write_assessed_geojson's properties, one estimate at a time: the input
+    properties, then damage_pct rounded by formats.round_half_up and the
+    counts and flags."""
+    properties = []
+    for idx, est in enumerate(estimates):
+        props = dict(input_properties[idx]) if input_properties else {}
+        props.update({
+            "damage_pct": round_half_up(est.damage_pct),
+            "n_inside": est.n_inside,
+            "n_damaged": est.n_damaged,
+            "supersampled": est.supersampled,
+            "no_coverage": est.no_coverage,
+        })
+        properties.append(props)
+    return properties
 
 
 def estimates_one_by_one(text: str, source="<geojson>") -> list[DamageEstimate]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import damagekit.metrics
-from damagekit import errors, formats, plot
+from damagekit import errors, formats, geom, plot
 from damagekit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -499,6 +499,32 @@ def test_validate_builds_no_per_row_objects(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(formats, name, refused)
     assert main(["validate", *inputs]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_synth_assess_and_match_build_no_per_feature_objects(tmp_path, capsys, monkeypatch):
+    """Footprints stay one columnar collection from reader to writer: the
+    commands construct no Footprint, Ring or BBox and build no view."""
+    spec = write(tmp_path / "scene.json", json.dumps(
+        {"seed": 5, "grid_cols": 6, "grid_rows": 6, "spacing_m": 10.0, "cellsize_m": 2.0,
+         "pixel_noise_rate": 0.05, "point_jitter_sigma_m": 6.0}))
+    out = tmp_path / "scene"
+    built = []
+    for owner, name in [(geom.Footprint, "__init__"), (geom.Ring, "__init__"),
+                        (geom.BBox, "__init__"), (geom, "_new")]:
+        def counted(*args, _name=f"{owner.__name__.rsplit('.')[-1]}.{name}",
+                    _function=getattr(owner, name), **kwargs):
+            built.append(_name)
+            return _function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for argv in (["synth", spec, str(out)],
+                 ["assess", str(out / "footprints.geojson"), str(out / "raster.asc"),
+                  "--out", str(tmp_path / "assessed.geojson")],
+                 ["match", str(out / "truth.csv"), str(out / "footprints.geojson"),
+                  "--out", str(tmp_path / "matched.csv")]):
+        assert main(argv) == 0
+    assert built == []
+    formats.load_footprints(out / "footprints.geojson")[0]  # a view is counted
+    assert sorted(built) == ["BBox.__init__", "geom._new", "geom._new"]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -8,12 +8,14 @@ import gc
 import json
 import random
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import parse_footprints_one_by_one, square_footprint
+from _oracles import (assessed_properties, collection_text, parse_footprints_one_by_one,
+                      square_footprint)
 from damagekit import formats
 from damagekit.errors import ParseError, UnknownCategory
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
@@ -26,7 +28,7 @@ from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
                                write_footprints_geojson, write_matches_csv,
                                write_oracle_csv, write_report_json,
                                write_truth_csv)
-from damagekit.geom import Footprint, GeoPoint, Ring
+from damagekit.geom import Footprint, FootprintArray, GeoPoint, Ring, footprint_of
 from damagekit.metrics import PRCurve, PRPoint, ValidationReport
 from damagekit.synth import SplitMix64
 from damagekit.truth import FemaCategory, GroundTruthPoint, PointMatch
@@ -434,6 +436,68 @@ def test_a_geojson_read_parses_once_and_checks_its_rings_at_most_once(
     else:
         parse(json.dumps(doc), source="a.geojson")
     assert calls == ["parse_json", "_checked_rings"][:1 if edit == "bad-id" else 2]
+
+
+# ------------------------------------------------- writers' exact bytes
+
+# Coordinates whose texts take every form: signed zeros, exponents down to
+# the least subnormal, JSON integers and arbitrary floats.
+COORDINATES = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-07, 2.5e-05, 1 / 3, 3, -7, 90])
+               | st.integers(-90, 90) | st.floats(-90.0, 90.0))
+IDS = st.sampled_from(['a"b', "\\", "\n", "é", "\u2028", "</b>", "b1"]) | st.text(min_size=1)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+PROPERTIES = st.dictionaries(st.sampled_from(["damage_pct", "n_inside", "no_coverage", "addr"])
+                             | st.text(max_size=3), JSON_VALUES, max_size=4)
+PCTS = st.sampled_from([0.0, -0.0, 2.675, 0.005, 100.0 / 3.0, 12.5, 100.0]) | st.floats(0.0, 100.0)
+
+
+@st.composite
+def rectangles(draw):
+    """A rectangle's ring of (lon, lat) pairs drawn from COORDINATES."""
+    (x0, x1), (y0, y1) = (sorted(draw(st.lists(COORDINATES, min_size=2, max_size=2)))
+                          for _ in range(2))
+    assume(x0 != x1 and y0 != y1)
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+
+
+@st.composite
+def assessed_footprints(draw):
+    """(footprints built through the library, some with holes, their
+    estimates, and input properties or None)."""
+    footprints = [footprint_of(draw(IDS), draw(st.lists(rectangles(), min_size=1, max_size=3)))
+                  for _ in range(draw(st.integers(0, 4)))]
+    estimates = [DamageEstimate(fp.id, draw(PCTS), draw(st.integers(0, 10**6)),
+                                draw(st.integers(0, 10**6)), draw(st.booleans()),
+                                draw(st.booleans())) for fp in footprints]
+    n = len(footprints)
+    return footprints, estimates, draw(st.none() | st.lists(PROPERTIES, min_size=n, max_size=n))
+
+
+@settings(max_examples=300)
+@given(scene=assessed_footprints())
+@example(scene=([square_footprint("a", 0.0, 0.0, 1e-07, 5e-08), UNIT_SQUARE,
+                 footprint_of("z", [[(-0.0, 0), (1, 0), (1, 5e-324), (-0.0, 5e-324), (-0.0, 0)]])],
+                [DamageEstimate("a", -0.0, 1, 0), DamageEstimate("b1", 0.0, 1, 0),
+                 DamageEstimate("z", 0.0, 1, 0)], None))
+def test_writers_give_the_reference_writers_bytes(scene):
+    """Both writers, given the collection or a list, in chunks of any size,
+    write json.dumps of the whole document, dict by dict; the rounding of
+    damage_pct and the coordinate texts keep -0.0; fewer estimates than
+    footprints write as many features as estimates."""
+    footprints, estimates, inputs = scene
+    reference = collection_text(footprints, assessed_properties(estimates, inputs))
+    fewer = collection_text(footprints, assessed_properties(estimates[:-1], inputs))
+    fps = FootprintArray.of(footprints)
+    for given_footprints, chunk in [(footprints, formats._CHUNK), (fps, 1), (fps, 3)]:
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            assert (write_footprints_geojson(given_footprints)
+                    == collection_text(footprints, [{}] * len(footprints)))
+            assert write_assessed_geojson(given_footprints, estimates, inputs) == reference
+            assert write_assessed_geojson(given_footprints, estimates[:-1], inputs) == fewer
 
 
 # ------------------------------------------------------------------ CSV
