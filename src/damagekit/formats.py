@@ -18,8 +18,7 @@ from itertools import chain, compress, islice, repeat
 import numpy as np
 
 from .errors import ParseError, UnwritableOutput
-from .geom import (Footprint, FootprintArray, GeoPoint, _built_footprints, _checked_rings,
-                   footprint_of)
+from .geom import Footprint, FootprintArray, GeoPoint, footprint_of, footprints_from
 from .metrics import PRPoint, ValidationReport
 from .truth import FemaCategory, GroundTruthPoint, PointMatch
 from .zonal import DamageEstimate
@@ -104,10 +103,10 @@ def _feature_parts(feature, index, source):
     return fid, properties, rings
 
 
-def _collection_parts(text: str, source):
-    """(ids, properties, coords, checked) of a FeatureCollection, with
-    checked what _checked_rings returns. On any fault the features are read
-    again one at a time, which raises the first fault's ParseError."""
+def parse_footprints_with_properties(text: str, source="<geojson>"):
+    """Parse a FeatureCollection into (FootprintArray, [input properties]).
+    On any fault the features are read again one at a time, which raises the
+    first fault's ParseError."""
     doc = parse_json(text, source)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection", source=source)
@@ -120,11 +119,8 @@ def _collection_parts(text: str, source):
         vertices = list(chain.from_iterable(chain.from_iterable(rings)))
         numbers = list(chain.from_iterable(vertices))  # JSON numbers: no bool, no string
         if set(map(len, vertices)) <= {2} and set(map(type, numbers)) <= {int, float}:
-            coords = np.array(numbers, dtype=np.float64).reshape(-1, 2)
-            checked = _checked_rings(coords, [len(r) for rs in rings for r in rs],
-                                     list(map(len, rings)))
-            if checked is not None:
-                return ids, properties, coords, checked
+            return footprints_from(ids, numbers, [len(r) for rs in rings for r in rs],
+                                   list(map(len, rings))), properties
     except (ParseError, TypeError, ValueError, OverflowError):
         pass
     for index, feature in enumerate(features):
@@ -133,13 +129,7 @@ def _collection_parts(text: str, source):
             footprint_of(fid, rings)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
-    raise AssertionError("_checked_rings rejected rings that footprint_of accepts")
-
-
-def parse_footprints_with_properties(text: str, source="<geojson>"):
-    """Parse a FeatureCollection into (FootprintArray, [input properties])."""
-    ids, properties, coords, checked = _collection_parts(text, source)
-    return _built_footprints(ids, coords, checked), properties
+    raise AssertionError("footprints_from rejected rings that footprint_of accepts")
 
 
 def parse_footprints_geojson(text: str, source="<geojson>") -> FootprintArray:
@@ -160,21 +150,18 @@ def _collection(footprints: Sequence[Footprint], properties) -> str:
     """Compact FeatureCollection text, one properties text per footprint: the
     bytes of json.dumps of the whole document. It is formatted _CHUNK
     footprints at a time, so one chunk's pieces are freed before the next's
-    are made; a chunk past the last properties text adds nothing."""
+    are made."""
     fps, properties = FootprintArray.of(footprints), iter(properties)
     chunks = (_features(fps[lo:lo + _CHUNK], list(islice(properties, _CHUNK)))
               for lo in range(0, len(fps), _CHUNK))
-    return '{"type":"FeatureCollection","features":[' + ",".join(filter(None, chunks)) + "]}\n"
+    return '{"type":"FeatureCollection","features":[' + ",".join(chunks) + "]}\n"
 
 
 def _features(fps: FootprintArray, properties: list[str]) -> str:
-    """The features of the footprints with the properties texts, as many as
-    there are texts, joined from four pieces per vertex: x, ",", y and the
-    separator after it. Each distinct coordinate (by bit pattern, so -0.0
-    stays apart) goes through float.__repr__, as in json.dumps, once."""
-    fps = fps[:len(properties)]
-    if not properties:
-        return ""
+    """The features of one or more footprints with their properties texts,
+    joined from four pieces per vertex: x, ",", y and the separator after it.
+    Each distinct coordinate (by bit pattern, so -0.0 stays apart) goes
+    through float.__repr__, as in json.dumps, once."""
     bits, which = np.unique(fps.coords.ravel().view(np.int64), return_inverse=True)
     reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     pieces = np.full((len(fps.coords), 4), "],[", dtype=object)
@@ -199,9 +186,16 @@ def round_half_up(value: float, places: int = 2) -> float:
 def write_assessed_geojson(footprints: Sequence[Footprint],
                            estimates: list[DamageEstimate],
                            input_properties: list[dict] | None = None) -> str:
-    """Footprints plus their estimates: damage_pct is rounded half-up to
-    two decimals, each distinct value once; the integer counts keep full
-    fidelity."""
+    """Footprints plus their estimates, which must name the footprints' ids in
+    order, and input properties, if given, one dict per footprint: damage_pct
+    is rounded half-up to two decimals, each distinct value once; the integer
+    counts keep full fidelity."""
+    fps = FootprintArray.of(footprints)
+    if [est.footprint_id for est in estimates] != list(fps.ids):
+        raise ValueError("the estimates do not name the footprints' ids in order")
+    if input_properties is not None and len(input_properties) != len(fps):
+        raise ValueError(f"input_properties must hold one dict per footprint: "
+                         f"{len(fps)} footprints, {len(input_properties)} dicts")
     pct = np.array([est.damage_pct for est in estimates], dtype=np.float64)
     bits, which = np.unique(pct.view(np.int64), return_inverse=True)  # -0.0 is not 0.0
     shown = np.array(list(map(round_half_up, bits.view(np.float64).tolist())))[which]
@@ -209,7 +203,7 @@ def write_assessed_geojson(footprints: Sequence[Footprint],
         props, damage_pct=rounded, n_inside=est.n_inside, n_damaged=est.n_damaged,
         supersampled=est.supersampled, no_coverage=est.no_coverage))
         for est, rounded, props in zip(estimates, shown.tolist(), input_properties or repeat({})))
-    return _collection(footprints, properties)
+    return _collection(fps, properties)
 
 
 def parse_assessed_geojson(text: str, source="<geojson>"):
@@ -219,43 +213,30 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
     two-decimal display rounding of damage_pct loses nothing downstream.
     """
     footprints, properties = parse_footprints_with_properties(text, source)
-    columns = _estimate_columns(footprints.ids, properties, source)
-    return footprints, list(map(DamageEstimate, *columns))
-
-
-def parse_estimates_geojson(text: str, source="<geojson>") -> list[DamageEstimate]:
-    """parse_assessed_geojson(text, source)[1], same checks, no Footprint built."""
-    return list(map(DamageEstimate, *estimate_columns(text, source)))
+    return footprints, list(map(DamageEstimate, *_estimate_columns(footprints, properties,
+                                                                   source)))
 
 
 def estimate_columns(text: str, source="<geojson>"):
-    """parse_estimates_geojson's fields as columns: (ids, damage_pct, n_inside,
-    n_damaged, supersampled, no_coverage)."""
-    return _estimate_columns(*_collection_parts(text, source)[:2], source)
+    """The estimates of parse_assessed_geojson as columns: (ids, damage_pct,
+    n_inside, n_damaged, supersampled, no_coverage)."""
+    return _estimate_columns(*parse_footprints_with_properties(text, source), source)
 
 
-def _estimate_columns(ids, properties, source):
-    """The counts must be JSON integers, 0 <= n_damaged <= n_inside <= 2**53,
-    and the flags JSON booleans; a fault is named by a pass feature by feature."""
+def _estimate_columns(footprints, properties, source):
+    """The estimate columns of the footprints' properties. The counts must be
+    JSON integers, 0 <= n_damaged <= n_inside <= 2**53, and the flags JSON
+    booleans; the first feature that breaks this rule is named."""
     columns = [[props.get(key) for props in properties]
                for key in ("n_inside", "n_damaged", "supersampled", "no_coverage")]
-    n_inside, n_damaged, supersampled, no_coverage = columns
-    try:
-        if (set(map(type, n_inside + n_damaged)) <= {int}
-                and set(map(type, supersampled + no_coverage)) <= {bool}):
-            n, d = np.array(n_inside, dtype=np.int64), np.array(n_damaged, dtype=np.int64)
-            if ((0 <= d) & (d <= n) & (n <= 2**53)).all():
-                pct = np.divide(100.0 * d, n, out=np.zeros(len(n)), where=n > 0)
-                return [ids, pct.tolist(), *columns]
-    except OverflowError:  # a count past int64
-        pass
-    for fid, n, d, s, c in zip(ids, *columns):
+    for fid, n, d, s, c in zip(footprints.ids, *columns):
         if not (type(n) is int and type(d) is int and 0 <= d <= n <= 2**53
                 and type(s) is bool and type(c) is bool):
             raise ParseError(f"feature {fid!r} lacks assessment properties "
                              "(integer counts 0 <= n_damaged <= n_inside <= 2**53, "
                              "boolean flags)", source=source)
-    raise AssertionError("the estimate columns rejected features that pass one by one")
+    pct = [100.0 * d / n if n else 0.0 for n, d in zip(*columns[:2])]
+    return [list(footprints.ids), pct, *columns]
 
 
 # -------------------------------------------------------------------- CSV

@@ -244,12 +244,9 @@ def footprints_from(ids, coords, sizes, counts) -> FootprintArray:
     checked = _checked_rings(coords, sizes, counts) if all(ids) else None
     if checked is None:
         rings = iter(r.tolist() for r in np.split(coords, np.cumsum(sizes)[:-1]))
-        return [footprint_of(f, [next(rings) for _ in range(n)]) for f, n in zip(ids, counts)]
-    return _built_footprints(ids, coords, checked)
-
-
-def _built_footprints(ids, coords, checked) -> FootprintArray:
-    """The footprints of footprints_from's rows, given _checked_rings' result on them."""
+        for fid, n in zip(ids, counts):
+            footprint_of(fid, [next(rings) for _ in range(n)])
+        raise AssertionError("_checked_rings rejected rows that footprint_of accepts")
     return FootprintArray(coords, *checked, ids)
 
 

@@ -21,7 +21,8 @@ from damagekit.errors import (CellCountMismatch, DuplicateFootprintId,
                               InvalidClassCode, MissingEstimate, MissingHeaderKey,
                               MissingPoint, NoPositiveSamples, NonIntegerCell,
                               ParseError, check_unique)
-from damagekit.formats import _collection_parts, parse_json, round_half_up
+from damagekit.formats import (estimate_columns, parse_footprints_with_properties, parse_json,
+                               round_half_up)
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             _crossing, _on_edge, metres_per_degree)
 from damagekit.metrics import PRCurve, PRPoint
@@ -282,9 +283,9 @@ def estimates_one_by_one(text: str, source="<geojson>") -> list[DamageEstimate]:
     """The assessed-properties reader one feature at a time, after the
     library's collection checks: each feature's counts must be JSON integers,
     0 <= n_damaged <= n_inside <= 2**53, and its flags JSON booleans."""
-    ids, properties = _collection_parts(text, source)[:2]
+    footprints, properties = parse_footprints_with_properties(text, source)
     estimates = []
-    for fid, props in zip(ids, properties):
+    for fid, props in zip(footprints.ids, properties):
         n_inside, n_damaged = props.get("n_inside"), props.get("n_damaged")
         supersampled = props.get("supersampled")
         no_coverage = props.get("no_coverage")
@@ -299,6 +300,11 @@ def estimates_one_by_one(text: str, source="<geojson>") -> list[DamageEstimate]:
         estimates.append(DamageEstimate(fid, pct, n_inside, n_damaged,
                                         supersampled, no_coverage))
     return estimates
+
+
+def parse_estimates_geojson(text: str, source="<geojson>") -> list[DamageEstimate]:
+    """The assessed file's estimates from formats.estimate_columns' columns."""
+    return list(map(DamageEstimate, *estimate_columns(text, source)))
 
 
 # ------------------------------------------------------ CSV, one row at a time

@@ -187,6 +187,18 @@ def test_tiny_cellsize_exits_2(tmp_path, capsys, monkeypatch, cellsize, needle):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+def test_a_frame_rule_is_reached_under_the_default_caps(tmp_path, capsys):
+    """A subnormal building and cell size pass the spec's caps, and only
+    generate's frame rule stops the raster cellsize that rounds to 0.0."""
+    path = write(tmp_path / "scene.json", json.dumps({
+        "grid_cols": 1, "grid_rows": 1, "origin": [0, 0], "building_size_m": 1e-316,
+        "spacing_m": 1e-316, "cellsize_m": 1e-319, "swath_start": [0, 0],
+        "swath_end": [1, 0], "swath_width_m": 1.0}))
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 "cellsize_m 1e-319 gives raster cellsize 0.0, not positive and finite")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 @pytest.mark.parametrize("spec, needle", [
     ('"grid_cols": 2, "grid_rows": 2, "cellsize_m": 4e-7',
      "cellsize_m 4e-07 gives a raster of up to 2.68e+16 cells on this grid, "

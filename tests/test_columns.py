@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (estimates_one_by_one, join_columns, join_samples_by_row,
-                      parse_curve_csv_by_row, parse_matches_csv_by_row,
+                      parse_curve_csv_by_row, parse_estimates_geojson, parse_matches_csv_by_row,
                       parse_oracle_csv_by_row, parse_truth_csv_by_row, square_footprint)
 from damagekit.errors import DamageKitError, ParseError, UnknownCategory
 from damagekit.formats import (estimate_columns, match_columns, parse_assessed_geojson,
-                               parse_curve_csv, parse_estimates_geojson, parse_matches_csv,
+                               parse_curve_csv, parse_matches_csv,
                                parse_oracle_csv, parse_truth_csv, truth_columns,
                                write_assessed_geojson)
 from damagekit.geom import GeoPoint

@@ -71,6 +71,16 @@ def test_the_batch_builder_copies_its_input():
     assert coords.flags.writeable and fps.coords[0, 0] == 0.0
 
 
+def test_the_batch_builder_never_returns_a_list(monkeypatch):
+    """Rows the vectorised check rejects but footprint_of accepts are a fault
+    of the check, not a collection."""
+    monkeypatch.setattr(geom, "_checked_rings", lambda *args: None)
+    rings = [ring for fid in RINGS for ring in RINGS[fid]]
+    with pytest.raises(AssertionError, match="_checked_rings rejected"):
+        footprints_from(list(RINGS), [xy for ring in rings for xy in ring],
+                        list(map(len, rings)), [len(RINGS[fid]) for fid in RINGS])
+
+
 def test_equality_with_lists_and_tuples_builds_no_view(monkeypatch):
     fps, direct = built_both_ways()
     other = FootprintArray.of(direct)

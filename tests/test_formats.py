@@ -14,12 +14,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (assessed_properties, collection_text, parse_footprints_one_by_one,
-                      square_footprint)
-from damagekit import formats
+from _oracles import (assessed_properties, collection_text, parse_estimates_geojson,
+                      parse_footprints_one_by_one, square_footprint)
+from damagekit import formats, geom
 from damagekit.errors import ParseError, UnknownCategory
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
-                               parse_estimates_geojson,
                                parse_footprints_geojson,
                                parse_footprints_with_properties,
                                parse_matches_csv, parse_oracle_csv,
@@ -386,8 +385,8 @@ def assessed_lattice(rng, n):
 
 
 def test_estimates_reader_matches_the_assessed_reader(monkeypatch):
-    """The estimates reader builds no footprint, yet returns the assessed
-    reader's estimates and, on every ring and id fault, its error text."""
+    """The estimates reader builds no per-feature footprint, yet returns the
+    assessed reader's estimates and, on every ring and id fault, its error text."""
     rng = random.Random(2023)
     texts = [json.dumps(assessed_lattice(rng, n)) for n in (0, 1, 5, 40)]
     assert re.search(r"\[-?\d+, -?\d+\]", texts[-1]) and "]], [[" in texts[-1]  # ints, holes
@@ -397,7 +396,7 @@ def test_estimates_reader_matches_the_assessed_reader(monkeypatch):
         raise AssertionError("a footprint was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(formats, "_built_footprints", build)
+        patch.setattr(geom, "_new", build)
         patch.setattr(formats, "footprint_of", build)
         assert [parse_estimates_geojson(text) for text in texts] == expected
     for edit in sorted(FEATURE_EDITS):
@@ -425,11 +424,11 @@ def test_a_geojson_read_parses_once_and_checks_its_rings_at_most_once(
     elif edit is not None:
         FEATURE_EDITS[edit](doc["features"][1])
     calls = []
-    for name in ("parse_json", "_checked_rings"):
-        def counted(*args, _name=name, _function=getattr(formats, name)):
+    for module, name in ((formats, "parse_json"), (geom, "_checked_rings")):
+        def counted(*args, _name=name, _function=getattr(module, name)):
             calls.append(_name)
             return _function(*args)
-        monkeypatch.setattr(formats, name, counted)
+        monkeypatch.setattr(module, name, counted)
     if edit in FEATURE_EDITS:
         with pytest.raises(ParseError):
             parse(json.dumps(doc), source="a.geojson")
@@ -487,17 +486,29 @@ def test_writers_give_the_reference_writers_bytes(scene):
     """Both writers, given the collection or a list, in chunks of any size,
     write json.dumps of the whole document, dict by dict; the rounding of
     damage_pct and the coordinate texts keep -0.0; fewer estimates than
-    footprints write as many features as estimates."""
+    footprints are refused."""
     footprints, estimates, inputs = scene
     reference = collection_text(footprints, assessed_properties(estimates, inputs))
-    fewer = collection_text(footprints, assessed_properties(estimates[:-1], inputs))
     fps = FootprintArray.of(footprints)
     for given_footprints, chunk in [(footprints, formats._CHUNK), (fps, 1), (fps, 3)]:
         with mock.patch.object(formats, "_CHUNK", chunk):
             assert (write_footprints_geojson(given_footprints)
                     == collection_text(footprints, [{}] * len(footprints)))
             assert write_assessed_geojson(given_footprints, estimates, inputs) == reference
-            assert write_assessed_geojson(given_footprints, estimates[:-1], inputs) == fewer
+            if estimates:
+                with pytest.raises(ValueError):
+                    write_assessed_geojson(given_footprints, estimates[:-1], inputs)
+
+
+def test_assessed_writer_refuses_estimates_that_do_not_pair_with_the_footprints():
+    a, b = square_footprint("a", 0.0, 0.0, 1e-3), square_footprint("b", 0.01, 0.0, 1e-3)
+    est_a, est_b = DamageEstimate("a", 25.0, 4, 1), DamageEstimate("b", 0.0, 3, 0)
+    for estimates, inputs, message in [
+            ([est_b], None, "ids in order"), ([est_b, est_a], None, "ids in order"),
+            ([est_a, est_b, est_b], None, "ids in order"),
+            ([est_a, est_b], [{}], "2 footprints, 1 dicts")]:
+        with pytest.raises(ValueError, match=message):
+            write_assessed_geojson(FootprintArray.of([a, b]), estimates, inputs)
 
 
 # ------------------------------------------------------------------ CSV

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import square_footprint
+from _oracles import parse_estimates_geojson, square_footprint
 from damagekit.errors import ParseError
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
-                               parse_estimates_geojson, parse_footprints_geojson,
+                               parse_footprints_geojson,
                                parse_footprints_with_properties, parse_matches_csv,
                                parse_oracle_csv, parse_truth_csv,
                                write_assessed_geojson, write_curve_csv,
