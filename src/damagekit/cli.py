@@ -126,15 +126,13 @@ def cmd_validate(args) -> int:
     report = metrics.validate(samples, scheme.id)
     _emit(formats.write_report_json(report), args.report)
     if args.curve is not None:
-        formats.write_text(args.curve,
-                           formats.write_curve_csv(list(report.curve.points)))
+        formats.write_text(args.curve, formats.write_curve_csv(report.curve))
     return 0
 
 
 def cmd_pr_plot(args) -> int:
-    points = formats.parse_curve_csv(formats.read_text(args.curve),
-                                     source=args.curve)
-    _emit(plot.render_pr_curve_svg(points), args.out)
+    curve = formats.parse_curve_csv(formats.read_text(args.curve), source=args.curve)
+    _emit(plot.render_pr_curve_svg(curve), args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError, UnwritableOutput
 from .geom import Footprint, FootprintArray, GeoPoint, footprint_of, footprints_from
-from .metrics import PRPoint, ValidationReport
+from .metrics import PRCurve, ValidationReport
 from .truth import FemaCategory, GroundTruthPoint, PointMatch
 from .zonal import DamageEstimate
 
@@ -93,8 +93,8 @@ def _feature_parts(feature, index, source):
     if fid is None or fid == "":
         raise ParseError(f"feature {index} has no id", source=source)
     fid = _checked_ids([str(fid)], source)[0]
-    geometry = feature.get("geometry") or {}
-    if geometry.get("type") != "Polygon":
+    geometry = feature.get("geometry")
+    if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
         raise ParseError(f"feature {fid!r} geometry must be a Polygon",
                          source=source)
     rings = geometry.get("coordinates")
@@ -105,31 +105,35 @@ def _feature_parts(feature, index, source):
 
 def parse_footprints_with_properties(text: str, source="<geojson>"):
     """Parse a FeatureCollection into (FootprintArray, [input properties]).
-    On any fault the features are read again one at a time, which raises the
-    first fault's ParseError."""
+    On a fault the features are built one at a time up to the first fault,
+    which raises its ParseError."""
     doc = parse_json(text, source)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection", source=source)
     features = doc.get("features")
     if not isinstance(features, list):
         raise ParseError("FeatureCollection has no feature list", source=source)
+
+    def build(fid, rings):
+        try:
+            return footprint_of(fid, rings)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
+
     try:
         parts = [_feature_parts(f, i, source) for i, f in enumerate(features)]
         ids, properties, rings = ([part[k] for part in parts] for k in range(3))
         vertices = list(chain.from_iterable(chain.from_iterable(rings)))
         numbers = list(chain.from_iterable(vertices))  # JSON numbers: no bool, no string
-        if set(map(len, vertices)) <= {2} and set(map(type, numbers)) <= {int, float}:
-            return footprints_from(ids, numbers, [len(r) for rs in rings for r in rs],
-                                   list(map(len, rings))), properties
+        if not (set(map(len, vertices)) <= {2} and set(map(type, numbers)) <= {int, float}):
+            raise TypeError("a vertex is not a pair of numbers")
+        coords = np.array(numbers, dtype=np.float64)  # OverflowError past 1e308
     except (ParseError, TypeError, ValueError, OverflowError):
-        pass
-    for index, feature in enumerate(features):
-        fid, _, rings = _feature_parts(feature, index, source)
-        try:
-            footprint_of(fid, rings)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
-    raise AssertionError("footprints_from rejected rings that footprint_of accepts")
+        for index, feature in enumerate(features):
+            build(*_feature_parts(feature, index, source)[::2])
+        raise AssertionError("the batch read rejected features that footprint_of accepts")
+    return footprints_from(ids, coords, [len(r) for rs in rings for r in rs],
+                           list(map(len, rings)), build), properties
 
 
 def parse_footprints_geojson(text: str, source="<geojson>") -> FootprintArray:
@@ -355,12 +359,14 @@ def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:
     return _columns(text, source, ORACLE_HEADER, read)
 
 
-def write_curve_csv(points: list[PRPoint]) -> str:
-    return _csv(CURVE_HEADER, (f"{p.theta!r},{p.precision!r},{p.recall!r}"
-                               for p in points))
+def write_curve_csv(curve: PRCurve) -> str:
+    """One row per threshold, each value as float.__repr__ writes it."""
+    columns = (map(float.__repr__, column.tolist())
+               for column in (curve.theta, curve.precision, curve.recall))
+    return _csv(CURVE_HEADER, map(",".join, zip(*columns)))
 
 
-def parse_curve_csv(text: str, source="<csv>") -> list[PRPoint]:
+def parse_curve_csv(text: str, source="<csv>") -> PRCurve:
     def read(columns, line):
         try:
             values = np.array([list(map(float, column)) for column in columns])
@@ -369,23 +375,17 @@ def parse_curve_csv(text: str, source="<csv>") -> list[PRPoint]:
         if not ((0.0 <= values) & (values <= [[100.0], [1.0], [1.0]])).all():
             raise ParseError("bad curve row: theta must lie in [0, 100] and precision "
                              "and recall in [0, 1]", source=source, line=line)
-        return list(map(PRPoint, *values.tolist()))
-    points = _columns(text, source, CURVE_HEADER, read)
-    if not points:
+        return PRCurve(*values)
+    curve = _columns(text, source, CURVE_HEADER, read)
+    if not curve:
         raise ParseError("curve has no data rows", source=source, line=1)
-    return points
+    return curve
 
 
 # ----------------------------------------------------------------- report
 
 def write_report_json(report: ValidationReport) -> str:
-    """Report with full-precision numbers (repr keeps 17 significant digits)."""
-    doc = {
-        "n_samples": report.n_samples,
-        "n_positive": report.n_positive,
-        "scheme": report.scheme,
-        "precision0": report.precision0,
-        "recall0": report.recall0,
-        "average_precision": report.average_precision,
-    }
+    """Report with full-precision numbers (repr keeps 17 significant digits):
+    every field but the curve, in field order."""
+    doc = {key: value for key, value in vars(report).items() if key != "curve"}
     return json.dumps(doc, indent=2) + "\n"

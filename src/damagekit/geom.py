@@ -234,18 +234,18 @@ def _number(value) -> float:
     return float(value)
 
 
-def footprints_from(ids, coords, sizes, counts) -> FootprintArray:
+def footprints_from(ids, coords, sizes, counts, build=footprint_of) -> FootprintArray:
     """The footprints of n (lon, lat) rows, copied from an (n, 2) array or flattened:
     ring i is the next sizes[i] rows, footprint j the next counts[j] rings (exterior
     first) with id ids[j]. One vectorised pass, _checked_rings, makes every check of
-    GeoPoint, Ring and Footprint; only on a fault are they built by footprint_of, to
-    raise it."""
+    GeoPoint, Ring and Footprint; only on a fault are the footprints built, each by
+    build(id, rings of float pairs), up to the first fault, which raises."""
     coords = np.array(coords, dtype=np.float64).reshape(-1, 2)
     checked = _checked_rings(coords, sizes, counts) if all(ids) else None
     if checked is None:
         rings = iter(r.tolist() for r in np.split(coords, np.cumsum(sizes)[:-1]))
         for fid, n in zip(ids, counts):
-            footprint_of(fid, [next(rings) for _ in range(n)])
+            build(fid, [next(rings) for _ in range(n)])
         raise AssertionError("_checked_rings rejected rows that footprint_of accepts")
     return FootprintArray(coords, *checked, ids)
 

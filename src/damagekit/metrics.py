@@ -9,8 +9,10 @@ set is defined as 1.0 so precision-recall curves start at recall 0.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EmptySampleSet, NoPositiveSamples
 from .truth import MatchedSample
@@ -23,12 +25,36 @@ class PRPoint:
     recall: float
 
 
-@dataclass(frozen=True)
-class PRCurve:
-    points: tuple[PRPoint, ...]
+@dataclass(frozen=True, eq=False)
+class PRCurve(Sequence):
+    """A PR curve as three read-only float64 columns of one length, in sweep
+    order: thresholds, and the precision and recall at each; curves compare
+    by value. Its rows (also as points) are PRPoints, each built when read."""
+
+    theta: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        for name, column in list(vars(self).items()):
+            column = np.array(column, dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        return isinstance(other, PRCurve) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __len__(self):
+        return len(self.theta)
+
+    def __getitem__(self, index):
+        values = [column[index].tolist() for column in vars(self).values()]
+        return list(map(PRPoint, *values)) if isinstance(index, slice) else PRPoint(*values)
+
+    @property
+    def points(self) -> Sequence[PRPoint]:
+        return self
 
 
 @dataclass(frozen=True)
@@ -47,56 +73,42 @@ def pr_curve(samples: list[MatchedSample]) -> PRCurve:
 
     The threshold set is {100} plus every distinct estimate plus {0},
     swept in strictly decreasing order, so the curve runs from recall 0
-    at theta=100 down to the theta=0 operating point. One pass tallies the
-    positives and negatives at each distinct estimate; the sweep then keeps
-    running counts of the samples strictly above the current threshold, so
-    the cost is one sort of the thresholds. An estimate that is NaN or
-    outside [0, 100] raises ValueError naming its point.
+    at theta=100 down to the theta=0 operating point. Thresholds are one
+    unique of the estimates + 0.0 (-0.0 is 0.0); bincounts and exclusive
+    cumulative sums count the positives and samples above each, and int64
+    counts below 2**53 divide exactly as float64. An estimate that is NaN
+    or outside [0, 100] raises ValueError naming its point.
     """
     if not samples:
         raise EmptySampleSet("a PR curve needs at least one sample")
-    for s in samples:
-        if not 0.0 <= s.damage_pct <= 100.0:
-            raise ValueError(f"sample {s.point_id}: damage_pct must be in "
-                             f"[0, 100], got {s.damage_pct!r}")
-    positives = Counter(s.damage_pct for s in samples if s.label == 1)
-    negatives = Counter(s.damage_pct for s in samples if s.label != 1)
-    n_positive = positives.total()
-    if n_positive == 0:
+    pct = np.fromiter((s.damage_pct for s in samples), np.float64, len(samples))
+    inside = (0.0 <= pct) & (pct <= 100.0)
+    if not inside.all():
+        s = samples[inside.argmin()]
+        raise ValueError(f"sample {s.point_id}: damage_pct must be in "
+                         f"[0, 100], got {s.damage_pct!r}")
+    positive = np.fromiter((s.label == 1 for s in samples), bool, len(samples))
+    if not positive.any():
         raise NoPositiveSamples("a PR curve needs at least one positive sample")
-    thetas = {100.0, 0.0}
-    thetas.update(s.damage_pct for s in samples)
-    points = []
-    tp = fp = 0
-    for theta in sorted(thetas, reverse=True):
-        precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-        points.append(PRPoint(theta=theta, precision=precision,
-                              recall=tp / n_positive))
-        tp += positives[theta]
-        fp += negatives[theta]
-    return PRCurve(tuple(points))
+    thetas, which = np.unique(np.append(pct + 0.0, [0.0, 100.0]), return_inverse=True)
+    total, tp = (np.bincount(at, minlength=len(thetas))[::-1]
+                 for at in (which[:-2], which[:-2][positive]))
+    tp, predicted = np.cumsum(tp) - tp, np.cumsum(total) - total
+    precision = np.divide(tp, predicted, out=np.ones(len(thetas)), where=predicted > 0)
+    return PRCurve(thetas[::-1], precision, tp / np.count_nonzero(positive))
 
 
 def average_precision(curve: PRCurve) -> float:
-    """Step-sum AP: sum of (recall step) * precision along the curve."""
-    ap = 0.0
-    previous_recall = 0.0
-    for point in curve.points:
-        ap += (point.recall - previous_recall) * point.precision
-        previous_recall = point.recall
-    return ap
+    """Step-sum AP: sum of (recall step) * precision along the curve, added
+    left to right from 0.0 by a cumulative sum (np.sum adds in pairs, which
+    can change the last bits)."""
+    steps = np.diff(curve.recall, prepend=0.0) * curve.precision
+    return float(np.cumsum(np.append(0.0, steps))[-1])
 
 
 def validate(samples: list[MatchedSample], scheme_id: str) -> ValidationReport:
     """Full validation: PR curve, theta=0 operating point, and AP."""
     curve = pr_curve(samples)
-    operating = curve.points[-1]
-    return ValidationReport(
-        n_samples=len(samples),
-        n_positive=sum(s.label for s in samples),
-        scheme=scheme_id,
-        precision0=operating.precision,
-        recall0=operating.recall,
-        average_precision=average_precision(curve),
-        curve=curve,
-    )
+    return ValidationReport(len(samples), sum(s.label for s in samples), scheme_id,
+                            float(curve.precision[-1]), float(curve.recall[-1]),
+                            average_precision(curve), curve)

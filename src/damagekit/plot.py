@@ -1,11 +1,11 @@
 """Minimal SVG rendering of a precision-recall curve.
 
-Output is a pure function of the curve points: same input, same bytes.
+Output is a pure function of the curve's columns: same input, same bytes.
 """
 
 from __future__ import annotations
 
-from .metrics import PRPoint
+from .metrics import PRCurve
 
 _WIDTH = 800
 _HEIGHT = 600
@@ -24,10 +24,10 @@ def _y(value: float) -> float:
     return _BOTTOM - value * (_BOTTOM - _TOP)
 
 
-def render_pr_curve_svg(points: list[PRPoint]) -> str:
-    """Render curve points as an 800x600 SVG with unit axes.
+def render_pr_curve_svg(curve: PRCurve) -> str:
+    """Render a curve as an 800x600 SVG with unit axes.
 
-    The polyline runs through (recall, precision) in the order given, which
+    The polyline runs through (recall, precision) in the curve's order, which
     for a standard curve is decreasing threshold.
     """
     parts = [
@@ -39,8 +39,7 @@ def render_pr_curve_svg(points: list[PRPoint]) -> str:
         f'stroke-width="1"/>',
     ]
     for tick in _TICKS:
-        x = _x(tick)
-        y = _y(tick)
+        x, y = _x(tick), _y(tick)
         parts.append(f'<line x1="{x:.2f}" y1="{_BOTTOM:.2f}" x2="{x:.2f}" '
                      f'y2="{_BOTTOM + 6:.2f}" stroke="#444" stroke-width="1"/>')
         parts.append(f'<text x="{x:.2f}" y="{_BOTTOM + 22:.2f}" '
@@ -52,8 +51,8 @@ def render_pr_curve_svg(points: list[PRPoint]) -> str:
         parts.append(f'<text x="{_LEFT - 10:.2f}" y="{y + 4:.2f}" '
                      f'font-family="sans-serif" font-size="13" '
                      f'text-anchor="end">{tick:.2f}</text>')
-    coords = " ".join(f"{_x(p.recall):.2f},{_y(p.precision):.2f}"
-                      for p in points)
+    coords = " ".join(map("%.2f,%.2f".__mod__, zip(_x(curve.recall).tolist(),
+                                                   _y(curve.precision).tolist())))
     parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" '
                  f'stroke-width="2"/>')
     mid_x = (_LEFT + _RIGHT) / 2.0

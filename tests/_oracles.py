@@ -11,6 +11,7 @@ import json
 import math
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from damagekit.formats import (estimate_columns, parse_footprints_with_propertie
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             _crossing, _on_edge, metres_per_degree)
 from damagekit.metrics import PRCurve, PRPoint
+from damagekit.plot import _x, _y
 from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
                               VALID_CLASSES, ClassRaster, _centres,
                               _header_value)
@@ -206,8 +208,8 @@ def _parse_feature(feature, index, source):
     if fid is None or fid == "":
         raise ParseError(f"feature {index} has no id", source=source)
     fid = _checked_id(str(fid), source)
-    geometry = feature.get("geometry") or {}
-    if geometry.get("type") != "Polygon":
+    geometry = feature.get("geometry")
+    if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
         raise ParseError(f"feature {fid!r} geometry must be a Polygon",
                          source=source)
     rings = geometry.get("coordinates")
@@ -368,8 +370,8 @@ def parse_oracle_csv_by_row(text: str, source="<csv>") -> dict[str, FemaCategory
     return oracle
 
 
-def parse_curve_csv_by_row(text: str, source="<csv>") -> list[PRPoint]:
-    points = []
+def parse_curve_csv_by_row(text: str, source="<csv>") -> PRCurve:
+    rows = []
     for number, fields in csv_rows(text, source, "theta,precision,recall"):
         try:
             theta, precision, recall = map(float, fields)
@@ -379,10 +381,22 @@ def parse_curve_csv_by_row(text: str, source="<csv>") -> list[PRPoint]:
         if not (0.0 <= theta <= 100.0 and 0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
             raise ParseError("bad curve row: theta must lie in [0, 100] and precision "
                              "and recall in [0, 1]", source=source, line=number)
-        points.append(PRPoint(theta, precision, recall))
-    if not points:
+        rows.append((theta, precision, recall))
+    if not rows:
         raise ParseError("curve has no data rows", source=source, line=1)
-    return points
+    return PRCurve(*zip(*rows))
+
+
+def write_curve_csv_by_row(points: list[PRPoint]) -> str:
+    """The curve CSV one PRPoint at a time, each number through repr."""
+    rows = (f"{p.theta!r},{p.precision!r},{p.recall!r}" for p in points)
+    return "\n".join(["theta,precision,recall", *rows]) + "\n"
+
+
+def polyline_by_point(points: list[PRPoint]) -> str:
+    """The SVG polyline's points attribute, mapped and formatted one point
+    at a time."""
+    return " ".join(f"{_x(p.recall):.2f},{_y(p.precision):.2f}" for p in points)
 
 
 # ------------------------------------------------------------------ joins
@@ -674,8 +688,9 @@ def precision_recall(c: ConfusionAtTheta) -> tuple[float, float]:
     return precision, recall
 
 
-def pr_curve(samples: list[MatchedSample]) -> PRCurve:
-    """Precision-recall curve over decreasing thresholds.
+def pr_curve(samples: list[MatchedSample]) -> list[PRPoint]:
+    """Precision-recall curve over decreasing thresholds, one confusion
+    per threshold.
 
     The threshold set is {100} plus every distinct estimate plus {0},
     swept in strictly decreasing order, so the curve runs from recall 0
@@ -694,7 +709,37 @@ def pr_curve(samples: list[MatchedSample]) -> PRCurve:
         assert recall >= previous_recall, "recall must not decrease"
         previous_recall = recall
         points.append(PRPoint(theta=theta, precision=precision, recall=recall))
-    return PRCurve(tuple(points))
+    return points
+
+
+def sweep_pr_curve(samples: list[MatchedSample]) -> list[PRPoint]:
+    """The same curve by one sweep over the sorted thresholds, with running
+    counts of the samples strictly above each; a theta is the estimate
+    itself, so an int estimate gives an int theta."""
+    positives = Counter(s.damage_pct for s in samples if s.label == 1)
+    negatives = Counter(s.damage_pct for s in samples if s.label != 1)
+    n_positive = positives.total()
+    if n_positive == 0:
+        raise NoPositiveSamples("a PR curve needs at least one positive sample")
+    thetas = {100.0, 0.0}
+    thetas.update(s.damage_pct for s in samples)
+    points = []
+    tp = fp = 0
+    for theta in sorted(thetas, reverse=True):
+        precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
+        points.append(PRPoint(theta=theta, precision=precision, recall=tp / n_positive))
+        tp += positives[theta]
+        fp += negatives[theta]
+    return points
+
+
+def step_sum(points: list[PRPoint]) -> float:
+    """AP as the curve's steps added one at a time, left to right."""
+    ap = previous_recall = 0.0
+    for p in points:
+        ap += (p.recall - previous_recall) * p.precision
+        previous_recall = p.recall
+    return ap
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:

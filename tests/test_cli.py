@@ -367,6 +367,20 @@ def test_malformed_feature_collection_exits_2(tmp_path, capsys, command, edit):
     assert_fails(argv, 2, capsys, "fp.geojson: ")
 
 
+@pytest.mark.parametrize("command", ["assess", "match", "validate"])
+@pytest.mark.parametrize("geometry", ["[1]", '"Polygon"', "7", "true"])
+def test_geometry_that_is_not_an_object_exits_2(tmp_path, capsys, command, geometry):
+    doc = FOOTPRINT_B1.replace('"b1"', '"a"')
+    fps = write(tmp_path / "bad.geojson", doc[:doc.index('{"type":"Polygon"')] + geometry
+                + doc[doc.index(',"properties"'):])
+    truth = write(tmp_path / "t.csv", TRUTH_HEADER + "p1,0.0,0.0,destroyed\n")
+    argv = {"assess": ["assess", fps, write(tmp_path / "r.asc", RASTER_2X2)],
+            "match": ["match", truth, fps],
+            "validate": ["validate", fps, write(tmp_path / "m.csv", MATCH_HEADER + "p1,a,0.0\n"),
+                         truth]}[command]
+    assert_fails(argv, 2, capsys, "bad.geojson: feature 'a' geometry must be a Polygon")
+
+
 @pytest.mark.parametrize("command", ["assess", "match"])
 def test_footprint_id_outside_the_charset_exits_2(tmp_path, capsys, command):
     fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1.replace('"b1"', '"a,b"'))
@@ -511,6 +525,21 @@ def test_validate_builds_no_per_row_objects(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(formats, name, refused)
     assert main(["validate", *inputs]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_validate_and_pr_plot_build_no_curve_point(tmp_path, capsys, monkeypatch):
+    inputs = validate_inputs(tmp_path, matches="p1,b1,0.0\np2,,\n",
+                             truth="p1,0.0,0.0,destroyed\np2,1.0,1.0,affected\n")
+    curve, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a PRPoint was built")
+
+    monkeypatch.setattr(damagekit.metrics.PRPoint, "__init__", refused)
+    assert main(["validate", *inputs, "--curve", str(curve)]) == 0
+    assert main(["pr-plot", str(curve), "--out", str(svg)]) == 0
+    assert curve.read_text().startswith("theta,precision,recall\n100.0,1.0,0.0\n")
+    assert "<polyline points=" in svg.read_text()
 
 
 def test_synth_assess_and_match_build_no_per_feature_objects(tmp_path, capsys, monkeypatch):

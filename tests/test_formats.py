@@ -6,6 +6,7 @@ assert bit-exact round trips rather than approximate equality.
 
 import gc
 import json
+import math
 import random
 import re
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (assessed_properties, collection_text, parse_estimates_geojson,
-                      parse_footprints_one_by_one, square_footprint)
+                      parse_footprints_one_by_one, square_footprint, write_curve_csv_by_row)
 from damagekit import formats, geom
 from damagekit.errors import ParseError, UnknownCategory
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
@@ -28,7 +29,7 @@ from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
                                write_oracle_csv, write_report_json,
                                write_truth_csv)
 from damagekit.geom import Footprint, FootprintArray, GeoPoint, Ring, footprint_of
-from damagekit.metrics import PRCurve, PRPoint, ValidationReport
+from damagekit.metrics import PRCurve, ValidationReport
 from damagekit.synth import SplitMix64
 from damagekit.truth import FemaCategory, GroundTruthPoint, PointMatch
 from damagekit.zonal import DamageEstimate
@@ -437,6 +438,26 @@ def test_a_geojson_read_parses_once_and_checks_its_rings_at_most_once(
     assert calls == ["parse_json", "_checked_rings"][:1 if edit == "bad-id" else 2]
 
 
+@pytest.mark.parametrize("parse", [parse_footprints_with_properties,
+                                   parse_assessed_geojson, parse_estimates_geojson])
+def test_a_ring_fault_builds_each_feature_once_up_to_it(monkeypatch, parse):
+    """A fault in the last feature's ring builds the features before it and
+    that feature once each, not a second time to name it."""
+    doc = assessed_lattice(random.Random(7), 100)
+    FEATURE_EDITS["unclosed"](doc["features"][-1])
+    built = []
+
+    def counted(fid, rings):
+        built.append(fid)
+        return footprint_of(fid, rings)
+
+    for module in (formats, geom):
+        monkeypatch.setattr(module, "footprint_of", counted)
+    with pytest.raises(ParseError, match=r"^a\.geojson: feature 'b99': ring is not closed"):
+        parse(json.dumps(doc), source="a.geojson")
+    assert built == [feature["id"] for feature in doc["features"]]
+
+
 # ------------------------------------------------- writers' exact bytes
 
 # Coordinates whose texts take every form: signed zeros, exponents down to
@@ -622,10 +643,21 @@ def test_oracle_csv_round_trip_preserves_order():
 
 
 def test_curve_csv_round_trip_is_exact():
-    points = [PRPoint(100.0, 1.0, 0.0),
-              PRPoint(62.5, 2.0 / 3.0, 0.5),
-              PRPoint(0.0, 0.41000000000000003, 1.0)]
-    assert parse_curve_csv(write_curve_csv(points)) == points
+    curve = PRCurve([100.0, 62.5, 0.0], [1.0, 2.0 / 3.0, 0.41000000000000003],
+                    [0.0, 0.5, 1.0])
+    assert parse_curve_csv(write_curve_csv(curve)) == curve
+
+
+def test_curve_csv_writer_matches_the_row_writer():
+    """float.__repr__ of the columns' Python floats writes what repr of
+    each PRPoint's fields wrote, -0.0, subnormals and exponents included."""
+    rng = random.Random(1913)
+    values = [0.0, -0.0, 5e-324, 1e-05, 1e-07, 1 / 3, 0.1, 1.0, 2 / 3, 1e16, 1e22]
+    values += [rng.random() for _ in range(500)] + [rng.uniform(0, 100) for _ in range(500)]
+    curve = PRCurve(values, values[::-1], sorted(values))
+    assert write_curve_csv(curve) == write_curve_csv_by_row(curve.points)
+    assert write_curve_csv(curve).startswith("theta,precision,recall\n0.0,")
+    assert "\n-0.0," in write_curve_csv(curve)
 
 
 @pytest.mark.parametrize("row", [
@@ -640,8 +672,10 @@ def test_curve_csv_rejects_values_a_pr_curve_cannot_hold(row):
 
 def test_curve_csv_accepts_the_closed_ranges():
     text = "theta,precision,recall\n100,1,0\n0.0,0.0,1.0\n-0.0,1e-300,0.5\n"
-    assert [tuple(vars(p).values()) for p in parse_curve_csv(text)] == \
+    curve = parse_curve_csv(text)
+    assert [tuple(vars(p).values()) for p in curve.points] == \
         [(100.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-0.0, 1e-300, 0.5)]
+    assert math.copysign(1.0, curve.theta[2]) == -1.0
 
 
 def test_curve_csv_without_data_rows_is_an_error():
@@ -652,7 +686,7 @@ def test_curve_csv_without_data_rows_is_an_error():
 # --------------------------------------------------------------- report
 
 def test_report_json_serialisation_is_canonical():
-    curve = PRCurve((PRPoint(0.0, 0.5, 1.0),))
+    curve = PRCurve([0.0], [0.5], [1.0])
     report = ValidationReport(n_samples=4, n_positive=2, scheme="major_plus",
                               precision0=0.5, recall0=1.0,
                               average_precision=5.0 / 6.0, curve=curve)

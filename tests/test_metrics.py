@@ -1,8 +1,8 @@
 """Confusion counts, PR curves, and average precision: hand-derived fixture
 values, a from-scratch AP oracle, threshold-set behaviour, the
 strict-greater-than prediction convention, a bit-for-bit differential check
-of the sweep against the one-confusion-per-threshold reference, and a
-scaling guard."""
+of the column sweep against the one-confusion-per-threshold and row-sweep
+references, the curve's columns, and a scaling guard."""
 
 import math
 import random
@@ -10,14 +10,15 @@ import subprocess
 import sys
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 from damagekit.errors import EmptySampleSet, NoPositiveSamples
-from damagekit.metrics import average_precision, pr_curve, validate
+from damagekit.metrics import PRCurve, PRPoint, average_precision, pr_curve, validate
 from damagekit.truth import MatchedSample
 
 from _oracles import (ConfusionAtTheta, brute_average_precision, confusion,
-                      precision_recall)
+                      precision_recall, step_sum, sweep_pr_curve)
 from _oracles import pr_curve as reference_pr_curve
 
 DIFFERENTIAL_SETS = 1200
@@ -102,9 +103,9 @@ def test_duplicate_estimates_collapse_to_one_threshold():
     assert [p.theta for p in curve.points] == [100.0, 70.0, 10.0, 0.0]
 
 
-def curve_bits(curve):
-    return [(repr(p.theta), p.precision.hex(), p.recall.hex())
-            for p in curve.points]
+def curve_bits(points):
+    """Every theta's float bits, and every precision and recall bit."""
+    return [(float(p.theta).hex(), p.precision.hex(), p.recall.hex()) for p in points]
 
 
 def random_sample_set(rng):
@@ -133,10 +134,66 @@ def test_curve_matches_reference_bit_for_bit():
             with pytest.raises(NoPositiveSamples):
                 pr_curve(samples)
             continue
-        assert curve_bits(pr_curve(samples)) == \
-            curve_bits(reference_pr_curve(samples))
+        curve = pr_curve(samples)
+        bits = curve_bits(curve.points)
+        assert bits == curve_bits(reference_pr_curve(samples))
+        assert bits == curve_bits(sweep_pr_curve(samples))
+        assert average_precision(curve).hex() == step_sum(sweep_pr_curve(samples)).hex()
         compared += 1
     assert compared >= 1000
+
+
+@pytest.mark.parametrize("pcts, labels, thetas", [
+    ([-0.0, 40.0], [1, 0], [100.0, 40.0, 0.0]),
+    ([100.0, 0.0, 100], [1, 1, 0], [100.0, 0.0]),
+    ([30.0, 30.0, 30.0], [1, 0, 1], [100.0, 30.0, 0.0]),
+    ([0.0, -0.0, 0], [0, 1, 1], [100.0, 0.0]),
+], ids=["negative-zero", "single-threshold", "all-tied", "all-zero"])
+def test_curve_edge_cases_match_the_references(pcts, labels, thetas):
+    samples = [MatchedSample(f"p{k}", f"b{k}", 0.0, label, pct)
+               for k, (pct, label) in enumerate(zip(pcts, labels))]
+    curve = pr_curve(samples)
+    assert [theta.hex() for theta in curve.theta.tolist()] == [t.hex() for t in thetas]
+    assert curve_bits(curve.points) == curve_bits(reference_pr_curve(samples))
+    assert curve_bits(curve.points) == curve_bits(sweep_pr_curve(samples))
+    assert average_precision(curve).hex() == step_sum(sweep_pr_curve(samples)).hex()
+
+
+def test_an_int_estimate_is_a_float_theta():
+    """The row sweep keeps an int estimate's type; the columns are float64."""
+    samples = [MatchedSample("p0", "b0", 0.0, 1, 0.0), MatchedSample("p9", "b9", 0.0, 1, 95)]
+    assert [p.theta for p in sweep_pr_curve(samples)] == [100.0, 95, 0.0]
+    assert repr(sweep_pr_curve(samples)[1].theta) == "95"
+    assert pr_curve(samples).points[1] == PRPoint(95.0, 1.0, 0.0)
+    assert type(pr_curve(samples).points[1].theta) is float
+
+
+def test_curve_columns_are_read_only_float64_and_compare_by_value():
+    curve = pr_curve(WELL_RANKED)
+    for column in (curve.theta, curve.precision, curve.recall):
+        assert column.dtype == np.float64 and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.5
+    same = PRCurve(list(curve.theta), list(curve.precision), list(curve.recall))
+    assert same == curve and curve == same
+    assert curve != PRCurve(curve.theta, curve.precision, curve.recall[::-1])
+    assert curve != list(curve.points)
+
+
+def test_points_read_rows_and_len_builds_none(monkeypatch):
+    report = validate(WELL_RANKED, "major_plus")
+    points = report.curve.points
+    assert list(points) == [points[k] for k in range(len(points))]
+    assert points[-1] == PRPoint(0.0, 0.5, 1.0)
+    assert points[1:3] == [PRPoint(80.0, 1.0, 0.0), PRPoint(60.0, 1.0, 0.5)]
+    with pytest.raises(IndexError):
+        points[len(points)]
+
+    def refuse(*args):
+        raise AssertionError("a PRPoint was built")
+
+    monkeypatch.setattr(PRPoint, "__init__", refuse)
+    assert len(validate(WELL_RANKED, "major_plus").curve.points) == 6
 
 
 def test_validate_scales_to_many_distinct_estimates():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import parse_estimates_geojson, square_footprint
+from _oracles import parse_estimates_geojson, parse_footprints_one_by_one, square_footprint
 from damagekit.errors import ParseError
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
                                parse_footprints_geojson,
@@ -19,7 +19,7 @@ from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
                                write_footprints_geojson, write_matches_csv,
                                write_oracle_csv, write_truth_csv)
 from damagekit.geom import Footprint, GeoPoint, Ring
-from damagekit.metrics import PRPoint
+from damagekit.metrics import PRCurve
 from damagekit.raster import ClassRaster, parse_ascii_grid, write_ascii_grid
 from damagekit.truth import FemaCategory, GroundTruthPoint, PointMatch
 from damagekit.zonal import DamageEstimate
@@ -42,7 +42,7 @@ VALID_TEXTS = {
     parse_matches_csv: write_matches_csv(["p1", "p_2"], [PointMatch("p1", "b1", 0.5)],
                                          ["p_2"]),
     parse_oracle_csv: write_oracle_csv({"b1": FemaCategory.MINOR_DAMAGE}),
-    parse_curve_csv: write_curve_csv([PRPoint(100.0, 1.0, 0.0), PRPoint(0.0, 0.5, 1.0)]),
+    parse_curve_csv: write_curve_csv(PRCurve([100.0, 0.0], [1.0, 0.5], [0.0, 1.0])),
 }
 
 # Pieces that break a token, a row, a number's range or a document's shape.
@@ -74,6 +74,21 @@ def mutations(draw, text):
             piece = text[start:start + draw(st.integers(1, 80))]
         text = text[:at] + piece + text[at + draw(st.integers(0, 3)):]
     return text
+
+
+GEOJSON_READERS = [parse_footprints_with_properties, parse_assessed_geojson,
+                   parse_estimates_geojson, parse_footprints_one_by_one]
+
+
+@pytest.mark.parametrize("parse", GEOJSON_READERS, ids=lambda parse: parse.__name__)
+@pytest.mark.parametrize("geometry", ["[1]", "[]", '"Polygon"', "7", "0", "true", "false",
+                                      "null", "{}", '{"type":"Point"}'])
+def test_a_geometry_that_is_no_polygon_object_is_a_parse_error(parse, geometry):
+    text = re.sub(r'"geometry":\{[^{}]*\}', '"geometry":' + geometry,
+                  VALID_TEXTS[parse_assessed_geojson], count=1)
+    assert text.count('"geometry":' + geometry) == 1
+    with pytest.raises(ParseError, match=r"^in: feature 'b1' geometry must be a Polygon$"):
+        parse(text, source="in")
 
 
 @pytest.mark.parametrize("parse", VALID_TEXTS, ids=lambda parse: parse.__name__)
@@ -120,8 +135,9 @@ def estimate_of(fid, n_inside, n_damaged, supersampled):
                                  st.sampled_from(FemaCategory)),
                        max_size=5, unique_by=lambda p: p.id),
        distances=st.lists(st.one_of(st.none(), st.floats(0.0, 1e9)), min_size=5, max_size=5),
-       curve=st.lists(st.builds(PRPoint, st.floats(0.0, 100.0), st.floats(0.0, 1.0),
-                                st.floats(0.0, 1.0)), min_size=1, max_size=4))
+       curve=st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=4).map(
+                                    lambda rows: PRCurve(*zip(*rows))))
 def test_writers_round_trip_through_their_readers(footprints, counts, points,
                                                   distances, curve):
     assert parse_footprints_geojson(write_footprints_geojson(footprints)) == footprints
