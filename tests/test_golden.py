@@ -1,9 +1,12 @@
-"""Golden bytes of validate and pr-plot on small rescore-style inputs.
+"""Golden bytes of every command on small inputs.
 
 The inputs are written as fixed decimal text from integer draws, so making
-them needs no libm and no damagekit writer. Each scheme's report JSON, curve
-CSV and SVG is pinned by its sha256; a change to any byte these commands
-emit shows here.
+them needs no libm and no damagekit writer. Each output is pinned by its
+sha256; a change to any byte these commands emit shows here. Where a command
+calls libm, the inputs make the call exact: the synth spec's origin lies on
+the equator and its points are not jittered, so cos(0) scales longitudes and
+the Box-Muller terms are multiplied by 0; the match scene's latitudes sum to
+exactly 0, so its reference latitude is 0.
 """
 
 import hashlib
@@ -119,3 +122,124 @@ def test_validate_and_pr_plot_keep_every_byte(tmp_path):
     digests = run_schemes(tmp_path)
     assert {name: digests[name] for name in OUTPUT_DIGESTS} == OUTPUT_DIGESTS
     assert len(OUTPUT_DIGESTS) == 3 * len(SCHEMES)
+
+
+# ------------------------------------------------- synth, assess and match
+
+SYNTH_SPEC = ('{"seed": 11, "grid_cols": 4, "grid_rows": 3, "origin": [12.5, 0.0], '
+              '"cellsize_m": 4.0, "pixel_noise_rate": 0.1, "point_drop_rate": 0.25}')
+SYNTH_DIGESTS = {
+    "footprints.geojson":
+        "9c930effe0889239d6d787202e3b5e88b2e030b2e4695767957987dd5786a17a",
+    "raster.asc":
+        "36beea9958e69979310c9e55be1dc0530462ea5e0b5996b787e48980ad707bc2",
+    "truth.csv":
+        "17b9d09cd1aa0d64dc19d0621f0686ad35f6db17e8c882e8365176c2e301f2ec",
+    "oracle.csv":
+        "ba09fa54b6fa491b1f78de7754b1172c7b3c7b5664a77fdbb651aba3630ab5a1",
+}
+ASSESS_DIGESTS = {
+    "footprints.geojson":
+        "5490076334b4e58d759731adbd1a7b16899d29a84a422db678d2ef9bd56ec6ec",
+    "raster.asc":
+        "8fde79ac8ac53f09ee130adaf8c338cc3986980d198b7721b4e1aac1c4b0e269",
+    "assessed.geojson":
+        "9c1d99d69b6030f3b4ba417a5584a471209cffee921738e6060ece56dd282b97",
+}
+MATCH_DIGESTS = {
+    "footprints.geojson":
+        "f619ac285eb0e682711eaf4c26d79a59202bdcf7e06092180d399b5437a049a8",
+    "truth.csv":
+        "783bdedeafa2d0fefcb3565640f435edbd5c58c5151a8d75aced7e6834205ed7",
+    "matched.csv":
+        "6f2d55013217c5f6d86cb940b7826788055a9b666f180616aef85a97209666b4",
+}
+
+
+def feature(fid, rings, properties="{}"):
+    """A GeoJSON Feature of rings given as lists of (lon, lat) decimal texts."""
+    coordinates = ",".join("[" + ",".join(f"[{x},{y}]" for x, y in ring) + "]"
+                           for ring in rings)
+    return (f'{{"type":"Feature","id":"{fid}","geometry":{{"type":"Polygon",'
+            f'"coordinates":[{coordinates}]}},"properties":{properties}}}')
+
+
+def box(x0, y0, x1, y1):
+    """A closed counter-clockwise rectangle ring of decimal texts."""
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+
+
+def collection(features):
+    return '{"type":"FeatureCollection","features":[' + ",".join(features) + "]}\n"
+
+
+def write_files(directory, files):
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return {name: directory / name for name in files}
+
+
+def test_synth_keeps_every_byte(tmp_path):
+    spec = write_files(tmp_path, {"scene.json": SYNTH_SPEC})["scene.json"]
+    assert main(["synth", str(spec), str(tmp_path / "scene")]) == 0
+    assert {name: sha256(tmp_path / "scene" / name) for name in SYNTH_DIGESTS} == SYNTH_DIGESTS
+
+
+def test_assess_keeps_every_byte(tmp_path):
+    """Footprints with holes, edges through pixel centres, a footprint too
+    small to hold a pixel centre (the 4x4 frame), one over nodata cells, one
+    off the raster, and input properties, one of them a key assess writes."""
+    classes = (-1, 0, 1, 2, 2, 1, 0)
+    rows = [" ".join("-1" if r < 2 and c >= 10 else str(classes[(3 * r + 5 * c + r * c) % 7])
+                     for c in range(12)) for r in range(10)]
+    raster = ("ncols 12\nnrows 10\nxllcorner 0.0\nyllcorner 0.0\ncellsize 0.25\n"
+              "NODATA_value -1\n" + "\n".join(rows) + "\n")
+    footprints = collection([
+        feature("f1", [box("0.1", "0.1", "1.1", "1.1"), box("0.4", "0.4", "0.7", "0.7")],
+                '{"name":"house"}'),
+        feature("f2", [[("1.3", "0.2"), ("2.2", "0.2"), ("1.3", "1.6"), ("1.3", "0.2")]],
+                '{"damage_pct":99,"zone":"A"}'),
+        feature("f3", [box("1.40", "1.90", "1.45", "1.95")]),
+        feature("f4", [box("2.55", "2.05", "2.95", "2.45")]),
+        feature("f5", [box("5.0", "5.0", "5.5", "5.5")], "null"),
+        feature("f6", [box("2.125", "0.375", "2.625", "0.875"),
+                       box("2.25", "0.5", "2.5", "0.75")]),
+    ])
+    paths = write_files(tmp_path, {"footprints.geojson": footprints, "raster.asc": raster})
+    out = tmp_path / "assessed.geojson"
+    assert main(["assess", str(paths["footprints.geojson"]), str(paths["raster.asc"]),
+                 "--out", str(out)]) == 0
+    digests = {name: sha256(path) for name, path in {**paths, out.name: out}.items()}
+    assert digests == ASSESS_DIGESTS
+
+
+def test_match_keeps_every_byte(tmp_path):
+    """Footprints and points in mirrored pairs about the equator: an exact
+    distance tie at (0, 0) between b2 and its mirror b1, points inside a
+    footprint, in a hole and beside one, and two unmatched points."""
+    def mirror(ring):
+        return [(x, y[1:] if y.startswith("-") else "-" + y) for x, y in ring]
+
+    left = box("-0.0003", "-0.00005", "-0.0001", "0.00005")
+    a7 = [box("0.0008", "0.0002", "0.0012", "0.0004"),
+          box("0.0009", "0.00025", "0.0011", "0.00035")]
+    c3 = box("-0.0010", "0.0003", "-0.0008", "0.0005")
+    footprints = collection([
+        feature("c3", [c3]), feature("b2", [left]),
+        feature("b1", [[(x[1:], y) for x, y in left]]),
+        feature("a7", a7), feature("a8", list(map(mirror, a7))), feature("c4", [mirror(c3)]),
+    ])
+    points = [("p01", "0.0", "0.0"), ("p02", "0.0010", "0.0003"), ("p08", "0.02", "0.001"),
+              ("p03", "0.0010", "-0.0003"), ("p04", "0.00085", "0.00022"),
+              ("p05", "0.00085", "-0.00022"), ("p06", "-0.0009", "0.0006"),
+              ("p09", "0.02", "-0.001"), ("p07", "-0.0009", "-0.0006"),
+              ("p10", "-0.0009", "0.0004"), ("p11", "-0.0009", "-0.0004")]
+    truth = "point_id,lon,lat,category\n" + "".join(
+        f"{pid},{x},{y},affected\n" for pid, x, y in points)
+    paths = write_files(tmp_path, {"footprints.geojson": footprints, "truth.csv": truth})
+    out = tmp_path / "matched.csv"
+    assert main(["match", str(paths["truth.csv"]), str(paths["footprints.geojson"]),
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("point_id,footprint_id,distance_m\np01,b1,")
+    digests = {name: sha256(path) for name, path in {**paths, out.name: out}.items()}
+    assert digests == MATCH_DIGESTS
