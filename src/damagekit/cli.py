@@ -13,8 +13,9 @@ Data goes to stdout when no output path is given; diagnostics go to stderr.
 
 Exit codes are the errors' exit_code: 0 ok, 2 bad input (a file, --radius-m,
 a --scheme of every category, a scene spec whose buildings collapse or whose
-raster is too large), unknown matched point or unwritable output, 3 duplicate id, 4 unknown damage category,
-5 missing estimate, 6 no positive samples, 7 swath misses every building.
+raster is too large), unknown matched point or unwritable output, 3 duplicate
+id, 4 unknown damage category, 5 missing estimate, 6 no positive samples,
+7 swath misses every building.
 Any other exception is a bug, and ends in a traceback.
 """
 
@@ -83,7 +84,7 @@ def cmd_synth(args) -> int:
     formats.write_text(join(args.out_dir, "raster.asc"),
                        write_ascii_grid(scene.raster))
     formats.write_text(join(args.out_dir, "truth.csv"),
-                       formats.write_truth_csv(list(scene.truth)))
+                       formats.write_truth_csv(scene.truth))
     formats.write_text(join(args.out_dir, "oracle.csv"),
                        formats.write_oracle_csv(scene.oracle_categories))
     print(f"scene written to {args.out_dir}: {len(scene.footprints)} footprints, "
@@ -110,8 +111,7 @@ def cmd_match(args) -> int:
     footprints = formats.load_footprints(args.footprints)
     matched, unmatched = match_points(points, footprints,
                                       radius_m=args.radius_m)
-    _emit(formats.write_matches_csv([p.id for p in points],
-                                    matched, unmatched), args.out)
+    _emit(formats.write_matches_csv(points.id.tolist(), matched, unmatched), args.out)
     print(f"matched {len(matched)} of {len(points)} points "
           f"({len(unmatched)} unmatched)", file=sys.stderr)
     return 0
@@ -119,10 +119,10 @@ def cmd_match(args) -> int:
 
 def cmd_validate(args) -> int:
     scheme = parse_scheme(args.scheme, source="--scheme")
-    estimates = formats.estimate_columns(formats.read_text(args.assessed), args.assessed)
-    matched = formats.match_columns(formats.read_text(args.matched), args.matched)[0]
-    points = formats.truth_columns(formats.read_text(args.points), args.points)
-    samples = join_samples(matched, estimates[:2], points[:2], scheme)
+    _, estimates = formats.parse_assessed_geojson(formats.read_text(args.assessed), args.assessed)
+    matched = formats.parse_matches_csv(formats.read_text(args.matched), args.matched)[0]
+    points = formats.parse_truth_csv(formats.read_text(args.points), args.points)
+    samples = join_samples(matched, estimates, points, scheme)
     report = metrics.validate(samples, scheme.id)
     _emit(formats.write_report_json(report), args.report)
     if args.curve is not None:

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ParseError, UnwritableOutput
 from .geom import Footprint, FootprintArray, GeoPoint, footprint_of, footprints_from
 from .metrics import PRCurve, ValidationReport
-from .truth import FemaCategory, GroundTruthPoint, PointMatch
-from .zonal import DamageEstimate
+from .truth import FemaCategory, GroundTruthPoint, GroundTruthPoints, PointMatch, PointMatches
+from .zonal import DamageEstimate, DamageEstimates
 
 TRUTH_HEADER = "point_id,lon,lat,category"
 MATCH_HEADER = "point_id,footprint_id,distance_m"
@@ -161,15 +161,20 @@ def _collection(footprints: Sequence[Footprint], properties) -> str:
     return '{"type":"FeatureCollection","features":[' + ",".join(chunks) + "]}\n"
 
 
+def _each_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """fn of each float64 value, as an object array of their shape: called once
+    per distinct bit pattern, so -0.0 stays apart from 0.0."""
+    bits, which = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    done = np.array(list(map(fn, bits.view(np.float64).tolist())), dtype=object)
+    return done[which.reshape(values.shape)]
+
+
 def _features(fps: FootprintArray, properties: list[str]) -> str:
     """The features of one or more footprints with their properties texts,
     joined from four pieces per vertex: x, ",", y and the separator after it.
-    Each distinct coordinate (by bit pattern, so -0.0 stays apart) goes
-    through float.__repr__, as in json.dumps, once."""
-    bits, which = np.unique(fps.coords.ravel().view(np.int64), return_inverse=True)
-    reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    Coordinates are written by float.__repr__, as in json.dumps."""
     pieces = np.full((len(fps.coords), 4), "],[", dtype=object)
-    pieces[:, 0::2], pieces[:, 1] = reprs[which.reshape(-1, 2)], ","
+    pieces[:, 0::2], pieces[:, 1] = _each_distinct(float.__repr__, fps.coords), ","
     pieces[fps.ring_offsets[1:] - 1, 3] = "]],[["
     ids = list(map(json.dumps, fps.ids))
     pieces[fps.ring_offsets[fps.geom_offsets[1:]] - 1, 3] = [
@@ -188,49 +193,34 @@ def round_half_up(value: float, places: int = 2) -> float:
 
 
 def write_assessed_geojson(footprints: Sequence[Footprint],
-                           estimates: list[DamageEstimate],
+                           estimates: Sequence[DamageEstimate],
                            input_properties: list[dict] | None = None) -> str:
     """Footprints plus their estimates, which must name the footprints' ids in
     order, and input properties, if given, one dict per footprint: damage_pct
     is rounded half-up to two decimals, each distinct value once; the integer
     counts keep full fidelity."""
-    fps = FootprintArray.of(footprints)
-    if [est.footprint_id for est in estimates] != list(fps.ids):
+    fps, est = FootprintArray.of(footprints), DamageEstimates.of(estimates)
+    if not np.array_equal(est.footprint_id, fps.ids):
         raise ValueError("the estimates do not name the footprints' ids in order")
     if input_properties is not None and len(input_properties) != len(fps):
         raise ValueError(f"input_properties must hold one dict per footprint: "
                          f"{len(fps)} footprints, {len(input_properties)} dicts")
-    pct = np.array([est.damage_pct for est in estimates], dtype=np.float64)
-    bits, which = np.unique(pct.view(np.int64), return_inverse=True)  # -0.0 is not 0.0
-    shown = np.array(list(map(round_half_up, bits.view(np.float64).tolist())))[which]
+    columns = (_each_distinct(round_half_up, est.damage_pct), est.n_inside, est.n_damaged,
+               est.supersampled, est.no_coverage)
     properties = (_COMPACT.encode(dict(
-        props, damage_pct=rounded, n_inside=est.n_inside, n_damaged=est.n_damaged,
-        supersampled=est.supersampled, no_coverage=est.no_coverage))
-        for est, rounded, props in zip(estimates, shown.tolist(), input_properties or repeat({})))
+        props, damage_pct=pct, n_inside=n, n_damaged=d, supersampled=s, no_coverage=c))
+        for props, pct, n, d, s, c in zip(input_properties or repeat({}),
+                                          *(column.tolist() for column in columns)))
     return _collection(fps, properties)
 
 
 def parse_assessed_geojson(text: str, source="<geojson>"):
-    """Read an assessed collection back as (footprints, estimates).
-
-    The working damage percentage is rebuilt from the stored counts, so the
-    two-decimal display rounding of damage_pct loses nothing downstream.
-    """
+    """Read an assessed collection back as (footprints, estimates). The
+    working damage percentage is rebuilt from the stored counts, so the
+    two-decimal display rounding of damage_pct loses nothing downstream. The
+    counts must be JSON integers, 0 <= n_damaged <= n_inside <= 2**53, and the
+    flags JSON booleans; the first feature that breaks this rule is named."""
     footprints, properties = parse_footprints_with_properties(text, source)
-    return footprints, list(map(DamageEstimate, *_estimate_columns(footprints, properties,
-                                                                   source)))
-
-
-def estimate_columns(text: str, source="<geojson>"):
-    """The estimates of parse_assessed_geojson as columns: (ids, damage_pct,
-    n_inside, n_damaged, supersampled, no_coverage)."""
-    return _estimate_columns(*parse_footprints_with_properties(text, source), source)
-
-
-def _estimate_columns(footprints, properties, source):
-    """The estimate columns of the footprints' properties. The counts must be
-    JSON integers, 0 <= n_damaged <= n_inside <= 2**53, and the flags JSON
-    booleans; the first feature that breaks this rule is named."""
     columns = [[props.get(key) for props in properties]
                for key in ("n_inside", "n_damaged", "supersampled", "no_coverage")]
     for fid, n, d, s, c in zip(footprints.ids, *columns):
@@ -239,8 +229,7 @@ def _estimate_columns(footprints, properties, source):
             raise ParseError(f"feature {fid!r} lacks assessment properties "
                              "(integer counts 0 <= n_damaged <= n_inside <= 2**53, "
                              "boolean flags)", source=source)
-    pct = [100.0 * d / n if n else 0.0 for n, d in zip(*columns[:2])]
-    return [list(footprints.ids), pct, *columns]
+    return footprints, DamageEstimates.counted(footprints.ids, *columns)
 
 
 # -------------------------------------------------------------------- CSV
@@ -281,13 +270,13 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def write_truth_csv(points: list[GroundTruthPoint]) -> str:
-    return _csv(TRUTH_HEADER, (f"{p.id},{p.location.lon!r},{p.location.lat!r},"
-                               f"{p.category.label}" for p in points))
+def write_truth_csv(points: Sequence[GroundTruthPoint]) -> str:
+    p = GroundTruthPoints.of(points)
+    rows = zip(p.id.tolist(), p.lon.tolist(), p.lat.tolist(), p.category.tolist())
+    return _csv(TRUTH_HEADER, (f"{i},{x!r},{y!r},{c.label}" for i, x, y, c in rows))
 
 
-def truth_columns(text: str, source="<csv>"):
-    """(ids, categories, lons, lats) of a truth CSV, with parse_truth_csv's checks."""
+def parse_truth_csv(text: str, source="<csv>") -> GroundTruthPoints:
     def read(columns, line):
         ids, lon_texts, lat_texts, labels = columns
         _checked_ids(ids, source, line)
@@ -297,34 +286,31 @@ def truth_columns(text: str, source="<csv>"):
                 list(map(GeoPoint, lons, lats))  # raises the first point's range error
         except ValueError as exc:
             raise ParseError(str(exc), source=source, line=line) from exc
-        return ids, _categories(labels, source, line), lons, lats
+        return GroundTruthPoints(ids, lons, lats, _categories(labels, source, line))
     return _columns(text, source, TRUTH_HEADER, read)
 
 
-def parse_truth_csv(text: str, source="<csv>") -> list[GroundTruthPoint]:
-    ids, categories, lons, lats = truth_columns(text, source)
-    return list(map(GroundTruthPoint, ids, map(GeoPoint, lons, lats), categories))
-
-
-def load_truth(path) -> list[GroundTruthPoint]:
+def load_truth(path) -> GroundTruthPoints:
     return parse_truth_csv(read_text(path), source=path)
 
 
 def write_matches_csv(point_ids: list[str],
-                      matched: list[PointMatch],
+                      matched: Sequence[PointMatch],
                       unmatched: list[str]) -> str:
     """One row per input point in input order; unmatched rows leave the
     footprint and distance fields empty."""
+    matched = PointMatches.of(matched)
     rows = dict.fromkeys(unmatched, ",,")
-    rows.update((m.point_id, f",{m.footprint_id},{m.distance_m!r}") for m in matched)
+    rows.update((pid, f",{fid},{d!r}") for pid, fid, d in zip(
+        matched.point_id.tolist(), matched.footprint_id.tolist(), matched.distance_m.tolist()))
     missing = [pid for pid in point_ids if pid not in rows]
     if missing:
         raise ValueError(f"point {missing[0]!r} neither matched nor unmatched")
     return _csv(MATCH_HEADER, (pid + rows[pid] for pid in point_ids))
 
 
-def match_columns(text: str, source="<csv>"):
-    """((point ids, footprint ids, distances), unmatched ids) of a matches CSV."""
+def parse_matches_csv(text: str, source="<csv>"):
+    """(PointMatches, unmatched ids) of a matches CSV."""
     def read(columns, line):
         hit = [f + d != "" for f, d in zip(*columns[1:])]  # unmatched: both empty
         pids, fids, texts = (list(compress(column, hit)) for column in columns)
@@ -338,13 +324,8 @@ def match_columns(text: str, source="<csv>"):
         if bad.any():
             raise ParseError(f"bad distance {texts[bad.argmax()]!r}, not a finite number "
                              ">= 0", source=source, line=line)
-        return (pids, fids, distances.tolist()), [p for p, h in zip(columns[0], hit) if not h]
+        return PointMatches(pids, fids, distances), [p for p, h in zip(columns[0], hit) if not h]
     return _columns(text, source, MATCH_HEADER, read)
-
-
-def parse_matches_csv(text: str, source="<csv>"):
-    (pids, fids, distances), unmatched = match_columns(text, source)
-    return list(map(PointMatch, pids, fids, distances)), unmatched
 
 
 def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
@@ -361,9 +342,8 @@ def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:
 
 def write_curve_csv(curve: PRCurve) -> str:
     """One row per threshold, each value as float.__repr__ writes it."""
-    columns = (map(float.__repr__, column.tolist())
-               for column in (curve.theta, curve.precision, curve.recall))
-    return _csv(CURVE_HEADER, map(",".join, zip(*columns)))
+    values = np.stack([curve.theta, curve.precision, curve.recall], axis=1)
+    return _csv(CURVE_HEADER, map(",".join, _each_distinct(float.__repr__, values).tolist()))
 
 
 def parse_curve_csv(text: str, source="<csv>") -> PRCurve:

@@ -13,10 +13,11 @@ increasing longitude, and points that lie exactly on any boundary edge
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .columns import Columns
 
 EARTH_RADIUS_M = 6_371_008.8  # IUGG mean Earth radius
 _DEG_TO_RAD = math.pi / 180.0
@@ -95,22 +96,21 @@ class Footprint:
         object.__setattr__(self, "bounds", b)
 
 
-class FootprintArray(Sequence):
-    """Read-only footprints in GeoArrow's polygon layout: ring i is the rows
+class FootprintArray(Columns):
+    """Footprints in GeoArrow's polygon layout: ring i is the rows
     ring_offsets[i] to ring_offsets[i + 1] of the (n, 2) float64 (lon, lat)
     buffer coords, and footprint j the rings geom_offsets[j] to
     geom_offsets[j + 1], exterior first, with bounds[j] (min_lon, min_lat,
-    max_lon, max_lat) and ids[j]. An index or iteration builds Footprint views;
-    a slice is a FootprintArray. footprints_from and FootprintArray.of build
-    one; the constructor takes arrays already checked."""
+    max_lon, max_lat) and ids[j]. An index or iteration builds Footprint views.
+    footprints_from and FootprintArray.of build one; the constructor takes
+    arrays already checked."""
 
-    __slots__ = ("coords", "ring_offsets", "geom_offsets", "bounds", "ids")
+    row = Footprint
+    columns = {"ids": object, "bounds": np.float64, "geom_offsets": np.int64,
+               "ring_offsets": np.int64, "coords": np.float64}
 
     def __init__(self, coords, ring_offsets, geom_offsets, bounds, ids):
-        for name, value in zip(self.__slots__, (coords, ring_offsets, geom_offsets, bounds)):
-            value.flags.writeable = False
-            setattr(self, name, value)
-        self.ids = tuple(ids)
+        super().__init__(ids, bounds, geom_offsets, ring_offsets, coords)
 
     @classmethod
     def of(cls, footprints) -> FootprintArray:
@@ -124,26 +124,11 @@ class FootprintArray(Sequence):
                    _offsets([1 + len(fp.holes) for fp in footprints]),
                    np.array(bounds).reshape(-1, 4), [fp.id for fp in footprints])
 
-    def __len__(self):
-        return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        j = range(len(self))[index]
+    def _row(self, j):
         ends = self.ring_offsets[self.geom_offsets[j]:self.geom_offsets[j + 1] + 1].tolist()
         rings = [_new(Ring, coords=self.coords[a:b]) for a, b in zip(ends, ends[1:])]
         return _new(Footprint, id=self.ids[j], exterior=rings[0], holes=tuple(rings[1:]),
                     bounds=BBox(*self.bounds[j].tolist()))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, tuple)) and all(isinstance(fp, Footprint) for fp in other):
-            other = FootprintArray.of(other)
-        if not isinstance(other, FootprintArray):
-            return NotImplemented
-        return self.ids == other.ids and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("geom_offsets", "ring_offsets", "coords"))
 
     def take(self, which) -> FootprintArray:
         """The footprints which[0], which[1], ... (an int array) as a FootprintArray."""
@@ -151,7 +136,7 @@ class FootprintArray(Sequence):
         _, rows = _runs(self.ring_offsets[rings], self.ring_offsets[rings + 1])
         return FootprintArray(self.coords[rows], _offsets(np.diff(self.ring_offsets)[rings]),
                               _offsets(np.diff(self.geom_offsets)[which]), self.bounds[which],
-                              [self.ids[j] for j in which.tolist()])
+                              self.ids[which])
 
 
 def _on_edge(x1, y1, x2, y2, x, y):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import Columns
 from .errors import EmptySampleSet, NoPositiveSamples
-from .truth import MatchedSample
+from .truth import MatchedSample, MatchedSamples
 
 
 @dataclass(frozen=True)
@@ -25,32 +26,12 @@ class PRPoint:
     recall: float
 
 
-@dataclass(frozen=True, eq=False)
-class PRCurve(Sequence):
-    """A PR curve as three read-only float64 columns of one length, in sweep
-    order: thresholds, and the precision and recall at each; curves compare
-    by value. Its rows (also as points) are PRPoints, each built when read."""
+class PRCurve(Columns):
+    """A PR curve as three float64 columns in sweep order: thresholds, and
+    the precision and recall at each. Its rows (also as points) are PRPoints."""
 
-    theta: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-
-    def __post_init__(self):
-        for name, column in list(vars(self).items()):
-            column = np.array(column, dtype=np.float64)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-
-    def __eq__(self, other):
-        return isinstance(other, PRCurve) and all(
-            map(np.array_equal, vars(self).values(), vars(other).values()))
-
-    def __len__(self):
-        return len(self.theta)
-
-    def __getitem__(self, index):
-        values = [column[index].tolist() for column in vars(self).values()]
-        return list(map(PRPoint, *values)) if isinstance(index, slice) else PRPoint(*values)
+    row = PRPoint
+    columns = {"theta": np.float64, "precision": np.float64, "recall": np.float64}
 
     @property
     def points(self) -> Sequence[PRPoint]:
@@ -68,7 +49,7 @@ class ValidationReport:
     curve: PRCurve
 
 
-def pr_curve(samples: list[MatchedSample]) -> PRCurve:
+def pr_curve(samples: Sequence[MatchedSample]) -> PRCurve:
     """Precision-recall curve over decreasing thresholds.
 
     The threshold set is {100} plus every distinct estimate plus {0},
@@ -79,15 +60,16 @@ def pr_curve(samples: list[MatchedSample]) -> PRCurve:
     counts below 2**53 divide exactly as float64. An estimate that is NaN
     or outside [0, 100] raises ValueError naming its point.
     """
+    samples = MatchedSamples.of(samples)
     if not samples:
         raise EmptySampleSet("a PR curve needs at least one sample")
-    pct = np.fromiter((s.damage_pct for s in samples), np.float64, len(samples))
+    pct = samples.damage_pct
     inside = (0.0 <= pct) & (pct <= 100.0)
     if not inside.all():
         s = samples[inside.argmin()]
         raise ValueError(f"sample {s.point_id}: damage_pct must be in "
                          f"[0, 100], got {s.damage_pct!r}")
-    positive = np.fromiter((s.label == 1 for s in samples), bool, len(samples))
+    positive = samples.label == 1
     if not positive.any():
         raise NoPositiveSamples("a PR curve needs at least one positive sample")
     thetas, which = np.unique(np.append(pct + 0.0, [0.0, 100.0]), return_inverse=True)
@@ -106,9 +88,10 @@ def average_precision(curve: PRCurve) -> float:
     return float(np.cumsum(np.append(0.0, steps))[-1])
 
 
-def validate(samples: list[MatchedSample], scheme_id: str) -> ValidationReport:
+def validate(samples: Sequence[MatchedSample], scheme_id: str) -> ValidationReport:
     """Full validation: PR curve, theta=0 operating point, and AP."""
+    samples = MatchedSamples.of(samples)
     curve = pr_curve(samples)
-    return ValidationReport(len(samples), sum(s.label for s in samples), scheme_id,
+    return ValidationReport(len(samples), int(samples.label.sum()), scheme_id,
                             float(curve.precision[-1]), float(curve.recall[-1]),
                             average_precision(curve), curve)

@@ -27,7 +27,7 @@ from .errors import ParseError, SwathOutsideScene
 from .geom import EARTH_RADIUS_M, FootprintArray, GeoPoint, footprints_from
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
                      DEFAULT_NODATA, _HEADER_RULES, ClassRaster, inside_pixels)
-from .truth import FemaCategory, GroundTruthPoint
+from .truth import FemaCategory, GroundTruthPoints
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -172,7 +172,7 @@ class SceneSpec:
 class SynthScene:
     footprints: FootprintArray
     raster: ClassRaster
-    truth: tuple[GroundTruthPoint, ...]
+    truth: GroundTruthPoints
     oracle_categories: dict[str, FemaCategory]
 
 
@@ -225,7 +225,7 @@ def generate(spec: SceneSpec) -> SynthScene:
     if not codes.any():
         raise SwathOutsideScene("no building lies within any damage band")
     # FemaCategory members in code order, picked per building without a loop.
-    categories = np.array(list(FemaCategory), dtype=object)[codes].tolist()
+    categories = np.array(list(FemaCategory), dtype=object)[codes]
 
     # Raster frame: two cells of margin around every footprint vertex. It
     # must pass the header rules that assess applies when it reads it back.
@@ -280,8 +280,7 @@ def generate(spec: SceneSpec) -> SynthScene:
         k, at = kept[off[0]], (x[off[0]].item(), y[off[0]].item())
         raise ParseError(f"point_jitter_sigma_m {sigma!r} puts point p{k:06d} at "
                          f"(lon, lat) {at}, outside [-180, 180] x [-90, 90]")
-    truth = [GroundTruthPoint(f"p{k:06d}", GeoPoint(*xy), categories[k])
-             for k, *xy in zip(kept.tolist(), x.tolist(), y.tolist())]
+    truth = GroundTruthPoints([f"p{k:06d}" for k in kept.tolist()], x, y, categories[kept])
 
-    return SynthScene(footprints=footprints, raster=raster,
-                      truth=tuple(truth), oracle_categories=dict(zip(ids, categories)))
+    return SynthScene(footprints=footprints, raster=raster, truth=truth,
+                      oracle_categories=dict(zip(ids, categories.tolist())))

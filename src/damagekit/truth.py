@@ -16,10 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .columns import Columns
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
                      MissingPoint, ParseError, UnknownCategory, check_unique)
 from .geom import (Footprint, FootprintArray, GeoPoint, _edges, _inside_pairs, _runs,
                    metres_per_degree)
+from .zonal import DamageEstimate, DamageEstimates
 
 
 class FemaCategory(IntEnum):
@@ -52,6 +54,16 @@ class GroundTruthPoint:
     def __post_init__(self):
         if not self.id:
             raise ValueError("point id must be non-empty")
+
+
+class GroundTruthPoints(Columns):
+    row = GroundTruthPoint
+    columns = {"id": object, "lon": np.float64, "lat": np.float64, "category": object}
+    paths = {"lon": "location.lon", "lat": "location.lat"}
+
+    def _row(self, i):
+        return GroundTruthPoint(self.id[i], GeoPoint(self.lon.item(i), self.lat.item(i)),
+                                self.category[i])
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,11 @@ class PointMatch(NamedTuple):
     distance_m: float
 
 
+class PointMatches(Columns):
+    row = PointMatch
+    columns = {"point_id": object, "footprint_id": object, "distance_m": np.float64}
+
+
 class MatchedSample(NamedTuple):
     """One ground-truth point joined with its matched footprint's estimate."""
 
@@ -114,7 +131,13 @@ class MatchedSample(NamedTuple):
     damage_pct: float
 
 
-def matching_reference_latitude(points: list[GroundTruthPoint],
+class MatchedSamples(Columns):
+    row = MatchedSample
+    columns = {"point_id": object, "footprint_id": object, "distance_m": np.float64,
+               "label": np.int64, "damage_pct": np.float64}
+
+
+def matching_reference_latitude(points: Sequence[GroundTruthPoint],
                                 footprints: Sequence[Footprint]) -> float:
     """Mean latitude over all point locations and footprint ring vertices.
 
@@ -123,20 +146,20 @@ def matching_reference_latitude(points: list[GroundTruthPoint],
     """
     fps = FootprintArray.of(footprints)
     closing = fps.ring_offsets[1:] - 1
-    lats = [p.location.lat for p in points] + np.delete(fps.coords[:, 1], closing).tolist()
-    return math.fsum(lats) / len(lats) if lats else 0.0
+    lats = np.append(GroundTruthPoints.of(points).lat, np.delete(fps.coords[:, 1], closing))
+    return math.fsum(lats.tolist()) / len(lats) if len(lats) else 0.0
 
 
 _PAIR_EDGES = 2**13  # (point, candidate footprint, edge) triples per chunk
 
 
-def match_points(points: list[GroundTruthPoint],
+def match_points(points: Sequence[GroundTruthPoint],
                  footprints: Sequence[Footprint],
                  radius_m: float = 20.0):
     """Match each point to its nearest footprint within radius_m.
 
-    Returns (matched, unmatched): matched is a list of PointMatch in input
-    point order, unmatched a list of point ids in input order. Candidates
+    Returns (matched, unmatched): matched is the PointMatches in input point
+    order, unmatched a list of point ids in input order. Candidates
     come from uniform grids, the first of cells min(radius_m, twice the
     median footprint extent) wide, and each next one twice as wide, up to
     radius_m, for the points not yet within one cell of a footprint; no cell
@@ -146,15 +169,16 @@ def match_points(points: list[GroundTruthPoint],
     """
     if not (radius_m > 0):
         raise ValueError("radius_m must be positive")
-    check_unique((p.id for p in points), DuplicatePointId, "point")
+    points = GroundTruthPoints.of(points)
+    check_unique(points.id, DuplicatePointId, "point")
     fps = FootprintArray.of(footprints)
     check_unique(fps.ids, DuplicateFootprintId, "footprint")
     if not points or not fps:
-        return [], [p.id for p in points]
+        return PointMatches([], [], []), points.id.tolist()
     kx, ky = metres_per_degree(matching_reference_latitude(points, fps))
     # Footprint f below is fps[by_id[f]], in id order: ties go to the lower f.
-    by_id = np.argsort(np.array(fps.ids, dtype=object), kind="stable")
-    x, y = np.array([(p.location.lon, p.location.lat) for p in points]).T
+    by_id = np.argsort(fps.ids, kind="stable")
+    x, y = points.lon, points.lat
     box = fps.bounds[by_id]
     ring_fp, rings = _runs(fps.geom_offsets[by_id], fps.geom_offsets[by_id + 1])
     edges = _edges(fps, rings)
@@ -191,10 +215,8 @@ def match_points(points: list[GroundTruthPoint],
         active = active[best_d[active] > cell] if cell < radius_m else active[:0]
         cell = min(2.0 * cell, radius_m)
     near = best_d <= radius_m
-    return ([PointMatch(points[i].id, fps.ids[f], d) for i, f, d in
-             zip(np.flatnonzero(near).tolist(), by_id[best_f[near]].tolist(),
-                 best_d[near].tolist())],
-            [points[i].id for i in np.flatnonzero(~near).tolist()])
+    return (PointMatches(points.id[near], fps.ids[by_id[best_f[near]]], best_d[near]),
+            points.id[~near].tolist())
 
 
 def _candidates(pcx, pcy, cells):
@@ -234,21 +256,21 @@ def _distances(x, y, box, owner, x1, y1, x2, y2, ring, kx, ky):
     return np.where(inside, 0.0, np.sqrt(d_sq))
 
 
-def join_samples(matched, estimates, points, scheme: BinaryScheme) -> list[MatchedSample]:
-    """Join matches with estimates and binarised point labels, each given as
-    columns: matched (point ids, footprint ids, distances), estimates
-    (footprint ids, damage percentages) and points (point ids, categories).
-
-    Raises DuplicateFootprintId or DuplicatePointId on a repeated id, and
-    MissingEstimate or MissingPoint on a match to an absent one.
-    """
-    point_ids, footprint_ids, distances = matched
-    pct = dict(zip(*estimates))
-    label = {pid: binarize(category, scheme) for pid, category in zip(*points)}
-    if len(pct) < len(estimates[0]):
-        check_unique(estimates[0], DuplicateFootprintId, "footprint")
-    if len(label) < len(points[0]):
-        check_unique(points[0], DuplicatePointId, "point")
+def join_samples(matched: Sequence[PointMatch], estimates: Sequence[DamageEstimate],
+                 points: Sequence[GroundTruthPoint], scheme: BinaryScheme) -> MatchedSamples:
+    """Join matches with estimates and binarised point labels, each a
+    collection or a list of its rows. Raises DuplicateFootprintId or
+    DuplicatePointId on a repeated id, and MissingEstimate or MissingPoint on
+    a match to an absent one."""
+    matched, points = PointMatches.of(matched), GroundTruthPoints.of(points)
+    estimates = DamageEstimates.of(estimates)
+    point_ids, footprint_ids = matched.point_id.tolist(), matched.footprint_id.tolist()
+    pct = dict(zip(estimates.footprint_id.tolist(), estimates.damage_pct.tolist()))
+    label = dict(zip(points.id.tolist(), [binarize(c, scheme) for c in points.category]))
+    if len(pct) < len(estimates):
+        check_unique(estimates.footprint_id, DuplicateFootprintId, "footprint")
+    if len(label) < len(points):
+        check_unique(points.id, DuplicatePointId, "point")
     if len(set(point_ids)) < len(point_ids):
         check_unique(point_ids, DuplicatePointId, "matched point")
     for pid, fid in zip(point_ids, footprint_ids):
@@ -256,5 +278,5 @@ def join_samples(matched, estimates, points, scheme: BinaryScheme) -> list[Match
             raise MissingEstimate(f"no damage estimate for matched footprint {fid!r}")
         if pid not in label:
             raise MissingPoint(f"matched point {pid!r} not in point list")
-    return list(map(MatchedSample, point_ids, footprint_ids, distances,
-                    map(label.get, point_ids), map(pct.get, footprint_ids)))
+    return MatchedSamples(point_ids, footprint_ids, matched.distance_m,
+                          list(map(label.get, point_ids)), list(map(pct.get, footprint_ids)))

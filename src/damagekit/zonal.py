@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import Columns
 from .errors import DuplicateFootprintId, check_unique
 from .geom import Footprint, FootprintArray
 from .raster import CLASS_DAMAGED, ClassRaster, inside_pixels
@@ -38,17 +39,28 @@ class DamageEstimate:
     no_coverage: bool = False
 
 
-def assess_all(raster: ClassRaster, footprints: Sequence[Footprint]) -> list[DamageEstimate]:
+class DamageEstimates(Columns):
+    row = DamageEstimate
+    columns = {"footprint_id": object, "damage_pct": np.float64, "n_inside": np.int64,
+               "n_damaged": np.int64, "supersampled": bool, "no_coverage": bool}
+
+    @classmethod
+    def counted(cls, ids, n_inside, n_damaged, supersampled, no_coverage) -> DamageEstimates:
+        """The estimates of these counts and flags, damage_pct from the counts."""
+        n = np.asarray(n_inside, dtype=np.int64)
+        pct = np.divide(100.0 * np.asarray(n_damaged), n, out=np.zeros(len(n)), where=n > 0)
+        return cls(ids, pct, n, n_damaged, supersampled, no_coverage)
+
+
+def assess_all(raster: ClassRaster, footprints: Sequence[Footprint]) -> DamageEstimates:
     """Assess every footprint, preserving input order."""
     fps = FootprintArray.of(footprints)
     check_unique(fps.ids, DuplicateFootprintId, "footprint")
     n_inside, n_damaged = _counts(raster, fps, 1)
     fine = n_inside == 0  # counted again on the frame four times finer
     n_inside[fine], n_damaged[fine] = _counts(raster, fps.take(np.flatnonzero(fine)), 4)
-    return [DamageEstimate(fid, 100.0 * d / n, n, d, supersampled=k) if n
-            else DamageEstimate(fid, 0.0, 0, 0, no_coverage=True)
-            for fid, n, d, k in zip(fps.ids, n_inside.tolist(), n_damaged.tolist(),
-                                    fine.tolist())]
+    return DamageEstimates.counted(fps.ids, n_inside, n_damaged, fine & (n_inside > 0),
+                                   n_inside == 0)
 
 
 def _counts(raster: ClassRaster, fps: FootprintArray, k: int):

@@ -22,8 +22,8 @@ from damagekit.errors import (CellCountMismatch, DuplicateFootprintId,
                               InvalidClassCode, MissingEstimate, MissingHeaderKey,
                               MissingPoint, NoPositiveSamples, NonIntegerCell,
                               ParseError, check_unique)
-from damagekit.formats import (estimate_columns, parse_footprints_with_properties, parse_json,
-                               round_half_up)
+from damagekit.formats import (parse_assessed_geojson, parse_footprints_with_properties,
+                               parse_json, round_half_up)
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             _crossing, _on_edge, metres_per_degree)
 from damagekit.metrics import PRCurve, PRPoint
@@ -304,9 +304,9 @@ def estimates_one_by_one(text: str, source="<geojson>") -> list[DamageEstimate]:
     return estimates
 
 
-def parse_estimates_geojson(text: str, source="<geojson>") -> list[DamageEstimate]:
-    """The assessed file's estimates from formats.estimate_columns' columns."""
-    return list(map(DamageEstimate, *estimate_columns(text, source)))
+def parse_estimates_geojson(text: str, source="<geojson>"):
+    """The estimates that formats.parse_assessed_geojson reads."""
+    return parse_assessed_geojson(text, source)[1]
 
 
 # ------------------------------------------------------ CSV, one row at a time
@@ -400,17 +400,6 @@ def polyline_by_point(points: list[PRPoint]) -> str:
 
 
 # ------------------------------------------------------------------ joins
-
-def join_columns(matched: list[PointMatch], estimates: list[DamageEstimate],
-                 points: list[GroundTruthPoint]):
-    """join_samples' column arguments from object lists: (point ids, footprint
-    ids, distances), (footprint ids, damage percentages) and (point ids,
-    categories)."""
-    return (([m.point_id for m in matched], [m.footprint_id for m in matched],
-             [m.distance_m for m in matched]),
-            ([e.footprint_id for e in estimates], [e.damage_pct for e in estimates]),
-            ([p.id for p in points], [p.category for p in points]))
-
 
 def join_samples_by_row(matched: list[PointMatch], estimates: list[DamageEstimate],
                         points: list[GroundTruthPoint], scheme) -> list[MatchedSample]:

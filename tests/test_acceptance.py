@@ -17,7 +17,7 @@ import numpy as np
 
 from _oracles import (bbox_prefiltered_match, brute_average_precision,
                       brute_force_match, build_raster, confusion,
-                      full_scan_assess, join_columns, octagon_footprint,
+                      full_scan_assess, octagon_footprint,
                       precision_recall, square_footprint)
 from damagekit.geom import EARTH_RADIUS_M, GeoPoint
 from damagekit.metrics import average_precision, pr_curve, validate
@@ -232,8 +232,7 @@ def pipeline_reports(scene, scheme_texts):
     out = {}
     for text in scheme_texts:
         scheme = parse_scheme(text)
-        samples = join_samples(*join_columns(matched, estimates, list(scene.truth)),
-                               scheme)
+        samples = join_samples(matched, estimates, scene.truth, scheme)
         out[text] = validate(samples, scheme.id)
     return out
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import damagekit.metrics
-from damagekit import errors, formats, geom, plot
+from damagekit import cli, errors, formats, geom, plot, truth, zonal
 from damagekit.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -543,29 +543,54 @@ def test_validate_and_pr_plot_build_no_curve_point(tmp_path, capsys, monkeypatch
 
 
 def test_synth_assess_and_match_build_no_per_feature_objects(tmp_path, capsys, monkeypatch):
-    """Footprints stay one columnar collection from reader to writer: the
-    commands construct no Footprint, Ring or BBox and build no view."""
+    """Footprints, truth points, matches, estimates, samples and curve points
+    stay columnar collections from reader to writer: the five commands
+    construct no Footprint, Ring, BBox, GroundTruthPoint, PointMatch,
+    DamageEstimate, MatchedSample or PRPoint, build no view, and build no
+    GeoPoint but the scene spec's."""
     spec = write(tmp_path / "scene.json", json.dumps(
         {"seed": 5, "grid_cols": 6, "grid_rows": 6, "spacing_m": 10.0, "cellsize_m": 2.0,
          "pixel_noise_rate": 0.05, "point_jitter_sigma_m": 6.0}))
     out = tmp_path / "scene"
     built = []
     for owner, name in [(geom.Footprint, "__init__"), (geom.Ring, "__init__"),
-                        (geom.BBox, "__init__"), (geom, "_new")]:
+                        (geom.BBox, "__init__"), (geom, "_new"), (geom.GeoPoint, "__init__"),
+                        (truth.GroundTruthPoint, "__init__"), (zonal.DamageEstimate, "__init__"),
+                        (damagekit.metrics.PRPoint, "__init__"), (truth.PointMatch, "__new__"),
+                        (truth.MatchedSample, "__new__")]:
         def counted(*args, _name=f"{owner.__name__.rsplit('.')[-1]}.{name}",
                     _function=getattr(owner, name), **kwargs):
             built.append(_name)
             return _function(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
+    cli._load_scene_spec(spec)
+    spec_points, built[:] = list(built), []
+    assert spec_points and set(spec_points) == {"GeoPoint.__init__"}
+    assessed, matched, curve = (str(tmp_path / name)
+                                for name in ("assessed.geojson", "matched.csv", "curve.csv"))
     for argv in (["synth", spec, str(out)],
                  ["assess", str(out / "footprints.geojson"), str(out / "raster.asc"),
-                  "--out", str(tmp_path / "assessed.geojson")],
+                  "--out", assessed],
                  ["match", str(out / "truth.csv"), str(out / "footprints.geojson"),
-                  "--out", str(tmp_path / "matched.csv")]):
+                  "--out", matched],
+                 ["validate", assessed, matched, str(out / "truth.csv"),
+                  "--report", str(tmp_path / "report.json"), "--curve", curve],
+                 ["pr-plot", curve, "--out", str(tmp_path / "curve.svg")]):
         assert main(argv) == 0
-    assert built == []
-    formats.load_footprints(out / "footprints.geojson")[0]  # a view is counted
-    assert sorted(built) == ["BBox.__init__", "geom._new", "geom._new"]
+    assert built == spec_points
+    built.clear()
+    # One row of each collection is counted.
+    formats.load_footprints(out / "footprints.geojson")[0]
+    points = formats.load_truth(out / "truth.csv")
+    matches = formats.parse_matches_csv(formats.read_text(matched))[0]
+    estimates = formats.parse_assessed_geojson(formats.read_text(assessed))[1]
+    for collection in (points, matches, estimates, formats.parse_curve_csv(formats.read_text(curve)),
+                       truth.join_samples(matches, estimates, points, truth.MAJOR_PLUS)):
+        collection[-1]
+    assert sorted(built) == sorted([
+        "BBox.__init__", "geom._new", "geom._new", "GroundTruthPoint.__init__",
+        "GeoPoint.__init__", "PointMatch.__new__", "DamageEstimate.__init__",
+        "PRPoint.__init__", "MatchedSample.__new__"])
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,7 +1,8 @@
 """The column readers against their row-by-row references in tests/_oracles.py:
 the same result, or the same error type, text and line, on mutated valid
-text; the column join against the object-list join; the CSV line ends; and
-exact count checks in the assessed-properties reader."""
+text; the columnar join against the row-by-row join; the CSV line ends;
+exact count checks in the assessed-properties reader; and the sequence
+protocol that every collection shares with its base, damagekit.columns."""
 
 import json
 import re
@@ -10,18 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (estimates_one_by_one, join_columns, join_samples_by_row,
+from _oracles import (estimates_one_by_one, join_samples_by_row,
                       parse_curve_csv_by_row, parse_estimates_geojson, parse_matches_csv_by_row,
                       parse_oracle_csv_by_row, parse_truth_csv_by_row, square_footprint)
 from damagekit.errors import DamageKitError, ParseError, UnknownCategory
-from damagekit.formats import (estimate_columns, match_columns, parse_assessed_geojson,
-                               parse_curve_csv, parse_matches_csv,
-                               parse_oracle_csv, parse_truth_csv, truth_columns,
-                               write_assessed_geojson)
+from damagekit.formats import (parse_assessed_geojson, parse_curve_csv, parse_matches_csv,
+                               parse_oracle_csv, parse_truth_csv, write_assessed_geojson)
 from damagekit.geom import GeoPoint
-from damagekit.truth import (MAJOR_PLUS, FemaCategory, GroundTruthPoint, PointMatch,
+from damagekit.metrics import PRCurve
+from damagekit.truth import (MAJOR_PLUS, FemaCategory, GroundTruthPoint, PointMatch, PointMatches,
                              join_samples)
-from damagekit.zonal import DamageEstimate
+from damagekit.zonal import DamageEstimate, DamageEstimates
 
 from test_readers import PIECES
 
@@ -107,14 +107,15 @@ def test_a_matches_row_with_one_empty_field_is_a_faulty_matched_row():
 
 def test_truth_and_match_columns_are_what_the_object_readers_hold():
     text = VALID_CSV[parse_truth_csv]
-    ids, categories, lons, lats = truth_columns(text)
-    points = parse_truth_csv(text)
-    assert list(ids) == [p.id for p in points]
-    assert categories == [p.category for p in points]
-    assert (lons, lats) == ([p.location.lon for p in points], [p.location.lat for p in points])
-    (pids, fids, distances), unmatched = match_columns(VALID_CSV[parse_matches_csv])
-    assert (list(zip(pids, fids, distances)), unmatched) == parse_matches_csv(
-        VALID_CSV[parse_matches_csv])
+    points, rows = parse_truth_csv(text), parse_truth_csv_by_row(text)
+    assert points.id.tolist() == [p.id for p in rows]
+    assert points.category.tolist() == [p.category for p in rows]
+    assert ((points.lon.tolist(), points.lat.tolist())
+            == ([p.location.lon for p in rows], [p.location.lat for p in rows]))
+    matched, unmatched = parse_matches_csv(VALID_CSV[parse_matches_csv])
+    columns = zip(*(column.tolist() for column in (
+        matched.point_id, matched.footprint_id, matched.distance_m)))
+    assert (list(columns), unmatched) == parse_matches_csv_by_row(VALID_CSV[parse_matches_csv])
     assert unmatched == ["p_2"]
 
 
@@ -186,7 +187,7 @@ def test_counts_up_to_2_to_the_53_give_the_reference_percentages():
                     counts(0, 0, False, True), counts(7, 7))
     expected = estimates_one_by_one(text)
     assert parse_estimates_geojson(text) == expected
-    assert estimate_columns(text)[1] == [e.damage_pct for e in expected]
+    assert parse_estimates_geojson(text).damage_pct.tolist() == [e.damage_pct for e in expected]
     assert [type(e.n_inside) for e in parse_estimates_geojson(text)] == [int] * 5
 
 
@@ -222,9 +223,59 @@ def test_column_join_agrees_with_the_object_join(matched, estimates, points):
         expected = join_samples_by_row(*by_row, MAJOR_PLUS)
     except DamageKitError as exc:
         with pytest.raises(type(exc)) as err:
-            join_samples(*join_columns(*by_row), MAJOR_PLUS)
+            join_samples(*by_row, MAJOR_PLUS)
         assert str(err.value) == str(exc)
     else:
-        samples = join_samples(*join_columns(*by_row), MAJOR_PLUS)
+        samples = join_samples(*by_row, MAJOR_PLUS)
         assert samples == expected
         assert [type(s.label) for s in samples] == [int] * len(samples)
+
+
+# ------------------------------------------------- the collection protocol
+
+def collections():
+    """One of each collection between stages, three rows long, each row
+    different, built as the pipeline builds it."""
+    points = parse_truth_csv(VALID_CSV[parse_truth_csv])
+    matches = parse_matches_csv(VALID_CSV[parse_matches_csv])[0]
+    estimates = DamageEstimates.counted(["b1", "b-2", "b_3"], [4, 0, 7], [1, 0, 7],
+                                        [True, False, False], [False, True, False])
+    return {"GroundTruthPoints": points[:3], "PointMatches": matches,
+            "DamageEstimates": estimates,
+            "MatchedSamples": join_samples(matches, estimates, points, MAJOR_PLUS),
+            "PRCurve": parse_curve_csv(VALID_CSV[parse_curve_csv])}
+
+
+def row_values(row):
+    """A row's field values, a truth point's location as its lon and lat."""
+    values = list(row) if isinstance(row, tuple) else list(vars(row).values())
+    return [v for value in values
+            for v in (vars(value).values() if isinstance(value, GeoPoint) else [value])]
+
+
+@pytest.mark.parametrize("name", ["GroundTruthPoints", "PointMatches", "DamageEstimates",
+                                  "MatchedSamples", "PRCurve"])
+def test_every_collection_keeps_the_shared_protocol(name):
+    c = collections()[name]
+    rows = list(c)
+    assert len(c) == len(rows) == 3 and len(set(map(repr, rows))) == 3
+    plain = {str, float, int, bool, FemaCategory}  # never a numpy scalar
+    for column in c.columns:
+        array = getattr(c, column)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+        assert {type(array.item(i)) for i in range(3)} <= plain, column
+    with pytest.raises(AttributeError, match="read-only"):
+        c.columns = {}
+    assert all({type(v) for v in row_values(row)} <= plain for row in rows)
+    assert c[-1] == rows[2] and c[-3] == rows[0]
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            c[index]
+    for part in (slice(1, None), slice(None, None, -1), slice(0, 0)):
+        assert type(c[part]) is type(c) and c[part] == rows[part] and list(c[part]) == rows[part]
+    assert type(c).of(rows) == c and type(c).of(c) is c
+    assert c == rows and rows == c and c == tuple(rows) and tuple(rows) == c
+    assert c != rows[::-1] and rows[:2] != c and c != type(c).of(rows[1:])
+    assert c != [1, 2, 3] and c != "abc" and c != PRCurve([], [], []) != PointMatches([], [], [])

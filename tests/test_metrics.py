@@ -177,7 +177,7 @@ def test_curve_columns_are_read_only_float64_and_compare_by_value():
     same = PRCurve(list(curve.theta), list(curve.precision), list(curve.recall))
     assert same == curve and curve == same
     assert curve != PRCurve(curve.theta, curve.precision, curve.recall[::-1])
-    assert curve != list(curve.points)
+    assert curve == list(curve.points) and tuple(curve.points) == curve
 
 
 def test_points_read_rows_and_len_builds_none(monkeypatch):

@@ -24,7 +24,7 @@ from damagekit.truth import (DESTROYED_ONLY, MAJOR_PLUS, BinaryScheme,
                              matching_reference_latitude, parse_scheme)
 from damagekit.zonal import DamageEstimate
 
-from _oracles import (brute_force_match, join_columns, rect_footprint,
+from _oracles import (brute_force_match, rect_footprint,
                       reference_latitude, square_footprint)
 
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
@@ -372,7 +372,7 @@ def test_join_samples_builds_labelled_rows():
                  DamageEstimate("b2", 0.0, 8, 0)]
     points = [truth_point("p1", 0.0, 0.0, FemaCategory.DESTROYED),
               truth_point("p2", 0.0, 0.1, FemaCategory.AFFECTED)]
-    samples = join_samples(*join_columns(matched, estimates, points), MAJOR_PLUS)
+    samples = join_samples(matched, estimates, points, MAJOR_PLUS)
     assert [(s.point_id, s.footprint_id, s.label, s.damage_pct)
             for s in samples] == [("p1", "b1", 1, 40.0), ("p2", "b2", 0, 0.0)]
     assert samples[0].distance_m == 3.5
@@ -382,8 +382,8 @@ def test_join_samples_requires_estimates_and_points():
     matched = [PointMatch("p1", "b1", 3.5)]
     points = [truth_point("p1", 0.0, 0.0)]
     with pytest.raises(MissingEstimate):
-        join_samples(*join_columns(matched, [DamageEstimate("b9", 1.0, 1, 0)], points),
+        join_samples(matched, [DamageEstimate("b9", 1.0, 1, 0)], points,
                      MAJOR_PLUS)
     with pytest.raises(ValueError):
-        join_samples(*join_columns(matched, [DamageEstimate("b1", 1.0, 1, 0)], []),
+        join_samples(matched, [DamageEstimate("b1", 1.0, 1, 0)], [],
                      MAJOR_PLUS)
