@@ -92,6 +92,8 @@ def _feature_parts(feature, index, source):
     fid = feature.get("id", properties.get("id"))
     if fid is None or fid == "":
         raise ParseError(f"feature {index} has no id", source=source)
+    if type(fid) not in (str, int):  # a bool, NaN or inf would pass as its text
+        raise ParseError(f"feature {index} id {fid!r} is not a string or integer", source=source)
     fid = _checked_ids([str(fid)], source)[0]
     geometry = feature.get("geometry")
     if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
@@ -148,6 +150,7 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _FEATURE = '{"type":"Feature","id":%s,"geometry":{"type":"Polygon","coordinates":[[['
 _PROPERTIES = ']]]},"properties":%s}'
 _CHUNK = 1024  # footprints the writers format at a time
+_CENTS = Decimal("0.01")  # damage_pct's display quantum
 
 
 def _collection(footprints: Sequence[Footprint], properties) -> str:
@@ -187,9 +190,8 @@ def write_footprints_geojson(footprints: Sequence[Footprint]) -> str:
     return _collection(footprints, repeat("{}"))
 
 
-def round_half_up(value: float, places: int = 2) -> float:
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    return float(Decimal(str(value)).quantize(_CENTS, rounding=ROUND_HALF_UP))
 
 
 def write_assessed_geojson(footprints: Sequence[Footprint],

@@ -65,10 +65,6 @@ class Ring:
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def vertices(self) -> tuple[GeoPoint, ...]:
-        return tuple(GeoPoint(lon, lat) for lon, lat in self.coords.tolist())
-
     def __eq__(self, other):
         return isinstance(other, Ring) and np.array_equal(self.coords, other.coords)
 
@@ -103,14 +99,11 @@ class FootprintArray(Columns):
     geom_offsets[j + 1], exterior first, with bounds[j] (min_lon, min_lat,
     max_lon, max_lat) and ids[j]. An index or iteration builds Footprint views.
     footprints_from and FootprintArray.of build one; the constructor takes
-    arrays already checked."""
+    arrays already checked, in the order of columns."""
 
     row = Footprint
     columns = {"ids": object, "bounds": np.float64, "geom_offsets": np.int64,
                "ring_offsets": np.int64, "coords": np.float64}
-
-    def __init__(self, coords, ring_offsets, geom_offsets, bounds, ids):
-        super().__init__(ids, bounds, geom_offsets, ring_offsets, coords)
 
     @classmethod
     def of(cls, footprints) -> FootprintArray:
@@ -120,9 +113,9 @@ class FootprintArray(Columns):
         rings = [r.coords for fp in footprints for r in (fp.exterior, *fp.holes)]
         bounds = [(b.min_lon, b.min_lat, b.max_lon, b.max_lat)
                   for b in (fp.bounds for fp in footprints)]
-        return cls(np.concatenate(rings or [np.empty((0, 2))]), _offsets(list(map(len, rings))),
+        return cls([fp.id for fp in footprints], np.array(bounds).reshape(-1, 4),
                    _offsets([1 + len(fp.holes) for fp in footprints]),
-                   np.array(bounds).reshape(-1, 4), [fp.id for fp in footprints])
+                   _offsets(list(map(len, rings))), np.concatenate(rings or [np.empty((0, 2))]))
 
     def _row(self, j):
         ends = self.ring_offsets[self.geom_offsets[j]:self.geom_offsets[j + 1] + 1].tolist()
@@ -134,9 +127,9 @@ class FootprintArray(Columns):
         """The footprints which[0], which[1], ... (an int array) as a FootprintArray."""
         _, rings = _runs(self.geom_offsets[which], self.geom_offsets[which + 1])
         _, rows = _runs(self.ring_offsets[rings], self.ring_offsets[rings + 1])
-        return FootprintArray(self.coords[rows], _offsets(np.diff(self.ring_offsets)[rings]),
-                              _offsets(np.diff(self.geom_offsets)[which]), self.bounds[which],
-                              self.ids[which])
+        return FootprintArray(self.ids[which], self.bounds[which],
+                              _offsets(np.diff(self.geom_offsets)[which]),
+                              _offsets(np.diff(self.ring_offsets)[rings]), self.coords[rows])
 
 
 def _on_edge(x1, y1, x2, y2, x, y):
@@ -225,20 +218,20 @@ def footprints_from(ids, coords, sizes, counts, build=footprint_of) -> Footprint
     first) with id ids[j]. One vectorised pass, _checked_rings, makes every check of
     GeoPoint, Ring and Footprint; only on a fault are the footprints built, each by
     build(id, rings of float pairs), up to the first fault, which raises."""
-    coords = np.array(coords, dtype=np.float64).reshape(-1, 2)
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
     checked = _checked_rings(coords, sizes, counts) if all(ids) else None
     if checked is None:
         rings = iter(r.tolist() for r in np.split(coords, np.cumsum(sizes)[:-1]))
         for fid, n in zip(ids, counts):
             build(fid, [next(rings) for _ in range(n)])
         raise AssertionError("_checked_rings rejected rows that footprint_of accepts")
-    return FootprintArray(coords, *checked, ids)
+    return FootprintArray(ids, *checked, coords)
 
 
 def _checked_rings(coords, sizes, counts):
     """Every check of GeoPoint, Ring and Footprint on the (n, 2) float64 rows of
-    footprints_from's layout in one pass: FootprintArray's ring_offsets,
-    geom_offsets and bounds, or None on a fault."""
+    footprints_from's layout in one pass: FootprintArray's bounds, geom_offsets
+    and ring_offsets, or None on a fault."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(sizes) and sizes.min() < 4:
         return None
@@ -251,7 +244,7 @@ def _checked_rings(coords, sizes, counts):
     hi = np.maximum.reduceat(coords, starts)[first]
     ok = ((np.abs(coords) <= [180.0, 90.0]).all() and step.all()
           and (coords[starts] == coords[ends - 1]).all() and (lo < hi).all())
-    return (ring_offsets, geom_offsets, np.concatenate([lo, hi], axis=1)) if ok else None
+    return (np.concatenate([lo, hi], axis=1), geom_offsets, ring_offsets) if ok else None
 
 
 def _offsets(sizes):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +140,9 @@ class SceneSpec:
         # narrow enough that only that row falls in the destroyed band.
         if self.swath_width_m is None:
             object.__setattr__(self, "swath_width_m", 0.8 * pitch)
-        if self.swath_start is None or self.swath_end is None:
+        if (self.swath_start is None) != (self.swath_end is None):
+            raise ValueError("swath_start and swath_end must be given together or not at all")
+        if self.swath_start is None:
             mid_y = (self.grid_rows // 2 + 0.5) * pitch
             start = GeoPoint(*self._to_deg(-2.0 * pitch, mid_y))
             end = GeoPoint(*self._to_deg((self.grid_cols + 2.0) * pitch, mid_y))

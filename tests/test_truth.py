@@ -25,7 +25,7 @@ from damagekit.truth import (DESTROYED_ONLY, MAJOR_PLUS, BinaryScheme,
 from damagekit.zonal import DamageEstimate
 
 from _oracles import (brute_force_match, rect_footprint,
-                      reference_latitude, square_footprint)
+                      reference_latitude, square_footprint, vertices)
 
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -133,6 +133,20 @@ def test_duplicate_ids_are_rejected():
         match_points([p, p], [fp], 20.0)
     with pytest.raises(DuplicateFootprintId):
         match_points([p], [fp, square_footprint("b1", 0.01, 0.0, 0.0001)], 20.0)
+
+
+def test_a_point_id_must_not_be_empty():
+    with pytest.raises(ValueError, match="point id must be non-empty"):
+        truth_point("", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("points, footprints", [
+    ([], [square_footprint("b1", 0.0, 0.0, 0.001)]), ([truth_point("p1", 0.0, 0.0)], []), ([], []),
+], ids=["no-points", "no-footprints", "neither"])
+def test_matching_without_points_or_footprints_leaves_every_point_unmatched(points, footprints):
+    matched, unmatched = match_points(points, footprints, radius_m=20.0)
+    assert len(matched) == 0 and unmatched == [p.id for p in points]
+    assert (list(matched), unmatched) == brute_force_match(points, footprints, 20.0)
 
 
 def test_radius_must_be_positive():
@@ -345,7 +359,7 @@ def test_reference_latitude_does_not_depend_on_point_order():
               for k in range(300)]
     footprints = [square_footprint(f"b{k}", 0.0, rng.uniform(-60.0, 60.0), 1e-4)
                   for k in range(25)]
-    vertex_lats = [v.lat for fp in footprints for v in fp.exterior.vertices[:-1]]
+    vertex_lats = [v.lat for fp in footprints for v in vertices(fp.exterior)[:-1]]
     expected = reference_latitude(points, footprints)
     in_order = set()
     for seed in range(20):

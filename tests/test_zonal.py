@@ -20,7 +20,8 @@ from damagekit.synth import SceneSpec, generate
 from damagekit.zonal import DamageEstimate, assess_all
 
 from _oracles import (build_raster, full_scan_assess, octagon_footprint,
-                      rect_footprint, square_footprint, zonal_estimate)
+                      rect_footprint, square_footprint, vertices,
+                      zonal_estimate)
 from test_raster import window_scenes
 
 CS = 0.001  # cell size in degrees for the hand fixtures
@@ -351,7 +352,7 @@ def shifted(raster, footprints, cols, rows):
     """The raster's origin and the footprints moved by whole cells."""
     dx, dy = cols * raster.cellsize, rows * raster.cellsize
     moved = [Footprint(fp.id, Ring(tuple(GeoPoint(v.lon + dx, v.lat + dy)
-                                         for v in fp.exterior.vertices)))
+                                         for v in vertices(fp.exterior))))
              for fp in footprints]
     return build_raster(raster.cells, cellsize=raster.cellsize, xll=raster.xll + dx,
                         yll=raster.yll + dy), moved
