@@ -29,7 +29,6 @@ import sys
 
 from . import formats, metrics, plot
 from .errors import DamageKitError, ParseError, UnwritableOutput
-from .geom import GeoPoint
 from .raster import parse_ascii_grid, write_ascii_grid
 from .synth import SceneSpec, generate
 from .truth import join_samples, match_points, parse_scheme
@@ -51,20 +50,8 @@ def _load_scene_spec(path) -> SceneSpec:
     if unknown:
         raise ParseError(f"unknown scene spec keys: {sorted(unknown)}",
                          source=path)
-    kwargs = dict(doc)
     try:
-        for key in ("origin", "swath_start", "swath_end"):
-            if key in kwargs:
-                # Two JSON numbers, as GeoJSON positions are: no bool, no string.
-                value = kwargs[key]
-                if not (isinstance(value, list) and len(value) == 2
-                        and {type(v) for v in value} <= {int, float}):
-                    raise ValueError(f"{key} must be a list of two numbers, got {value!r}")
-                try:
-                    kwargs[key] = GeoPoint(float(value[0]), float(value[1]))
-                except (ValueError, OverflowError) as exc:
-                    raise ValueError(f"{key}: {exc}") from exc
-        return SceneSpec(**kwargs)
+        return SceneSpec(**doc)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad scene spec: {exc}", source=path) from exc
 

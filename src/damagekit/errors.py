@@ -93,6 +93,9 @@ class SwathOutsideScene(DamageKitError):
 
 def check_unique(ids, error, kind):
     """Raise error on the first id that repeats an earlier one."""
+    ids = list(ids)
+    if len(set(ids)) == len(ids):
+        return
     seen = set()
     for item_id in ids:
         if item_id in seen:

@@ -24,8 +24,8 @@ from .truth import FemaCategory, GroundTruthPoint, GroundTruthPoints, PointMatch
 from .zonal import DamageEstimate, DamageEstimates
 
 TRUTH_HEADER = "point_id,lon,lat,category"
-MATCH_HEADER = "point_id,footprint_id,distance_m"
-CURVE_HEADER = "theta,precision,recall"
+MATCH_HEADER = ",".join(PointMatches.columns)
+CURVE_HEADER = ",".join(PRCurve.columns)
 ORACLE_HEADER = "footprint_id,category"
 
 _ID = re.compile(r"[A-Za-z0-9_-]+")
@@ -62,7 +62,7 @@ def _checked_ids(texts, source, line=None):
     empty, they are all valid when their concatenation is."""
     if texts and not (all(texts) and _ID.fullmatch("".join(texts))):
         bad = next(text for text in texts if not _ID.fullmatch(text))
-        raise ParseError(f"id {bad!r} is not in [A-Za-z0-9_-]+", source=source, line=line)
+        raise ParseError(f"id {bad!r} is not in {_ID.pattern}", source=source, line=line)
     return texts
 
 
@@ -207,12 +207,11 @@ def write_assessed_geojson(footprints: Sequence[Footprint],
     if input_properties is not None and len(input_properties) != len(fps):
         raise ValueError(f"input_properties must hold one dict per footprint: "
                          f"{len(fps)} footprints, {len(input_properties)} dicts")
-    columns = (_each_distinct(round_half_up, est.damage_pct), est.n_inside, est.n_damaged,
-               est.supersampled, est.no_coverage)
-    properties = (_COMPACT.encode(dict(
-        props, damage_pct=pct, n_inside=n, n_damaged=d, supersampled=s, no_coverage=c))
-        for props, pct, n, d, s, c in zip(input_properties or repeat({}),
-                                          *(column.tolist() for column in columns)))
+    keys = [*DamageEstimates.columns][1:]  # damage_pct, then the counts and flags
+    rows = zip(_each_distinct(round_half_up, est.damage_pct).tolist(),
+               *(getattr(est, key).tolist() for key in keys[1:]))
+    properties = (_COMPACT.encode({**props, **dict(zip(keys, row))})
+                  for props, row in zip(input_properties or repeat({}), rows))
     return _collection(fps, properties)
 
 
@@ -224,7 +223,7 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
     flags JSON booleans; the first feature that breaks this rule is named."""
     footprints, properties = parse_footprints_with_properties(text, source)
     columns = [[props.get(key) for props in properties]
-               for key in ("n_inside", "n_damaged", "supersampled", "no_coverage")]
+               for key in [*DamageEstimates.columns][2:]]  # the counts and flags
     for fid, n, d, s, c in zip(footprints.ids, *columns):
         if not (type(n) is int and type(d) is int and 0 <= d <= n <= 2**53
                 and type(s) is bool and type(c) is bool):

@@ -268,6 +268,12 @@ def _runs(start, stop):
     return owner, np.arange(count.sum()) + (start - np.cumsum(count) + count)[owner]
 
 
+def _chunks(items, cost, budget):
+    """items in order, in runs of about budget total cost; cost[i] is items[i]'s."""
+    chunk = (np.cumsum(cost) - cost) // budget
+    return np.split(items, np.flatnonzero(np.diff(chunk)) + 1) if len(items) else []
+
+
 def _edges(fps, rings):
     """(x1, y1, x2, y2, ring) of every edge of the collection's rings rings[k],
     in that order, ring holding each edge's k."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CellCountMismatch, InvalidClassCode, MissingHeaderKey,
                      NonIntegerCell)
-from .geom import FootprintArray, _crossing, _edges, _hole_rule, _on_edge, _runs
+from .geom import FootprintArray, _chunks, _crossing, _edges, _hole_rule, _on_edge, _runs
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -134,11 +134,9 @@ def inside_pixels(frame, footprints):
     cost = ((win[covered, 1] - win[covered, 0] + 1)
             * (win[covered, 3] - win[covered, 2] + 1)
             * np.diff(fps.geom_offsets)[covered])
-    chunk = (np.cumsum(cost) - cost) // _SPAN_PIXELS
     centres = _centres(frame, np.arange(ncols, dtype=np.float64),
                        np.arange(nrows, dtype=np.float64))
-    parts = np.split(covered, np.flatnonzero(np.diff(chunk)) + 1)
-    for part in parts if covered.size else ():
+    for part in _chunks(covered, cost, _SPAN_PIXELS):
         yield part, *_chunk_pixels(*centres, fps, part, win[part])
 
 
@@ -343,14 +341,9 @@ def write_ascii_grid(raster: ClassRaster) -> str:
     Lowercase header keys in canonical order, one raster row per line,
     LF line endings. parse_ascii_grid() round-trips the result exactly.
     """
-    out = [
-        f"ncols {raster.ncols}",
-        f"nrows {raster.nrows}",
-        f"xllcorner {raster.xll!r}",
-        f"yllcorner {raster.yll!r}",
-        f"cellsize {raster.cellsize!r}",
-        f"nodata_value {raster.nodata}",
-    ]
+    # ClassRaster holds each header value as a Python int or float.
+    out = [f"{key} {value!r}"
+           for key, value in zip(_HEADER_RULES, (*raster.frame, raster.nodata))]
     # Every cell is a one-digit class code or nodata, so a block of rows is
     # one byte array of code and blank pairs; nodata is written as "n" there
     # and then spelled out.

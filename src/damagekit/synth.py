@@ -94,7 +94,8 @@ _FLOAT_RULES = {
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parameters of a synthetic scene. Same spec, same bytes out."""
+    """Parameters of a synthetic scene. Same spec, same bytes out. origin and the
+    swath ends are GeoPoints or [lon, lat]; no swath ends means the default swath."""
 
     seed: int = 42
     grid_cols: int = 30
@@ -111,6 +112,18 @@ class SceneSpec:
     point_drop_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("origin", "swath_start", "swath_end"):
+            value = getattr(self, name)
+            if isinstance(value, GeoPoint) or (value is None and name != "origin"):
+                continue
+            # Two JSON numbers, as GeoJSON positions are: no bool, no string.
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and {type(v) for v in value} <= {int, float}):
+                raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
+            try:
+                object.__setattr__(self, name, GeoPoint(float(value[0]), float(value[1])))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
         for name in ("seed", "grid_cols", "grid_rows"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

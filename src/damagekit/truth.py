@@ -19,8 +19,8 @@ import numpy as np
 from .columns import Columns
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
                      MissingPoint, ParseError, UnknownCategory, check_unique)
-from .geom import (Footprint, FootprintArray, GeoPoint, _edges, _inside_pairs, _runs,
-                   metres_per_degree)
+from .geom import (Footprint, FootprintArray, GeoPoint, _chunks, _edges, _inside_pairs,
+                   _runs, metres_per_degree)
 from .zonal import DamageEstimate, DamageEstimates
 
 
@@ -199,10 +199,7 @@ def match_points(points: Sequence[GroundTruthPoint],
         by_cell, cand, lo, hi = _candidates(
             np.floor(x[active] * kx / cell), np.floor(y[active] * ky / cell),
             np.floor(box * [kx, ky, kx, ky] / cell))
-        cost = (hi - lo) * n_edges[cand]
-        chunk = (np.cumsum(cost) - cost) // _PAIR_EDGES
-        parts = np.split(np.arange(len(cand)), np.flatnonzero(np.diff(chunk)) + 1)
-        for part in parts if len(cand) else ():
+        for part in _chunks(np.arange(len(cand)), (hi - lo) * n_edges[cand], _PAIR_EDGES):
             owner, at = _runs(lo[part], hi[part])
             p, f = active[by_cell[at]], cand[part][owner]
             owner, e = _runs(first_edge[f], first_edge[f] + n_edges[f])
@@ -267,12 +264,9 @@ def join_samples(matched: Sequence[PointMatch], estimates: Sequence[DamageEstima
     point_ids, footprint_ids = matched.point_id.tolist(), matched.footprint_id.tolist()
     pct = dict(zip(estimates.footprint_id.tolist(), estimates.damage_pct.tolist()))
     label = dict(zip(points.id.tolist(), [binarize(c, scheme) for c in points.category]))
-    if len(pct) < len(estimates):
-        check_unique(estimates.footprint_id, DuplicateFootprintId, "footprint")
-    if len(label) < len(points):
-        check_unique(points.id, DuplicatePointId, "point")
-    if len(set(point_ids)) < len(point_ids):
-        check_unique(point_ids, DuplicatePointId, "matched point")
+    check_unique(estimates.footprint_id, DuplicateFootprintId, "footprint")
+    check_unique(points.id, DuplicatePointId, "point")
+    check_unique(point_ids, DuplicatePointId, "matched point")
     for pid, fid in zip(point_ids, footprint_ids):
         if fid not in pct:
             raise MissingEstimate(f"no damage estimate for matched footprint {fid!r}")

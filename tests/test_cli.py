@@ -180,6 +180,25 @@ def test_spec_with_one_swath_end_exits_2(tmp_path, capsys, end):
     assert not (tmp_path / "o").exists()
 
 
+def test_null_swath_ends_mean_the_default_swath(tmp_path):
+    """As a null swath_width_m does."""
+    spec = {"grid_cols": 4, "grid_rows": 3, "pixel_noise_rate": 0.05}
+    for name, doc in [("default", spec), ("null", dict(spec, swath_start=None, swath_end=None))]:
+        assert main(["synth", write(tmp_path / f"{name}.json", json.dumps(doc)),
+                     str(tmp_path / name)]) == 0
+    for name in ("footprints.geojson", "raster.asc", "truth.csv", "oracle.csv"):
+        assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+@pytest.mark.parametrize("end", ["swath_start", "swath_end"])
+def test_spec_with_one_null_swath_end_exits_2(tmp_path, capsys, end):
+    path = write(tmp_path / "scene.json", json.dumps({
+        "swath_start": [-90.88, 32.9], "swath_end": [-90.87, 32.9], end: None}))
+    assert_fails(["synth", path, str(tmp_path / "o")], 2, capsys,
+                 "scene.json: bad scene spec: swath_start and swath_end must be given together")
+    assert not (tmp_path / "o").exists()
+
+
 def test_spec_coordinates_accept_integers(tmp_path, capsys):
     path = write(tmp_path / "scene.json",
                  '{"grid_cols": 3, "grid_rows": 3, "origin": [-90, 33]}')

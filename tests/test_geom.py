@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damagekit.geom import (EARTH_RADIUS_M, BBox, Footprint, GeoPoint, Ring,
+from damagekit.geom import (EARTH_RADIUS_M, BBox, Footprint, GeoPoint, Ring, _chunks,
                             contains, footprints_from, metres_per_degree)
 
 from _oracles import (contains_many, point_to_footprint_distance_m,
@@ -349,3 +349,14 @@ def test_footprint_distance_scales_with_reference_latitude():
     d60 = point_to_footprint_distance_m(p, fp, ref_lat=60.0)
     # Pure east-west separation shrinks by cos(ref_lat).
     assert d60 == pytest.approx(d0 * math.cos(math.radians(60.0)), rel=1e-12)
+
+
+def test_chunks_split_items_in_order_where_the_cost_before_passes_the_budget():
+    """The cost before each item is 0, 3, 6, 9, 9, 18, 19, 20, 21, 22: whole
+    budgets of 5 of 0, 0, 1, 1, 1, 3, 3, 4, 4, 4, one run per change."""
+    items = np.arange(10, 20)
+    cost = np.array([3, 3, 3, 0, 9, 1, 1, 1, 1, 20])
+    assert [part.tolist() for part in _chunks(items, cost, 5)] == [
+        [10, 11], [12, 13, 14], [15, 16], [17, 18, 19]]
+    assert [part.tolist() for part in _chunks(items, cost, 1000)] == [items.tolist()]
+    assert _chunks(items[:0], cost[:0], 5) == []

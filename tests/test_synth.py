@@ -171,6 +171,40 @@ def test_spec_needs_both_swath_ends_or_neither(end):
         SceneSpec(**{end: GeoPoint(-90.88, 32.9)})
 
 
+def test_spec_takes_points_as_lon_lat_pairs():
+    """origin and the swath ends may be [lon, lat] pairs, as in a scene spec
+    file; the spec holds them as GeoPoints, and generate reads the same."""
+    assert SceneSpec(origin=(-90.0, 32.0)) == SceneSpec(origin=GeoPoint(-90.0, 32.0))
+    points = SceneSpec(grid_cols=6, grid_rows=5, pixel_noise_rate=0.1, seed=9)
+    start, end = points.swath_start, points.swath_end
+    pairs = replace(points, swath_start=[start.lon, start.lat], swath_end=[end.lon, end.lat])
+    assert pairs == points and pairs.swath_start == start and pairs.swath_end == end
+    scene, reference = generate(pairs), generate(points)
+    assert scene.footprints == reference.footprints
+    assert write_ascii_grid(scene.raster) == write_ascii_grid(reference.raster)
+    assert write_truth_csv(scene.truth) == write_truth_csv(reference.truth)
+    assert write_oracle_csv(scene.oracle_categories) == write_oracle_csv(
+        reference.oracle_categories)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(origin=None), "origin must be a list of two numbers, got None"),
+    (dict(origin=(-90.88, True)), "origin must be a list of two numbers, got (-90.88, True)"),
+    (dict(origin=["-90.88", 32.9]), "origin must be a list of two numbers, got ['-90.88', 32.9]"),
+    (dict(swath_start=[-90.88, 32.9, 0.0], swath_end=[-90.8, 32.9]),
+     "swath_start must be a list of two numbers, got [-90.88, 32.9, 0.0]"),
+    (dict(swath_start=[-90.88, 32.9], swath_end={"lon": -90.8, "lat": 32.9}),
+     "swath_end must be a list of two numbers, got {'lon': -90.8, 'lat': 32.9}"),
+    (dict(origin=[-90.88, 91]), "origin: latitude out of range: 91.0"),
+    (dict(origin=[-90.88, 10**400]), "origin: int too large to convert to float"),
+    # Points are checked first, as the command line checked them.
+    (dict(seed="1", origin=[-90.88]), "origin must be a list of two numbers, got [-90.88]"),
+])
+def test_spec_refuses_points_that_are_not_two_numbers(kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        SceneSpec(**kwargs)
+
+
 def test_swath_bands_cover_all_categories():
     spec = SceneSpec(grid_cols=11, grid_rows=11, swath_width_m=50.0)
     mid_y = (11 // 2 + 0.5) * 30.0

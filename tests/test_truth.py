@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import damagekit.truth as truth_module
 
 from damagekit.errors import (DuplicateFootprintId, DuplicatePointId,
-                              MissingEstimate, UnknownCategory)
+                              MissingEstimate, UnknownCategory, check_unique)
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             footprints_from)
 from damagekit.truth import (DESTROYED_ONLY, MAJOR_PLUS, BinaryScheme,
@@ -133,6 +133,16 @@ def test_duplicate_ids_are_rejected():
         match_points([p, p], [fp], 20.0)
     with pytest.raises(DuplicateFootprintId):
         match_points([p], [fp, square_footprint("b1", 0.01, 0.0, 0.0001)], 20.0)
+
+
+@pytest.mark.parametrize("ids", [
+    ["b", "a", "c", "a", "b"], ("b", "a", "c", "a", "b"),
+    np.array(["b", "a", "c", "a", "b"], dtype=object), (i for i in ["b", "a", "c", "a", "b"]),
+], ids=["list", "tuple", "array", "generator"])
+def test_check_unique_names_the_first_id_that_repeats_an_earlier_one(ids):
+    with pytest.raises(DuplicatePointId, match="^duplicate point id 'a'$"):
+        check_unique(ids, DuplicatePointId, "point")
+    check_unique(iter(["b", "a", "c"]), DuplicatePointId, "point")
 
 
 def test_a_point_id_must_not_be_empty():
