@@ -19,9 +19,9 @@ class Columns(Sequence):
     columns: dict  # column name -> dtype
     paths: dict = {}  # column name -> the row attribute holding it, where not the name
 
-    def __init__(self, *columns):
+    def __init__(self, *columns, copy=True):  # copy=False: arrays made for it alone
         for (name, dtype), values in zip(self.columns.items(), columns, strict=True):
-            column = np.array(values, dtype=dtype)
+            column = (np.array if copy else np.asarray)(values, dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -48,7 +48,7 @@ class Columns(Sequence):
         return self.row(*(getattr(self, name).item(i) for name in self.columns))
 
     def take(self, which):
-        return type(self)(*(getattr(self, name)[which] for name in self.columns))
+        return type(self)(*(getattr(self, name)[which] for name in self.columns), copy=False)
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple)) and all(isinstance(r, self.row) for r in other):

@@ -4,6 +4,10 @@ Writers emit canonical bytes (LF endings, fixed key order, repr floats) so
 identical inputs always serialise identically. Readers raise ParseError with
 file and line information where it is known. CSV files here are plain
 comma-separated with no quoting; ids are restricted to [A-Za-z0-9_-].
+
+GeoJSON in the writers' exact layout is cut by a regex and read by two json.loads
+calls, one for all numbers and one for all properties; any other text is left to
+the general path, which alone decides errors (see parse_footprints_with_properties).
 """
 
 from __future__ import annotations
@@ -107,21 +111,23 @@ def _feature_parts(feature, index, source):
 
 def parse_footprints_with_properties(text: str, source="<geojson>"):
     """Parse a FeatureCollection into (FootprintArray, [input properties]).
-    On a fault the features are built one at a time up to the first fault,
-    which raises its ParseError."""
-    doc = parse_json(text, source)
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise ParseError("expected a GeoJSON FeatureCollection", source=source)
-    features = doc.get("features")
-    if not isinstance(features, list):
-        raise ParseError("FeatureCollection has no feature list", source=source)
-
+    Text _templated declines takes the general path, which alone decides errors: on
+    a fault the features are built one at a time up to the first, which raises."""
     def build(fid, rings):
         try:
             return footprint_of(fid, rings)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feature {fid!r}: {exc}", source=source) from exc
 
+    templated = _templated(text)
+    if templated is not None:
+        return footprints_from(*templated[:4], build), templated[4]
+    doc = parse_json(text, source)
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise ParseError("expected a GeoJSON FeatureCollection", source=source)
+    features = doc.get("features")
+    if not isinstance(features, list):
+        raise ParseError("FeatureCollection has no feature list", source=source)
     try:
         parts = [_feature_parts(f, i, source) for i, f in enumerate(features)]
         ids, properties, rings = ([part[k] for part in parts] for k in range(3))
@@ -138,6 +144,33 @@ def parse_footprints_with_properties(text: str, source="<geojson>"):
                            list(map(len, rings)), build), properties
 
 
+def _templated(text: str):
+    """(ids, coords, sizes, counts, properties) of text in the writers' layout, or None."""
+    if not (text.startswith(_HEAD) and text.endswith(_TAIL)):
+        return None
+    pieces = _TEMPLATE.split(text[len(_HEAD):-len(_TAIL)])
+    if pieces[0] or pieces[-1] or set(pieces[4:-1:4]) - {","}:
+        return None  # the features do not tile the body one "," apart
+    rings = "]],[[".join(pieces[2::4])
+    try:
+        coords = np.array(json.loads("[" + rings.replace("[", "").replace("]", "") + "]"), float)
+        properties = json.loads("[" + ",".join(pieces[3::4]) + "]")
+    except (ValueError, OverflowError):  # a spelling json refuses, or a number past 1e308
+        return None
+    b = np.frombuffer(rings.encode(), np.uint8)
+    commas = np.flatnonzero(b == ord(","))
+    seps = commas[1::2]  # "],[" or "]],[[" after each vertex but the last, if pairs
+    outer = b[seps - 2] == ord("]")  # "]],[[": the next vertex starts a ring
+    if not (len(commas) % 2 and np.array_equal(b[commas - 1] == ord("]"),
+                                               np.arange(len(commas)) % 2 == 1)
+            and (b[seps + 1] == ord("[")).all() and (b[seps[outer] + 2] == ord("[")).all()
+            and (b == ord("[")).sum() == (b == ord("]")).sum() == len(seps) + outer.sum()
+            and len(properties) == len(pieces) // 4 and set(map(type, properties)) == {dict}):
+        return None  # no feature, a vertex not two numbers, a stray bracket, merged objects
+    return (pieces[1::4], coords, np.diff(np.flatnonzero(np.r_[True, outer, True])),
+            [t.count("]],[[") + 1 for t in pieces[2::4]], properties)
+
+
 def parse_footprints_geojson(text: str, source="<geojson>") -> FootprintArray:
     return parse_footprints_with_properties(text, source)[0]
 
@@ -147,8 +180,13 @@ def load_footprints(path) -> FootprintArray:
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
+_HEAD, _TAIL = '{"type":"FeatureCollection","features":[', "]}\n"
 _FEATURE = '{"type":"Feature","id":%s,"geometry":{"type":"Polygon","coordinates":[[['
 _PROPERTIES = ']]]},"properties":%s}'
+# A feature as _collection writes it: (id, rings text, properties with no inner {}[]).
+_TEMPLATE = re.compile(re.escape(_FEATURE).replace("%s", f'"({_ID.pattern})"')
+                       + r"([-+.0-9eE,\[\]]+)"
+                       + re.escape(_PROPERTIES).replace("%s", r"(\{[^{}\[\]]*\})"))
 _CHUNK = 1024  # footprints the writers format at a time
 _CENTS = Decimal("0.01")  # damage_pct's display quantum
 
@@ -161,7 +199,7 @@ def _collection(footprints: Sequence[Footprint], properties) -> str:
     fps, properties = FootprintArray.of(footprints), iter(properties)
     chunks = (_features(fps[lo:lo + _CHUNK], list(islice(properties, _CHUNK)))
               for lo in range(0, len(fps), _CHUNK))
-    return '{"type":"FeatureCollection","features":[' + ",".join(chunks) + "]}\n"
+    return _HEAD + ",".join(chunks) + _TAIL
 
 
 def _each_distinct(fn, values: np.ndarray) -> np.ndarray:

@@ -115,7 +115,8 @@ class FootprintArray(Columns):
                   for b in (fp.bounds for fp in footprints)]
         return cls([fp.id for fp in footprints], np.array(bounds).reshape(-1, 4),
                    _offsets([1 + len(fp.holes) for fp in footprints]),
-                   _offsets(list(map(len, rings))), np.concatenate(rings or [np.empty((0, 2))]))
+                   _offsets(list(map(len, rings))), np.concatenate(rings or [np.empty((0, 2))]),
+                   copy=False)
 
     def _row(self, j):
         ends = self.ring_offsets[self.geom_offsets[j]:self.geom_offsets[j + 1] + 1].tolist()
@@ -129,7 +130,8 @@ class FootprintArray(Columns):
         _, rows = _runs(self.ring_offsets[rings], self.ring_offsets[rings + 1])
         return FootprintArray(self.ids[which], self.bounds[which],
                               _offsets(np.diff(self.geom_offsets)[which]),
-                              _offsets(np.diff(self.ring_offsets)[rings]), self.coords[rows])
+                              _offsets(np.diff(self.ring_offsets)[rings]), self.coords[rows],
+                              copy=False)
 
 
 def _on_edge(x1, y1, x2, y2, x, y):

@@ -2,6 +2,8 @@
 equality with plain lists, and the same results from every consumer for the
 collection and for a list of the same footprints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,27 @@ def test_the_batch_builder_copies_its_input():
     fps = footprints_from(["a"], coords, [5], [1])
     coords[0, 0] = 1.0  # the caller's array stays theirs
     assert coords.flags.writeable and fps.coords[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("method", ["take", "of"])
+def test_take_and_of_copy_the_coordinates_once(method):
+    """The coordinate buffer take and of build is the one their collection
+    keeps: beyond what it holds, the traced peak is about one buffer (the
+    row index and its temporaries), where a second copy would add another."""
+    n = 4000
+    corners = np.array([(0, 0), (4e-3, 0), (4e-3, 4e-3), (0, 4e-3), (0, 0)])
+    origins = np.stack([np.arange(n) % 80, np.arange(n) // 80], axis=1) * 1e-2
+    fps = footprints_from([f"f{k}" for k in range(n)], corners + origins[:, None], [5] * n,
+                          [1] * n)
+    build, arg = (fps.take, np.arange(n)) if method == "take" else (FootprintArray.of, list(fps))
+    tracemalloc.start()
+    try:
+        made = build(arg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert made == fps
+    assert peak - held < 1.5 * fps.coords.nbytes
 
 
 def test_the_batch_builder_never_returns_a_list(monkeypatch):

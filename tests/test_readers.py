@@ -3,13 +3,15 @@ or a result, never in another exception, and each writer's text reads back
 to what was written."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import parse_estimates_geojson, parse_footprints_one_by_one, square_footprint
+from damagekit import formats
 from damagekit.errors import ParseError
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
                                parse_footprints_geojson,
@@ -18,7 +20,7 @@ from damagekit.formats import (parse_assessed_geojson, parse_curve_csv,
                                write_assessed_geojson, write_curve_csv,
                                write_footprints_geojson, write_matches_csv,
                                write_oracle_csv, write_truth_csv)
-from damagekit.geom import Footprint, GeoPoint, Ring
+from damagekit.geom import Footprint, FootprintArray, GeoPoint, Ring, footprint_of
 from damagekit.metrics import PRCurve
 from damagekit.raster import ClassRaster, parse_ascii_grid, write_ascii_grid
 from damagekit.truth import FemaCategory, GroundTruthPoint, PointMatch
@@ -157,3 +159,111 @@ def test_writers_round_trip_through_their_readers(footprints, counts, points,
     oracle = {fp.id: FemaCategory(k % 5) for k, fp in enumerate(footprints)}
     assert parse_oracle_csv(write_oracle_csv(oracle)) == oracle
     assert parse_curve_csv(write_curve_csv(curve)) == curve
+
+
+# ------------------------------------------------ the GeoJSON template path
+
+def read(text, templated=True):
+    """parse_footprints_with_properties of text, by the template path where it
+    accepts the text or by the general path alone: the collection's ids,
+    coordinate bits, offsets and bounds with the properties' repr, or the
+    text of its ParseError."""
+    path = formats._templated if templated else (lambda text: None)
+    try:
+        with mock.patch.object(formats, "_templated", path):
+            fps, properties = parse_footprints_with_properties(text, source="in")
+    except ParseError as exc:
+        return str(exc)
+    return (fps.ids.tolist(), fps.coords.tobytes(), fps.ring_offsets.tolist(),
+            fps.geom_offsets.tolist(), fps.bounds.tobytes(), repr(properties))
+
+
+def check_template_path(text):
+    """The template path declines text, or its pieces tile the text between
+    header and tail one "," apart and it reads as the general path does."""
+    if formats._templated(text) is None:
+        return False
+    body = text[len(formats._HEAD):-len(formats._TAIL)]
+    assert text.startswith(formats._HEAD) and text.endswith(formats._TAIL)
+    assert body == ",".join(formats._FEATURE % f'"{fid}"' + rings + formats._PROPERTIES % props
+                            for fid, rings, props in formats._TEMPLATE.findall(body))
+    assert read(text) == read(text, templated=False)
+    return True
+
+
+# Footprint "z" starts and ends at longitude 0.0, written "[0.0," only there.
+TEMPLATE_FOOTPRINTS = [*FOOTPRINTS, footprint_of("z", [[(0.0, 1.0), (2.0, 1.0), (2.0, 3.0),
+                                                      (0.0, 1.0)]])]
+WRITTEN = write_assessed_geojson(
+    TEMPLATE_FOOTPRINTS, [*ESTIMATES, DamageEstimate("z", 50.0, 2, 1)],
+    [{"name": "a"}, {}, {"name": "\u00e9,:\"", "n": None}])
+SPELLINGS = ["-0", "1.", ".5", "01", "+1", "1E5", "NaN", "Infinity", "1e400", "1" + "0" * 319,
+             "9" * 5000]
+EDGE_TEXTS = [
+    *(WRITTEN.replace("[0.0,", f"[{spelling},") for spelling in SPELLINGS),
+    " " + WRITTEN,
+    WRITTEN.replace('},{"type":"Feature"', '}{"type":"Feature"', 1),
+    WRITTEN[:-len(formats._TAIL)] + "," + formats._TAIL,
+    WRITTEN.replace('"name":"a"', '"name":"}"'),
+    WRITTEN.replace('"name":"a"', '"name":"},{"'),
+    WRITTEN.replace("[[[0.0,1.0],[2.0,", "[[[0.0,1.0,2.0],["),  # a triple, then a single
+    WRITTEN.replace("[[[0.0,1.0]", "[[[[0.0,1.0]]"),
+    WRITTEN.replace("[0.0,1.0]]]", "[0.0,1.0,[2.0,3.0]]]]"),  # a triple with a nested pair
+    WRITTEN.replace("]]]},", "]]]]},", 1),
+    # Two properties texts that json reads as one object: {"k": "},{", "n": 1}.
+    formats._HEAD + formats._FEATURE % '"a"' + "0,0],[1,0],[1,1],[0,0"
+    + formats._PROPERTIES % '{"k":"}' + "," + formats._FEATURE % '"b"' + "0,0],[1,0],[1,1],[0,0"
+    + formats._PROPERTIES % '{","n":1}' + formats._TAIL,
+    WRITTEN.replace("[[[0.0,1.0]", "[[[0.0,1.0]],[[0.0,1.0]", 1),  # a one-vertex ring
+]
+
+
+def edge_examples(test):
+    for text in EDGE_TEXTS:
+        test = example(text=text)(test)
+    return test
+
+
+@edge_examples
+@settings(max_examples=300)
+@given(text=mutations(WRITTEN))
+def test_the_template_path_declines_or_reads_as_the_general_path(text):
+    check_template_path(text)
+
+
+def test_the_template_path_reads_the_edge_spellings_as_json_does():
+    accepted = {spelling: check_template_path(text) for spelling, text in
+                zip(SPELLINGS, EDGE_TEXTS)}
+    assert {s for s, ok in accepted.items() if ok} == {"-0", "1E5", "1e400"}
+    fps, _ = parse_footprints_with_properties(EDGE_TEXTS[0])
+    assert fps[2].exterior.coords[[0, 3], 0].tobytes() == bytes(16)  # -0 is +0.0
+    # Only the one-vertex ring is in the template; footprints_from raises its error.
+    assert [check_template_path(text) for text in EDGE_TEXTS[len(SPELLINGS):]] == [
+        False] * 10 + [True]
+    assert read(EDGE_TEXTS[-1]) == ("in: feature 'z': ring needs at least 4 vertices "
+                                    "including closure")
+    assert check_template_path(WRITTEN)
+    assert not check_template_path(write_footprints_geojson([]))  # the general path reads it
+
+
+flat_texts = st.text(alphabet=st.characters(exclude_characters="{}[]"), max_size=6)
+flat_properties = st.dictionaries(flat_texts, st.one_of(
+    flat_texts, st.integers(), st.floats(allow_nan=False), st.booleans(), st.none()), max_size=3)
+
+
+@example(footprints=[footprint_of("e", [[(-0.0, 5e-324), (1.0, 5e-324), (1.0, 1.0),
+                                          (-0.0, 5e-324)]])],
+         properties=[{"s": ',:"\u00e9', "i": -7, "f": -0.0, "t": True, "n": None}] * 4)
+@settings(max_examples=60)
+@given(footprints=st.lists(rectangles(), min_size=1, max_size=4, unique_by=lambda fp: fp.id),
+       properties=st.lists(flat_properties, min_size=4, max_size=4))
+def test_the_writers_output_takes_the_template_path(footprints, properties):
+    """Holes, any float (-0.0 and 5e-324 too) and flat properties: a template
+    that quietly declined would pass every other test and lose the gain. (An
+    empty collection is left to the general path.)"""
+    estimates = [estimate_of(fp.id, 3, 1, False) for fp in footprints]
+    for text in (write_footprints_geojson(footprints),
+                 write_assessed_geojson(footprints, estimates, properties[:len(footprints)])):
+        assert check_template_path(text)
+        assert read(text)[1] == FootprintArray.of(footprints).coords.tobytes()
+        assert parse_footprints_geojson(text) == footprints
