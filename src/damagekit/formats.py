@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
 from collections.abc import Sequence
 from itertools import chain, compress, islice, repeat
@@ -68,6 +69,14 @@ def _checked_ids(texts, source, line=None):
         bad = next(text for text in texts if not _ID.fullmatch(text))
         raise ParseError(f"id {bad!r} is not in {_ID.pattern}", source=source, line=line)
     return texts
+
+
+def _writable(ids):
+    """ids, a list, if the readers accept each; else ValueError naming the first."""
+    try:
+        return _checked_ids(ids, None)
+    except ParseError as exc:
+        raise ValueError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- GeoJSON
@@ -217,7 +226,7 @@ def _features(fps: FootprintArray, properties: list[str]) -> str:
     pieces = np.full((len(fps.coords), 4), "],[", dtype=object)
     pieces[:, 0::2], pieces[:, 1] = _each_distinct(float.__repr__, fps.coords), ","
     pieces[fps.ring_offsets[1:] - 1, 3] = "]],[["
-    ids = list(map(json.dumps, fps.ids))
+    ids = list(map(json.dumps, _writable(fps.ids.tolist())))
     pieces[fps.ring_offsets[fps.geom_offsets[1:]] - 1, 3] = [
         _PROPERTIES % text + "," + _FEATURE % fid for text, fid in zip(properties, ids[1:])
     ] + [_PROPERTIES % properties[-1]]
@@ -311,7 +320,7 @@ def _csv(header: str, rows) -> str:
 
 def write_truth_csv(points: Sequence[GroundTruthPoint]) -> str:
     p = GroundTruthPoints.of(points)
-    rows = zip(p.id.tolist(), p.lon.tolist(), p.lat.tolist(), p.category.tolist())
+    rows = zip(_writable(p.id.tolist()), p.lon.tolist(), p.lat.tolist(), p.category.tolist())
     return _csv(TRUTH_HEADER, (f"{i},{x!r},{y!r},{c.label}" for i, x, y, c in rows))
 
 
@@ -336,15 +345,17 @@ def load_truth(path) -> GroundTruthPoints:
 def write_matches_csv(point_ids: list[str],
                       matched: Sequence[PointMatch],
                       unmatched: list[str]) -> str:
-    """One row per input point in input order; unmatched rows leave the
-    footprint and distance fields empty."""
+    """One row per input point in input order, which the matched and unmatched
+    points partition; unmatched rows leave footprint and distance empty."""
     matched = PointMatches.of(matched)
-    rows = dict.fromkeys(unmatched, ",,")
-    rows.update((pid, f",{fid},{d!r}") for pid, fid, d in zip(
-        matched.point_id.tolist(), matched.footprint_id.tolist(), matched.distance_m.tolist()))
-    missing = [pid for pid in point_ids if pid not in rows]
-    if missing:
-        raise ValueError(f"point {missing[0]!r} neither matched nor unmatched")
+    listed = _writable([*matched.point_id.tolist(), *unmatched])
+    fields = map(",{},{!r}".format, _writable(matched.footprint_id.tolist()),
+                 matched.distance_m.tolist())
+    rows = dict(zip(listed, chain(fields, repeat(",,"))))
+    if not len(rows) == len(listed) == len(point_ids) == len(rows.keys() & set(point_ids)):
+        once, each = Counter(point_ids), Counter(listed)
+        bad = next(pid for pid in chain(point_ids, listed) if once[pid] != 1 or each[pid] != 1)
+        raise ValueError(f"point {bad!r} is not listed once and matched or unmatched once")
     return _csv(MATCH_HEADER, (pid + rows[pid] for pid in point_ids))
 
 
@@ -368,8 +379,8 @@ def parse_matches_csv(text: str, source="<csv>"):
 
 
 def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
-    return _csv(ORACLE_HEADER, (f"{fid},{category.label}"
-                                for fid, category in oracle_categories.items()))
+    return _csv(ORACLE_HEADER, map("{},{}".format, _writable([*oracle_categories]),
+                                   [category.label for category in oracle_categories.values()]))
 
 
 def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:

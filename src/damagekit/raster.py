@@ -1,8 +1,8 @@
 """Esri ASCII grid reader/writer for per-pixel damage classification rasters.
 
 Cell codes: 0 background, 1 intact building, 2 damaged building. Any cell may
-also hold the nodata code (default -1), a 32-bit integer other than those
-three. Row 0 is the northernmost row.
+also hold the nodata code (default -1), any other 32-bit integer. Row 0 is the
+northernmost row. geom.inside_pixels, not this module, finds footprints' pixels.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (CellCountMismatch, InvalidClassCode, MissingHeaderKey,
                      NonIntegerCell)
-from .geom import FootprintArray, _chunks, _crossing, _edges, _hole_rule, _on_edge, _runs
 
 CLASS_BACKGROUND = 0
 CLASS_BUILDING = 1
@@ -35,10 +34,6 @@ _BYTE_KIND = np.zeros(256, dtype=np.uint8)
 _BYTE_KIND[[ord("0"), ord("1"), ord("2"), ord("n")]] = _CELL
 _BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
 _ZERO = ord("0")
-
-# inside_pixels rasterises footprints in chunks of about this many window
-# pixels, counting a footprint's window once per ring.
-_SPAN_PIXELS = 2**16
 
 # Header keys in canonical order, each with its type, its rule and the rule
 # in words; every key but the last, nodata_value, is required. ClassRaster's
@@ -96,123 +91,6 @@ class ClassRaster:
     def frame(self) -> tuple[int, int, float, float, float]:
         """The georeferencing frame (ncols, nrows, xll, yll, cellsize)."""
         return self.ncols, self.nrows, self.xll, self.yll, self.cellsize
-
-
-def _centres(frame, cols, rows):
-    """(lon, lat) of the pixel centres at the given column and row indices."""
-    _, nrows, xll, yll, cs = frame
-    return xll + (cols + 0.5) * cs, yll + (nrows - rows - 0.5) * cs
-
-
-def inside_pixels(frame, footprints):
-    """(part, owner, row, col) int64 arrays per chunk of footprints (a
-    FootprintArray or a sequence of Footprints) on a raster frame (ncols,
-    nrows, xll, yll, cellsize). part holds the chunk's footprint indices;
-    each pixel whose centre lies inside footprint part[owner] under geom's
-    containment rule, bit for bit, gives one owner, row and col, in
-    footprint order, then row-major.
-
-    The scanline rule, batched over footprints in chunks of about
-    _SPAN_PIXELS pixels per ring of their windows, each the bounding box
-    padded by one cell: each edge meets every window row whose centre
-    latitude it spans at geom's _crossing, and searchsorted on the exact
-    centre longitudes turns the crossings into each ring's even-odd parity.
-    geom's exact _on_edge runs only on the centres that can lie on an edge,
-    and geom's _hole_rule combines the rings.
-    """
-    ncols, nrows, xll, yll, cs = frame
-    fps = FootprintArray.of(footprints)
-    b = fps.bounds[:, [3, 1, 0, 2]]  # (max_lat, min_lat, min_lon, max_lon)
-    with np.errstate(over="ignore"):  # an infinite bound is clipped too
-        edges = np.floor(np.concatenate([nrows - (b[:, :2] - yll) / cs,
-                                         (b[:, 2:] - xll) / cs], axis=1))
-    # (row_lo, row_hi, col_lo, col_hi), clipped in float so that a bound far
-    # off the raster cannot overflow int64.
-    win = np.clip(edges + [-1, 1, -1, 1], [0, -1, 0, -1],
-                  [nrows, nrows - 1, ncols, ncols - 1]).astype(np.int64)
-    covered = np.flatnonzero((win[:, 0] <= win[:, 1]) & (win[:, 2] <= win[:, 3]))
-    cost = ((win[covered, 1] - win[covered, 0] + 1)
-            * (win[covered, 3] - win[covered, 2] + 1)
-            * np.diff(fps.geom_offsets)[covered])
-    centres = _centres(frame, np.arange(ncols, dtype=np.float64),
-                       np.arange(nrows, dtype=np.float64))
-    for part in _chunks(covered, cost, _SPAN_PIXELS):
-        yield part, *_chunk_pixels(*centres, fps, part, win[part])
-
-
-def _chunk_pixels(lons, lats, fps, part, win):
-    """inside_pixels' (owner, row, col) of the footprints part of a collection
-    and their windows, from the centre longitudes of every column and
-    latitudes of every row."""
-    row_lo, row_hi, col_lo, col_hi = win.T
-    width = col_hi - col_lo + 1
-    size = (row_hi - row_lo + 1) * width
-    # Every exterior, in footprint order, then every hole; ring j's window
-    # pixels start at offset[j], an exterior's where its footprint's do.
-    n_fp = len(part)
-    hole_fp, hole_rings = _runs(fps.geom_offsets[part] + 1, fps.geom_offsets[part + 1])
-    ring_fp = np.concatenate([np.arange(n_fp), hole_fp])
-    ring_size = size[ring_fp]
-    offset = np.cumsum(ring_size) - ring_size
-    x1, y1, x2, y2, edge_ring = _edges(fps, np.concatenate([fps.geom_offsets[part], hole_rings]))
-    edge_fp = ring_fp[edge_ring]
-
-    # (edge, row) pairs: the window rows whose centre latitude lies in the
-    # edge's closed latitude range; -lats rises with the row.
-    south = -lats
-    first = np.searchsorted(south, -np.maximum(y1, y2), "left")
-    stop = np.searchsorted(south, -np.minimum(y1, y2), "right")
-    pair, row = _runs(np.maximum(first, row_lo[edge_fp]),
-                      np.minimum(stop, row_hi[edge_fp] + 1))
-    f = edge_fp[pair]
-    px1, py1, px2, py2, y = x1[pair], y1[pair], x2[pair], y2[pair], lats[row]
-    row_start = (row - row_lo[f]) * width[f]  # within the window
-
-    # Parity: a straddling edge flips the centres west of its crossing, so
-    # each gets a mark at the start of its ring's row and one at the first
-    # centre not west of it; a running count of marks is odd where the
-    # parity is.
-    slanted = np.flatnonzero(py1 != py2)
-    straddles, x_cross = _crossing(px1[slanted], py1[slanted], px2[slanted],
-                                   py2[slanted], y[slanted])
-    flip = slanted[straddles]
-    west = np.searchsorted(lons, x_cross[straddles], "left") - col_lo[f[flip]]
-    mark = offset[edge_ring[pair[flip]]] + row_start[flip]
-    marks = np.bincount(np.concatenate([mark, mark + np.clip(west, 0, width[f[flip]])]),
-                        minlength=ring_size.sum() + 1)
-    parity = (np.cumsum(marks[:-1]) & 1).astype(bool)
-
-    # On-edge candidates. A horizontal edge holds the centres of its row in
-    # its longitude range. A centre on another edge makes the two products
-    # of _on_edge's cross product round to the same value; with u = 2**-53
-    # that puts it within about 4u|x2 - x1| + u|x1| of x_cross, plus at most
-    # 4 * 2**-1075 * (1 + 1 / |y2 - y1|) where the products underflow. slack
-    # covers that and the rounding of x_cross -/+ slack with room to spare.
-    lo_x, hi_x = np.minimum(px1, px2), np.maximum(px1, px2)
-    slack = (2.0**-50 * (np.abs(px2[slanted] - px1[slanted]) + np.abs(px1[slanted]))
-             + 2.0**-1072 / np.abs(py2[slanted] - py1[slanted]) + 2.0**-1072)
-    lo_x[slanted], hi_x[slanted] = x_cross - slack, x_cross + slack
-    cand, col = _runs(np.maximum(np.searchsorted(lons, lo_x, "left"), col_lo[f]),
-                      np.minimum(np.searchsorted(lons, hi_x, "right"), col_hi[f] + 1))
-    e = pair[cand]
-    on = _on_edge(x1[e], y1[e], x2[e], y2[e], lons[col], y[cand])
-    pix = (offset[f[cand]] + row_start[cand] + col - col_lo[f[cand]])[on]
-    on_hole_edge = (edge_ring[e] >= n_fp)[on]
-
-    # Inside a hole means inside any hole, not an odd number of them.
-    n_pix = int(size.sum())
-    on_ext, on_hole, in_hole = np.zeros((3, n_pix), dtype=bool)
-    on_ext[pix[~on_hole_edge]] = True
-    on_hole[pix[on_hole_edge]] = True
-    holes = np.arange(n_fp, len(ring_fp))
-    to_fp = np.repeat(offset[ring_fp[holes]] - offset[holes], ring_size[holes])
-    in_hole[(np.arange(n_pix, len(parity)) + to_fp)[parity[n_pix:]]] = True
-    inside = _hole_rule(on_ext, parity[:n_pix], on_hole, in_hole)
-    # The window pixels run window row by window row, in footprint order.
-    line_fp, line_row = _runs(row_lo, row_hi + 1)
-    line, col = _runs(col_lo[line_fp], col_hi[line_fp] + 1)
-    line = line[inside]
-    return line_fp[line], line_row[line], col[inside]
 
 
 def _header_value(key, text, line_no, source):

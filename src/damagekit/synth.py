@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SwathOutsideScene
-from .geom import EARTH_RADIUS_M, FootprintArray, GeoPoint, footprints_from
+from .geom import EARTH_RADIUS_M, FootprintArray, GeoPoint, footprints_from, inside_pixels
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     DEFAULT_NODATA, _HEADER_RULES, ClassRaster, inside_pixels)
+                     DEFAULT_NODATA, _HEADER_RULES, ClassRaster)
 from .truth import FemaCategory, GroundTruthPoints
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15

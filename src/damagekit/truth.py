@@ -2,8 +2,8 @@
 
 Field surveys record per-building damage on the five-level FEMA scale.
 Each survey point is matched to the nearest footprint within a fixed radius
-(default 20 m); nearer footprints win, and exact distance ties go to the
-lexicographically smallest footprint id.
+(default 20 m), by geom's distance (0 inside); nearer footprints win, and
+exact distance ties go to the lexicographically smallest footprint id.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .columns import Columns
 from .errors import (DuplicateFootprintId, DuplicatePointId, MissingEstimate,
                      MissingPoint, ParseError, UnknownCategory, check_unique)
-from .geom import (Footprint, FootprintArray, GeoPoint, _chunks, _edges, _inside_pairs,
+from .geom import (Footprint, FootprintArray, GeoPoint, _chunks, _distances, _edges,
                    _runs, metres_per_degree)
 from .zonal import DamageEstimate, DamageEstimates
 
@@ -232,25 +232,6 @@ def _candidates(pcx, pcy, cells):
     hi = np.searchsorted(key, c_rank * len(ys) + np.searchsorted(ys, y1[f] + 1.0, "right"))
     keep = np.flatnonzero(hi > lo)
     return by_cell, f[keep], lo[keep], hi[keep]
-
-
-def _distances(x, y, box, owner, x1, y1, x2, y2, ring, kx, ky):
-    """Distance in metres from points (x, y) to footprints with bounding
-    boxes box, from the edges (x1, y1)-(x2, y2) of each point's footprint:
-    owner[i] is edge i's point, and ring[i] its ring, in ring order."""
-    # 0 inside, as geom.contains decides it, else to the nearest edge; one whose
-    # squared length underflows to 0 measures to its start.
-    inside = ((box[:, 0] <= x) & (x <= box[:, 2]) & (box[:, 1] <= y) & (y <= box[:, 3])
-              & _inside_pairs(x, y, owner, x1, y1, x2, y2, ring))
-    qx, qy, ax, ay = x[owner] * kx, y[owner] * ky, x1 * kx, y1 * ky
-    dx, dy = x2 * kx - ax, y2 * ky - ay
-    den = dx * dx + dy * dy
-    t = np.clip(np.divide((qx - ax) * dx + (qy - ay) * dy, den,
-                          out=np.zeros_like(den), where=den > 0.0), 0.0, 1.0)
-    ex, ey = qx - (ax + t * dx), qy - (ay + t * dy)
-    d_sq = np.minimum.reduceat(ex * ex + ey * ey,
-                               np.flatnonzero(np.diff(owner, prepend=-1) != 0))
-    return np.where(inside, 0.0, np.sqrt(d_sq))
 
 
 def join_samples(matched: Sequence[PointMatch], estimates: Sequence[DamageEstimate],

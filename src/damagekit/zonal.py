@@ -17,8 +17,8 @@ import numpy as np
 
 from .columns import Columns
 from .errors import DuplicateFootprintId, check_unique
-from .geom import Footprint, FootprintArray
-from .raster import CLASS_DAMAGED, ClassRaster, inside_pixels
+from .geom import Footprint, FootprintArray, inside_pixels
+from .raster import CLASS_DAMAGED, ClassRaster
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,12 @@ from damagekit.errors import (CellCountMismatch, DuplicateFootprintId,
                               ParseError, check_unique)
 from damagekit.formats import (parse_assessed_geojson, parse_footprints_with_properties,
                                parse_json, round_half_up)
-from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
+from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring, _centres,
                             _crossing, _on_edge, metres_per_degree)
 from damagekit.metrics import PRCurve, PRPoint
 from damagekit.plot import _x, _y
 from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
-                              VALID_CLASSES, ClassRaster, _centres,
-                              _header_value)
+                              VALID_CLASSES, ClassRaster, _header_value)
 from damagekit.truth import (FemaCategory, GroundTruthPoint, MatchedSample,
                              PointMatch, binarize)
 from damagekit.zonal import DamageEstimate
@@ -121,7 +120,7 @@ def ring_hits(ring: Ring, x, y):
 def contains_many(fp: Footprint, lons, lats) -> np.ndarray:
     """Containment of arrays of points (broadcast together) in a footprint,
     ring by ring with ring_hits and no bounding-box test: the reference of
-    raster.inside_pixels.
+    geom.inside_pixels.
 
     A point on the exterior is inside; a point inside the exterior is
     inside unless it lies strictly inside a hole and on no hole edge.
@@ -477,7 +476,7 @@ def build_raster(cells, cellsize=0.001, xll=0.0, yll=0.0, nodata=-1) -> ClassRas
 
 def pixel_window(frame, fp: Footprint):
     """(window, inside) for one footprint on a raster frame, or None off it:
-    the per-footprint reference of raster.inside_pixels.
+    the per-footprint reference of geom.inside_pixels.
 
     window is the (row slice, column slice) of the footprint's bounding box
     padded by one cell; inside is the contains_many mask of the window's

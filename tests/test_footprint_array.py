@@ -10,8 +10,7 @@ from hypothesis import given, settings
 
 from damagekit import geom
 from damagekit.formats import parse_footprints_geojson, write_footprints_geojson
-from damagekit.geom import FootprintArray, footprint_of, footprints_from
-from damagekit.raster import inside_pixels
+from damagekit.geom import FootprintArray, footprint_of, footprints_from, inside_pixels
 from damagekit.truth import match_points
 from damagekit.zonal import assess_all
 

@@ -507,7 +507,9 @@ def test_a_ring_fault_builds_each_feature_once_up_to_it(monkeypatch, parse):
 # the least subnormal, JSON integers and arbitrary floats.
 COORDINATES = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-07, 2.5e-05, 1 / 3, 3, -7, 90])
                | st.integers(-90, 90) | st.floats(-90.0, 90.0))
-IDS = st.sampled_from(['a"b', "\\", "\n", "é", "\u2028", "</b>", "b1"]) | st.text(min_size=1)
+IDS = st.sampled_from(["b1", "-", "_", "A-z_09"]) | st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True)
+# Ids the readers refuse: JSON would escape them, or a CSV row would split on them.
+BAD_IDS = ['a"b', "\\", "\n", "é", "\u2028", "</b>", "a,b", "b 1", "b.1"]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -573,6 +575,40 @@ def test_assessed_writer_refuses_estimates_that_do_not_pair_with_the_footprints(
             ([est_a, est_b], [{}], "2 footprints, 1 dicts")]:
         with pytest.raises(ValueError, match=message):
             write_assessed_geojson(FootprintArray.of([a, b]), estimates, inputs)
+
+
+@pytest.mark.parametrize("fid", BAD_IDS)
+def test_writers_refuse_the_ids_their_readers_refuse(fid):
+    """Every writer of ids checks them with the readers' charset and names
+    the first it refuses."""
+    good, bad = square_footprint("b1", 0.0, 0.0, 1e-3), square_footprint(fid, 0.0, 0.0, 1e-3)
+    point = GroundTruthPoint(fid, GeoPoint(0.0, 0.0), FemaCategory.AFFECTED)
+    for write in [lambda: write_footprints_geojson([good, bad]),
+                  lambda: write_assessed_geojson([bad], [DamageEstimate(fid, 0.0, 1, 0)]),
+                  lambda: write_truth_csv([point]),
+                  lambda: write_oracle_csv({"b1": FemaCategory.AFFECTED, fid: FemaCategory.AFFECTED}),
+                  lambda: write_matches_csv([fid], [], [fid]),
+                  lambda: write_matches_csv(["p1"], [PointMatch("p1", fid, 1.0)], [])]:
+        with pytest.raises(ValueError, match=f"^id {re.escape(repr(fid))} is not in"):
+            write()
+
+
+@pytest.mark.parametrize("point_ids, matched, unmatched, bad", [
+    (["p1"], [PointMatch("p1", "b1", 1.0), PointMatch("p1", "b2", 2.0)], [], "p1"),
+    (["p1"], [PointMatch("p1", "b1", 1.0)], ["p1"], "p1"),
+    (["p1"], [PointMatch("p1", "b1", 1.0), PointMatch("p2", "b1", 1.0)], [], "p2"),
+    (["p1", "p2"], [], ["p2"], "p1"),
+    (["p1", "p1"], [PointMatch("p1", "b1", 1.0)], [], "p1"),
+    (["p1", "p1"], [PointMatch("p1", "b1", 1.0)], ["p1"], "p1"),
+    (["p1"], [PointMatch("p2", "b1", 1.0)], [], "p1"),
+    (["p1", "p1"], [PointMatch("p1", "b1", 1.0)], ["p2"], "p1"),
+], ids=["matched-twice", "matched-and-unmatched", "not-a-point", "neither",
+        "point-twice", "point-twice-listed-twice", "another-point",
+        "point-twice-and-another"])
+def test_matches_csv_refuses_what_does_not_partition_the_points(point_ids, matched,
+                                                                unmatched, bad):
+    with pytest.raises(ValueError, match=f"^point '{bad}' is not listed once"):
+        write_matches_csv(point_ids, matched, unmatched)
 
 
 # ------------------------------------------------------------------ CSV

@@ -1,0 +1,82 @@
+"""The package's stated layout: which module owns the containment rule, and
+the README's library example, run as written."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from damagekit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted((ROOT / "src" / "damagekit").glob("*.py"))}
+# geom's private containment helpers: no other module may name them.
+KERNEL = {"_on_edge", "_crossing", "_hole_rule", "_inside_pairs"}
+MOVED = {"inside_pixels", "_chunk_pixels", "_centres", "_SPAN_PIXELS", "_distances"}
+
+
+def geom_imports(tree):
+    """The names a module imports from damagekit.geom."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module, node.level) in {("geom", 1), ("damagekit.geom", 0)}
+            for alias in node.names}
+
+
+def names(tree):
+    """Every identifier a module uses, binds, imports or reads as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+            found.add(node.name)
+    return found
+
+
+def definitions(tree):
+    """The names a module defines at its top level."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Assign):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_raster_is_only_the_grid_format():
+    assert geom_imports(SOURCES["raster"]) == set()
+
+
+def test_only_geom_names_its_containment_helpers():
+    assert KERNEL <= names(SOURCES["geom"])
+    assert {module: sorted(KERNEL & names(tree)) for module, tree in SOURCES.items()
+            if module != "geom" and KERNEL & names(tree)} == {}
+
+
+def test_the_pixel_pass_and_the_matching_distance_are_defined_in_geom_alone():
+    assert MOVED <= definitions(SOURCES["geom"])
+    assert {module: sorted(MOVED & definitions(tree)) for module, tree in SOURCES.items()
+            if module != "geom" and MOVED & definitions(tree)} == {}
+
+
+def test_formats_imports_no_private_name_of_geom():
+    assert [name for name in geom_imports(SOURCES["formats"]) if name.startswith("_")] == []
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.json").write_text('{"seed": 3, "grid_cols": 6, "grid_rows": 6}')
+    assert main(["synth", "scene.json", "scene"]) == 0
+    capsys.readouterr()
+    exec(compile(block, "README.md", "exec"), {})
+    precision, recall, ap = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0 and 0.0 <= ap <= 1.0

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from damagekit import geom as geom_module
 from damagekit import raster as raster_module
 from damagekit.errors import (CellCountMismatch, InvalidClassCode,
                               MissingHeaderKey, NonIntegerCell, ParseError)
-from damagekit.geom import Footprint, GeoPoint, Ring, contains
-from damagekit.raster import (DEFAULT_NODATA, ClassRaster, _centres,
-                              inside_pixels, parse_ascii_grid, write_ascii_grid)
+from damagekit.geom import Footprint, GeoPoint, Ring, _centres, contains, inside_pixels
+from damagekit.raster import (DEFAULT_NODATA, ClassRaster, parse_ascii_grid,
+                              write_ascii_grid)
 
 from _oracles import square_footprint
 
@@ -328,7 +329,7 @@ def test_inside_pixels_match_the_per_footprint_reference(scene):
     frame, footprints = scene
     reference = reference_pixels(frame, footprints)
     assert chunked_pixels(frame, footprints) == reference
-    with mock.patch.object(raster_module, "_SPAN_PIXELS", 1):
+    with mock.patch.object(geom_module, "_SPAN_PIXELS", 1):
         assert chunked_pixels(frame, footprints) == reference
 
 

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damagekit import raster as raster_module
+from damagekit import geom as geom_module
 from damagekit.errors import DuplicateFootprintId
-from damagekit.geom import Footprint, GeoPoint, Ring, contains
-from damagekit.raster import _centres
+from damagekit.geom import Footprint, GeoPoint, Ring, _centres, contains
 from damagekit.synth import SceneSpec, generate
 from damagekit.zonal import DamageEstimate, assess_all
 
@@ -297,7 +296,7 @@ def test_assess_all_matches_the_per_footprint_reference(scene):
     raster, footprints = scene
     expected = [zonal_estimate(raster, fp) for fp in footprints]
     assert assess_all(raster, footprints) == expected
-    with mock.patch.object(raster_module, "_SPAN_PIXELS", 1):
+    with mock.patch.object(geom_module, "_SPAN_PIXELS", 1):
         assert assess_all(raster, footprints) == expected
 
 
