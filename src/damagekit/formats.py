@@ -75,8 +75,10 @@ def _writable(ids):
     """ids, a list, if the readers accept each; else ValueError naming the first."""
     try:
         return _checked_ids(ids, None)
-    except ParseError as exc:
-        raise ValueError(str(exc)) from None
+    except (ParseError, TypeError):  # TypeError: an id that is not a str
+        bad = next(i for i in ids if not (isinstance(i, str) and _ID.fullmatch(i)))
+        kind = "" if isinstance(bad, str) else f" ({type(bad).__name__}, not str)"
+        raise ValueError(f"id {bad!r} is not in {_ID.pattern}{kind}") from None
 
 
 # ---------------------------------------------------------------- GeoJSON
@@ -160,24 +162,18 @@ def _templated(text: str):
     pieces = _TEMPLATE.split(text[len(_HEAD):-len(_TAIL)])
     if pieces[0] or pieces[-1] or set(pieces[4:-1:4]) - {","}:
         return None  # the features do not tile the body one "," apart
-    rings = "]],[[".join(pieces[2::4])
+    rings = _RING_SEP.join(pieces[2::4])
     try:
         coords = np.array(json.loads("[" + rings.replace("[", "").replace("]", "") + "]"), float)
         properties = json.loads("[" + ",".join(pieces[3::4]) + "]")
     except (ValueError, OverflowError):  # a spelling json refuses, or a number past 1e308
         return None
+    if len(properties) != len(pieces) // 4 or set(map(type, properties)) != {dict}:
+        return None  # no feature, or properties texts json reads as merged objects
     b = np.frombuffer(rings.encode(), np.uint8)
-    commas = np.flatnonzero(b == ord(","))
-    seps = commas[1::2]  # "],[" or "]],[[" after each vertex but the last, if pairs
-    outer = b[seps - 2] == ord("]")  # "]],[[": the next vertex starts a ring
-    if not (len(commas) % 2 and np.array_equal(b[commas - 1] == ord("]"),
-                                               np.arange(len(commas)) % 2 == 1)
-            and (b[seps + 1] == ord("[")).all() and (b[seps[outer] + 2] == ord("[")).all()
-            and (b == ord("[")).sum() == (b == ord("]")).sum() == len(seps) + outer.sum()
-            and len(properties) == len(pieces) // 4 and set(map(type, properties)) == {dict}):
-        return None  # no feature, a vertex not two numbers, a stray bracket, merged objects
+    outer = b[np.flatnonzero(b == ord(","))[1::2] - 2] == ord("]")  # _RING_SEP after a vertex
     return (pieces[1::4], coords, np.diff(np.flatnonzero(np.r_[True, outer, True])),
-            [t.count("]],[[") + 1 for t in pieces[2::4]], properties)
+            [t.count(_RING_SEP) + 1 for t in pieces[2::4]], properties)
 
 
 def parse_footprints_geojson(text: str, source="<geojson>") -> FootprintArray:
@@ -192,9 +188,11 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _HEAD, _TAIL = '{"type":"FeatureCollection","features":[', "]}\n"
 _FEATURE = '{"type":"Feature","id":%s,"geometry":{"type":"Polygon","coordinates":[[['
 _PROPERTIES = ']]]},"properties":%s}'
+_VERTEX_SEP, _RING_SEP = "],[", "]],[["  # between the vertices of a ring, between rings
+_XY = "[-+.0-9eE]+,[-+.0-9eE]+"  # a vertex: two number spellings, for json.loads to judge
 # A feature as _collection writes it: (id, rings text, properties with no inner {}[]).
 _TEMPLATE = re.compile(re.escape(_FEATURE).replace("%s", f'"({_ID.pattern})"')
-                       + r"([-+.0-9eE,\[\]]+)"
+                       + f"({_XY}(?:(?:{re.escape(_VERTEX_SEP)}|{re.escape(_RING_SEP)}){_XY})*)"
                        + re.escape(_PROPERTIES).replace("%s", r"(\{[^{}\[\]]*\})"))
 _CHUNK = 1024  # footprints the writers format at a time
 _CENTS = Decimal("0.01")  # damage_pct's display quantum
@@ -223,9 +221,9 @@ def _features(fps: FootprintArray, properties: list[str]) -> str:
     """The features of one or more footprints with their properties texts,
     joined from four pieces per vertex: x, ",", y and the separator after it.
     Coordinates are written by float.__repr__, as in json.dumps."""
-    pieces = np.full((len(fps.coords), 4), "],[", dtype=object)
+    pieces = np.full((len(fps.coords), 4), _VERTEX_SEP, dtype=object)
     pieces[:, 0::2], pieces[:, 1] = _each_distinct(float.__repr__, fps.coords), ","
-    pieces[fps.ring_offsets[1:] - 1, 3] = "]],[["
+    pieces[fps.ring_offsets[1:] - 1, 3] = _RING_SEP
     ids = list(map(json.dumps, _writable(fps.ids.tolist())))
     pieces[fps.ring_offsets[fps.geom_offsets[1:]] - 1, 3] = [
         _PROPERTIES % text + "," + _FEATURE % fid for text, fid in zip(properties, ids[1:])
@@ -247,19 +245,29 @@ def write_assessed_geojson(footprints: Sequence[Footprint],
     """Footprints plus their estimates, which must name the footprints' ids in
     order, and input properties, if given, one dict per footprint: damage_pct
     is rounded half-up to two decimals, each distinct value once; the integer
-    counts keep full fidelity."""
+    counts keep full fidelity, and must hold 0 <= n_damaged <= n_inside <= 2**53."""
     fps, est = FootprintArray.of(footprints), DamageEstimates.of(estimates)
     if not np.array_equal(est.footprint_id, fps.ids):
         raise ValueError("the estimates do not name the footprints' ids in order")
     if input_properties is not None and len(input_properties) != len(fps):
         raise ValueError(f"input_properties must hold one dict per footprint: "
                          f"{len(fps)} footprints, {len(input_properties)} dicts")
+    valid = _valid_counts(est.n_inside, est.n_damaged)
+    if not valid.all():
+        i = valid.argmin()
+        raise ValueError(f"footprint {fps.ids[i]!r} has n_inside {est.n_inside[i]} and n_damaged "
+                         f"{est.n_damaged[i]}, not 0 <= n_damaged <= n_inside <= 2**53")
     keys = [*DamageEstimates.columns][1:]  # damage_pct, then the counts and flags
     rows = zip(_each_distinct(round_half_up, est.damage_pct).tolist(),
                *(getattr(est, key).tolist() for key in keys[1:]))
     properties = (_COMPACT.encode({**props, **dict(zip(keys, row))})
                   for props, row in zip(input_properties or repeat({}), rows))
     return _collection(fps, properties)
+
+
+def _valid_counts(n_inside, n_damaged):
+    """0 <= n_damaged <= n_inside <= 2**53, of ints or elementwise of arrays."""
+    return (0 <= n_damaged) & (n_damaged <= n_inside) & (n_inside <= 2**53)
 
 
 def parse_assessed_geojson(text: str, source="<geojson>"):
@@ -272,7 +280,7 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
     columns = [[props.get(key) for props in properties]
                for key in [*DamageEstimates.columns][2:]]  # the counts and flags
     for fid, n, d, s, c in zip(footprints.ids, *columns):
-        if not (type(n) is int and type(d) is int and 0 <= d <= n <= 2**53
+        if not (type(n) is int and type(d) is int and _valid_counts(n, d)
                 and type(s) is bool and type(c) is bool):
             raise ParseError(f"feature {fid!r} lacks assessment properties "
                              "(integer counts 0 <= n_damaged <= n_inside <= 2**53, "
@@ -346,8 +354,14 @@ def write_matches_csv(point_ids: list[str],
                       matched: Sequence[PointMatch],
                       unmatched: list[str]) -> str:
     """One row per input point in input order, which the matched and unmatched
-    points partition; unmatched rows leave footprint and distance empty."""
+    points partition; unmatched rows leave footprint and distance empty, and
+    each matched distance must be a finite number >= 0."""
     matched = PointMatches.of(matched)
+    valid = _valid_distances(matched.distance_m)
+    if not valid.all():
+        i = valid.argmin()
+        raise ValueError(f"point {matched.point_id[i]!r} has distance "
+                         f"{float(matched.distance_m[i])!r}, not a finite number >= 0")
     listed = _writable([*matched.point_id.tolist(), *unmatched])
     fields = map(",{},{!r}".format, _writable(matched.footprint_id.tolist()),
                  matched.distance_m.tolist())
@@ -357,6 +371,11 @@ def write_matches_csv(point_ids: list[str],
         bad = next(pid for pid in chain(point_ids, listed) if once[pid] != 1 or each[pid] != 1)
         raise ValueError(f"point {bad!r} is not listed once and matched or unmatched once")
     return _csv(MATCH_HEADER, (pid + rows[pid] for pid in point_ids))
+
+
+def _valid_distances(distances: np.ndarray) -> np.ndarray:
+    """Where a distance is a finite number >= 0, as match writes them."""
+    return (0.0 <= distances) & (distances < math.inf)
 
 
 def parse_matches_csv(text: str, source="<csv>"):
@@ -370,7 +389,7 @@ def parse_matches_csv(text: str, source="<csv>"):
             distances = np.array(list(map(float, texts)))
         except ValueError:  # names the right text in the one-row reads that report it
             distances = np.array([math.nan])
-        bad = ~((0.0 <= distances) & (distances < math.inf))  # as match writes them
+        bad = ~_valid_distances(distances)
         if bad.any():
             raise ParseError(f"bad distance {texts[bad.argmax()]!r}, not a finite number "
                              ">= 0", source=source, line=line)

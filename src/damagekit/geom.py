@@ -339,16 +339,18 @@ def footprint_of(fid: str, rings) -> Footprint:
     """A Footprint from rings of (lon, lat) pairs of ints or floats, exterior
     first, checked one vertex, ring and footprint at a time: the first fault
     raises its error."""
-    built = [Ring(tuple(GeoPoint(_number(lon), _number(lat)) for lon, lat in ring))
-             for ring in rings]
+    built = [Ring(tuple(GeoPoint(*_pair(vertex)) for vertex in ring)) for ring in rings]
     return Footprint(fid, built[0], tuple(built[1:]))
 
 
-def _number(value) -> float:
-    """value as a float if it is an int or a float, not a bool or a string."""
-    if type(value) not in (int, float):
-        raise TypeError(f"coordinate {value!r} is not a number")
-    return float(value)
+def _pair(vertex) -> tuple[float, float]:
+    """vertex as two floats if it is a list or tuple of two ints or floats."""
+    if not (isinstance(vertex, (list, tuple)) and len(vertex) == 2):
+        raise TypeError(f"vertex {vertex!r} is not a pair of numbers")
+    for value in vertex:
+        if type(value) not in (int, float):
+            raise TypeError(f"coordinate {value!r} is not a number")
+    return float(vertex[0]), float(vertex[1])
 
 
 def footprints_from(ids, coords, sizes, counts, build=footprint_of) -> FootprintArray:

@@ -226,7 +226,10 @@ def _parse_feature(feature, index, source):
     for ring in rings:
         try:
             points = []
-            for lon, lat in ring:
+            for vertex in ring:
+                if not isinstance(vertex, (list, tuple)) or len(vertex) != 2:
+                    raise TypeError(f"vertex {vertex!r} is not a pair of numbers")
+                lon, lat = vertex
                 bad = [v for v in (lon, lat) if type(v) not in (int, float)]
                 if bad:
                     raise TypeError(f"coordinate {bad[0]!r} is not a number")

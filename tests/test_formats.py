@@ -316,6 +316,19 @@ def test_coordinates_must_be_json_numbers(parse, ring, bad):
     assert str(err.value) == f"in.geojson: feature 'b2': coordinate {bad} is not a number"
 
 
+@pytest.mark.parametrize("parse", [parse_footprints_with_properties,
+                                   parse_footprints_one_by_one])
+@pytest.mark.parametrize("vertex", [[0, 0, 5], 5, {"a": 1}, "ab", [0], []],
+                         ids=["triple", "number", "object", "string", "single", "empty"])
+def test_a_vertex_must_be_a_pair(parse, vertex):
+    doc = {"type": "FeatureCollection", "features": [
+        lattice_feature("b1", 0, 0, 4, 4), lattice_feature("b2", 8, 0, 4, 4)]}
+    doc["features"][1]["geometry"]["coordinates"][0][1] = vertex
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc), source="in.geojson")
+    assert str(err.value) == f"in.geojson: feature 'b2': vertex {vertex!r} is not a pair of numbers"
+
+
 @st.composite
 def edited_collections(draw):
     features = []
@@ -508,8 +521,9 @@ def test_a_ring_fault_builds_each_feature_once_up_to_it(monkeypatch, parse):
 COORDINATES = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-07, 2.5e-05, 1 / 3, 3, -7, 90])
                | st.integers(-90, 90) | st.floats(-90.0, 90.0))
 IDS = st.sampled_from(["b1", "-", "_", "A-z_09"]) | st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True)
-# Ids the readers refuse: JSON would escape them, or a CSV row would split on them.
-BAD_IDS = ['a"b', "\\", "\n", "é", "\u2028", "</b>", "a,b", "b 1", "b.1"]
+# Ids the readers refuse: JSON would escape them, a CSV row would split on them,
+# or they are not strings.
+BAD_IDS = ['a"b', "\\", "\n", "é", "\u2028", "</b>", "a,b", "b 1", "b.1", 7, True]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -532,11 +546,11 @@ def rectangles(draw):
 @st.composite
 def assessed_footprints(draw):
     """(footprints built through the library, some with holes, their
-    estimates, and input properties or None)."""
+    estimates, with counts the writer accepts, and input properties or None)."""
     footprints = [footprint_of(draw(IDS), draw(st.lists(rectangles(), min_size=1, max_size=3)))
                   for _ in range(draw(st.integers(0, 4)))]
-    estimates = [DamageEstimate(fp.id, draw(PCTS), draw(st.integers(0, 10**6)),
-                                draw(st.integers(0, 10**6)), draw(st.booleans()),
+    estimates = [DamageEstimate(fp.id, draw(PCTS), inside := draw(st.integers(0, 10**6)),
+                                draw(st.integers(0, inside)), draw(st.booleans()),
                                 draw(st.booleans())) for fp in footprints]
     n = len(footprints)
     return footprints, estimates, draw(st.none() | st.lists(PROPERTIES, min_size=n, max_size=n))
@@ -591,6 +605,30 @@ def test_writers_refuse_the_ids_their_readers_refuse(fid):
                   lambda: write_matches_csv(["p1"], [PointMatch("p1", fid, 1.0)], [])]:
         with pytest.raises(ValueError, match=f"^id {re.escape(repr(fid))} is not in"):
             write()
+
+
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_the_matches_writer_refuses_the_distances_its_reader_refuses(distance):
+    matched = [PointMatch("p1", "b1", 1.0), PointMatch("p2", "b1", distance)]
+    with pytest.raises(ParseError, match="not a finite number >= 0"):
+        parse_matches_csv(f"{formats.MATCH_HEADER}\np1,b1,1.0\np2,b1,{distance!r}\n")
+    with pytest.raises(ValueError, match=f"^point 'p2' has distance {re.escape(repr(distance))}, "
+                                         "not a finite number >= 0$"):
+        write_matches_csv(["p1", "p2"], matched, [])
+
+
+@pytest.mark.parametrize("n_inside, n_damaged", [
+    (-1, 0), (1, 2), (0, -1), (2**53 + 1, 0), (2**60, 2**60)])
+def test_the_assessed_writer_refuses_the_counts_its_reader_refuses(n_inside, n_damaged):
+    footprints = [square_footprint("b1", 0.0, 0.0, 1e-3), square_footprint("b2", 1.0, 0.0, 1e-3)]
+    good = [DamageEstimate("b1", 0.0, 1, 0), DamageEstimate("b2", 0.0, 1, 0)]
+    doc = json.loads(write_assessed_geojson(footprints, good))
+    doc["features"][1]["properties"].update(n_inside=n_inside, n_damaged=n_damaged)
+    with pytest.raises(ParseError, match="^<geojson>: feature 'b2' lacks assessment properties"):
+        parse_assessed_geojson(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^footprint 'b2' has n_inside {n_inside} and n_damaged "
+                                         f"{n_damaged}, not 0 <= n_damaged <= n_inside <= "):
+        write_assessed_geojson(footprints, [good[0], DamageEstimate("b2", 0.0, n_inside, n_damaged)])
 
 
 @pytest.mark.parametrize("point_ids, matched, unmatched, bad", [

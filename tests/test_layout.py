@@ -1,8 +1,9 @@
-"""The package's stated layout: which module owns the containment rule, and
-the README's library example, run as written."""
+"""The package's stated layout: which module owns the containment rule, what
+it imports, and the README's library example, run as written."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,24 @@ def definitions(tree):
         elif isinstance(node, ast.Assign):
             found.update(t.id for t in node.targets if isinstance(t, ast.Name))
     return found
+
+
+def absolute_imports(tree):
+    """The top-level package of each absolute import anywhere in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_package_needs_nothing_at_run_time_but_the_standard_library_and_numpy():
+    foreign = {module: sorted(absolute_imports(tree) - sys.stdlib_module_names - {"numpy"})
+               for module, tree in SOURCES.items()}
+    assert {module: names for module, names in foreign.items() if names} == {}
+    assert "numpy" in set().union(*map(absolute_imports, SOURCES.values()))
 
 
 def test_raster_is_only_the_grid_format():

@@ -210,6 +210,10 @@ EDGE_TEXTS = [
     WRITTEN.replace("[[[0.0,1.0]", "[[[[0.0,1.0]]"),
     WRITTEN.replace("[0.0,1.0]]]", "[0.0,1.0,[2.0,3.0]]]]"),  # a triple with a nested pair
     WRITTEN.replace("]]]},", "]]]]},", 1),
+    # The separators' grammar: each text below is one separator or number mutated.
+    *(WRITTEN.replace(old, new, 1) for old, new in [
+        ("]],[[", "]],["), ("],[", "],[["), ("]],[[", "]]],[[["), ("[[[0.0,1.0", "[[[,1.0"),
+        ("],[", "],")]),
     # Two properties texts that json reads as one object: {"k": "},{", "n": 1}.
     formats._HEAD + formats._FEATURE % '"a"' + "0,0],[1,0],[1,1],[0,0"
     + formats._PROPERTIES % '{"k":"}' + "," + formats._FEATURE % '"b"' + "0,0],[1,0],[1,1],[0,0"
@@ -239,9 +243,10 @@ def test_the_template_path_reads_the_edge_spellings_as_json_does():
     assert fps[2].exterior.coords[[0, 3], 0].tobytes() == bytes(16)  # -0 is +0.0
     # Only the one-vertex ring is in the template; footprints_from raises its error.
     assert [check_template_path(text) for text in EDGE_TEXTS[len(SPELLINGS):]] == [
-        False] * 10 + [True]
+        False] * 15 + [True]
     assert read(EDGE_TEXTS[-1]) == ("in: feature 'z': ring needs at least 4 vertices "
                                     "including closure")
+    assert all(isinstance(read(text), str) for text in EDGE_TEXTS[-7:-2])  # a ParseError each
     assert check_template_path(WRITTEN)
     assert not check_template_path(write_footprints_geojson([]))  # the general path reads it
 
