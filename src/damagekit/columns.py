@@ -30,11 +30,13 @@ class Columns(Sequence):
 
     @classmethod
     def of(cls, rows):
-        """rows if it is a collection of this kind, else one of its rows, column by column."""
+        """rows if it is a collection of this kind, else one of its rows, column
+        by column. ValueError names the first value its column's cast changes
+        (a NaN stays NaN): 3.7 as a count, "1.5" as a distance, "no" as a flag."""
         if isinstance(rows, cls):
             return rows
-        return cls(*([*map(attrgetter(cls.paths.get(name, name)), rows)]
-                     for name in cls.columns))
+        return cls(*(_cast(cls, name, dtype, [*map(attrgetter(cls.paths.get(name, name)), rows)])
+                     for name, dtype in cls.columns.items()), copy=False)
 
     def __len__(self):
         return len(getattr(self, next(iter(self.columns))))
@@ -52,8 +54,31 @@ class Columns(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple)) and all(isinstance(r, self.row) for r in other):
-            other = self.of(other)
+            try:
+                other = self.of(other)
+            except ValueError:  # a value no collection of this kind holds
+                return False
         if type(other) is not type(self):
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name))
                    for name in self.columns)
+
+
+def _cast(cls, name, dtype, values):
+    """values as a column of dtype, if the cast leaves each value equal."""
+    try:
+        column = np.array(values, dtype)
+        if column.tolist() == values:
+            return column
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past int64
+        pass
+    for i, value in enumerate(values):
+        try:
+            (kept,) = np.array([value], dtype).tolist()
+            kept = kept == value or (kept != kept and value != value)  # a NaN stays NaN
+        except (TypeError, ValueError, OverflowError):
+            kept = False
+        if not kept:
+            raise ValueError(f"{cls.__name__} row {i}: {name} {value!r} does not "
+                             f"survive a cast to {np.dtype(dtype).name}")
+    return np.array(values, dtype)

@@ -244,19 +244,23 @@ def write_assessed_geojson(footprints: Sequence[Footprint],
                            input_properties: list[dict] | None = None) -> str:
     """Footprints plus their estimates, which must name the footprints' ids in
     order, and input properties, if given, one dict per footprint: damage_pct
-    is rounded half-up to two decimals, each distinct value once; the integer
-    counts keep full fidelity, and must hold 0 <= n_damaged <= n_inside <= 2**53."""
+    is rounded half-up to two decimals, each distinct value once, and must lie
+    in [0, 100]; the integer counts keep full fidelity, and must hold
+    0 <= n_damaged <= n_inside <= 2**53."""
     fps, est = FootprintArray.of(footprints), DamageEstimates.of(estimates)
     if not np.array_equal(est.footprint_id, fps.ids):
         raise ValueError("the estimates do not name the footprints' ids in order")
     if input_properties is not None and len(input_properties) != len(fps):
         raise ValueError(f"input_properties must hold one dict per footprint: "
                          f"{len(fps)} footprints, {len(input_properties)} dicts")
-    valid = _valid_counts(est.n_inside, est.n_damaged)
+    counted = _valid_counts(est.n_inside, est.n_damaged)
+    valid = counted & (0.0 <= est.damage_pct) & (est.damage_pct <= 100.0)
     if not valid.all():
         i = valid.argmin()
-        raise ValueError(f"footprint {fps.ids[i]!r} has n_inside {est.n_inside[i]} and n_damaged "
-                         f"{est.n_damaged[i]}, not 0 <= n_damaged <= n_inside <= 2**53")
+        raise ValueError(f"footprint {fps.ids[i]!r} has " + (
+            f"damage_pct {float(est.damage_pct[i])!r}, not in [0, 100]" if counted[i] else
+            f"n_inside {est.n_inside[i]} and n_damaged {est.n_damaged[i]}, "
+            "not 0 <= n_damaged <= n_inside <= 2**53"))
     keys = [*DamageEstimates.columns][1:]  # damage_pct, then the counts and flags
     rows = zip(_each_distinct(round_half_up, est.damage_pct).tolist(),
                *(getattr(est, key).tolist() for key in keys[1:]))
@@ -327,9 +331,13 @@ def _csv(header: str, rows) -> str:
 
 
 def write_truth_csv(points: Sequence[GroundTruthPoint]) -> str:
-    p = GroundTruthPoints.of(points)
+    p, labels = GroundTruthPoints.of(points), [c.label for c in FemaCategory]  # by code
+    known = (0 <= p.category) & (p.category < len(labels))
+    if not known.all():
+        i = known.argmin()
+        raise ValueError(f"point {p.id[i]!r} has category {p.category[i]}, not a FEMA code")
     rows = zip(_writable(p.id.tolist()), p.lon.tolist(), p.lat.tolist(), p.category.tolist())
-    return _csv(TRUTH_HEADER, (f"{i},{x!r},{y!r},{c.label}" for i, x, y, c in rows))
+    return _csv(TRUTH_HEADER, (f"{i},{x!r},{y!r},{labels[c]}" for i, x, y, c in rows))
 
 
 def parse_truth_csv(text: str, source="<csv>") -> GroundTruthPoints:

@@ -58,18 +58,18 @@ def pr_curve(samples: Sequence[MatchedSample]) -> PRCurve:
     unique of the estimates + 0.0 (-0.0 is 0.0); bincounts and exclusive
     cumulative sums count the positives and samples above each, and int64
     counts below 2**53 divide exactly as float64. An estimate that is NaN
-    or outside [0, 100] raises ValueError naming its point.
+    or outside [0, 100], or a label not 0 or 1, raises ValueError naming its point.
     """
     samples = MatchedSamples.of(samples)
     if not samples:
         raise EmptySampleSet("a PR curve needs at least one sample")
-    pct = samples.damage_pct
-    inside = (0.0 <= pct) & (pct <= 100.0)
-    if not inside.all():
-        s = samples[inside.argmin()]
-        raise ValueError(f"sample {s.point_id}: damage_pct must be in "
-                         f"[0, 100], got {s.damage_pct!r}")
-    positive = samples.label == 1
+    pct, positive = samples.damage_pct, samples.label == 1
+    for name, valid, rule in [("damage_pct", (0.0 <= pct) & (pct <= 100.0), "be in [0, 100]"),
+                              ("label", positive | (samples.label == 0), "be 0 or 1")]:
+        if not valid.all():
+            s = samples[valid.argmin()]
+            raise ValueError(f"sample {s.point_id}: {name} must {rule}, "
+                             f"got {getattr(s, name)!r}")
     if not positive.any():
         raise NoPositiveSamples("a PR curve needs at least one positive sample")
     thetas, which = np.unique(np.append(pct + 0.0, [0.0, 100.0]), return_inverse=True)

@@ -239,8 +239,6 @@ def generate(spec: SceneSpec) -> SynthScene:
     codes = category_from_swath(lon, lat, spec)
     if not codes.any():
         raise SwathOutsideScene("no building lies within any damage band")
-    # FemaCategory members in code order, picked per building without a loop.
-    categories = np.array(list(FemaCategory), dtype=object)[codes]
 
     # Raster frame: two cells of margin around every footprint vertex. It
     # must pass the header rules that assess applies when it reads it back.
@@ -295,7 +293,7 @@ def generate(spec: SceneSpec) -> SynthScene:
         k, at = kept[off[0]], (x[off[0]].item(), y[off[0]].item())
         raise ParseError(f"point_jitter_sigma_m {sigma!r} puts point p{k:06d} at "
                          f"(lon, lat) {at}, outside [-180, 180] x [-90, 90]")
-    truth = GroundTruthPoints([f"p{k:06d}" for k in kept.tolist()], x, y, categories[kept])
+    truth = GroundTruthPoints([f"p{k:06d}" for k in kept.tolist()], x, y, codes[kept])
 
     return SynthScene(footprints=footprints, raster=raster, truth=truth,
-                      oracle_categories=dict(zip(ids, categories.tolist())))
+                      oracle_categories=dict(zip(ids, map(FemaCategory, codes.tolist()))))

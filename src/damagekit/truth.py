@@ -58,12 +58,12 @@ class GroundTruthPoint:
 
 class GroundTruthPoints(Columns):
     row = GroundTruthPoint
-    columns = {"id": object, "lon": np.float64, "lat": np.float64, "category": object}
+    columns = {"id": object, "lon": np.float64, "lat": np.float64, "category": np.int64}
     paths = {"lon": "location.lon", "lat": "location.lat"}
 
     def _row(self, i):
         return GroundTruthPoint(self.id[i], GeoPoint(self.lon.item(i), self.lat.item(i)),
-                                self.category[i])
+                                FemaCategory(self.category.item(i)))
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,6 @@ def parse_scheme(text: str, source=None) -> BinaryScheme:
         return BinaryScheme(cats)
     except ValueError as exc:
         raise ParseError(str(exc), source=source) from exc
-
-
-def binarize(category: FemaCategory, scheme: BinaryScheme) -> int:
-    """1 when the category counts as damaged under the scheme, else 0."""
-    return int(category in scheme.damaged)
 
 
 class PointMatch(NamedTuple):
@@ -244,7 +239,7 @@ def join_samples(matched: Sequence[PointMatch], estimates: Sequence[DamageEstima
     estimates = DamageEstimates.of(estimates)
     point_ids, footprint_ids = matched.point_id.tolist(), matched.footprint_id.tolist()
     pct = dict(zip(estimates.footprint_id.tolist(), estimates.damage_pct.tolist()))
-    label = dict(zip(points.id.tolist(), [binarize(c, scheme) for c in points.category]))
+    label = dict(zip(points.id.tolist(), np.isin(points.category, [*scheme.damaged]).tolist()))
     check_unique(estimates.footprint_id, DuplicateFootprintId, "footprint")
     check_unique(points.id, DuplicatePointId, "point")
     check_unique(point_ids, DuplicatePointId, "matched point")

@@ -30,8 +30,7 @@ from damagekit.metrics import PRCurve, PRPoint
 from damagekit.plot import _x, _y
 from damagekit.raster import (_HEADER_RULES, CLASS_DAMAGED, DEFAULT_NODATA,
                               VALID_CLASSES, ClassRaster, _header_value)
-from damagekit.truth import (FemaCategory, GroundTruthPoint, MatchedSample,
-                             PointMatch, binarize)
+from damagekit.truth import FemaCategory, GroundTruthPoint, MatchedSample, PointMatch
 from damagekit.zonal import DamageEstimate
 
 
@@ -410,6 +409,11 @@ def polyline_by_point(points: list[PRPoint]) -> str:
 
 
 # ------------------------------------------------------------------ joins
+
+def binarize(category: FemaCategory, scheme) -> int:
+    """1 when the category counts as damaged under the scheme, else 0."""
+    return int(category in scheme.damaged)
+
 
 def join_samples_by_row(matched: list[PointMatch], estimates: list[DamageEstimate],
                         points: list[GroundTruthPoint], scheme) -> list[MatchedSample]:

@@ -1,12 +1,15 @@
 """The column readers against their row-by-row references in tests/_oracles.py:
 the same result, or the same error type, text and line, on mutated valid
 text; the columnar join against the row-by-row join; the CSV line ends;
-exact count checks in the assessed-properties reader; and the sequence
-protocol that every collection shares with its base, damagekit.columns."""
+exact count checks in the assessed-properties reader; the sequence
+protocol that every collection shares with its base, damagekit.columns; and
+the base's rule for rows: no value that its column's cast would change."""
 
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,8 +21,9 @@ from damagekit.errors import DamageKitError, ParseError, UnknownCategory
 from damagekit.formats import (parse_assessed_geojson, parse_curve_csv, parse_matches_csv,
                                parse_oracle_csv, parse_truth_csv, write_assessed_geojson)
 from damagekit.geom import GeoPoint
-from damagekit.metrics import PRCurve
-from damagekit.truth import (MAJOR_PLUS, FemaCategory, GroundTruthPoint, PointMatch, PointMatches,
+from damagekit.metrics import PRCurve, PRPoint
+from damagekit.truth import (MAJOR_PLUS, FemaCategory, GroundTruthPoint, GroundTruthPoints,
+                             MatchedSample, MatchedSamples, PointMatch, PointMatches,
                              join_samples)
 from damagekit.zonal import DamageEstimate, DamageEstimates
 
@@ -279,3 +283,45 @@ def test_every_collection_keeps_the_shared_protocol(name):
     assert c == rows and rows == c and c == tuple(rows) and tuple(rows) == c
     assert c != rows[::-1] and rows[:2] != c and c != type(c).of(rows[1:])
     assert c != [1, 2, 3] and c != "abc" and c != PRCurve([], [], []) != PointMatches([], [], [])
+
+
+# ----------------------------------------------------- rows into columns
+
+GOOD_ROW = {DamageEstimates: DamageEstimate("ok", 25.0, 4, 1),
+            PointMatches: PointMatch("ok", "b1", 1.0),
+            MatchedSamples: MatchedSample("ok", "b1", 1.0, 1, 25.0),
+            GroundTruthPoints: GroundTruthPoint("ok", GeoPoint(0.0, 0.0), FemaCategory.AFFECTED),
+            PRCurve: PRPoint(50.0, 1.0, 0.5)}
+
+
+@pytest.mark.parametrize("bad, column, text", [
+    (DamageEstimate("x", 0.0, 3.7, 1), "n_inside", "3.7"),
+    (DamageEstimate("x", 0.0, 2**70, 1), "n_inside", str(2**70)),
+    (DamageEstimate("x", 0.0, 1, 0, "no"), "supersampled", "'no'"),
+    (DamageEstimate("x", 0.0, 1, 0, False, 0.5), "no_coverage", "0.5"),
+    (PointMatch("x", "b1", "1.5"), "distance_m", "'1.5'"),
+    (PointMatch("x", "b1", None), "distance_m", "None"),
+    (MatchedSample("x", "b1", 0.0, 0.7, 50.0), "label", "0.7"),
+    (GroundTruthPoint("x", GeoPoint(0.0, 0.0), 2.5), "category", "2.5"),
+    (PRPoint("nan", 1.0, 0.0), "theta", "'nan'"),
+], ids=["fractional-count", "count-past-int64", "text-flag", "fractional-flag",
+        "text-distance", "no-distance", "fractional-label",
+        "fractional-category", "text-nan"])
+def test_of_refuses_a_value_its_column_cast_would_change(bad, column, text):
+    kind = next(kind for kind, row in GOOD_ROW.items() if type(row) is type(bad))
+    with pytest.raises(ValueError, match=f"^{kind.__name__} row 1: {column} {re.escape(text)} "
+                                         "does not survive a cast to "):
+        kind.of([GOOD_ROW[kind], bad])
+
+
+def test_of_keeps_a_value_its_column_cast_leaves_equal():
+    estimates = DamageEstimates.of([
+        DamageEstimate("a", np.float64(25.0), 4.0, np.int64(1), np.bool_(True), 0),
+        DamageEstimate("b", math.nan, 0, 0, False, True)])
+    assert estimates[0] == DamageEstimate("a", 25.0, 4, 1, True, False)
+    assert math.isnan(estimates[1].damage_pct)
+    assert MatchedSamples.of([MatchedSample("p", "b", 0.0, True, 50.0)])[0].label == 1
+    points = GroundTruthPoints.of([GroundTruthPoint("p", GeoPoint(0.0, 0.0), 3)])
+    assert points[0].category is FemaCategory.MAJOR_DAMAGE
+    assert DamageEstimates.of([DamageEstimate("a", 0.0, 3, 1)]) == [DamageEstimate("a", 0.0, 3.0, 1)]
+    assert DamageEstimates.of([DamageEstimate("a", 0.0, 3, 1)]) != [DamageEstimate("a", 0.0, 3.7, 1)]

@@ -631,6 +631,36 @@ def test_the_assessed_writer_refuses_the_counts_its_reader_refuses(n_inside, n_d
         write_assessed_geojson(footprints, [good[0], DamageEstimate("b2", 0.0, n_inside, n_damaged)])
 
 
+@pytest.mark.parametrize("pct", [math.nan, math.inf, -math.inf, -0.5, 100.5])
+def test_the_assessed_writer_refuses_a_damage_pct_outside_the_percent_range(pct):
+    """NaN is not JSON, and round_half_up cannot round an infinity."""
+    footprints = [square_footprint("b1", 0.0, 0.0, 1e-3), square_footprint("b2", 1.0, 0.0, 1e-3)]
+    estimates = [DamageEstimate("b1", 100.0, 1, 1), DamageEstimate("b2", pct, 1, 0)]
+    with pytest.raises(ValueError, match=f"^footprint 'b2' has damage_pct {re.escape(repr(pct))}, "
+                                         r"not in \[0, 100\]$"):
+        write_assessed_geojson(footprints, estimates)
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda: write_assessed_geojson([square_footprint("a", 0.0, 0.0, 1e-3)],
+                                    [DamageEstimate("a", 0.0, 3.7, 1)]), "n_inside 3.7"),
+    (lambda: write_assessed_geojson([square_footprint("a", 0.0, 0.0, 1e-3)],
+                                    [DamageEstimate("a", 0.0, 1, 0, "no")]), "supersampled 'no'"),
+    (lambda: write_matches_csv(["p"], [PointMatch("p", "a", "1.5")], []), "distance_m '1.5'"),
+], ids=["fractional-count", "text-flag", "text-distance"])
+def test_the_writers_refuse_a_value_they_would_write_as_another(write, message):
+    with pytest.raises(ValueError, match=f"row 0: {re.escape(message)} does not survive"):
+        write()
+
+
+@pytest.mark.parametrize("code", [-1, 5])
+def test_the_truth_writer_refuses_a_category_code_no_label_names(code):
+    points = [GroundTruthPoint("p1", GeoPoint(0.0, 0.0), FemaCategory.DESTROYED),
+              GroundTruthPoint("p2", GeoPoint(0.0, 0.0), code)]
+    with pytest.raises(ValueError, match=f"^point 'p2' has category {code}, not a FEMA code$"):
+        write_truth_csv(points)
+
+
 @pytest.mark.parametrize("point_ids, matched, unmatched, bad", [
     (["p1"], [PointMatch("p1", "b1", 1.0), PointMatch("p1", "b2", 2.0)], [], "p1"),
     (["p1"], [PointMatch("p1", "b1", 1.0)], ["p1"], "p1"),

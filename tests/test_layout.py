@@ -1,5 +1,6 @@
 """The package's stated layout: which module owns the containment rule, what
-it imports, and the README's library example, run as written."""
+it imports, which table columns hold objects, and the README's library
+example, run as written."""
 
 import ast
 import re
@@ -86,6 +87,30 @@ def test_the_pixel_pass_and_the_matching_distance_are_defined_in_geom_alone():
 
 def test_formats_imports_no_private_name_of_geom():
     assert [name for name in geom_imports(SOURCES["formats"]) if name.startswith("_")] == []
+
+
+def table_object_columns(tree):
+    """{class: [its columns of dtype object]} of each Columns subclass a module defines."""
+    return {node.name: [key.value for key, dtype in zip(stmt.value.keys, stmt.value.values)
+                        if isinstance(dtype, ast.Name) and dtype.id == "object"]
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Columns" for base in node.bases)
+            for stmt in node.body if isinstance(stmt, ast.Assign)
+            and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["columns"]}
+
+
+def test_every_table_holds_objects_only_in_its_id_columns():
+    """Categories are FEMA codes, labels and counts int64, flags bool: a table
+    between stages holds ids and numbers, and only the ids as objects."""
+    assert {name: columns for tree in SOURCES.values()
+            for name, columns in table_object_columns(tree).items()} == {
+        "FootprintArray": ["ids"], "DamageEstimates": ["footprint_id"],
+        "GroundTruthPoints": ["id"], "PointMatches": ["point_id", "footprint_id"],
+        "MatchedSamples": ["point_id", "footprint_id"], "PRCurve": []}
+
+
+def test_no_module_labels_one_category_at_a_time():
+    assert {module for module, tree in SOURCES.items() if "binarize" in names(tree)} == set()
 
 
 def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -220,6 +220,16 @@ def test_curve_rejects_estimate_outside_percent_range(pct):
         validate(samples, "major_plus")
 
 
+@pytest.mark.parametrize("label", [2, -1])
+def test_curve_rejects_a_label_outside_zero_and_one(label):
+    """validate counts positives as the sum of labels and the curve counts
+    label == 1, so any other label would make the two disagree."""
+    samples = [MatchedSample("p", "a", 0.0, 1, 50.0), MatchedSample("q", "a", 0.0, label, 10.0)]
+    for score in (pr_curve, lambda s: validate(s, "x")):
+        with pytest.raises(ValueError, match=f"^sample q: label must be 0 or 1, got {label}$"):
+            score(samples)
+
+
 def test_out_of_range_estimate_is_rejected_under_optimize(cli_env):
     """The range check is not an assert, so python -O keeps it."""
     code = ("from damagekit.metrics import validate\n"

@@ -324,7 +324,10 @@ def test_default_scene_shape():
     assert ids == sorted(ids)
     assert ids[0] == "b000000" and ids[-1] == "b000899"
     assert [p.id for p in scene.truth] == [f"p{k:06d}" for k in range(900)]
-    # Truth points carry the oracle category of their source footprint.
+    # Truth points carry the oracle category of their source footprint: a
+    # FEMA code in the table, a member in each row and in the oracle.
+    assert scene.truth.category.dtype == np.int64
+    assert {type(c) for c in scene.oracle_categories.values()} == {FemaCategory}
     for point, fp in zip(scene.truth, scene.footprints):
         assert point.category is scene.oracle_categories[fp.id]
 

@@ -19,12 +19,12 @@ from damagekit.errors import (DuplicateFootprintId, DuplicatePointId,
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
                             footprints_from)
 from damagekit.truth import (DESTROYED_ONLY, MAJOR_PLUS, BinaryScheme,
-                             FemaCategory, GroundTruthPoint, PointMatch,
-                             binarize, join_samples, match_points,
+                             FemaCategory, GroundTruthPoint, GroundTruthPoints,
+                             PointMatch, join_samples, match_points,
                              matching_reference_latitude, parse_scheme)
 from damagekit.zonal import DamageEstimate
 
-from _oracles import (brute_force_match, rect_footprint,
+from _oracles import (binarize, brute_force_match, rect_footprint,
                       reference_latitude, square_footprint, vertices)
 
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
@@ -59,6 +59,15 @@ def test_binarize_under_both_presets():
     destroyed_only = [binarize(c, DESTROYED_ONLY) for c in sorted(FemaCategory)]
     assert major_plus == [0, 0, 0, 1, 1]
     assert destroyed_only == [0, 0, 0, 0, 1]
+
+
+def test_points_hold_fema_codes_and_give_members():
+    points = GroundTruthPoints.of([truth_point("p1", 0.0, 0.0, FemaCategory.AFFECTED),
+                                   truth_point("p2", 0.0, 0.0, FemaCategory.DESTROYED)])
+    assert GroundTruthPoints.columns["category"] is np.int64
+    assert points.category.dtype == np.int64 and points.category.tolist() == [1, 4]
+    assert [p.category for p in points] == [FemaCategory.AFFECTED, FemaCategory.DESTROYED]
+    assert points[0].category is FemaCategory.AFFECTED and points[1].category is FemaCategory.DESTROYED
 
 
 def test_scheme_ids_and_parsing():
@@ -124,6 +133,32 @@ def test_exact_tie_breaks_to_smaller_footprint_id():
     for footprints in ([east, west], [west, east]):
         matched, _ = match_points(point, footprints, radius_m=500.0)
         assert matched[0].footprint_id == "aa"
+
+
+def test_a_point_at_exactly_the_radius_is_matched():
+    """The radius is inclusive: a point at its matched distance d is matched
+    at radius d and unmatched at the float just below d, as brute force has it."""
+    footprints = [square_footprint("b1", 0.0, 0.0, 1e-4)]
+    points = [truth_point("p1", 3e-4, 5e-5)]
+    (match,), _ = match_points(points, footprints, radius_m=100.0)
+    d = match.distance_m
+    for radius, matched_ids in [(d, ["p1"]), (math.nextafter(d, 0.0), [])]:
+        matched, unmatched = match_points(points, footprints, radius)
+        assert (list(matched), unmatched) == brute_force_match(points, footprints, radius)
+        assert [m.point_id for m in matched] == matched_ids
+
+
+def test_a_tie_first_seen_in_a_wider_round_goes_to_the_smaller_id():
+    """Two 1e-5 degree boxes mirrored about the point's meridian, 2.8 m away:
+    the first round's 2.2 m cells reach only the east one, and the second
+    round finds the west one at the same distance. Its smaller id wins."""
+    west = square_footprint("a", -3e-5, 0.0, 5e-6)
+    east = square_footprint("b", 3e-5, 0.0, 5e-6)
+    points = [truth_point("p1", 0.0, 0.0)]
+    for footprints in ([west, east], [east, west]):
+        matched, unmatched = match_points(points, footprints, radius_m=20.0)
+        assert (list(matched), unmatched) == brute_force_match(points, footprints, 20.0)
+        assert [m.footprint_id for m in matched] == ["a"]
 
 
 def test_duplicate_ids_are_rejected():
