@@ -29,7 +29,7 @@ import sys
 
 from . import formats, metrics, plot
 from .errors import DamageKitError, ParseError, UnwritableOutput
-from .raster import parse_ascii_grid, write_ascii_grid
+from .raster import ascii_grid_blocks, parse_ascii_grid
 from .synth import SceneSpec, generate
 from .truth import join_samples, match_points, parse_scheme
 from .zonal import assess_all
@@ -69,7 +69,7 @@ def cmd_synth(args) -> int:
     formats.write_text(join(args.out_dir, "footprints.geojson"),
                        formats.write_footprints_geojson(scene.footprints))
     formats.write_text(join(args.out_dir, "raster.asc"),
-                       write_ascii_grid(scene.raster))
+                       ascii_grid_blocks(scene.raster))
     formats.write_text(join(args.out_dir, "truth.csv"),
                        formats.write_truth_csv(scene.truth))
     formats.write_text(join(args.out_dir, "oracle.csv"),

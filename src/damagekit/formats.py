@@ -53,11 +53,11 @@ def read_text(path) -> str:
             source=path, line=line) from None
 
 
-def write_text(path, text: str) -> None:
-    """Write text to the file as UTF-8, newlines untranslated."""
+def write_text(path, text) -> None:
+    """Write text, a str or str pieces, to the file as UTF-8, newlines untranslated."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise UnwritableOutput(path, exc.strerror or exc) from exc
 
@@ -332,10 +332,6 @@ def _csv(header: str, rows) -> str:
 
 def write_truth_csv(points: Sequence[GroundTruthPoint]) -> str:
     p, labels = GroundTruthPoints.of(points), [c.label for c in FemaCategory]  # by code
-    known = (0 <= p.category) & (p.category < len(labels))
-    if not known.all():
-        i = known.argmin()
-        raise ValueError(f"point {p.id[i]!r} has category {p.category[i]}, not a FEMA code")
     rows = zip(_writable(p.id.tolist()), p.lon.tolist(), p.lat.tolist(), p.category.tolist())
     return _csv(TRUTH_HEADER, (f"{i},{x!r},{y!r},{labels[c]}" for i, x, y, c in rows))
 

@@ -1,7 +1,8 @@
 """Esri ASCII grid reader/writer for per-pixel damage classification rasters.
 
 Cell codes: 0 background, 1 intact building, 2 damaged building. Any cell may
-also hold the nodata code (default -1), any other 32-bit integer. Row 0 is the
+also hold the nodata code (default -1), any other 32-bit integer; the reader
+stores cells as the first of int8, int16 and int32 that holds it. Row 0 is the
 northernmost row. geom.inside_pixels, not this module, finds footprints' pixels.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,21 +26,21 @@ DEFAULT_NODATA = -1
 
 # Raster text is read and written in blocks of about this many characters:
 # a row of ncols cells takes about 2 * ncols.
-_BLOCK_CHARS = 2**16
+_BLOCK_CHARS = 2**15
 
-# Byte kinds of the block reader: the writer's one-byte cells, "n" standing
-# for nodata, and its separators. A byte of kind 0 sends its block to the
-# line loop.
+# Byte tables of the block reader, for bytes.translate: each byte's kind (the
+# writer's one-byte cells, "n" standing for nodata, and its separators; a byte
+# of kind 0 sends its block to the line loop), and each cell byte's code.
 _CELL, _SEPARATOR = 1, 2
 _BYTE_KIND = np.zeros(256, dtype=np.uint8)
 _BYTE_KIND[[ord("0"), ord("1"), ord("2"), ord("n")]] = _CELL
 _BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
-_ZERO = ord("0")
+_CELL_CODE = bytes.maketrans(b"012n", b"\0\1\2\3")
 
 # Header keys in canonical order, each with its type, its rule and the rule
 # in words; every key but the last, nodata_value, is required. ClassRaster's
-# first six fields follow the same order and obey the same rules. Cells are
-# int32, so the nodata code must fit one.
+# first six fields follow the same order and obey the same rules. The widest
+# cell type is int32, so the nodata code must fit one.
 _HEADER_RULES = {
     "ncols": (int, lambda v: 0 < v < 2**31, "in (0, 2**31)"),
     "nrows": (int, lambda v: 0 < v < 2**31, "in (0, 2**31)"),
@@ -54,8 +56,8 @@ _HEADER_RULES = {
 class ClassRaster:
     """A classification raster with its georeferencing header.
 
-    cells is a (nrows, ncols) integer array in row-major order with row 0
-    at the northern edge. Treat instances as immutable once built.
+    cells is a (nrows, ncols) array of any integer type in row-major order
+    with row 0 at the northern edge. Treat instances as immutable once built.
     """
 
     ncols: int
@@ -79,12 +81,16 @@ class ClassRaster:
             raise ValueError(
                 f"cells shape {cells.shape} does not match "
                 f"(nrows, ncols)=({self.nrows}, {self.ncols})")
-        bad = (((cells < CLASS_BACKGROUND) | (cells > CLASS_DAMAGED))
-               & (cells != self.nodata))
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise ValueError(
-                f"cell ({row}, {col}) holds invalid class code {cells[row, col]}")
+        if cells.min() < CLASS_BACKGROUND or cells.max() > CLASS_DAMAGED:  # masks by blocks
+            rows = _rows_per_block(self.ncols)
+            for start in range(0, self.nrows, rows):
+                block = cells[start:start + rows]
+                bad = (((block < CLASS_BACKGROUND) | (block > CLASS_DAMAGED))
+                       & (block != self.nodata))
+                if bad.any():
+                    row, col = np.argwhere(bad)[0]
+                    raise ValueError(f"cell ({start + row}, {col}) holds invalid "
+                                     f"class code {block[row, col]}")
         self.cells = cells
 
     @property
@@ -114,55 +120,74 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
     ncols, nrows, xllcorner, yllcorner, cellsize, then an optional
     nodata_value, a 32-bit integer outside {0, 1, 2}. The body must hold
     exactly ncols*nrows integer cells, each in {0, 1, 2} or equal to the
-    nodata code, in any spelling int() accepts.
+    nodata code, in any spelling int() accepts; cells take _cell_dtype(nodata).
 
     Blocks of body lines in write_ascii_grid()'s spelling are converted with
     numpy; any other block is read by a line loop with int(), which raises
     the error at its line.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     header = {"nodata_value": DEFAULT_NODATA}
-    line_idx = 0
+    line_no, line = 0, ""  # the last line read, "" once used, None past the end
     for key in _HEADER_RULES:
         # Skip blank lines between header entries.
-        while line_idx < len(lines) and not lines[line_idx].split():
-            line_idx += 1
-        tokens = lines[line_idx].split() if line_idx < len(lines) else [""]
+        while line is not None and not line.split():
+            line = next(lines, None)
+            line_no += line is not None
+        tokens = line.split() if line is not None else [""]
         if key == "nodata_value" and tokens[0].lower() != key:
             break  # the optional key is absent
-        if line_idx >= len(lines):
+        if line is None:
             raise MissingHeaderKey(f"missing header key {key}",
-                                   source=source, line=len(lines) or 1)
+                                   source=source, line=line_no or 1)
         if tokens[0].lower() != key or len(tokens) != 2:
             raise MissingHeaderKey(
-                f"expected header line '{key} <value>', got {lines[line_idx]!r}",
-                source=source, line=line_idx + 1)
-        header[key] = _header_value(key, tokens[1], line_idx + 1, source)
-        line_idx += 1
+                f"expected header line '{key} <value>', got {line!r}",
+                source=source, line=line_no)
+        header[key] = _header_value(key, tokens[1], line_no, source)
+        line = ""
+    if line:  # the line after the header starts the body
+        lines = chain([line], lines)
+        line_no -= 1
 
     nodata = header["nodata_value"]
     expected = header["ncols"] * header["nrows"]
     # n cells take at least 2n - 1 characters, so the text bounds the output
     # where a huge declared size would not. Every cell that passes the class
-    # check fits int32.
-    cells = np.empty(min(expected, (len(text) + 1) // 2), dtype=np.int32)
+    # check fits the nodata code's type.
+    cells = np.empty(min(expected, (len(text) + 1) // 2), dtype=_cell_dtype(nodata))
     count = 0
     rows = _rows_per_block(header["ncols"])
-    for first in range(line_idx, len(lines), rows):
-        block = lines[first:first + rows]
+    while block := list(islice(lines, rows)):
         values = _block_cells(block, nodata)
         if values is None or count + len(values) > expected:
-            values = _line_cells(block, first, count, expected, nodata, source)
+            values = _line_cells(block, line_no, count, expected, nodata, source)
         cells[count:count + len(values)] = values
         count += len(values)
+        line_no += len(block)
     if count != expected:
         raise CellCountMismatch(
             f"expected {expected} cells, found {count}",
-            source=source, line=len(lines) or 1)
-    del lines  # as large as the text, and ClassRaster's check needs room
+            source=source, line=line_no or 1)
 
     return ClassRaster(*(header[key] for key in _HEADER_RULES),
                        cells=cells.reshape(-1, header["ncols"]))
+
+
+def _cell_dtype(nodata):
+    """The first of int8, int16 and int32 whose range holds the nodata code."""
+    return next(t for t in (np.int8, np.int16, np.int32)
+                if np.iinfo(t).min <= nodata <= np.iinfo(t).max)
+
+
+def _lines(text):
+    """text.splitlines(), split in pieces of about _BLOCK_CHARS characters
+    that end just after a line feed, which ends any line break it is in."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _rows_per_block(ncols):
@@ -171,9 +196,9 @@ def _rows_per_block(ncols):
 
 
 def _block_cells(lines, nodata):
-    """The cells of some body lines as an int64 array, or None when the line
-    loop must parse them: anything but the writer's spelling, one-byte class
-    codes and str(nodata) between blanks and tabs, one cell per token."""
+    """The cells of some body lines in _cell_dtype(nodata), or None when the
+    line loop must parse them: anything but the writer's spelling, one-byte
+    class codes and str(nodata) between blanks and tabs, one cell per token."""
     block = "\n".join(lines)
     if "n" in block:
         return None
@@ -181,13 +206,15 @@ def _block_cells(lines, nodata):
         raw = block.replace(str(nodata), "n").encode("ascii")
     except UnicodeEncodeError:
         return None
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    kind = _BYTE_KIND.take(codes)  # take and compress: faster than indexing
+    # translate, not take and compress: they make 8-byte indices per byte.
+    kind = np.frombuffer(raw.translate(_BYTE_KIND), dtype=np.uint8)
     cell = kind == _CELL
     if not kind.all() or (cell[:-1] & cell[1:]).any():
         return None
-    codes = codes.compress(cell).astype(np.int64)
-    return np.where(codes == ord("n"), nodata, codes - _ZERO)
+    codes = np.frombuffer(raw.translate(_CELL_CODE, b" \t\n"), dtype=np.uint8)
+    values = codes.astype(_cell_dtype(nodata))
+    values[codes == 3] = nodata
+    return values
 
 
 def _line_cells(lines, first, count, expected, nodata, source):
@@ -219,21 +246,25 @@ def write_ascii_grid(raster: ClassRaster) -> str:
     Lowercase header keys in canonical order, one raster row per line,
     LF line endings. parse_ascii_grid() round-trips the result exactly.
     """
+    return "".join(ascii_grid_blocks(raster))
+
+
+def ascii_grid_blocks(raster: ClassRaster):
+    """write_ascii_grid()'s text as the header, then blocks of rows of about
+    _BLOCK_CHARS characters, so a writer need not hold the whole."""
     # ClassRaster holds each header value as a Python int or float.
-    out = [f"{key} {value!r}"
-           for key, value in zip(_HEADER_RULES, (*raster.frame, raster.nodata))]
+    yield "".join(f"{key} {value!r}\n"
+                  for key, value in zip(_HEADER_RULES, (*raster.frame, raster.nodata)))
     # Every cell is a one-digit class code or nodata, so a block of rows is
     # one byte array of code and blank pairs; nodata is written as "n" there
     # and then spelled out.
     nodata = str(raster.nodata)
     rows = _rows_per_block(raster.ncols)
-    body = []
     for start in range(0, raster.nrows, rows):
         block = raster.cells[start:start + rows]
         chars = np.empty((len(block), 2 * raster.ncols), dtype=np.uint8)
-        np.add(block, _ZERO, out=chars[:, 0::2], casting="unsafe")
+        np.add(block, ord("0"), out=chars[:, 0::2], casting="unsafe")
         chars[:, 0::2][block == raster.nodata] = ord("n")
         chars[:, 1::2] = ord(" ")
         chars[:, -1] = ord("\n")
-        body.append(chars.tobytes().decode("ascii").replace("n", nodata))
-    return "".join(["\n".join(out) + "\n", *body])
+        yield chars.tobytes().decode("ascii").replace("n", nodata)

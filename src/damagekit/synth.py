@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParseError, SwathOutsideScene
 from .geom import EARTH_RADIUS_M, FootprintArray, GeoPoint, footprints_from, inside_pixels
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     DEFAULT_NODATA, _HEADER_RULES, ClassRaster)
+                     DEFAULT_NODATA, _HEADER_RULES, ClassRaster, _cell_dtype)
 from .truth import FemaCategory, GroundTruthPoints
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -36,7 +36,7 @@ _MASK64 = (1 << 64) - 1
 _TWO_64 = 2.0 ** 64
 _NOISE_BLOCK = 2**18  # raster cells noised per block of draws
 # Scene size caps: 41 times survey-dense's 6,400 buildings, and 18 times
-# scene-fine's 3.74M cells (256 MiB of int32 cells).
+# scene-fine's 3.74M cells (64 MiB of int8 cells).
 _MAX_BUILDINGS = 2**18
 _MAX_CELLS = 2**26
 
@@ -253,9 +253,9 @@ def generate(spec: SceneSpec) -> SynthScene:
                              f"{value!r}, not {wanted}")
     ncols, nrows = map(int, sizes)
 
-    # Paint a bare array; ClassRaster then validates the finished cells once.
+    # Paint bare cells of the reader's type; ClassRaster then validates them once.
     try:
-        cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int32)
+        cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=_cell_dtype(DEFAULT_NODATA))
     except MemoryError as exc:
         raise ParseError(f"cellsize_m {spec.cellsize_m!r} gives a {ncols}x{nrows} "
                          "raster, too large to allocate") from exc

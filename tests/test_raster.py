@@ -1,5 +1,6 @@
 """ASCII grid parsing/writing, georeferencing, and the failure modes."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,9 @@ from damagekit import raster as raster_module
 from damagekit.errors import (CellCountMismatch, InvalidClassCode,
                               MissingHeaderKey, NonIntegerCell, ParseError)
 from damagekit.geom import Footprint, GeoPoint, Ring, _centres, contains, inside_pixels
-from damagekit.raster import (DEFAULT_NODATA, ClassRaster, parse_ascii_grid,
-                              write_ascii_grid)
+from damagekit.formats import write_text
+from damagekit.raster import (DEFAULT_NODATA, ClassRaster, ascii_grid_blocks,
+                              parse_ascii_grid, write_ascii_grid)
 
 from _oracles import square_footprint
 
@@ -38,7 +40,7 @@ def test_parse_basic_grid():
     assert raster.yll == 20.0
     assert raster.cellsize == 0.5
     assert raster.nodata == -1
-    assert raster.cells.dtype == np.int32
+    assert raster.cells.dtype == np.int8
     assert raster.cells.tolist() == [[0, 1, 2, 0], [1, 1, 2, 2], [0, 0, -1, 1]]
 
 
@@ -103,6 +105,18 @@ def test_parse_accepts_nodata_at_the_int32_limits(code):
     assert raster.nodata == code
     assert raster.cells[2, 2] == code
     assert write_ascii_grid(raster) == FIXTURE.replace("-1", str(code))
+
+
+@pytest.mark.parametrize("code, dtype", [
+    (-128, np.int8), (-1, np.int8), (127, np.int8),
+    (-129, np.int16), (128, np.int16), (200, np.int16), (-32768, np.int16),
+    (32768, np.int32), (100000, np.int32), (-2**31, np.int32), (2**31 - 1, np.int32)])
+def test_cells_take_the_narrowest_type_that_holds_nodata(code, dtype):
+    # Not np.promote_types(np.int8, np.min_scalar_type(code)): that gives
+    # int16 for 127 and int64 for 100000 and 2**31 - 1.
+    raster = parse_ascii_grid(FIXTURE.replace("-1", str(code)))
+    assert raster.cells.dtype == dtype
+    assert raster.cells[2, 2] == code
 
 
 @pytest.mark.parametrize("ncols, nrows", [("100000", "100000"),
@@ -389,7 +403,13 @@ def outcome(parse, text):
         raster = parse(text, source="g.asc")
     except ParseError as exc:
         return type(exc), str(exc)
-    return raster.frame, raster.nodata, raster.cells.dtype, raster.cells.tolist()
+    return raster.frame, raster.nodata, raster.cells.tolist()
+
+
+def narrowest_holding(nodata):
+    """The first of int8, int16 and int32 whose range holds nodata."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32)
+                if np.iinfo(t).min <= nodata <= np.iinfo(t).max)
 
 
 @st.composite
@@ -432,8 +452,17 @@ def one_row(cells, nodata):
 @example(text="ncols 4\nnrows 3\n\n", block_chars=40)  # ends before xllcorner
 def test_block_parser_agrees_with_the_reference(text, block_chars):
     with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
-        assert outcome(parse_ascii_grid, text) == outcome(
-            _oracles.parse_ascii_grid, text)
+        got = outcome(parse_ascii_grid, text)
+        assert got == outcome(_oracles.parse_ascii_grid, text)
+    if isinstance(got[0], tuple):  # a raster's frame, not an error's type
+        assert parse_ascii_grid(text).cells.dtype == narrowest_holding(got[1])
+
+
+@given(text=st.text(alphabet="ab \n\r\x0b\x1c\x85\u2028", max_size=40),
+       block_chars=st.integers(1, 8))
+def test_the_reader_cuts_the_text_into_exactly_its_lines(text, block_chars):
+    with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
+        assert list(raster_module._lines(text)) == text.splitlines()
 
 
 @pytest.mark.parametrize("line", [7, 9, 12], ids=["first", "middle", "last"])
@@ -466,9 +495,13 @@ def test_the_writers_bytes_never_reach_the_line_loop(nodata):
 @st.composite
 def rasters(draw):
     ncols, nrows = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    nodata = draw(st.sampled_from(NODATA_CODES + [200]))
+    # At nodata 127 and -128, block + ord("0") wraps in int8 before the
+    # writer overwrites nodata with "n".
+    nodata = draw(st.sampled_from(NODATA_CODES + [200, 127, -128]))
+    narrow = [t for t in (np.int8, np.int16)
+              if np.iinfo(t).min <= nodata <= np.iinfo(t).max]
     dtype = draw(st.sampled_from(
-        [np.int32, np.int64] + ([np.uint8] if 0 < nodata < 256 else [])))
+        [np.int32, np.int64] + narrow + ([np.uint8] if 0 < nodata < 256 else [])))
     cells = draw(st.lists(st.sampled_from([0, 1, 2, nodata]),
                           min_size=ncols * nrows, max_size=ncols * nrows))
     return ClassRaster(ncols=ncols, nrows=nrows, xll=-90.5, yll=32.25,
@@ -483,3 +516,39 @@ def test_row_writer_matches_the_reference_byte_for_byte(raster, block_chars):
         text = write_ascii_grid(raster)
     assert text == _oracles.write_ascii_grid(raster)
     assert np.array_equal(parse_ascii_grid(text).cells, raster.cells)
+
+
+# ------------------------------------------------------------------ memory
+
+def million_cells():
+    """A 1,000 x 1,000 raster, a quarter of its cells nodata."""
+    cells = np.random.default_rng(5).choice(np.array([0, 1, 2, -1], dtype=np.int8),
+                                            size=(1000, 1000))
+    return ClassRaster(ncols=1000, nrows=1000, xll=0.0, yll=0.0, cellsize=1.0,
+                       nodata=-1, cells=cells)
+
+
+def test_the_reader_holds_little_beyond_its_text_and_one_byte_cells():
+    raster = million_cells()
+    text = write_ascii_grid(raster)
+    tracemalloc.start()  # traces what is allocated from here on: not the text
+    try:
+        again = parse_ascii_grid(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.cells, raster.cells)
+    assert peak <= 1.5 * raster.cells.size
+
+
+def test_the_streamed_writer_holds_little_beyond_the_cells(tmp_path):
+    raster = million_cells()
+    path = tmp_path / "raster.asc"
+    tracemalloc.start()
+    try:
+        write_text(path, ascii_grid_blocks(raster))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == write_ascii_grid(raster)
+    assert peak <= 0.5 * raster.cells.size

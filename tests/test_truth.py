@@ -70,6 +70,16 @@ def test_points_hold_fema_codes_and_give_members():
     assert points[0].category is FemaCategory.AFFECTED and points[1].category is FemaCategory.DESTROYED
 
 
+@pytest.mark.parametrize("code", [-1, 5, 7, 2**40])
+def test_a_table_holds_only_fema_codes_from_rows_or_arrays(code):
+    rows = [truth_point("p1", 0.0, 0.0), truth_point("p2", 0.0, 0.0, code)]
+    with pytest.raises(ValueError, match=f"^point 'p2' has category {code}, not a FEMA code$"):
+        GroundTruthPoints.of(rows)
+    with pytest.raises(ValueError, match=f"^point 'p2' has category {code}, not a FEMA code$"):
+        GroundTruthPoints(["p1", "p2"], [0.0, 0.0], [0.0, 0.0], [4, code])
+    assert GroundTruthPoints.of(rows[:1])[0].category is FemaCategory.DESTROYED
+
+
 def test_scheme_ids_and_parsing():
     assert MAJOR_PLUS.id == "major_plus"
     assert DESTROYED_ONLY.id == "destroyed_only"
@@ -435,6 +445,16 @@ def test_join_samples_builds_labelled_rows():
     assert [(s.point_id, s.footprint_id, s.label, s.damage_pct)
             for s in samples] == [("p1", "b1", 1, 40.0), ("p2", "b2", 0, 0.0)]
     assert samples[0].distance_m == 3.5
+
+
+@pytest.mark.parametrize("code", [-1, 5, 7])
+def test_join_samples_refuses_a_point_whose_category_is_not_a_fema_code(code):
+    matched = [PointMatch("p", "b1", 0.0)]
+    estimates = [DamageEstimate("b1", 50.0, 2, 1)]
+    points = [GroundTruthPoint("p", GeoPoint(0, 0), code)]
+    for scheme in (MAJOR_PLUS, DESTROYED_ONLY):
+        with pytest.raises(ValueError, match=f"^point 'p' has category {code}, not a FEMA code$"):
+            join_samples(matched, estimates, points, scheme)
 
 
 def test_join_samples_requires_estimates_and_points():
