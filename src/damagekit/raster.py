@@ -9,6 +9,7 @@ northernmost row. geom.inside_pixels, not this module, finds footprints' pixels.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 
@@ -26,16 +27,16 @@ DEFAULT_NODATA = -1
 
 # Raster text is read and written in blocks of about this many characters:
 # a row of ncols cells takes about 2 * ncols.
-_BLOCK_CHARS = 2**15
+_BLOCK_CHARS = 2**16
 
-# Byte tables of the block reader, for bytes.translate: each byte's kind (the
-# writer's one-byte cells, "n" standing for nodata, and its separators; a byte
-# of kind 0 sends its block to the line loop), and each cell byte's code.
+# Byte kinds of the block reader: the writer's one-byte cells, "n" standing
+# for nodata, and its separators. A byte of kind 0 sends its block to the
+# line loop.
 _CELL, _SEPARATOR = 1, 2
 _BYTE_KIND = np.zeros(256, dtype=np.uint8)
 _BYTE_KIND[[ord("0"), ord("1"), ord("2"), ord("n")]] = _CELL
 _BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
-_CELL_CODE = bytes.maketrans(b"012n", b"\0\1\2\3")
+_ZERO = ord("0")
 
 # Header keys in canonical order, each with its type, its rule and the rule
 # in words; every key but the last, nodata_value, is required. ClassRaster's
@@ -81,16 +82,13 @@ class ClassRaster:
             raise ValueError(
                 f"cells shape {cells.shape} does not match "
                 f"(nrows, ncols)=({self.nrows}, {self.ncols})")
-        if cells.min() < CLASS_BACKGROUND or cells.max() > CLASS_DAMAGED:  # masks by blocks
-            rows = _rows_per_block(self.ncols)
-            for start in range(0, self.nrows, rows):
-                block = cells[start:start + rows]
-                bad = (((block < CLASS_BACKGROUND) | (block > CLASS_DAMAGED))
-                       & (block != self.nodata))
-                if bad.any():
-                    row, col = np.argwhere(bad)[0]
-                    raise ValueError(f"cell ({start + row}, {col}) holds invalid "
-                                     f"class code {block[row, col]}")
+        if cells.min() < CLASS_BACKGROUND or cells.max() > CLASS_DAMAGED:  # masks only then
+            bad = (((cells < CLASS_BACKGROUND) | (cells > CLASS_DAMAGED))
+                   & (cells != self.nodata))
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"cell ({row}, {col}) holds invalid class code {cells[row, col]}")
         self.cells = cells
 
     @property
@@ -120,7 +118,7 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
     ncols, nrows, xllcorner, yllcorner, cellsize, then an optional
     nodata_value, a 32-bit integer outside {0, 1, 2}. The body must hold
     exactly ncols*nrows integer cells, each in {0, 1, 2} or equal to the
-    nodata code, in any spelling int() accepts; cells take _cell_dtype(nodata).
+    nodata code, in any spelling int() accepts.
 
     Blocks of body lines in write_ascii_grid()'s spelling are converted with
     numpy; any other block is read by a line loop with int(), which raises
@@ -153,9 +151,10 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
     nodata = header["nodata_value"]
     expected = header["ncols"] * header["nrows"]
     # n cells take at least 2n - 1 characters, so the text bounds the output
-    # where a huge declared size would not. Every cell that passes the class
-    # check fits the nodata code's type.
-    cells = np.empty(min(expected, (len(text) + 1) // 2), dtype=_cell_dtype(nodata))
+    # where a huge declared size would not. Cells take the first of int8, int16
+    # and int32 that holds nodata, as ~nodata = -nodata - 1 needs the same one.
+    cells = np.empty(min(expected, (len(text) + 1) // 2),
+                     dtype=np.min_scalar_type(min(nodata, ~nodata)))
     count = 0
     rows = _rows_per_block(header["ncols"])
     while block := list(islice(lines, rows)):
@@ -174,18 +173,13 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
                        cells=cells.reshape(-1, header["ncols"]))
 
 
-def _cell_dtype(nodata):
-    """The first of int8, int16 and int32 whose range holds the nodata code."""
-    return next(t for t in (np.int8, np.int16, np.int32)
-                if np.iinfo(t).min <= nodata <= np.iinfo(t).max)
-
-
 def _lines(text):
     """text.splitlines(), split in pieces of about _BLOCK_CHARS characters
-    that end just after a line feed, which ends any line break it is in."""
-    start = 0
+    that each end just after a line break, a CR LF pair kept whole."""
+    start, breaks = 0, re.compile("\r\n?|[\n\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
     while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        brk = breaks.search(text, start + _BLOCK_CHARS)
+        end = brk.end() if brk else len(text)
         yield from text[start:end].splitlines()
         start = end
 
@@ -196,9 +190,9 @@ def _rows_per_block(ncols):
 
 
 def _block_cells(lines, nodata):
-    """The cells of some body lines in _cell_dtype(nodata), or None when the
-    line loop must parse them: anything but the writer's spelling, one-byte
-    class codes and str(nodata) between blanks and tabs, one cell per token."""
+    """The cells of some body lines as an int64 array, or None when the line
+    loop must parse them: anything but the writer's spelling, one-byte class
+    codes and str(nodata) between blanks and tabs, one cell per token."""
     block = "\n".join(lines)
     if "n" in block:
         return None
@@ -206,15 +200,13 @@ def _block_cells(lines, nodata):
         raw = block.replace(str(nodata), "n").encode("ascii")
     except UnicodeEncodeError:
         return None
-    # translate, not take and compress: they make 8-byte indices per byte.
-    kind = np.frombuffer(raw.translate(_BYTE_KIND), dtype=np.uint8)
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    kind = _BYTE_KIND.take(codes)  # take and compress: faster than indexing
     cell = kind == _CELL
     if not kind.all() or (cell[:-1] & cell[1:]).any():
         return None
-    codes = np.frombuffer(raw.translate(_CELL_CODE, b" \t\n"), dtype=np.uint8)
-    values = codes.astype(_cell_dtype(nodata))
-    values[codes == 3] = nodata
-    return values
+    codes = codes.compress(cell).astype(np.int64)
+    return np.where(codes == ord("n"), nodata, codes - _ZERO)
 
 
 def _line_cells(lines, first, count, expected, nodata, source):
@@ -250,8 +242,7 @@ def write_ascii_grid(raster: ClassRaster) -> str:
 
 
 def ascii_grid_blocks(raster: ClassRaster):
-    """write_ascii_grid()'s text as the header, then blocks of rows of about
-    _BLOCK_CHARS characters, so a writer need not hold the whole."""
+    """write_ascii_grid()'s text in pieces: the header, then blocks of rows."""
     # ClassRaster holds each header value as a Python int or float.
     yield "".join(f"{key} {value!r}\n"
                   for key, value in zip(_HEADER_RULES, (*raster.frame, raster.nodata)))
@@ -263,7 +254,7 @@ def ascii_grid_blocks(raster: ClassRaster):
     for start in range(0, raster.nrows, rows):
         block = raster.cells[start:start + rows]
         chars = np.empty((len(block), 2 * raster.ncols), dtype=np.uint8)
-        np.add(block, ord("0"), out=chars[:, 0::2], casting="unsafe")
+        np.add(block, _ZERO, out=chars[:, 0::2], casting="unsafe")
         chars[:, 0::2][block == raster.nodata] = ord("n")
         chars[:, 1::2] = ord(" ")
         chars[:, -1] = ord("\n")

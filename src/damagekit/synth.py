@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParseError, SwathOutsideScene
 from .geom import EARTH_RADIUS_M, FootprintArray, GeoPoint, footprints_from, inside_pixels
 from .raster import (CLASS_BACKGROUND, CLASS_BUILDING, CLASS_DAMAGED,
-                     DEFAULT_NODATA, _HEADER_RULES, ClassRaster, _cell_dtype)
+                     DEFAULT_NODATA, _HEADER_RULES, ClassRaster)
 from .truth import FemaCategory, GroundTruthPoints
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -253,9 +253,9 @@ def generate(spec: SceneSpec) -> SynthScene:
                              f"{value!r}, not {wanted}")
     ncols, nrows = map(int, sizes)
 
-    # Paint bare cells of the reader's type; ClassRaster then validates them once.
+    # Paint bare int8 cells, the reader's type; ClassRaster then validates them once.
     try:
-        cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=_cell_dtype(DEFAULT_NODATA))
+        cells = np.full((nrows, ncols), CLASS_BACKGROUND, dtype=np.int8)
     except MemoryError as exc:
         raise ParseError(f"cellsize_m {spec.cellsize_m!r} gives a {ncols}x{nrows} "
                          "raster, too large to allocate") from exc

@@ -63,10 +63,10 @@ class GroundTruthPoints(Columns):
 
     def __init__(self, *columns, copy=True):  # ValueError names a category not 0-4
         super().__init__(*columns, copy=copy)
-        bad = np.flatnonzero((self.category < 0) | (self.category >= len(FemaCategory)))
-        if bad.size:
-            raise ValueError(f"point {self.id[bad[0]]!r} has category "
-                             f"{self.category[bad[0]]}, not a FEMA code")
+        if (bad := (self.category < 0) | (self.category >= len(FemaCategory))).any():
+            i = bad.argmax()
+            raise ValueError(f"point {self.id[i]!r} has category {self.category[i]}, "
+                             "not a FEMA code")
 
     def _row(self, i):
         return GroundTruthPoint(self.id[i], GeoPoint(self.lon.item(i), self.lat.item(i)),

@@ -458,8 +458,10 @@ def test_block_parser_agrees_with_the_reference(text, block_chars):
         assert parse_ascii_grid(text).cells.dtype == narrowest_holding(got[1])
 
 
-@given(text=st.text(alphabet="ab \n\r\x0b\x1c\x85\u2028", max_size=40),
+@given(text=st.text(alphabet="ab \n\r\x0b\x0c\x1c\x1e\x85\u2028\u2029", max_size=40),
        block_chars=st.integers(1, 8))
+@example(text="ab\rb\r\rab\r", block_chars=1)  # CR ends only
+@example(text="ab\r\nb\r\n", block_chars=2)  # a cut lands inside a CR LF pair
 def test_the_reader_cuts_the_text_into_exactly_its_lines(text, block_chars):
     with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
         assert list(raster_module._lines(text)) == text.splitlines()
@@ -520,17 +522,18 @@ def test_row_writer_matches_the_reference_byte_for_byte(raster, block_chars):
 
 # ------------------------------------------------------------------ memory
 
-def million_cells():
-    """A 1,000 x 1,000 raster, a quarter of its cells nodata."""
-    cells = np.random.default_rng(5).choice(np.array([0, 1, 2, -1], dtype=np.int8),
-                                            size=(1000, 1000))
-    return ClassRaster(ncols=1000, nrows=1000, xll=0.0, yll=0.0, cellsize=1.0,
+def class_cells(nrows):
+    """An nrows x 1,000 raster of class codes and no nodata, like synth's."""
+    cells = np.random.default_rng(5).choice(np.array([0, 1, 2], dtype=np.int8),
+                                            size=(nrows, 1000), p=[0.8, 0.1, 0.1])
+    return ClassRaster(ncols=1000, nrows=nrows, xll=0.0, yll=0.0, cellsize=1.0,
                        nodata=-1, cells=cells)
 
 
-def test_the_reader_holds_little_beyond_its_text_and_one_byte_cells():
-    raster = million_cells()
-    text = write_ascii_grid(raster)
+def reader_peak(raster, line_end):
+    """parse_ascii_grid()'s traced peak beyond its text: the raster's grid
+    text with line_end for every line feed."""
+    text = write_ascii_grid(raster).replace("\n", line_end)
     tracemalloc.start()  # traces what is allocated from here on: not the text
     try:
         again = parse_ascii_grid(text)
@@ -538,11 +541,20 @@ def test_the_reader_holds_little_beyond_its_text_and_one_byte_cells():
     finally:
         tracemalloc.stop()
     assert np.array_equal(again.cells, raster.cells)
-    assert peak <= 1.5 * raster.cells.size
+    return peak
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_the_reader_holds_little_per_cell_beyond_its_text(line_end):
+    # Per cell, as the peak grows with the raster: the block temporaries, about
+    # 1.4 MB at 64 KiB blocks, do not. A list of every line would add 2 B/cell.
+    small, large = class_cells(1000), class_cells(2000)
+    growth = reader_peak(large, line_end) - reader_peak(small, line_end)
+    assert growth <= 1.5 * (large.cells.size - small.cells.size)
 
 
 def test_the_streamed_writer_holds_little_beyond_the_cells(tmp_path):
-    raster = million_cells()
+    raster = class_cells(1000)
     path = tmp_path / "raster.asc"
     tracemalloc.start()
     try:
