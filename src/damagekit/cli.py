@@ -29,7 +29,7 @@ import sys
 
 from . import formats, metrics, plot
 from .errors import DamageKitError, ParseError, UnwritableOutput
-from .raster import ascii_grid_blocks, parse_ascii_grid
+from .raster import ascii_grid_blocks
 from .synth import SceneSpec, generate
 from .truth import join_samples, match_points, parse_scheme
 from .zonal import assess_all
@@ -83,8 +83,7 @@ def cmd_synth(args) -> int:
 def cmd_assess(args) -> int:
     footprints, properties = formats.parse_footprints_with_properties(
         formats.read_text(args.footprints), source=args.footprints)
-    raster = parse_ascii_grid(formats.read_text(args.raster),
-                              source=args.raster)
+    raster = formats.load_raster(args.raster)
     estimates = assess_all(raster, footprints)
     _emit(formats.write_assessed_geojson(footprints, estimates, properties),
           args.out)

@@ -1,4 +1,4 @@
-"""File formats: GeoJSON footprints, CSV tables, and the report JSON.
+"""File formats: GeoJSON footprints, CSV tables, the report JSON and raster file loading.
 
 Writers emit canonical bytes (LF endings, fixed key order, repr floats) so
 identical inputs always serialise identically. Readers raise ParseError with
@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
+from contextlib import suppress
 from decimal import ROUND_HALF_UP, Decimal
 from collections.abc import Sequence
 from itertools import chain, compress, islice, repeat
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import ParseError, UnwritableOutput
 from .geom import Footprint, FootprintArray, GeoPoint, footprint_of, footprints_from
 from .metrics import PRCurve, ValidationReport
+from .raster import ClassRaster, ascii_grid_from, parse_ascii_grid
 from .truth import FemaCategory, GroundTruthPoint, GroundTruthPoints, PointMatch, PointMatches
 from .zonal import DamageEstimate, DamageEstimates
 
@@ -34,6 +37,7 @@ CURVE_HEADER = ",".join(PRCurve.columns)
 ORACLE_HEADER = "footprint_id,category"
 
 _ID = re.compile(r"[A-Za-z0-9_-]+")
+_READ_CHARS = 2**16  # the characters load_raster reads at a time
 
 
 def read_text(path) -> str:
@@ -51,6 +55,19 @@ def read_text(path) -> str:
         raise ParseError(
             f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
             source=path, line=line) from None
+
+
+def load_raster(path) -> ClassRaster:
+    """parse_ascii_grid(read_text(path), path), read from a regular file in
+    pieces. Any other file, such as a pipe, is read whole; so is a regular
+    file after a fault (a bad raster, an I/O error, or a ValueError: a byte
+    that is not UTF-8, or a file grown past its size), and that read decides
+    the error."""
+    if os.path.isfile(path):
+        with suppress(ParseError, OSError, ValueError), open(path, encoding="utf-8") as handle:
+            pieces = iter(lambda: handle.read(_READ_CHARS), "")
+            return ascii_grid_from(pieces, os.fstat(handle.fileno()).st_size, path)
+    return parse_ascii_grid(read_text(path), path)
 
 
 def write_text(path, text) -> None:

@@ -9,9 +9,8 @@ northernmost row. geom.inside_pixels, not this module, finds footprints' pixels.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -30,13 +29,14 @@ DEFAULT_NODATA = -1
 _BLOCK_CHARS = 2**16
 
 # Byte kinds of the block reader: the writer's one-byte cells, "n" standing
-# for nodata, and its separators. A byte of kind 0 sends its block to the
-# line loop.
-_CELL, _SEPARATOR = 1, 2
-_BYTE_KIND = np.zeros(256, dtype=np.uint8)
-_BYTE_KIND[[ord("0"), ord("1"), ord("2"), ord("n")]] = _CELL
-_BYTE_KIND[[ord(" "), ord("\t"), ord("\n")]] = _SEPARATOR
-_ZERO = ord("0")
+# for nodata, its blanks and tabs, and the line breaks LF and CR. A byte of
+# kind 0 sends its block to the line loop. _CELL_CODE maps a cell byte to
+# its code, "n" to _NODATA.
+_CELL, _BLANK, _LF, _CR = 1, 2, 3, 4
+_BYTE_KIND = bytes({**dict.fromkeys(b"012n", _CELL), **dict.fromkeys(b" \t", _BLANK),
+                    ord("\n"): _LF, ord("\r"): _CR}.get(byte, 0) for byte in range(256))
+_ZERO, _NODATA = ord("0"), 3
+_CELL_CODE = bytes.maketrans(b"012n", bytes([0, 1, 2, _NODATA]))
 
 # Header keys in canonical order, each with its type, its rule and the rule
 # in words; every key but the last, nodata_value, is required. ClassRaster's
@@ -118,13 +118,23 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
     ncols, nrows, xllcorner, yllcorner, cellsize, then an optional
     nodata_value, a 32-bit integer outside {0, 1, 2}. The body must hold
     exactly ncols*nrows integer cells, each in {0, 1, 2} or equal to the
-    nodata code, in any spelling int() accepts.
-
-    Blocks of body lines in write_ascii_grid()'s spelling are converted with
-    numpy; any other block is read by a line loop with int(), which raises
-    the error at its line.
+    nodata code, in any spelling int() accepts. ascii_grid_from() reads
+    the text in slices of _BLOCK_CHARS characters.
     """
-    lines = _lines(text)
+    slices = (text[at:at + _BLOCK_CHARS] for at in range(0, len(text), _BLOCK_CHARS))
+    return ascii_grid_from(slices, len(text), source)
+
+
+def ascii_grid_from(pieces, size: int, source: str = "<ascii-grid>") -> ClassRaster:
+    """parse_ascii_grid() of the concatenation of pieces, str cut anywhere,
+    whose length is at most size characters. The text is never held whole.
+
+    Blocks of whole body lines in write_ascii_grid()'s spelling are read by
+    bytes.translate; any other block is read by a line loop with int(),
+    which raises the error at its line.
+    """
+    blocks, held = _blocks(pieces), []  # held: the current block's unread lines
+    lines = _lines(blocks, held)
     header = {"nodata_value": DEFAULT_NODATA}
     line_no, line = 0, ""  # the last line read, "" once used, None past the end
     for key in _HEADER_RULES:
@@ -140,30 +150,33 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
                                    source=source, line=line_no or 1)
         if tokens[0].lower() != key or len(tokens) != 2:
             raise MissingHeaderKey(
-                f"expected header line '{key} <value>', got {line!r}",
+                f"expected header line '{key} <value>', got {line.splitlines()[0]!r}",
                 source=source, line=line_no)
         header[key] = _header_value(key, tokens[1], line_no, source)
         line = ""
     if line:  # the line after the header starts the body
-        lines = chain([line], lines)
+        held.append(line)
         line_no -= 1
 
     nodata = header["nodata_value"]
     expected = header["ncols"] * header["nrows"]
-    # n cells take at least 2n - 1 characters, so the text bounds the output
+    # n cells take at least 2n - 1 characters, so size bounds the output
     # where a huge declared size would not. Cells take the first of int8, int16
     # and int32 that holds nodata, as ~nodata = -nodata - 1 needs the same one.
-    cells = np.empty(min(expected, (len(text) + 1) // 2),
+    cells = np.empty(min(expected, (size + 1) // 2),
                      dtype=np.min_scalar_type(min(nodata, ~nodata)))
-    count = 0
-    rows = _rows_per_block(header["ncols"])
-    while block := list(islice(lines, rows)):
-        values = _block_cells(block, nodata)
-        if values is None or count + len(values) > expected:
-            values = _line_cells(block, line_no, count, expected, nodata, source)
-        cells[count:count + len(values)] = values
-        count += len(values)
-        line_no += len(block)
+    count, spelling = 0, str(nodata).encode()
+    for block in chain(["".join(reversed(held))] if held else [], blocks):
+        fast = _block_cells(block, spelling)
+        if fast is None or count + len(fast[0]) > expected:
+            split = block.splitlines()
+            fast = _line_cells(split, line_no, count, expected, nodata, source), len(split)
+        values, read = fast
+        put = cells[count:count + len(values)]
+        put[:] = values
+        if _NODATA in put:  # the block reader's code for nodata
+            put[put == _NODATA] = nodata
+        count, line_no = count + len(values), line_no + read
     if count != expected:
         raise CellCountMismatch(
             f"expected {expected} cells, found {count}",
@@ -173,15 +186,29 @@ def parse_ascii_grid(text: str, source: str = "<ascii-grid>") -> ClassRaster:
                        cells=cells.reshape(-1, header["ncols"]))
 
 
-def _lines(text):
-    """text.splitlines(), split in pieces of about _BLOCK_CHARS characters
-    that each end just after a line break, a CR LF pair kept whole."""
-    start, breaks = 0, re.compile("\r\n?|[\n\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-    while start < len(text):
-        brk = breaks.search(text, start + _BLOCK_CHARS)
-        end = brk.end() if brk else len(text)
-        yield from text[start:end].splitlines()
-        start = end
+def _blocks(pieces):
+    """The text of pieces in blocks that each end just after a line feed or
+    a carriage return, never between a CR LF pair; the last block ends
+    where the text does."""
+    held = []
+    for piece in pieces:
+        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
+        if cut:
+            yield "".join([*held, piece[:cut]])
+            held = []
+        if cut < len(piece):
+            held.append(piece[cut:])
+    if held:
+        yield "".join(held)
+
+
+def _lines(blocks, held):
+    """The lines of blocks with their breaks; held holds the unread lines
+    of the current block, last first."""
+    for block in blocks:
+        held.extend(reversed(block.splitlines(True)))
+        while held:
+            yield held.pop()
 
 
 def _rows_per_block(ncols):
@@ -189,24 +216,25 @@ def _rows_per_block(ncols):
     return max(1, _BLOCK_CHARS // (2 * ncols))
 
 
-def _block_cells(lines, nodata):
-    """The cells of some body lines as an int64 array, or None when the line
-    loop must parse them: anything but the writer's spelling, one-byte class
-    codes and str(nodata) between blanks and tabs, one cell per token."""
-    block = "\n".join(lines)
-    if "n" in block:
+def _block_cells(block, spelling):
+    """A block's cells as a uint8 array of codes 0, 1, 2 and _NODATA, and
+    its line count; None when the line loop must read it: anything but the
+    writer's spelling, one-byte class codes and the nodata spelling between
+    blanks, tabs and line breaks, one cell per token."""
+    if not block.isascii() or "n" in block:
         return None
-    try:
-        raw = block.replace(str(nodata), "n").encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    kind = _BYTE_KIND.take(codes)  # take and compress: faster than indexing
+    raw = block.encode("ascii")
+    if spelling[:1] in raw:  # a memchr, much faster than a search for spelling
+        raw = raw.replace(spelling, b"n")
+    kinds = raw.translate(_BYTE_KIND)
+    kind = np.frombuffer(kinds, dtype=np.uint8)
     cell = kind == _CELL
-    if not kind.all() or (cell[:-1] & cell[1:]).any():
+    if b"\0" in kinds or (cell[:-1] & cell[1:]).any():
         return None
-    codes = codes.compress(cell).astype(np.int64)
-    return np.where(codes == ord("n"), nodata, codes - _ZERO)
+    lines = np.count_nonzero(kind >= _LF) + (kinds[-1] < _LF)
+    if _CR in kinds:  # a CR LF pair is one line break
+        lines -= np.count_nonzero(kind[1:][kind[:-1] == _CR] == _LF)
+    return np.frombuffer(raw.translate(_CELL_CODE, delete=b" \t\r\n"), np.uint8), int(lines)
 
 
 def _line_cells(lines, first, count, expected, nodata, source):

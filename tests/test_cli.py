@@ -7,6 +7,7 @@ program and that pyproject.toml declares the `damagekit` console script.
 
 import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,26 @@ def test_assess_writes_to_stdout_by_default(tmp_path, capsys):
     assert props["damage_pct"] == 25.0
     assert props["n_inside"] == 4
     assert props["n_damaged"] == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("raster", [RASTER_2X2, RASTER_2X2.replace("1 1", "1 x")],
+                         ids=["good", "bad"])
+def test_assess_reads_a_raster_from_a_pipe_as_from_a_file(tmp_path, cli_env, raster):
+    """A pipe has no size to read it by: it is read whole, as before."""
+    fps = write(tmp_path / "fp.geojson", FOOTPRINT_B1)
+    path = write(tmp_path / "r.asc", raster)
+
+    def assess(raster_arg, stdin):
+        proc = subprocess.run([sys.executable, "-m", "damagekit", "assess", fps, raster_arg],
+                              input=stdin, capture_output=True, text=True, env=cli_env,
+                              timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    from_file = assess(path, "")
+    assert assess("/dev/stdin", raster) == (
+        from_file[0], from_file[1], from_file[2].replace(path, "/dev/stdin"))
+    assert from_file[0] == (0 if raster == RASTER_2X2 else 2)
 
 
 def test_match_respects_radius_flag(tmp_path, capsys):

@@ -19,10 +19,10 @@ KERNEL = {"_on_edge", "_crossing", "_hole_rule", "_inside_pairs"}
 MOVED = {"inside_pixels", "_chunk_pixels", "_centres", "_SPAN_PIXELS", "_distances"}
 
 
-def geom_imports(tree):
-    """The names a module imports from damagekit.geom."""
+def imports_from(tree, module):
+    """The names a module imports from damagekit.<module>."""
     return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-            and (node.module, node.level) in {("geom", 1), ("damagekit.geom", 0)}
+            and (node.module, node.level) in {(module, 1), (f"damagekit.{module}", 0)}
             for alias in node.names}
 
 
@@ -70,7 +70,7 @@ def test_the_package_needs_nothing_at_run_time_but_the_standard_library_and_nump
 
 
 def test_raster_is_only_the_grid_format():
-    assert geom_imports(SOURCES["raster"]) == set()
+    assert imports_from(SOURCES["raster"], "geom") == set()
 
 
 def test_only_geom_names_its_containment_helpers():
@@ -86,7 +86,13 @@ def test_the_pixel_pass_and_the_matching_distance_are_defined_in_geom_alone():
 
 
 def test_formats_imports_no_private_name_of_geom():
-    assert [name for name in geom_imports(SOURCES["formats"]) if name.startswith("_")] == []
+    assert [name for name in imports_from(SOURCES["formats"], "geom") if name.startswith("_")] == []
+
+
+def test_formats_reads_raster_files_through_the_public_reader_alone():
+    imported = imports_from(SOURCES["formats"], "raster")
+    assert "ascii_grid_from" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def table_object_columns(tree):

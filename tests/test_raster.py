@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from damagekit import formats as formats_module
 from damagekit import geom as geom_module
 from damagekit import raster as raster_module
 from damagekit.errors import (CellCountMismatch, InvalidClassCode,
                               MissingHeaderKey, NonIntegerCell, ParseError)
 from damagekit.geom import Footprint, GeoPoint, Ring, _centres, contains, inside_pixels
-from damagekit.formats import write_text
+from damagekit.formats import load_raster, read_text, write_text
 from damagekit.raster import (DEFAULT_NODATA, ClassRaster, ascii_grid_blocks,
                               parse_ascii_grid, write_ascii_grid)
 
@@ -433,7 +434,7 @@ def grid_texts(draw):
             f"cellsize 1.0\n")
     if nodata is not None:
         head += f"nodata_value {nodata}\n"
-    return head + body
+    return (head + body).replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
 
 
 def one_row(cells, nodata):
@@ -447,9 +448,11 @@ def one_row(cells, nodata):
 @example(text=one_row("0 1- 1", 7), block_chars=40)
 @example(text=one_row("2 -0 01 -00000000001 00000000002", -1), block_chars=40)
 @example(text=one_row("0 +1 -0 2", -1), block_chars=40)
+@example(text=one_row("0 n 1", -1), block_chars=40)  # the writer's placeholder
 @example(text=one_row("1 " + "0" * 22 + "1", -1), block_chars=40)
 @example(text="", block_chars=40)
 @example(text="ncols 4\nnrows 3\n\n", block_chars=40)  # ends before xllcorner
+@example(text=one_row("0 1 2", -1).replace("ncols 3", "ncols 4")[:-1], block_chars=40)
 def test_block_parser_agrees_with_the_reference(text, block_chars):
     with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
         got = outcome(parse_ascii_grid, text)
@@ -459,12 +462,21 @@ def test_block_parser_agrees_with_the_reference(text, block_chars):
 
 
 @given(text=st.text(alphabet="ab \n\r\x0b\x0c\x1c\x1e\x85\u2028\u2029", max_size=40),
-       block_chars=st.integers(1, 8))
-@example(text="ab\rb\r\rab\r", block_chars=1)  # CR ends only
-@example(text="ab\r\nb\r\n", block_chars=2)  # a cut lands inside a CR LF pair
-def test_the_reader_cuts_the_text_into_exactly_its_lines(text, block_chars):
-    with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars):
-        assert list(raster_module._lines(text)) == text.splitlines()
+       sizes=st.lists(st.integers(1, 8), min_size=1, max_size=8))
+@example(text="ab\rb\r\rab\r", sizes=[1])  # CR ends only
+@example(text="ab\r\nb\r\n", sizes=[3])  # a piece ends inside a CR LF pair
+@example(text="a\r", sizes=[2])  # the text ends in a CR
+def test_the_reader_cuts_its_pieces_into_blocks_after_line_breaks(text, sizes):
+    pieces, at = [], 0
+    for size in (sizes * len(text))[:len(text)]:
+        pieces.append(text[at:at + size])
+        at += size
+    blocks = list(raster_module._blocks(pieces))
+    assert "".join(blocks) == text
+    assert all(blocks)
+    for block, after in zip(blocks, blocks[1:]):
+        assert block[-1] in "\n\r"
+        assert not (block[-1] == "\r" and after[0] == "\n")
 
 
 @pytest.mark.parametrize("line", [7, 9, 12], ids=["first", "middle", "last"])
@@ -480,8 +492,12 @@ def test_overflow_names_the_declared_count_in_any_block(line):
     assert outcome(_oracles.parse_ascii_grid, text)[1] == str(err.value)
 
 
+LINE_ENDS = pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+
+
+@LINE_ENDS
 @pytest.mark.parametrize("nodata", NODATA_CODES)
-def test_the_writers_bytes_never_reach_the_line_loop(nodata):
+def test_the_writers_bytes_never_reach_the_line_loop(nodata, line_end):
     cells = np.random.default_rng(7).choice([0, 1, 2, nodata], size=(6, 7))
     cells[0, 0] = cells[-1, -1] = nodata
     raster = ClassRaster(ncols=7, nrows=6, xll=0.0, yll=0.0, cellsize=1.0,
@@ -490,8 +506,71 @@ def test_the_writers_bytes_never_reach_the_line_loop(nodata):
         with mock.patch.object(raster_module, "_BLOCK_CHARS", block_chars), \
                 mock.patch.object(raster_module, "_line_cells",
                                   side_effect=AssertionError("line loop ran")):
-            again = parse_ascii_grid(write_ascii_grid(raster))
+            again = parse_ascii_grid(write_ascii_grid(raster).replace("\n", line_end))
         assert np.array_equal(again.cells, cells)
+
+
+# ------------------------------------------------------------ file reader
+
+def read_outcome(read, path):
+    """A read's raster, as frame, nodata, cells and cell type, or its error,
+    as type, text and line."""
+    try:
+        raster = read(path)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return raster.frame, raster.nodata, raster.cells.tolist(), raster.cells.dtype
+
+
+def whole_read(path):
+    return parse_ascii_grid(read_text(path), path)
+
+
+@pytest.fixture(scope="module")
+def grid_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("grids") / "g.asc"
+
+
+BAD_CELL = one_row("0 x 1", -1)
+BAD_CELL_CRLF = BAD_CELL.replace("\n", "\r\n")
+BAD_LINE_8 = FIXTURE.replace("1 1 2 2", "1 x 2 2").replace("\n", "\r")
+# Past the text layer's 8 KiB decode chunk: the bad cell is read before the bad byte.
+BAD_FIRST_ROW = (FIXTURE.replace("nrows 3", "nrows 3000").split("0 1 2 0")[0]
+                 + "0 x 2 0\n" + "0 1 2 0\n" * 2999)
+HUGE = "ncols 2147483647\nnrows 2147483647\nxllcorner 0\nyllcorner 0\ncellsize 1\n0 1\n"
+
+
+@settings(max_examples=300)
+@given(text=grid_texts(), read_chars=st.integers(1, 40), stray=st.none() | st.integers(0, 400))
+@example(text=BAD_CELL, read_chars=40, stray=BAD_CELL.index("x"))
+@example(text=BAD_CELL_CRLF, read_chars=3, stray=BAD_CELL_CRLF.index("x") + 1)
+@example(text=BAD_LINE_8, read_chars=7, stray=len(BAD_LINE_8) - 2)  # 0xff on line 9
+@example(text=BAD_FIRST_ROW, read_chars=40, stray=len(BAD_FIRST_ROW) - 2)
+@example(text=HUGE.replace("\n", "\r\n"), read_chars=5, stray=None)
+def test_the_file_reader_reads_as_the_whole_text_reader(grid_file, text, read_chars, stray):
+    """Grid texts with LF, CR LF or CR ends, perhaps with one byte that is
+    not UTF-8 (0xff): the same raster or the same error, and a raster read
+    in pieces, not whole."""
+    raw = text.encode("utf-8")
+    if stray is not None:
+        at = min(stray, len(raw))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    grid_file.write_bytes(raw)
+    path = str(grid_file)
+    with mock.patch.object(formats_module, "_READ_CHARS", read_chars), \
+            mock.patch.object(formats_module, "read_text", wraps=read_text) as whole:
+        got = read_outcome(load_raster, path)
+    assert got == read_outcome(whole_read, path)
+    if isinstance(got[0], tuple):  # a raster's frame, not an error's type
+        assert whole.call_count == 0
+
+
+@pytest.mark.parametrize("name", ["", "missing.asc"], ids=["directory", "missing"])
+def test_the_file_reader_fails_on_a_path_as_the_whole_text_reader(tmp_path, name):
+    path = str(tmp_path / name)
+    got = read_outcome(load_raster, path)
+    assert got == read_outcome(whole_read, path)
+    assert got[0] is ParseError
 
 
 @st.composite
@@ -544,13 +623,31 @@ def reader_peak(raster, line_end):
     return peak
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@LINE_ENDS
 def test_the_reader_holds_little_per_cell_beyond_its_text(line_end):
-    # Per cell, as the peak grows with the raster: the block temporaries, about
-    # 1.4 MB at 64 KiB blocks, do not. A list of every line would add 2 B/cell.
+    # In all, and per cell as the peak grows with the raster: the cells take
+    # one byte, and the block temporaries, about 0.5 MB at 64 KiB blocks, do
+    # not grow. A list of every line would add 2 B/cell.
     small, large = class_cells(1000), class_cells(2000)
-    growth = reader_peak(large, line_end) - reader_peak(small, line_end)
+    peak = reader_peak(small, line_end)
+    assert peak <= 1.75 * small.cells.size
+    growth = reader_peak(large, line_end) - peak
     assert growth <= 1.5 * (large.cells.size - small.cells.size)
+
+
+def test_the_file_reader_holds_little_per_cell(tmp_path):
+    raster = class_cells(1000)
+    path = tmp_path / "raster.asc"
+    write_text(path, ascii_grid_blocks(raster))
+    tracemalloc.start()
+    try:
+        again = load_raster(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.cells, raster.cells)
+    # The file's bytes and its decoded text, held whole, would take 4 B/cell.
+    assert peak <= 2 * raster.cells.size
 
 
 def test_the_streamed_writer_holds_little_beyond_the_cells(tmp_path):
