@@ -43,18 +43,18 @@ _READ_CHARS = 2**16  # the characters load_raster reads at a time
 def read_text(path) -> str:
     """The file's text, read as UTF-8 with universal newlines."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(exc.strerror or str(exc), source=path) from exc
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once, so exc.object is its bytes.
+    except UnicodeDecodeError as exc:  # exc.object is the file's bytes
         before = exc.object[:exc.start]
         line = (before.count(b"\n") + before.count(b"\r")
                 - before.count(b"\r\n") + 1)
         raise ParseError(
             f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
             source=path, line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_raster(path) -> ClassRaster:
@@ -213,6 +213,8 @@ _TEMPLATE = re.compile(re.escape(_FEATURE).replace("%s", f'"({_ID.pattern})"')
                        + re.escape(_PROPERTIES).replace("%s", r"(\{[^{}\[\]]*\})"))
 _CHUNK = 1024  # footprints the writers format at a time
 _CENTS = Decimal("0.01")  # damage_pct's display quantum
+_ASSESSED = '"damage_pct":%r,"n_inside":%d,"n_damaged":%d,"supersampled":%s,"no_coverage":%s}'
+_BOOLS = ("false", "true")
 
 
 def _collection(footprints: Sequence[Footprint], properties) -> str:
@@ -238,14 +240,16 @@ def _features(fps: FootprintArray, properties: list[str]) -> str:
     """The features of one or more footprints with their properties texts,
     joined from four pieces per vertex: x, ",", y and the separator after it.
     Coordinates are written by float.__repr__, as in json.dumps."""
-    pieces = np.full((len(fps.coords), 4), _VERTEX_SEP, dtype=object)
-    pieces[:, 0::2], pieces[:, 1] = _each_distinct(float.__repr__, fps.coords), ","
-    pieces[fps.ring_offsets[1:] - 1, 3] = _RING_SEP
+    pieces = [None, ",", None, _VERTEX_SEP] * len(fps.coords)
+    pieces[0::4], pieces[2::4] = _each_distinct(float.__repr__, fps.coords).T.tolist()
     ids = list(map(json.dumps, _writable(fps.ids.tolist())))
-    pieces[fps.ring_offsets[fps.geom_offsets[1:]] - 1, 3] = [
-        _PROPERTIES % text + "," + _FEATURE % fid for text, fid in zip(properties, ids[1:])
-    ] + [_PROPERTIES % properties[-1]]
-    return "".join([_FEATURE % ids[0], *pieces.ravel().tolist()])
+    for i in (4 * fps.ring_offsets[1:] - 1).tolist():
+        pieces[i] = _RING_SEP
+    ends = [_PROPERTIES % text + "," + _FEATURE % fid for text, fid in zip(properties, ids[1:])]
+    for i, end in zip((4 * fps.ring_offsets[fps.geom_offsets[1:]] - 1).tolist(),
+                      ends + [_PROPERTIES % properties[-1]]):
+        pieces[i] = end
+    return _FEATURE % ids[0] + "".join(pieces)
 
 
 def write_footprints_geojson(footprints: Sequence[Footprint]) -> str:
@@ -281,9 +285,17 @@ def write_assessed_geojson(footprints: Sequence[Footprint],
     keys = [*DamageEstimates.columns][1:]  # damage_pct, then the counts and flags
     rows = zip(_each_distinct(round_half_up, est.damage_pct).tolist(),
                *(getattr(est, key).tolist() for key in keys[1:]))
-    properties = (_COMPACT.encode({**props, **dict(zip(keys, row))})
-                  for props, row in zip(input_properties or repeat({}), rows))
-    return _collection(fps, properties)
+    return _collection(fps, (_assessed(props, row, keys)
+                             for props, row in zip(input_properties or repeat({}), rows)))
+
+
+def _assessed(props, row, keys) -> str:
+    """Compact json.dumps of {**props, **dict(zip(keys, row))}; by _ASSESSED (%r is
+    json's float text) unless props holds one of keys, whose place it keeps."""
+    if not props.keys().isdisjoint(keys):
+        return _COMPACT.encode({**props, **dict(zip(keys, row))})
+    text = _ASSESSED % (*row[:3], _BOOLS[row[3]], _BOOLS[row[4]])
+    return _COMPACT.encode(props)[:-1] + "," + text if props else "{" + text
 
 
 def _valid_counts(n_inside, n_damaged):

@@ -152,7 +152,13 @@ def matching_reference_latitude(points: Sequence[GroundTruthPoint],
     return math.fsum(lats.tolist()) / len(lats) if len(lats) else 0.0
 
 
-_PAIR_EDGES = 2**13  # (point, candidate footprint, edge) triples per chunk
+_PAIR_EDGES = 2**15  # (point, candidate footprint, edge) triples per chunk, before the prune
+# A footprint whose box is farther from a point than the nearest first exterior
+# vertex the point has met, by over _SLACK metres, is strictly farther than that
+# vertex's footprint. Projected coordinates are below 2**25 m (180 degrees at 111.2 km at
+# most), so each distance is below 2**26 m and, computed here or in _distances,
+# within 32 of its ulps, 2**-21 m: _SLACK covers the four the argument chains 8 times.
+_SLACK = 2.0**-16
 
 
 def match_points(points: Sequence[GroundTruthPoint],
@@ -187,6 +193,8 @@ def match_points(points: Sequence[GroundTruthPoint],
     n_edges = np.bincount(ring_fp[edges[4]], minlength=len(fps))
     first_edge = np.cumsum(n_edges) - n_edges
     best_d, best_f = np.full(len(points), math.inf), np.zeros(len(points), dtype=np.int64)
+    vertex = fps.coords[fps.ring_offsets[fps.geom_offsets[by_id]]] * [kx, ky]
+    bound = np.full(len(points), math.inf)  # the least vertex distance seen
 
     # Rounds of grid cells that double up to the radius. A footprint within a
     # cell's width of a point overlaps one of the nine cells around it, so a
@@ -204,6 +212,11 @@ def match_points(points: Sequence[GroundTruthPoint],
         for part in _chunks(np.arange(len(cand)), (hi - lo) * n_edges[cand], _PAIR_EDGES):
             owner, at = _runs(lo[part], hi[part])
             p, f = active[by_cell[at]], cand[part][owner]
+            q, b = np.stack([x[p] * kx, y[p] * ky], axis=1), box[f] * [kx, ky, kx, ky]
+            np.minimum.at(bound, p, np.hypot(*(vertex[f] - q).T))
+            gap = np.maximum(np.maximum(b[:, :2] - q, q - b[:, 2:]), 0.0)
+            keep = np.hypot(*gap.T) <= bound[p] + _SLACK
+            p, f = p[keep], f[keep]
             owner, e = _runs(first_edge[f], first_edge[f] + n_edges[f])
             d = _distances(x[p], y[p], box[f], owner, *(a[e] for a in edges), kx, ky)
             first = np.lexsort((f, d, p))

@@ -5,6 +5,7 @@ assert bit-exact round trips rather than approximate equality.
 """
 
 import gc
+import io
 import json
 import math
 import random
@@ -562,6 +563,13 @@ def assessed_footprints(draw):
                  footprint_of("z", [[(-0.0, 0), (1, 0), (1, 5e-324), (-0.0, 5e-324), (-0.0, 0)]])],
                 [DamageEstimate("a", -0.0, 1, 0), DamageEstimate("b1", 0.0, 1, 0),
                  DamageEstimate("z", 0.0, 1, 0)], None))
+# One feature per path of the properties text: an input key among the five,
+# input keys none of the five, no input key.
+@example(scene=([square_footprint("a", 0.0, 0.0, 0.5), UNIT_SQUARE,
+                 square_footprint("c", 5.0, 5.0, 0.5)],
+                [DamageEstimate("a", 2.675, 2**53, 7, True),
+                 DamageEstimate("b1", -0.0, 0, 0, False, True), DamageEstimate("c", 12.5, 8, 1)],
+                [{"addr": "1 Main St", "damage_pct": "x"}, {"addr": "2 Main St"}, {}]))
 def test_writers_give_the_reference_writers_bytes(scene):
     """Both writers, given the collection or a list, in chunks of any size,
     write json.dumps of the whole document, dict by dict; the rounding of
@@ -848,3 +856,38 @@ def test_report_json_serialisation_is_canonical():
         '}\n'
     )
     assert write_report_json(report) == expected
+
+
+# ------------------------------------------------------------ text files
+
+@pytest.fixture(scope="module")
+def text_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("texts") / "t.txt"
+
+
+@settings(max_examples=200)
+@given(raw=st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n", "é".encode(),
+                                     "€".encode(), b"\xff", b"\xe2\x82"])).map(b"".join))
+@example(raw=b"a\nb\n")
+@example(raw=b"a\r\nb\r\n")
+@example(raw=b"a\rb\r")
+@example(raw=b"a\r\n\rb\n\r\r\nc")
+@example(raw=b"a\r\nb\rc\n\xffd")
+@example(raw=b"a\r\r\n\xe2\x82")
+def test_read_text_reads_as_a_utf8_text_handle(text_file, raw):
+    """LF, CR LF, CR and mixed ends give the text open(path,
+    encoding="utf-8").read() gives; a byte that is not UTF-8 gives its error,
+    on the line the text before it ends on."""
+    text_file.write_bytes(raw)
+    try:
+        with open(text_file, encoding="utf-8") as handle:
+            expected = handle.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        before = io.TextIOWrapper(io.BytesIO(raw[:exc.start]), encoding="utf-8").read()
+        with pytest.raises(ParseError) as caught:
+            formats.read_text(text_file)
+        assert caught.value.line == before.count("\n") + 1
+        assert str(caught.value).endswith(f"byte 0x{bad:02x} is not UTF-8 ({exc.reason})")
+    else:
+        assert formats.read_text(text_file) == expected

@@ -17,7 +17,7 @@ import damagekit.truth as truth_module
 from damagekit.errors import (DuplicateFootprintId, DuplicatePointId,
                               MissingEstimate, UnknownCategory, check_unique)
 from damagekit.geom import (EARTH_RADIUS_M, Footprint, GeoPoint, Ring,
-                            footprints_from)
+                            footprints_from, metres_per_degree)
 from damagekit.truth import (DESTROYED_ONLY, MAJOR_PLUS, BinaryScheme,
                              FemaCategory, GroundTruthPoint, GroundTruthPoints,
                              PointMatch, join_samples, match_points,
@@ -349,6 +349,58 @@ def test_shared_edge_ties_at_zero_go_to_the_smaller_id():
         assert matched == [PointMatch("p1", "mm", 0.0), PointMatch("p2", "mm", 0.0)]
 
 
+def on_lattice(fid, *rings, lat0=10.0):
+    """A footprint of rings of (x, y) lattice steps from (0, lat0), each closed here."""
+    built = [Ring(tuple(GeoPoint(x * STEP, lat0 + y * STEP) for x, y in ring + ring[:1]))
+             for ring in rings]
+    return Footprint(fid, built[0], tuple(built[1:]))
+
+
+def rect(fid, x0, y0, x1, y1):
+    return on_lattice(fid, [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+# (point's lattice steps, footprints, the winner). The mirrored pairs tie:
+# b's first vertex and a's nearest corner are 3 and 4 steps off the point. On
+# the meridian, a's computed box distance equals b's computed vertex distance;
+# off it, rounding puts it an ulp past, so the prune's slack is what keeps a.
+PRUNE_SCENES = {
+    "mirrored-exact": ((0, 9), [rect("a", -5, 13, -3, 15), rect("b", 3, 13, 5, 15)], "a"),
+    "mirrored-rounded": ((-6, 9), [rect("a", -11, 13, -9, 15), rect("b", -3, 13, -1, 15)], "a"),
+    # The point lies in the L's box, in its notch, 4 steps from the L.
+    "l-shape": ((6, 6), [on_lattice("a", [(0, 0), (10, 0), (10, 2), (2, 2), (2, 10), (0, 10)]),
+                         rect("b", 7, 7, 9, 9), rect("c", 40, 0, 42, 2)], "b"),
+    "in-a-hole": ((10, 10), [on_lattice("a", [(0, 0), (20, 0), (20, 20), (0, 20)],
+                                        [(6, 6), (14, 6), (14, 14), (6, 14)]),
+                             rect("b", 21, 9, 23, 11), rect("c", 40, 0, 42, 2)], "a"),
+}
+
+
+@pytest.mark.parametrize("radius", [1e-300, 20.0, math.inf])
+@pytest.mark.parametrize("name", PRUNE_SCENES)
+def test_the_box_prune_keeps_the_brute_force_match(name, radius):
+    (x, y), footprints, winner = PRUNE_SCENES[name]
+    points = [truth_point("p", x * STEP, 10.0 + y * STEP)]
+    for order in (footprints, footprints[::-1]):
+        matched, unmatched = match_points(points, order, radius)
+        assert (list(matched), unmatched) == brute_force_match(points, order, radius)
+    assert [m.footprint_id for m in matched] == ([winner] if radius > 1e-300 else [])
+
+
+def test_the_mirrored_scenes_put_the_box_bound_at_and_past_the_vertex_bound():
+    """The premise of the mirrored scenes, computed as the matcher does."""
+    gaps = []
+    for name in ["mirrored-exact", "mirrored-rounded"]:
+        (x, y), (a, b), _ = PRUNE_SCENES[name]
+        points = [truth_point("p", x * STEP, 10.0 + y * STEP)]
+        kx, ky = metres_per_degree(matching_reference_latitude(points, [a, b]))
+        qx, qy = x * STEP * kx, (10.0 + y * STEP) * ky
+        (x0, y0), near = b.exterior.coords[0], a.bounds.max_lon
+        gaps.append(math.hypot(qx - near * kx, y0 * ky - qy)
+                    - math.hypot(x0 * kx - qx, y0 * ky - qy))
+    assert gaps[0] == 0.0 < gaps[1] < 2.0**-40
+
+
 def lattice_scene(side, seed):
     """side x side square footprints 10 m wide at a 20 m pitch, built from
     one coordinate array, and one jittered point per footprint."""
@@ -379,10 +431,8 @@ def test_matching_scales_to_many_points_and_footprints():
     assert elapsed < 5.0
 
 
-def test_matching_at_any_radius_measures_few_pairs_per_point():
-    """With cells as wide as the radius, an infinite one would make every
-    (point, footprint) pair a candidate: 900**2 of them here."""
-    points, footprints = lattice_scene(30, seed=33)
+def measured_pairs(points, footprints, radius):
+    """(matched, unmatched, the (point, footprint) pairs _distances measures)."""
     rows = []
     distances = truth_module._distances
 
@@ -391,9 +441,31 @@ def test_matching_at_any_radius_measures_few_pairs_per_point():
         return distances(x, *args)
 
     with mock.patch.object(truth_module, "_distances", counted):
-        matched, unmatched = match_points(points, footprints, math.inf)
+        matched, unmatched = match_points(points, footprints, radius)
+    return matched, unmatched, sum(rows)
+
+
+def test_matching_at_any_radius_measures_few_pairs_per_point():
+    """With cells as wide as the radius, an infinite one would make every
+    (point, footprint) pair a candidate: 900**2 of them here."""
+    points, footprints = lattice_scene(30, seed=33)
+    matched, unmatched, pairs = measured_pairs(points, footprints, math.inf)
     assert len(matched) == 900 and unmatched == []
-    assert sum(rows) <= 40 * len(points)
+    assert pairs <= 40 * len(points)
+
+
+def test_the_box_prune_measures_few_pairs_per_point():
+    """About 16 pairs per point are candidates here; the box bound measures
+    fewer than 6 of them. In chunks of 64 triples a point's candidates are
+    spread over many chunks, and its bound must carry from one to the next."""
+    points, footprints = lattice_scene(80, seed=32)
+    matched, _, pairs = measured_pairs(points, footprints, 20.0)
+    assert len(matched) == 6400
+    assert pairs <= 6 * len(points)
+    with mock.patch.object(truth_module, "_PAIR_EDGES", 64):
+        matched, _, pairs = measured_pairs(*lattice_scene(30, seed=33), 20.0)
+    assert len(matched) == 900
+    assert pairs <= 8 * len(matched)
 
 
 def test_matching_memory_is_bounded_by_its_chunks():
