@@ -71,10 +71,11 @@ def load_raster(path) -> ClassRaster:
 
 
 def write_text(path, text) -> None:
-    """Write text, a str or str pieces, to the file as UTF-8, newlines untranslated."""
+    """Write text, a str or pieces of str and bytes, to the file; str as UTF-8."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with open(path, "wb") as handle:
+            handle.writelines(piece.encode() if isinstance(piece, str) else piece
+                              for piece in ([text] if isinstance(text, str) else text))
     except OSError as exc:
         raise UnwritableOutput(path, exc.strerror or exc) from exc
 

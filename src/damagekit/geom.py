@@ -77,7 +77,7 @@ class Ring:
 
 @dataclass(frozen=True)
 class Footprint:
-    """A building outline: exterior ring plus optional interior holes."""
+    """A building outline: exterior ring plus optional holes, each within its box."""
 
     id: str
     exterior: Ring
@@ -92,6 +92,9 @@ class Footprint:
         b = BBox(min(lons), min(lats), max(lons), max(lats))
         if b.min_lon == b.max_lon or b.min_lat == b.max_lat:
             raise ValueError("footprint exterior has zero bounding-box extent")
+        lo, hi = (b.min_lon, b.min_lat), (b.max_lon, b.max_lat)
+        if any(((hole.coords < lo) | (hole.coords > hi)).any() for hole in self.holes):
+            raise ValueError("footprint hole reaches outside its exterior's bounding box")
         object.__setattr__(self, "bounds", b)
 
 
@@ -378,13 +381,14 @@ def _checked_rings(coords, sizes, counts):
         return None
     ring_offsets, geom_offsets = _offsets(sizes), _offsets(counts)
     starts, ends, first = ring_offsets[:-1], ring_offsets[1:], geom_offsets[:-1]
-    # In range, closed, no vertex twice in a row, a non-zero extent.
+    # In range, closed, no vertex twice in a row, a non-zero extent, holes in the box.
     step = (coords[1:] != coords[:-1]).any(axis=1)
     step[ends[:-1] - 1] = True  # the step from one ring into the next
-    lo = np.minimum.reduceat(coords, starts)[first]
-    hi = np.maximum.reduceat(coords, starts)[first]
+    ring_lo, ring_hi = np.minimum.reduceat(coords, starts), np.maximum.reduceat(coords, starts)
+    lo, hi, ext = ring_lo[first], ring_hi[first], np.repeat(first, counts)  # ext: ring's exterior
     ok = ((np.abs(coords) <= [180.0, 90.0]).all() and step.all()
-          and (coords[starts] == coords[ends - 1]).all() and (lo < hi).all())
+          and (coords[starts] == coords[ends - 1]).all() and (lo < hi).all()
+          and (ring_lo >= ring_lo[ext]).all() and (ring_hi <= ring_hi[ext]).all())
     return (np.concatenate([lo, hi], axis=1), geom_offsets, ring_offsets) if ok else None
 
 

@@ -28,15 +28,12 @@ DEFAULT_NODATA = -1
 # a row of ncols cells takes about 2 * ncols.
 _BLOCK_CHARS = 2**16
 
-# Byte kinds of the block reader: the writer's one-byte cells, "n" standing
-# for nodata, its blanks and tabs, and the line breaks LF and CR. A byte of
-# kind 0 sends its block to the line loop. _CELL_CODE maps a cell byte to
-# its code, "n" to _NODATA.
-_CELL, _BLANK, _LF, _CR = 1, 2, 3, 4
-_BYTE_KIND = bytes({**dict.fromkeys(b"012n", _CELL), **dict.fromkeys(b" \t", _BLANK),
-                    ord("\n"): _LF, ord("\r"): _CR}.get(byte, 0) for byte in range(256))
+# The block reader's table: a cell byte of the writer's, 0, 1, 2 or "n"
+# standing for nodata, to its index in b"012n", its code; every other byte
+# to the sentinel 255 (-1 % 256), which sends its block to the line loop.
+# The reader deletes blanks, tabs and line breaks in the same pass.
 _ZERO, _NODATA = ord("0"), 3
-_CELL_CODE = bytes.maketrans(b"012n", bytes([0, 1, 2, _NODATA]))
+_CELL_CODE = bytes(b"012n".find(byte) % 256 for byte in range(256))
 
 # Header keys in canonical order, each with its type, its rule and the rule
 # in words; every key but the last, nodata_value, is required. ClassRaster's
@@ -226,15 +223,15 @@ def _block_cells(block, spelling):
     raw = block.encode("ascii")
     if spelling[:1] in raw:  # a memchr, much faster than a search for spelling
         raw = raw.replace(spelling, b"n")
-    kinds = raw.translate(_BYTE_KIND)
-    kind = np.frombuffer(kinds, dtype=np.uint8)
-    cell = kind == _CELL
-    if b"\0" in kinds or (cell[:-1] & cell[1:]).any():
+    codes = raw.translate(_CELL_CODE, delete=b" \t\r\n")
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    token = byte > 32  # past the sentinel check, a cell's byte; any other separates
+    if b"\xff" in codes or (token[:-1] & token[1:]).any():
         return None
-    lines = np.count_nonzero(kind >= _LF) + (kinds[-1] < _LF)
-    if _CR in kinds:  # a CR LF pair is one line break
-        lines -= np.count_nonzero(kind[1:][kind[:-1] == _CR] == _LF)
-    return np.frombuffer(raw.translate(_CELL_CODE, delete=b" \t\r\n"), np.uint8), int(lines)
+    lines = np.count_nonzero(byte == 10) + (raw[-1] not in b"\r\n")  # LFs, and an unended line
+    if b"\r" in raw:  # a CR ends a line too, but for the CR of a CR LF pair
+        lines += raw.count(b"\r") - raw.count(b"\r\n")
+    return np.frombuffer(codes, np.uint8), int(lines)
 
 
 def _line_cells(lines, first, count, expected, nodata, source):
@@ -266,18 +263,18 @@ def write_ascii_grid(raster: ClassRaster) -> str:
     Lowercase header keys in canonical order, one raster row per line,
     LF line endings. parse_ascii_grid() round-trips the result exactly.
     """
-    return "".join(ascii_grid_blocks(raster))
+    return b"".join(ascii_grid_blocks(raster)).decode("ascii")
 
 
 def ascii_grid_blocks(raster: ClassRaster):
-    """write_ascii_grid()'s text in pieces: the header, then blocks of rows."""
+    """write_ascii_grid()'s text in ASCII bytes: the header, then blocks of rows."""
     # ClassRaster holds each header value as a Python int or float.
     yield "".join(f"{key} {value!r}\n"
-                  for key, value in zip(_HEADER_RULES, (*raster.frame, raster.nodata)))
+                  for key, value in zip(_HEADER_RULES, (*raster.frame, raster.nodata))).encode()
     # Every cell is a one-digit class code or nodata, so a block of rows is
     # one byte array of code and blank pairs; nodata is written as "n" there
     # and then spelled out.
-    nodata = str(raster.nodata)
+    nodata = str(raster.nodata).encode()
     rows = _rows_per_block(raster.ncols)
     for start in range(0, raster.nrows, rows):
         block = raster.cells[start:start + rows]
@@ -286,4 +283,4 @@ def ascii_grid_blocks(raster: ClassRaster):
         chars[:, 0::2][block == raster.nodata] = ord("n")
         chars[:, 1::2] = ord(" ")
         chars[:, -1] = ord("\n")
-        yield chars.tobytes().decode("ascii").replace("n", nodata)
+        yield chars.tobytes().replace(b"n", nodata)

@@ -34,7 +34,7 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _TWO_64 = 2.0 ** 64
-_NOISE_BLOCK = 2**18  # raster cells noised per block of draws
+_NOISE_BLOCK = 2**16  # raster cells per block of draws; its uint64 temporaries fit L2
 # Scene size caps: 41 times survey-dense's 6,400 buildings, and 18 times
 # scene-fine's 3.74M cells (64 MiB of int8 cells).
 _MAX_BUILDINGS = 2**18
@@ -296,4 +296,5 @@ def generate(spec: SceneSpec) -> SynthScene:
     truth = GroundTruthPoints([f"p{k:06d}" for k in kept.tolist()], x, y, codes[kept])
 
     return SynthScene(footprints=footprints, raster=raster, truth=truth,
-                      oracle_categories=dict(zip(ids, map(FemaCategory, codes.tolist()))))
+                      oracle_categories=dict(zip(ids, map(tuple(FemaCategory).__getitem__,
+                                                            codes.tolist()))))

@@ -536,19 +536,33 @@ PCTS = st.sampled_from([0.0, -0.0, 2.675, 0.005, 100.0 / 3.0, 12.5, 100.0]) | st
 
 
 @st.composite
-def rectangles(draw):
-    """A rectangle's ring of (lon, lat) pairs drawn from COORDINATES."""
-    (x0, x1), (y0, y1) = (sorted(draw(st.lists(COORDINATES, min_size=2, max_size=2)))
-                          for _ in range(2))
+def rectangles(draw, box=None):
+    """A rectangle's ring of (lon, lat) pairs drawn from COORDINATES; with a
+    box ((x0, x1), (y0, y1)), each value is moved into it, and a side that
+    this leaves without extent is the box's."""
+    sides = []
+    for lo, hi in box or [(-math.inf, math.inf)] * 2:
+        side = sorted(min(max(v, lo), hi)
+                      for v in draw(st.lists(COORDINATES, min_size=2, max_size=2)))
+        sides.append(side if side[0] != side[1] or box is None else [lo, hi])
+    (x0, x1), (y0, y1) = sides
     assume(x0 != x1 and y0 != y1)
     return [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+
+
+@st.composite
+def holed_rectangles(draw):
+    """A footprint's rings: a rectangle, then up to two holes in its box."""
+    exterior = draw(rectangles())
+    box = ((exterior[0][0], exterior[1][0]), (exterior[0][1], exterior[2][1]))
+    return [exterior, *draw(st.lists(rectangles(box), max_size=2))]
 
 
 @st.composite
 def assessed_footprints(draw):
     """(footprints built through the library, some with holes, their
     estimates, with counts the writer accepts, and input properties or None)."""
-    footprints = [footprint_of(draw(IDS), draw(st.lists(rectangles(), min_size=1, max_size=3)))
+    footprints = [footprint_of(draw(IDS), draw(holed_rectangles()))
                   for _ in range(draw(st.integers(0, 4)))]
     estimates = [DamageEstimate(fp.id, draw(PCTS), inside := draw(st.integers(0, 10**6)),
                                 draw(st.integers(0, inside)), draw(st.booleans()),
@@ -891,3 +905,20 @@ def test_read_text_reads_as_a_utf8_text_handle(text_file, raw):
         assert str(caught.value).endswith(f"byte 0x{bad:02x} is not UTF-8 ({exc.reason})")
     else:
         assert formats.read_text(text_file) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "a\r\nb\rc\n",
+    "é€ \U0001F600\x85\r\n",
+    ["ncols 1\n", b"0 1\r\n", "", b"", "é,", "€".encode(), b"\r"],
+    iter([b"header\n", "body é\n"]),
+], ids=["empty", "line-ends", "non-ascii", "mixed-pieces", "a-generator"])
+def test_write_text_writes_what_a_utf8_text_handle_wrote(tmp_path, text):
+    """A str, or pieces of str and UTF-8 bytes, with the bytes a text handle
+    with newline="" wrote for the same text; bytes pieces go as they are."""
+    pieces = [text] if isinstance(text, str) else list(text)
+    with open(tmp_path / "expected", "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(p if isinstance(p, str) else p.decode() for p in pieces)
+    formats.write_text(tmp_path / "got", text if isinstance(text, str) else iter(pieces))
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "expected").read_bytes()

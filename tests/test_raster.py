@@ -275,15 +275,16 @@ OFFSETS = st.sampled_from([0, 0, 0.5, 0.25])
 
 
 @st.composite
-def rings(draw, frame, east):
+def rings(draw, frame, east, box=None):
     """A ring of 3 to 6 vertices near the raster, or east columns east of
-    it; None if two in a row repeat."""
+    it, each moved into box ((min_lon, min_lat), (max_lon, max_lat)) if
+    given; None if two in a row repeat."""
     ncols, nrows = frame[:2]
     verts = []
     for _ in range(draw(st.integers(3, 6))):
         col = east + draw(st.integers(-3, ncols + 2)) - draw(OFFSETS)
         row = draw(st.integers(-3, nrows + 2)) - draw(OFFSETS)
-        lon, lat = _centres(frame, col, row)
+        lon, lat = np.clip(_centres(frame, col, row), *box) if box else _centres(frame, col, row)
         verts.append(GeoPoint(float(lon), float(lat)))
     verts.append(verts[0])
     if any(a == b for a, b in zip(verts, verts[1:])):
@@ -293,17 +294,20 @@ def rings(draw, frame, east):
 
 @st.composite
 def window_scenes(draw):
-    """A raster frame and footprints with holes, some of them overlapping,
-    on, partly on or off the raster."""
+    """A raster frame and footprints with holes in their exteriors' boxes,
+    some of them overlapping, on, partly on or off the raster."""
     xll, yll, cs = draw(st.sampled_from(FRAMES))
     frame = (draw(st.integers(1, 7)), draw(st.integers(1, 7)), xll, yll, cs)
     footprints = []
     for k in range(draw(st.integers(1, 5))):
         east = draw(st.sampled_from([0, 0, 0, 0, frame[0] + 4]))
         exterior = draw(rings(frame, east))
-        holes = [draw(rings(frame, east))
+        if exterior is None:
+            continue
+        box = exterior.coords.min(axis=0), exterior.coords.max(axis=0)
+        holes = [draw(rings(frame, east, box))
                  for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
-        if exterior is None or None in holes:
+        if None in holes:
             continue
         lons, lats = map(set, exterior.coords.T.tolist())
         if len(lons) > 1 and len(lats) > 1:
@@ -437,9 +441,15 @@ def grid_texts(draw):
     return (head + body).replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
 
 
-def one_row(cells, nodata):
-    return (f"ncols {len(cells.split())}\nnrows 1\nxllcorner 0\nyllcorner 0\n"
+def one_row(cells, nodata, ncols=None):
+    return (f"ncols {ncols or len(cells.split())}\nnrows 1\nxllcorner 0\nyllcorner 0\n"
             f"cellsize 1\nnodata_value {nodata}\n{cells}\n")
+
+
+# Bytes between cells that the block reader's table sends to its sentinel.
+# The line loop reads \x0b, \x0c and \x1c as line breaks, and \x00 and DEL
+# as bytes of a bad token. A blank-free mask of bytes above 32 sees only DEL.
+SENTINEL_BYTES = ["\x00", "\x0b", "\x0c", "\x1c", "\x7f"]
 
 
 @settings(max_examples=600)
@@ -449,6 +459,12 @@ def one_row(cells, nodata):
 @example(text=one_row("2 -0 01 -00000000001 00000000002", -1), block_chars=40)
 @example(text=one_row("0 +1 -0 2", -1), block_chars=40)
 @example(text=one_row("0 n 1", -1), block_chars=40)  # the writer's placeholder
+# Four cells would be read if the sentinel byte were a cell of its own.
+@example(text=one_row("0\x001 2", -1, ncols=4), block_chars=40)
+@example(text=one_row("0\x0b1 2", -1, ncols=4), block_chars=40)
+@example(text=one_row("0 1\x0c2", -1, ncols=4), block_chars=40)
+@example(text=one_row("0\x1c1 2", -1, ncols=4), block_chars=40)
+@example(text=one_row("0 1 \x7f 2", -1, ncols=4), block_chars=40)
 @example(text=one_row("1 " + "0" * 22 + "1", -1), block_chars=40)
 @example(text="", block_chars=40)
 @example(text="ncols 4\nnrows 3\n\n", block_chars=40)  # ends before xllcorner
@@ -459,6 +475,12 @@ def test_block_parser_agrees_with_the_reference(text, block_chars):
         assert got == outcome(_oracles.parse_ascii_grid, text)
     if isinstance(got[0], tuple):  # a raster's frame, not an error's type
         assert parse_ascii_grid(text).cells.dtype == narrowest_holding(got[1])
+
+
+@pytest.mark.parametrize("byte", SENTINEL_BYTES, ids=ascii)
+def test_a_sentinel_byte_sends_its_block_to_the_line_loop(byte):
+    assert raster_module._block_cells(f"0 {byte} 1 2\n1 0 2\n", b"-1") is None
+    assert raster_module._block_cells("0 1 2\n1 0 2\n", b"-1")[1] == 2
 
 
 @given(text=st.text(alphabet="ab \n\r\x0b\x0c\x1c\x1e\x85\u2028\u2029", max_size=40),
@@ -648,6 +670,22 @@ def test_the_file_reader_holds_little_per_cell(tmp_path):
     assert np.array_equal(again.cells, raster.cells)
     # The file's bytes and its decoded text, held whole, would take 4 B/cell.
     assert peak <= 2 * raster.cells.size
+
+
+@pytest.mark.parametrize("nodata", [-1, -9999, 127, -128, -2**31, 2**31 - 1])
+def test_the_file_writer_writes_the_reference_bytes(tmp_path, nodata):
+    """ascii_grid_blocks' bytes through write_text, with nodata cells in the
+    first and last of many blocks."""
+    cells = np.random.default_rng(7).choice(np.array([0, 1, 2, nodata]), size=(40, 30))
+    cells[0, 0] = cells[-1, -1] = nodata
+    raster = ClassRaster(ncols=30, nrows=40, xll=-90.5, yll=32.25, cellsize=0.1,
+                         nodata=nodata, cells=cells)
+    with mock.patch.object(raster_module, "_BLOCK_CHARS", 120):  # two rows a block
+        blocks = list(ascii_grid_blocks(raster))
+    assert len(blocks) == 21 and all(type(block) is bytes for block in blocks)
+    assert blocks[1].startswith(str(nodata).encode()) and blocks[-1].endswith(b" %d\n" % nodata)
+    write_text(tmp_path / "raster.asc", iter(blocks))
+    assert (tmp_path / "raster.asc").read_bytes() == _oracles.write_ascii_grid(raster).encode()
 
 
 def test_the_streamed_writer_holds_little_beyond_the_cells(tmp_path):

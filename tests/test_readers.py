@@ -108,20 +108,25 @@ ids = st.from_regex(r"[A-Za-z0-9_-]{1,6}", fullmatch=True)
 lons, lats = st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)
 
 
+def rectangle(x0, y0, x1, y1):
+    return Ring(tuple(GeoPoint(x, y) for x, y in [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]))
+
+
 @st.composite
 def rectangles(draw):
-    """A Footprint with distinct corners (x0, y0)-(x1, y1) and maybe a hole."""
+    """A Footprint with distinct corners (x0, y0)-(x1, y1) and maybe a hole,
+    a rectangle with distinct corners in that box."""
     fid = draw(ids)
-    corners = draw(st.lists(st.tuples(lons, lats), min_size=2, max_size=4))
-    rings = []
-    for (x0, y0), (x1, y1) in zip(corners[0::2], corners[1::2]):
-        if x0 == x1 or y0 == y1:
-            break
-        rings.append(Ring(tuple(GeoPoint(x, y) for x, y in
-                                [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])))
-    if not rings:
-        rings = [square_footprint(fid, 0.0, 0.0, 1.0).exterior]
-    return Footprint(fid, rings[0], tuple(rings[1:]))
+    (x0, y0), (x1, y1) = draw(st.lists(st.tuples(lons, lats), min_size=2, max_size=2))
+    if x0 == x1 or y0 == y1:
+        return square_footprint(fid, 0.0, 0.0, 1.0)
+    holes = ()
+    if draw(st.booleans()):
+        (hx0, hx1), (hy0, hy1) = (
+            draw(st.lists(st.floats(min(a, b), max(a, b)), min_size=2, max_size=2, unique=True))
+            for a, b in [(x0, x1), (y0, y1)])
+        holes = (rectangle(hx0, hy0, hx1, hy1),)
+    return Footprint(fid, rectangle(x0, y0, x1, y1), holes)
 
 
 def estimate_of(fid, n_inside, n_damaged, supersampled):
@@ -249,6 +254,44 @@ def test_the_template_path_reads_the_edge_spellings_as_json_does():
     assert all(isinstance(read(text), str) for text in EDGE_TEXTS[-7:-2])  # a ParseError each
     assert check_template_path(WRITTEN)
     assert not check_template_path(write_footprints_geojson([]))  # the general path reads it
+
+
+def on_steps(ring, step=2.0**-15, lat0=10.0):
+    """A ring of (x, y) steps from (0, lat0), closed here, as (lon, lat) pairs."""
+    return [(x * step, lat0 + y * step) for x, y in ring + ring[:1]]
+
+
+def template_text(features):
+    """The writers' layout of (id, rings of (lon, lat) pairs) features."""
+    return formats._HEAD + ",".join(
+        formats._FEATURE % f'"{fid}"'
+        + formats._RING_SEP.join(formats._VERTEX_SEP.join(f"{x!r},{y!r}" for x, y in ring)
+                                 for ring in rings)
+        + formats._PROPERTIES % "{}" for fid, rings in features) + formats._TAIL
+
+
+# The first hole lies 28 steps east of the 2x2-step exterior: a point at x 29
+# would be 3.34 m from it and 23.39 m from square b, yet the matcher takes a
+# footprint's bounds from its exterior alone, so it would give b.
+@pytest.mark.parametrize("hole, refused", [
+    ([(30, 0), (32, 0), (32, 2), (30, 2)], True),
+    ([(1, 1), (3, 1), (3, 2), (1, 2)], True),  # one step past the box
+    ([(0, 0), (1, 0), (1, 2), (0, 2)], False),  # on three of the box's edges
+    ([(0, 0), (2, 0), (2, 2), (0, 2)], False),  # the exterior itself
+])
+def test_a_hole_must_lie_within_its_exterior_box_on_every_path(hole, refused):
+    rings = [on_steps([(0, 0), (2, 0), (2, 2), (0, 2)]), on_steps(hole)]
+    text = template_text([("b", [on_steps([(20, 0), (22, 0), (22, 2), (20, 2)])]), ("a", rings)])
+    assert formats._templated(text) is not None
+    message = "footprint hole reaches outside its exterior's bounding box"
+    if refused:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            footprint_of("a", rings)
+        assert read(text) == read(text, templated=False) == f"in: feature 'a': {message}"
+    else:
+        assert footprint_of("a", rings).holes[0].coords.tolist() == [list(v) for v in rings[1]]
+        assert read(text) == read(text, templated=False)
+        assert read(text)[0] == ["b", "a"]
 
 
 flat_texts = st.text(alphabet=st.characters(exclude_characters="{}[]"), max_size=6)

@@ -401,6 +401,40 @@ def test_the_mirrored_scenes_put_the_box_bound_at_and_past_the_vertex_bound():
     assert gaps[0] == 0.0 < gaps[1] < 2.0**-40
 
 
+@st.composite
+def holed_scenes(draw):
+    """Rectangles and slanted quadrilaterals on a lattice, each with up to
+    two holes of three or four distinct vertices anywhere in its exterior's
+    box, edges included (in or out of the exterior itself); points around
+    and between them."""
+    lat0 = draw(st.sampled_from([0.0, 32.9, -60.0]))
+    footprints = []
+    for k in range(draw(st.integers(1, 4))):
+        x0, y0 = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+        w, h = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+        slant = draw(st.sampled_from([0, draw(st.integers(1 - w, 3))]))
+        exterior = [(x0, y0), (x0 + w, y0), (x0 + w + slant, y0 + h), (x0, y0 + h)]
+        vertex = st.tuples(st.integers(x0, x0 + w + max(slant, 0)), st.integers(y0, y0 + h))
+        holes = draw(st.lists(st.lists(vertex, min_size=3, max_size=4, unique=True),
+                              max_size=2))
+        footprints.append(on_lattice(f"f{k}", exterior, *holes, lat0=lat0))
+    points = [truth_point(f"p{k}", x * 0.5 * STEP, lat0 + y * 0.5 * STEP)
+              for k, (x, y) in enumerate(draw(st.lists(
+                  st.tuples(st.integers(-60, 60), st.integers(-60, 60)), min_size=1,
+                  max_size=8)))]
+    return points, footprints, draw(st.sampled_from([3.0, 10.0, 45.0, math.inf]))
+
+
+@settings(max_examples=200)
+@given(scene=holed_scenes(), pair_edges=st.sampled_from([1, 3, 2**15]))
+def test_holes_anywhere_in_the_box_keep_the_brute_force_match(scene, pair_edges):
+    points, footprints, radius = scene
+    with mock.patch.object(truth_module, "_PAIR_EDGES", pair_edges):
+        matched, unmatched = match_points(points, footprints, radius)
+    assert ([tuple(m) for m in matched], unmatched) == brute_force_match(points, footprints,
+                                                                         radius)
+
+
 def lattice_scene(side, seed):
     """side x side square footprints 10 m wide at a 20 m pitch, built from
     one coordinate array, and one jittered point per footprint."""
