@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import os
 import sys
@@ -122,7 +123,9 @@ def cmd_pr_plot(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; main looks up each command's cmd_ function."""
     parser = argparse.ArgumentParser(
         prog="damagekit",
         description="Building damage assessment pipeline tools.")
@@ -131,13 +134,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("spec", help="scene spec JSON file")
     p.add_argument("out_dir", help="output directory")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("assess", help="estimate per-building damage")
     p.add_argument("footprints", help="footprints GeoJSON")
     p.add_argument("raster", help="classification raster (.asc)")
     p.add_argument("--out", default=None, help="output GeoJSON (default stdout)")
-    p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("match", help="match truth points to footprints")
     p.add_argument("points", help="ground truth CSV")
@@ -145,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius-m", type=float, default=20.0,
                    help="match radius in metres (default 20)")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("validate", help="compute validation metrics")
     p.add_argument("assessed", help="assessed footprints GeoJSON")
@@ -158,22 +158,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report JSON path (default stdout)")
     p.add_argument("--curve", default=None,
                    help="also write the PR curve CSV here")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pr-plot", help="render a PR curve as SVG")
     p.add_argument("curve", help="curve CSV from validate")
     p.add_argument("--out", default=None, help="output SVG (default stdout)")
-    p.set_defaults(func=cmd_pr_plot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()  # a command's data hold no reference cycles for it to find
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except DamageKitError as exc:
         print(f"damagekit: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -192,9 +192,11 @@ def contains(fp: Footprint, p: GeoPoint) -> bool:
     b = fp.bounds
     if p.lon < b.min_lon or p.lon > b.max_lon or p.lat < b.min_lat or p.lat > b.max_lat:
         return False
-    *edges, ring = _edges(FootprintArray.of([fp]), np.arange(1 + len(fp.holes)))
+    rings = [fp.exterior.coords, *(hole.coords for hole in fp.holes)]
+    ring = np.repeat(np.arange(len(rings)), [len(c) - 1 for c in rings])
+    v1, v2 = np.concatenate([c[:-1] for c in rings]).T, np.concatenate([c[1:] for c in rings]).T
     return bool(_inside_pairs(np.array([p.lon]), np.array([p.lat]),
-                              np.zeros(len(ring), dtype=np.int64), *edges, ring)[0])
+                              np.zeros(len(ring), dtype=np.int64), *v1, *v2, ring)[0])
 
 
 def _distances(x, y, box, owner, x1, y1, x2, y2, ring, kx, ky):
@@ -223,11 +225,11 @@ def _centres(frame, cols, rows):
 
 
 def inside_pixels(frame, footprints):
-    """(part, owner, row, col) int64 arrays per chunk of footprints (a
+    """(part, owner, cell) int64 arrays per chunk of footprints (a
     FootprintArray or a sequence of Footprints) on a raster frame (ncols, nrows,
     xll, yll, cellsize). part holds the chunk's footprint indices; each pixel
     whose centre lies inside footprint part[owner], as contains decides it,
-    gives one owner, row and col, in footprint order, then row-major.
+    gives one owner and cell, row * ncols + col, in footprint order, then row-major.
 
     The scanline rule, batched over footprints in chunks of about _SPAN_PIXELS
     pixels per ring of their windows, each the bounding box padded by one cell:
@@ -250,14 +252,13 @@ def inside_pixels(frame, footprints):
     cost = ((win[covered, 1] - win[covered, 0] + 1)
             * (win[covered, 3] - win[covered, 2] + 1)
             * np.diff(fps.geom_offsets)[covered])
-    centres = _centres(frame, np.arange(ncols, dtype=np.float64),
-                       np.arange(nrows, dtype=np.float64))
+    centres = _centres(frame, np.arange(ncols), np.arange(nrows))
     for part in _chunks(covered, cost, _SPAN_PIXELS):
         yield part, *_chunk_pixels(*centres, fps, part, win[part])
 
 
 def _chunk_pixels(lons, lats, fps, part, win):
-    """inside_pixels' (owner, row, col) of the footprints part of a collection
+    """inside_pixels' (owner, cell) of the footprints part of a collection
     and their windows, from the centre longitudes of every column and
     latitudes of every row."""
     row_lo, row_hi, col_lo, col_hi = win.T
@@ -275,22 +276,19 @@ def _chunk_pixels(lons, lats, fps, part, win):
 
     # (edge, row) pairs: the window rows whose centre latitude lies in the
     # edge's closed latitude range; -lats rises with the row.
-    south = -lats
-    first = np.searchsorted(south, -np.maximum(y1, y2), "left")
-    stop = np.searchsorted(south, -np.minimum(y1, y2), "right")
+    first = np.searchsorted(-lats, -np.maximum(y1, y2), "left")
+    stop = np.searchsorted(-lats, -np.minimum(y1, y2), "right")
     pair, row = _runs(np.maximum(first, row_lo[edge_fp]),
                       np.minimum(stop, row_hi[edge_fp] + 1))
-    f = edge_fp[pair]
-    px1, py1, px2, py2, y = x1[pair], y1[pair], x2[pair], y2[pair], lats[row]
+    f, y = edge_fp[pair], lats[row]
     row_start = (row - row_lo[f]) * width[f]  # within the window
+    slanted, level = np.flatnonzero(y1[pair] != y2[pair]), np.flatnonzero(y1[pair] == y2[pair])
+    e = pair[slanted]
 
-    # Parity: a straddling edge flips the centres west of its crossing, so
-    # each gets a mark at the start of its ring's row and one at the first
-    # centre not west of it; a running count of marks is odd where the
-    # parity is.
-    slanted = np.flatnonzero(py1 != py2)
-    straddles, x_cross = _crossing(px1[slanted], py1[slanted], px2[slanted],
-                                   py2[slanted], y[slanted])
+    # Parity: a straddling edge flips the centres west of its crossing, so each
+    # gets a mark at the start of its ring's row and one at the first centre not
+    # west of it; a running count of marks is odd where the parity is.
+    straddles, x_cross = _crossing(x1[e], y1[e], x2[e], y2[e], y[slanted])
     flip = slanted[straddles]
     west = np.searchsorted(lons, x_cross[straddles], "left") - col_lo[f[flip]]
     mark = offset[edge_ring[pair[flip]]] + row_start[flip]
@@ -298,21 +296,21 @@ def _chunk_pixels(lons, lats, fps, part, win):
                         minlength=ring_size.sum() + 1)
     parity = (np.cumsum(marks[:-1]) & 1).astype(bool)
 
-    # On-edge candidates. A horizontal edge holds the centres of its row in
-    # its longitude range. A centre on another edge makes the two products
-    # of _on_edge's cross product round to the same value; with u = 2**-53
-    # that puts it within about 4u|x2 - x1| + u|x1| of x_cross, plus at most
-    # 4 * 2**-1075 * (1 + 1 / |y2 - y1|) where the products underflow. slack
-    # covers that and the rounding of x_cross -/+ slack with room to spare.
-    lo_x, hi_x = np.minimum(px1, px2), np.maximum(px1, px2)
-    slack = (2.0**-50 * (np.abs(px2[slanted] - px1[slanted]) + np.abs(px1[slanted]))
-             + 2.0**-1072 / np.abs(py2[slanted] - py1[slanted]) + 2.0**-1072)
-    lo_x[slanted], hi_x[slanted] = x_cross - slack, x_cross + slack
-    cand, col = _runs(np.maximum(np.searchsorted(lons, lo_x, "left"), col_lo[f]),
-                      np.minimum(np.searchsorted(lons, hi_x, "right"), col_hi[f] + 1))
-    e = pair[cand]
-    on = _on_edge(x1[e], y1[e], x2[e], y2[e], lons[col], y[cand])
-    pix = (offset[f[cand]] + row_start[cand] + col - col_lo[f[cand]])[on]
+    # On-edge candidates. A horizontal edge holds the centres of its row in its longitude
+    # range. A centre on another edge makes the two products of _on_edge's cross product
+    # round to the same value; with u = 2**-53 that puts it within about 4u|x2 - x1| + u|x1|
+    # of x_cross, plus at most 4 * 2**-1075 * (1 + 1 / |y2 - y1|) where the products
+    # underflow. slack covers that and the rounding of x_cross -/+ slack with room to spare.
+    slack = (2.0**-50 * (np.abs(x2 - x1) + np.abs(x1))[e]
+             + 2.0**-1072 / np.abs(y2 - y1)[e] + 2.0**-1072)
+    near = np.concatenate([slanted, level])
+    lo_x = np.concatenate([x_cross - slack, np.minimum(x1, x2)[pair[level]]])
+    hi_x = np.concatenate([x_cross + slack, np.maximum(x1, x2)[pair[level]]])
+    cand, col = _runs(np.maximum(np.searchsorted(lons, lo_x, "left"), col_lo[f[near]]),
+                      np.minimum(np.searchsorted(lons, hi_x, "right"), col_hi[f[near]] + 1))
+    c, e = near[cand], pair[near[cand]]
+    on = _on_edge(x1[e], y1[e], x2[e], y2[e], lons[col], y[c])
+    pix = (offset[f[c]] + row_start[c] + col - col_lo[f[c]])[on]  # in the footprint's window
     on_hole_edge = (edge_ring[e] >= n_fp)[on]
 
     # Inside a hole means inside any hole, not an odd number of them.
@@ -320,15 +318,16 @@ def _chunk_pixels(lons, lats, fps, part, win):
     on_ext, on_hole, in_hole = np.zeros((3, n_pix), dtype=bool)
     on_ext[pix[~on_hole_edge]] = True
     on_hole[pix[on_hole_edge]] = True
-    holes = np.arange(n_fp, len(ring_fp))
-    to_fp = np.repeat(offset[ring_fp[holes]] - offset[holes], ring_size[holes])
+    to_fp = np.repeat(offset[hole_fp] - offset[n_fp:], ring_size[n_fp:])
     in_hole[(np.arange(n_pix, len(parity)) + to_fp)[parity[n_pix:]]] = True
     inside = _hole_rule(on_ext, parity[:n_pix], on_hole, in_hole)
-    # The window pixels run window row by window row, in footprint order.
+    # The window pixels run window row by window row, in footprint order;
+    # window row l's pixel p is cell p + shift[l].
     line_fp, line_row = _runs(row_lo, row_hi + 1)
-    line, col = _runs(col_lo[line_fp], col_hi[line_fp] + 1)
-    line = line[inside]
-    return line_fp[line], line_row[line], col[inside]
+    line_start = np.cumsum(width[line_fp]) - width[line_fp]
+    shift = line_row * len(lons) + col_lo[line_fp] - line_start
+    count = np.add.reduceat(inside, line_start, dtype=np.int64)
+    return np.repeat(line_fp, count), np.flatnonzero(inside) + np.repeat(shift, count)
 
 
 def metres_per_degree(ref_lat: float) -> tuple[float, float]:

@@ -261,8 +261,8 @@ def generate(spec: SceneSpec) -> SynthScene:
                          "raster, too large to allocate") from exc
     frame = (ncols, nrows, xll, yll, cs_deg)
     damaged = codes >= FemaCategory.MAJOR_DAMAGE
-    for part, owner, row, col in inside_pixels(frame, footprints):
-        cells[row, col] = np.where(damaged[part][owner], CLASS_DAMAGED, CLASS_BUILDING)
+    for part, owner, cell in inside_pixels(frame, footprints):
+        cells.put(cell, np.where(damaged[part][owner], CLASS_DAMAGED, CLASS_BUILDING))
 
     if spec.pixel_noise_rate > 0.0:
         # Cell k of a block reads draws 2k+1 (flip) and 2k+2 (replacement

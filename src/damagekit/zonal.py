@@ -69,8 +69,10 @@ def _counts(raster: ClassRaster, fps: FootprintArray, k: int):
     and of those the damaged ones."""
     frame = (k * raster.ncols, k * raster.nrows, raster.xll, raster.yll, raster.cellsize / k)
     n_inside, n_damaged = np.zeros((2, len(fps)), dtype=np.int64)
-    for part, owner, row, col in inside_pixels(frame, fps):
-        cells = raster.cells[row // k, col // k]
+    for part, owner, cell in inside_pixels(frame, fps):
+        if k > 1:  # the raster cell that each subcell centre lies in
+            cell = cell // frame[0] // k * raster.ncols + cell % frame[0] // k
+        cells = raster.cells.take(cell)
         n_inside[part] = np.bincount(owner[cells != raster.nodata], minlength=len(part))
         n_damaged[part] = np.bincount(owner[cells == CLASS_DAMAGED], minlength=len(part))
     return n_inside, n_damaged

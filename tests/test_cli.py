@@ -659,6 +659,19 @@ def test_synth_assess_and_match_build_no_per_feature_objects(tmp_path, capsys, m
         "PRPoint.__init__", "MatchedSample.__new__"])
 
 
+def test_main_runs_the_command_function_bound_at_call_time(tmp_path, capsys, monkeypatch):
+    """The parser is built once, but each call looks its command up in the
+    module, so a function patched in after a first call is the one run."""
+    curve = write(tmp_path / "c.csv", "theta,precision,recall\n0.0,1.0,1.0\n")
+    assert main(["pr-plot", curve]) == 0
+    assert "<polyline points=" in capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_pr_plot", lambda args: seen.append(args.curve) or 9)
+    assert main(["pr-plot", curve]) == 9
+    assert seen == [curve]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("outcome", ["success", "exit-2", "raises"])
 def test_main_restores_the_cyclic_collector(tmp_path, capsys, monkeypatch,

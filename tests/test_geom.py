@@ -15,6 +15,7 @@ from damagekit.geom import (EARTH_RADIUS_M, BBox, Footprint, GeoPoint, Ring, _ch
 
 from _oracles import (contains_many, point_to_footprint_distance_m,
                       scalar_contains, square_footprint, square_ring, vertices)
+from test_raster import window_scenes
 
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -253,6 +254,26 @@ def test_contains_many_matches_scalar_exactly():
     assert not any(contains(stray_hole, GeoPoint(*p)) for p in on_stray_edge)
     lons, lats = np.array(on_stray_edge).T
     assert not contains_many(stray_hole, lons, lats).any()
+
+
+@settings(max_examples=200)
+@given(scene=window_scenes(), fractions=st.lists(st.tuples(st.floats(-0.25, 1.25),
+                                                           st.floats(-0.25, 1.25)), max_size=8))
+def test_contains_matches_the_scalar_reference_with_holes(scene, fractions):
+    """contains against scalar_contains on footprints with holes: at every
+    vertex, at a quarter and half of every edge, and at points drawn in and
+    around each bounding box."""
+    _, footprints = scene
+    for fp in footprints:
+        b = fp.bounds
+        probes = [(b.min_lon + u * (b.max_lon - b.min_lon), b.min_lat + v * (b.max_lat - b.min_lat))
+                  for u, v in fractions]
+        for ring in (fp.exterior, *fp.holes):
+            for (x1, y1), (x2, y2) in zip(ring.coords.tolist(), ring.coords[1:].tolist()):
+                probes += [(x1 + t * (x2 - x1), y1 + t * (y2 - y1)) for t in (0.0, 0.25, 0.5)]
+        for lon, lat in probes:
+            p = GeoPoint(lon, lat)
+            assert contains(fp, p) is scalar_contains(fp, p)
 
 
 def test_contains_many_broadcasts_grid():

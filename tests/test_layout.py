@@ -95,6 +95,19 @@ def test_formats_reads_raster_files_through_the_public_reader_alone():
     assert [name for name in imported if name.startswith("_")] == []
 
 
+def test_cli_binds_no_function_to_its_parser():
+    """main looks each command's function up at call time, so the parser,
+    built once, holds none: a set_defaults call may pass no function of cli."""
+    functions = {node.name for node in SOURCES["cli"].body
+                 if isinstance(node, ast.FunctionDef)}
+    passed = [ast.unparse(value) for node in ast.walk(SOURCES["cli"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "set_defaults"
+              for value in (*node.args, *(keyword.value for keyword in node.keywords))
+              if isinstance(value, ast.Lambda) or names(value) & functions]
+    assert passed == []
+
+
 def table_object_columns(tree):
     """{class: [its columns of dtype object]} of each Columns subclass a module defines."""
     return {node.name: [key.value for key, dtype in zip(stmt.value.keys, stmt.value.values)

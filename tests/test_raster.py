@@ -248,7 +248,7 @@ def test_inside_pixels_give_the_pixel_centres_inside():
     # A 0.2-wide square around the centre of pixel (col 1, row 1).
     fp = square_footprint("b", 10.75, 20.75, 0.1)
     [chunk] = inside_pixels(raster.frame, [fp])
-    assert [a.tolist() for a in chunk] == [[0], [0], [1], [1]]
+    assert [a.tolist() for a in chunk] == [[0], [0], [1 * 4 + 1]]
     assert all(a.dtype == np.int64 for a in chunk)
     assert contains(fp, GeoPoint(*_centres(raster.frame, 1, 1)))
 
@@ -258,7 +258,7 @@ def test_inside_pixels_skip_footprints_off_the_raster():
     far = square_footprint("far", 50.0, 50.0, 0.1)
     near = square_footprint("near", 10.75, 20.75, 0.1)
     [chunk] = inside_pixels(raster.frame, [far, near, far])
-    assert [a.tolist() for a in chunk] == [[1], [0], [1], [1]]
+    assert [a.tolist() for a in chunk] == [[1], [0], [1 * 4 + 1]]
     assert list(inside_pixels(raster.frame, [far])) == []
     assert list(inside_pixels(raster.frame, [])) == []
 
@@ -316,34 +316,52 @@ def window_scenes(draw):
 
 
 def reference_pixels(frame, footprints):
-    """(footprint, row, col) of every pixel centre inside a footprint, from
-    the per-footprint reference windows, in footprint order, then row-major."""
-    triples = []
+    """(footprint, row * ncols + col) of every pixel centre inside a
+    footprint, from the per-footprint reference windows, in footprint order,
+    then row-major."""
+    pairs = []
     for i, fp in enumerate(footprints):
         hit = _oracles.pixel_window(frame, fp)
         if hit is not None:
             (rows, cols), inside = hit
             for row, col in zip(*np.nonzero(inside)):
-                triples.append((i, rows.start + int(row), cols.start + int(col)))
-    return triples
+                pairs.append((i, (rows.start + int(row)) * frame[0] + cols.start + int(col)))
+    return pairs
 
 
 def chunked_pixels(frame, footprints):
-    """inside_pixels' chunks as (footprint, row, col) triples, checking that
-    their arrays are int64 and that part rises and never repeats."""
-    triples, last = [], -1
+    """inside_pixels' chunks as (footprint, cell) pairs, checking that their
+    arrays are int64 and that part rises and never repeats."""
+    pairs, last = [], -1
     for chunk in inside_pixels(frame, footprints):
         assert all(a.dtype == np.int64 for a in chunk)
-        part, owner, row, col = chunk
+        part, owner, cell = chunk
         assert part.size and part[0] > last and (np.diff(part) > 0).all()
-        assert len(owner) == len(row) == len(col)
+        assert len(owner) == len(cell)
         last = part[-1]
-        triples += zip(part[owner].tolist(), row.tolist(), col.tolist())
-    return triples
+        pairs += zip(part[owner].tolist(), cell.tolist())
+    return pairs
+
+
+def edge_scenes(frame):
+    """Footprints on frame (ncols, nrows at least 2) that its edges clip:
+    one past each of the four edges, and one wider than the raster."""
+    ncols, nrows, xll, yll, cs = frame
+    x0, y0, x1, y1 = xll, yll, xll + ncols * cs, yll + nrows * cs
+    boxes = {"west": (x0 - 2.3 * cs, y0 + 0.4 * cs, x0 + 1.3 * cs, y1 - 0.4 * cs),
+             "east": (x1 - 1.3 * cs, y0 + 0.4 * cs, x1 + 2.3 * cs, y1 - 0.4 * cs),
+             "south": (x0 + 0.4 * cs, y0 - 2.3 * cs, x1 - 0.4 * cs, y0 + 1.3 * cs),
+             "north": (x0 + 0.4 * cs, y1 - 1.3 * cs, x1 - 0.4 * cs, y1 + 2.3 * cs),
+             "wide": (x0 - 3.1 * cs, y0 + 0.6 * cs, x1 + 3.1 * cs, y1 - 0.6 * cs)}
+    return [_oracles.rect_footprint(fid, *box) for fid, box in boxes.items()]
+
+
+EDGE_FRAME = (5, 4, 10.0, 20.0, 0.25)
 
 
 @settings(max_examples=300)
 @given(scene=window_scenes())
+@example(scene=(EDGE_FRAME, edge_scenes(EDGE_FRAME)))
 def test_inside_pixels_match_the_per_footprint_reference(scene):
     frame, footprints = scene
     reference = reference_pixels(frame, footprints)

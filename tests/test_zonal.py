@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from damagekit import geom as geom_module
@@ -21,7 +21,7 @@ from damagekit.zonal import DamageEstimate, assess_all
 from _oracles import (build_raster, full_scan_assess, octagon_footprint,
                       rect_footprint, square_footprint, vertices,
                       zonal_estimate)
-from test_raster import window_scenes
+from test_raster import EDGE_FRAME, edge_scenes, window_scenes
 
 CS = 0.001  # cell size in degrees for the hand fixtures
 
@@ -290,8 +290,23 @@ def zonal_scenes(draw):
                         yll=yll), footprints
 
 
+def edge_raster_scene():
+    """EDGE_FRAME's raster with every class and nodata, its edge_scenes, and
+    two rectangles that hold subcell centres but no pixel centre: one in the
+    last column, one in the last row."""
+    ncols, nrows, xll, yll, cs = EDGE_FRAME
+    cells = [[1, 0, -1, 2, 1], [0, -1, 2, 1, 2], [-1, 2, 1, 0, -1], [2, 1, 2, -1, 0]]
+    footprints = edge_scenes(EDGE_FRAME)
+    for fid, col, row in (("last-col", ncols - 1, 1), ("last-row", 2, nrows - 1)):
+        (x0, x1), (y1, y0) = _centres(EDGE_FRAME, np.array([col - 0.45, col - 0.2]),
+                                      np.array([row + 0.2, row + 0.45]))
+        footprints.append(rect_footprint(fid, x0, y0, x1, y1))
+    return build_raster(cells, cellsize=cs, xll=xll, yll=yll), footprints
+
+
 @settings(max_examples=300)
 @given(scene=zonal_scenes())
+@example(scene=edge_raster_scene())
 def test_assess_all_matches_the_per_footprint_reference(scene):
     raster, footprints = scene
     expected = [zonal_estimate(raster, fp) for fp in footprints]
