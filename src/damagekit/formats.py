@@ -21,6 +21,7 @@ from contextlib import suppress
 from decimal import ROUND_HALF_UP, Decimal
 from collections.abc import Sequence
 from itertools import chain, compress, islice, repeat
+from operator import not_
 
 import numpy as np
 
@@ -38,6 +39,7 @@ ORACLE_HEADER = "footprint_id,category"
 
 _ID = re.compile(r"[A-Za-z0-9_-]+")
 _READ_CHARS = 2**16  # the characters load_raster reads at a time
+_LABELS = [category.label for category in FemaCategory]  # by code
 
 
 def read_text(path) -> str:
@@ -206,6 +208,7 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _HEAD, _TAIL = '{"type":"FeatureCollection","features":[', "]}\n"
 _FEATURE = '{"type":"Feature","id":%s,"geometry":{"type":"Polygon","coordinates":[[['
 _PROPERTIES = ']]]},"properties":%s}'
+_BETWEEN = _PROPERTIES + "," + _FEATURE % '"%s"'  # (properties, next id) between two features
 _VERTEX_SEP, _RING_SEP = "],[", "]],[["  # between the vertices of a ring, between rings
 _XY = "[-+.0-9eE]+,[-+.0-9eE]+"  # a vertex: two number spellings, for json.loads to judge
 # A feature as _collection writes it: (id, rings text, properties with no inner {}[]).
@@ -243,14 +246,14 @@ def _features(fps: FootprintArray, properties: list[str]) -> str:
     Coordinates are written by float.__repr__, as in json.dumps."""
     pieces = [None, ",", None, _VERTEX_SEP] * len(fps.coords)
     pieces[0::4], pieces[2::4] = _each_distinct(float.__repr__, fps.coords).T.tolist()
-    ids = list(map(json.dumps, _writable(fps.ids.tolist())))
+    ids = _writable(fps.ids.tolist())  # so json.dumps(id) is '"' + id + '"'
     for i in (4 * fps.ring_offsets[1:] - 1).tolist():
         pieces[i] = _RING_SEP
-    ends = [_PROPERTIES % text + "," + _FEATURE % fid for text, fid in zip(properties, ids[1:])]
+    ends = list(map(_BETWEEN.__mod__, zip(properties, ids[1:])))
     for i, end in zip((4 * fps.ring_offsets[fps.geom_offsets[1:]] - 1).tolist(),
                       ends + [_PROPERTIES % properties[-1]]):
         pieces[i] = end
-    return _FEATURE % ids[0] + "".join(pieces)
+    return _FEATURE % f'"{ids[0]}"' + "".join(pieces)
 
 
 def write_footprints_geojson(footprints: Sequence[Footprint]) -> str:
@@ -284,19 +287,18 @@ def write_assessed_geojson(footprints: Sequence[Footprint],
             f"n_inside {est.n_inside[i]} and n_damaged {est.n_damaged[i]}, "
             "not 0 <= n_damaged <= n_inside <= 2**53"))
     keys = [*DamageEstimates.columns][1:]  # damage_pct, then the counts and flags
-    rows = zip(_each_distinct(round_half_up, est.damage_pct).tolist(),
-               *(getattr(est, key).tolist() for key in keys[1:]))
-    return _collection(fps, (_assessed(props, row, keys)
-                             for props, row in zip(input_properties or repeat({}), rows)))
-
-
-def _assessed(props, row, keys) -> str:
-    """Compact json.dumps of {**props, **dict(zip(keys, row))}; by _ASSESSED (%r is
-    json's float text) unless props holds one of keys, whose place it keeps."""
-    if not props.keys().isdisjoint(keys):
-        return _COMPACT.encode({**props, **dict(zip(keys, row))})
-    text = _ASSESSED % (*row[:3], _BOOLS[row[3]], _BOOLS[row[4]])
-    return _COMPACT.encode(props)[:-1] + "," + text if props else "{" + text
+    columns = [_each_distinct(round_half_up, est.damage_pct).tolist(),
+               *(getattr(est, key).tolist() for key in keys[1:])]
+    props = input_properties or [{}] * len(fps)
+    disjoint = list(map(set(keys).isdisjoint, map(dict.keys, props)))
+    # A feature whose props hold one of keys is encoded whole by json, so that
+    # the key keeps its place; the rest by the template (%r is json's float text).
+    whole = {i: _COMPACT.encode({**props[i], **dict(zip(keys, [c[i] for c in columns]))})
+             for i in compress(range(len(props)), map(not_, disjoint))}
+    heads = (_COMPACT.encode(p)[:-1] + "," if p and d else "{" for p, d in zip(props, disjoint))
+    texts = map(("%s" + _ASSESSED).__mod__, zip(
+        heads, *columns[:3], *(map(_BOOLS.__getitem__, flags) for flags in columns[3:])))
+    return _collection(fps, map(whole.get, range(len(props)), texts))
 
 
 def _valid_counts(n_inside, n_damaged):
@@ -361,9 +363,9 @@ def _csv(header: str, rows) -> str:
 
 
 def write_truth_csv(points: Sequence[GroundTruthPoint]) -> str:
-    p, labels = GroundTruthPoints.of(points), [c.label for c in FemaCategory]  # by code
+    p = GroundTruthPoints.of(points)
     rows = zip(_writable(p.id.tolist()), p.lon.tolist(), p.lat.tolist(), p.category.tolist())
-    return _csv(TRUTH_HEADER, (f"{i},{x!r},{y!r},{labels[c]}" for i, x, y, c in rows))
+    return _csv(TRUTH_HEADER, (f"{i},{x!r},{y!r},{_LABELS[c]}" for i, x, y, c in rows))
 
 
 def parse_truth_csv(text: str, source="<csv>") -> GroundTruthPoints:
@@ -433,7 +435,7 @@ def parse_matches_csv(text: str, source="<csv>"):
 
 def write_oracle_csv(oracle_categories: dict[str, FemaCategory]) -> str:
     return _csv(ORACLE_HEADER, map("{},{}".format, _writable([*oracle_categories]),
-                                   [category.label for category in oracle_categories.values()]))
+                                   map(_LABELS.__getitem__, oracle_categories.values())))
 
 
 def parse_oracle_csv(text: str, source="<csv>") -> dict[str, FemaCategory]:

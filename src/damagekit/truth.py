@@ -168,8 +168,8 @@ def match_points(points: Sequence[GroundTruthPoint],
 
     Returns (matched, unmatched): matched is the PointMatches in input point
     order, unmatched a list of point ids in input order. Candidates
-    come from uniform grids, the first of cells min(radius_m, twice the
-    median footprint extent) wide, and each next one twice as wide, up to
+    come from uniform grids, the first of cells min(radius_m, the median
+    footprint extent) wide, and each next one twice as wide, up to
     radius_m, for the points not yet within one cell of a footprint; no cell
     is narrower than 1e-6 m.
     The distance, in the equirectangular plane at the scene's mean latitude,
@@ -202,7 +202,7 @@ def match_points(points: Sequence[GroundTruthPoint],
     # in chunks of about _PAIR_EDGES (point, candidate, edge) triples; each
     # point keeps its nearest candidate so far, and of those the smallest id.
     extent = np.maximum((box[:, 2] - box[:, 0]) * kx, (box[:, 3] - box[:, 1]) * ky)
-    cell = max(min(radius_m, 2.0 * float(np.median(extent))), 1e-6)
+    cell = max(min(radius_m, float(np.median(extent))), 1e-6)
     active = np.arange(len(points))
     while active.size:
         # |x * kx| < 2.1e7 m: cell indices stay exact below 2**53

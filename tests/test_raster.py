@@ -605,6 +605,18 @@ def test_the_file_reader_reads_as_the_whole_text_reader(grid_file, text, read_ch
         assert whole.call_count == 0
 
 
+def test_an_io_error_in_the_streamed_read_falls_back_to_the_whole_text_read(tmp_path):
+    path = tmp_path / "g.asc"
+    path.write_text(FIXTURE)
+    fault = mock.Mock(side_effect=OSError(5, "Input/output error"))
+    with mock.patch.object(formats_module, "ascii_grid_from", fault), \
+            mock.patch.object(formats_module, "read_text", wraps=read_text) as whole:
+        got = read_outcome(load_raster, str(path))
+    assert fault.call_count == whole.call_count == 1
+    assert got == read_outcome(whole_read, str(path))
+    assert isinstance(got[0], tuple)  # a raster's frame, not an error's type
+
+
 @pytest.mark.parametrize("name", ["", "missing.asc"], ids=["directory", "missing"])
 def test_the_file_reader_fails_on_a_path_as_the_whole_text_reader(tmp_path, name):
     path = str(tmp_path / name)

@@ -159,11 +159,13 @@ def test_a_point_at_exactly_the_radius_is_matched():
 
 
 def test_a_tie_first_seen_in_a_wider_round_goes_to_the_smaller_id():
-    """Two 1e-5 degree boxes mirrored about the point's meridian, 2.8 m away:
-    the first round's 2.2 m cells reach only the east one, and the second
-    round finds the west one at the same distance. Its smaller id wins."""
-    west = square_footprint("a", -3e-5, 0.0, 5e-6)
-    east = square_footprint("b", 3e-5, 0.0, 5e-6)
+    """Two 1e-5 degree (1.1 m) boxes mirrored about the point's meridian,
+    1.7 m away: the first round's 1.1 m cells reach only the east one (cell
+    0 holds the point, and cells -1 to 1 span [-1.1, 2.2) m), and the second
+    round's 2.2 m cells find the west one at the same distance. Its smaller
+    id wins."""
+    west = square_footprint("a", -2e-5, 0.0, 5e-6)
+    east = square_footprint("b", 2e-5, 0.0, 5e-6)
     points = [truth_point("p1", 0.0, 0.0)]
     for footprints in ([west, east], [east, west]):
         matched, unmatched = match_points(points, footprints, radius_m=20.0)
@@ -466,40 +468,61 @@ def test_matching_scales_to_many_points_and_footprints():
 
 
 def measured_pairs(points, footprints, radius):
-    """(matched, unmatched, the (point, footprint) pairs _distances measures)."""
-    rows = []
-    distances = truth_module._distances
+    """(matched, unmatched, the (point, footprint) pairs _distances measures,
+    the candidate pairs _candidates gives over all rounds)."""
+    rows, pairs = [], []
+    distances, candidates = truth_module._distances, truth_module._candidates
 
     def counted(x, *args):
         rows.append(len(x))
         return distances(x, *args)
 
-    with mock.patch.object(truth_module, "_distances", counted):
+    def listed(*args):
+        by_cell, f, lo, hi = candidates(*args)
+        pairs.append(int((hi - lo).sum()))
+        return by_cell, f, lo, hi
+
+    with mock.patch.object(truth_module, "_distances", counted), \
+            mock.patch.object(truth_module, "_candidates", listed):
         matched, unmatched = match_points(points, footprints, radius)
-    return matched, unmatched, sum(rows)
+    return matched, unmatched, sum(rows), sum(pairs)
 
 
 def test_matching_at_any_radius_measures_few_pairs_per_point():
     """With cells as wide as the radius, an infinite one would make every
     (point, footprint) pair a candidate: 900**2 of them here."""
     points, footprints = lattice_scene(30, seed=33)
-    matched, unmatched, pairs = measured_pairs(points, footprints, math.inf)
+    matched, unmatched, pairs, _ = measured_pairs(points, footprints, math.inf)
     assert len(matched) == 900 and unmatched == []
     assert pairs <= 40 * len(points)
 
 
-def test_the_box_prune_measures_few_pairs_per_point():
-    """About 16 pairs per point are candidates here; the box bound measures
-    fewer than 6 of them. In chunks of 64 triples a point's candidates are
-    spread over many chunks, and its bound must carry from one to the next."""
+def test_the_first_grid_is_one_footprint_wide():
+    """Cells one median footprint extent wide (10 m here) give about 4
+    candidate pairs per point over two rounds; cells twice as wide gave 15.6
+    in one, of which the box bound measured 2.3. The narrower cells must
+    not make it measure more."""
     points, footprints = lattice_scene(80, seed=32)
-    matched, _, pairs = measured_pairs(points, footprints, 20.0)
+    matched, _, measured, candidates = measured_pairs(points, footprints, 20.0)
     assert len(matched) == 6400
-    assert pairs <= 6 * len(points)
-    with mock.patch.object(truth_module, "_PAIR_EDGES", 64):
-        matched, _, pairs = measured_pairs(*lattice_scene(30, seed=33), 20.0)
+    assert candidates <= 5 * len(points)
+    assert measured <= 2.3 * len(points)
+
+
+def test_the_box_prune_measures_few_pairs_per_point():
+    """About 4 pairs per point are candidates here, and all 4 are measured
+    without the box bound; with it, fewer than 2. In chunks of 8 triples a
+    point's candidates are spread over many chunks, and its bound must carry
+    from one to the next: 3.3 pairs per point are measured when it does and
+    3.8 when each chunk starts afresh."""
+    points, footprints = lattice_scene(80, seed=32)
+    matched, _, pairs, _ = measured_pairs(points, footprints, 20.0)
+    assert len(matched) == 6400
+    assert pairs <= 2 * len(points)
+    with mock.patch.object(truth_module, "_PAIR_EDGES", 8):
+        matched, _, pairs, _ = measured_pairs(*lattice_scene(30, seed=33), 20.0)
     assert len(matched) == 900
-    assert pairs <= 8 * len(matched)
+    assert pairs <= 3.5 * len(matched)
 
 
 def test_matching_memory_is_bounded_by_its_chunks():
