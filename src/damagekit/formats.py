@@ -182,18 +182,21 @@ def _templated(text: str):
     pieces = _TEMPLATE.split(text[len(_HEAD):-len(_TAIL)])
     if pieces[0] or pieces[-1] or set(pieces[4:-1:4]) - {","}:
         return None  # the features do not tile the body one "," apart
-    rings = _RING_SEP.join(pieces[2::4])
+    rings = _RING_SEP.join(pieces[2::4]).encode()
     try:
-        coords = np.array(json.loads("[" + rings.replace("[", "").replace("]", "") + "]"), float)
+        coords = np.array(json.loads(b"[" + rings.translate(None, b"[]") + b"]"), float)
         properties = json.loads("[" + ",".join(pieces[3::4]) + "]")
     except (ValueError, OverflowError):  # a spelling json refuses, or a number past 1e308
         return None
     if len(properties) != len(pieces) // 4 or set(map(type, properties)) != {dict}:
         return None  # no feature, or properties texts json reads as merged objects
-    b = np.frombuffer(rings.encode(), np.uint8)
-    outer = b[np.flatnonzero(b == ord(","))[1::2] - 2] == ord("]")  # _RING_SEP after a vertex
+    b = np.frombuffer(rings, np.uint8)
+    seps = np.flatnonzero(b == ord(","))[1::2]  # the separator after each vertex
+    outer = b[seps - 2] == ord("]")  # _RING_SEP: a ring ends there
+    ends = np.cumsum(np.fromiter(map(len, pieces[2::4]), np.int64) + len(_RING_SEP))
+    upto = np.searchsorted(np.r_[seps[outer], len(rings)], ends)  # the rings up to each end
     return (pieces[1::4], coords, np.diff(np.flatnonzero(np.r_[True, outer, True])),
-            [t.count(_RING_SEP) + 1 for t in pieces[2::4]], properties)
+            np.diff(upto, prepend=0), properties)
 
 
 def parse_footprints_geojson(text: str, source="<geojson>") -> FootprintArray:
@@ -313,47 +316,55 @@ def parse_assessed_geojson(text: str, source="<geojson>"):
     counts must be JSON integers, 0 <= n_damaged <= n_inside <= 2**53, and the
     flags JSON booleans; the first feature that breaks this rule is named."""
     footprints, properties = parse_footprints_with_properties(text, source)
-    columns = [[props.get(key) for props in properties]
-               for key in [*DamageEstimates.columns][2:]]  # the counts and flags
+    n, d, s, c = columns = [list(map(dict.get, properties, repeat(key)))
+                            for key in [*DamageEstimates.columns][2:]]  # the counts and flags
+    if set(map(type, n + d)) <= {int} and set(map(type, s + c)) <= {bool}:
+        with suppress(OverflowError):  # a count past int64
+            if _valid_counts(n := np.array(n, np.int64), d := np.array(d, np.int64)).all():
+                return footprints, DamageEstimates.counted(footprints.ids, n, d, s, c)
     for fid, n, d, s, c in zip(footprints.ids, *columns):
         if not (type(n) is int and type(d) is int and _valid_counts(n, d)
                 and type(s) is bool and type(c) is bool):
             raise ParseError(f"feature {fid!r} lacks assessment properties "
                              "(integer counts 0 <= n_damaged <= n_inside <= 2**53, "
                              "boolean flags)", source=source)
-    return footprints, DamageEstimates.counted(footprints.ids, *columns)
+    raise AssertionError("the column check rejected counts that each feature passes")
 
 
 # -------------------------------------------------------------------- CSV
 
 def _columns(text: str, source, header: str, read):
-    """read(columns, None) of a CSV's data rows, one tuple of field texts per
-    header column; lines end at LF, CR LF or CR. On any fault read raises a
-    ParseError, and then each row is read on its own, with its line number."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """read(columns, None) of a CSV's data rows, one list of field texts per header
+    column, cut by one split of the joined non-blank lines; lines end at LF, CR LF or CR.
+    On any fault read raises a ParseError, and _first_bad_row names its line."""
+    lines = re.split(r"\r\n?|\n", text) if "\r" in text else text.split("\n")
     if lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}", source=source, line=1)
     width = header.count(",") + 1
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    if set(map(len, rows)) <= {width}:
-        try:
-            return read(list(zip(*rows)) or [()] * width, None)
-        except ParseError:
-            pass
+    rows = list(filter(str.strip, lines[1:]))
+    if set(map(str.count, rows, repeat(","))) <= {width - 1}:
+        fields = ",".join(rows).split(",") if rows else []
+        with suppress(ParseError):
+            return read([fields[k::width] for k in range(width)], None)
+    _first_bad_row(lines, width, source, read)
+
+
+def _first_bad_row(lines, width, source, read):
+    """Raise the first fault of the data rows, each read on its own, with its line."""
     for number, line in enumerate(lines[1:], start=2):
         if line.strip():
             fields = line.split(",")
             if len(fields) != width:
                 raise ParseError(f"expected {width} fields, got {len(fields)}",
                                  source=source, line=number)
-            read([(field,) for field in fields], number)
+            read([[field] for field in fields], number)
     raise AssertionError(f"{read.__qualname__} rejected rows it accepts one by one")
 
 
 def _categories(labels, source, line) -> list[FemaCategory]:
     """The category of each label, read as FemaCategory.from_label reads it."""
     categories = list(map(FemaCategory.__members__.get, map(str.upper, labels)))
-    if None in categories:
+    if None in categories or not "".join(labels).isascii():
         return [FemaCategory.from_label(label, source, line) for label in labels]
     return categories
 
@@ -373,12 +384,12 @@ def parse_truth_csv(text: str, source="<csv>") -> GroundTruthPoints:
         ids, lon_texts, lat_texts, labels = columns
         _checked_ids(ids, source, line)
         try:
-            lons, lats = list(map(float, lon_texts)), list(map(float, lat_texts))
+            lons, lats = np.array([list(map(float, lon_texts)), list(map(float, lat_texts))])
             if not ((np.abs(lons) <= 180.0).all() and (np.abs(lats) <= 90.0).all()):
-                list(map(GeoPoint, lons, lats))  # raises the first point's range error
+                list(map(GeoPoint, lons.tolist(), lats.tolist()))  # the first range error
         except ValueError as exc:
             raise ParseError(str(exc), source=source, line=line) from exc
-        return GroundTruthPoints(ids, lons, lats, _categories(labels, source, line))
+        return GroundTruthPoints(ids, lons, lats, _categories(labels, source, line), copy=False)
     return _columns(text, source, TRUTH_HEADER, read)
 
 
@@ -417,8 +428,9 @@ def _valid_distances(distances: np.ndarray) -> np.ndarray:
 def parse_matches_csv(text: str, source="<csv>"):
     """(PointMatches, unmatched ids) of a matches CSV."""
     def read(columns, line):
-        hit = [f + d != "" for f, d in zip(*columns[1:])]  # unmatched: both empty
-        pids, fids, texts = (list(compress(column, hit)) for column in columns)
+        hit = None if all(columns[1]) else [  # unmatched rows leave both fields empty
+            f + d != "" for f, d in zip(*columns[1:])]
+        pids, fids, texts = columns if hit is None else (list(compress(c, hit)) for c in columns)
         _checked_ids(columns[0], source, line)
         _checked_ids(fids, source, line)
         try:
@@ -429,7 +441,7 @@ def parse_matches_csv(text: str, source="<csv>"):
         if bad.any():
             raise ParseError(f"bad distance {texts[bad.argmax()]!r}, not a finite number "
                              ">= 0", source=source, line=line)
-        return PointMatches(pids, fids, distances), [p for p, h in zip(columns[0], hit) if not h]
+        return PointMatches(pids, fids, distances), list(compress(columns[0], map(not_, hit or ())))
     return _columns(text, source, MATCH_HEADER, read)
 
 
@@ -460,7 +472,7 @@ def parse_curve_csv(text: str, source="<csv>") -> PRCurve:
         if not ((0.0 <= values) & (values <= [[100.0], [1.0], [1.0]])).all():
             raise ParseError("bad curve row: theta must lie in [0, 100] and precision "
                              "and recall in [0, 1]", source=source, line=line)
-        return PRCurve(*values)
+        return PRCurve(*values, copy=False)
     curve = _columns(text, source, CURVE_HEADER, read)
     if not curve:
         raise ParseError("curve has no data rows", source=source, line=1)

@@ -39,10 +39,10 @@ class FemaCategory(IntEnum):
 
     @classmethod
     def from_label(cls, label: str, source=None, line=None) -> "FemaCategory":
-        try:
+        """The category named by label in any case of ASCII letters."""
+        if label.isascii() and label.upper() in cls.__members__:
             return cls[label.upper()]
-        except KeyError:
-            raise UnknownCategory(f"unknown damage category {label!r}", source, line) from None
+        raise UnknownCategory(f"unknown damage category {label!r}", source, line)
 
 
 @dataclass(frozen=True)
@@ -260,13 +260,17 @@ def join_samples(matched: Sequence[PointMatch], estimates: Sequence[DamageEstima
     point_ids, footprint_ids = matched.point_id.tolist(), matched.footprint_id.tolist()
     pct = dict(zip(estimates.footprint_id.tolist(), estimates.damage_pct.tolist()))
     label = dict(zip(points.id.tolist(), np.isin(points.category, [*scheme.damaged]).tolist()))
-    check_unique(estimates.footprint_id, DuplicateFootprintId, "footprint")
-    check_unique(points.id, DuplicatePointId, "point")
-    check_unique(point_ids, DuplicatePointId, "matched point")
-    for pid, fid in zip(point_ids, footprint_ids):
-        if fid not in pct:
-            raise MissingEstimate(f"no damage estimate for matched footprint {fid!r}")
-        if pid not in label:
-            raise MissingPoint(f"matched point {pid!r} not in point list")
-    return MatchedSamples(point_ids, footprint_ids, matched.distance_m,
-                          list(map(label.get, point_ids)), list(map(pct.get, footprint_ids)))
+    labels, pcts = list(map(label.get, point_ids)), list(map(pct.get, footprint_ids))
+    if not (len(pct) == len(estimates) and len(label) == len(points)
+            and len(set(point_ids)) == len(point_ids) and None not in labels
+            and None not in pcts):  # a fault: name the first, in this order
+        check_unique(estimates.footprint_id, DuplicateFootprintId, "footprint")
+        check_unique(points.id, DuplicatePointId, "point")
+        check_unique(point_ids, DuplicatePointId, "matched point")
+        for pid, fid in zip(point_ids, footprint_ids):
+            if fid not in pct:
+                raise MissingEstimate(f"no damage estimate for matched footprint {fid!r}")
+            if pid not in label:
+                raise MissingPoint(f"matched point {pid!r} not in point list")
+    return MatchedSamples(matched.point_id, matched.footprint_id, matched.distance_m,
+                          labels, pcts, copy=False)

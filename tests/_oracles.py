@@ -336,6 +336,25 @@ def csv_rows(text: str, source, header: str):
             yield number, fields
 
 
+def columns_by_line(text: str, source, header: str, read):
+    """formats._columns with its columns cut line by line: each data line
+    split on its own and the rows transposed by zip, then read(columns, None);
+    on any fault each row is read on its own, with its line number."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0].strip() != header:
+        raise ParseError(f"expected header {header!r}", source=source, line=1)
+    width = header.count(",") + 1
+    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    if set(map(len, rows)) <= {width}:
+        try:
+            return read([list(column) for column in zip(*rows)] or [[]] * width, None)
+        except ParseError:
+            pass
+    for number, fields in csv_rows(text, source, header):
+        read([[field] for field in fields], number)
+    raise AssertionError(f"{read.__qualname__} rejected rows it accepts one by one")
+
+
 def parse_truth_csv_by_row(text: str, source="<csv>") -> list[GroundTruthPoint]:
     points = []
     for number, (pid, lon_text, lat_text, label) in csv_rows(

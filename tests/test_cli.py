@@ -750,11 +750,19 @@ def test_radius_that_is_not_positive_exits_2(tmp_path, capsys, radius):
 
 @pytest.mark.parametrize("scheme, code", [
     ("no_visible_damage,affected,minor_damage,major_damage,destroyed", 2),
-    ("destroyed,vaporized", 4)])
+    ("destroyed,vaporized", 4), ("de\u017ftroyed", 4), ("m\u0131nor_damage", 4)])
 def test_bad_scheme_names_the_option(tmp_path, capsys, scheme, code):
     inputs = validate_inputs(tmp_path)
     assert_fails(["validate", *inputs, "--scheme", scheme], code, capsys,
                  "error: --scheme: ")
+
+
+# U+017F and U+0131 upper-case to the ASCII S and I of DESTROYED and MINOR_DAMAGE.
+@pytest.mark.parametrize("label", ["de\u017ftroyed", "m\u0131nor_damage"])
+def test_a_non_ascii_category_label_exits_4(tmp_path, capsys, label):
+    inputs = validate_inputs(tmp_path, truth=f"p1,0.0,0.0,{label}\n")
+    assert_fails(["validate", *inputs], 4, capsys,
+                 f"error: {inputs[2]}:2: unknown damage category {label!r}\n")
 
 
 def test_scene_whose_buildings_collapse_exits_2(tmp_path, capsys):

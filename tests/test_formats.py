@@ -729,6 +729,19 @@ def test_truth_csv_error_paths():
         parse_truth_csv(good + "p1,1.0,2.0,obliterated\n")
 
 
+@pytest.mark.parametrize("label", ["de\u017ftroyed", "m\u0131nor_damage"])
+def test_csv_category_labels_fold_case_in_ascii_only(label):
+    truth = "point_id,lon,lat,category\np1,1.0,2.0,Destroyed\np2,1.0,2.0,{}\n"
+    assert parse_truth_csv(truth.format("DESTROYED")).category.tolist() == [4, 4]
+    with pytest.raises(UnknownCategory, match=f"^t.csv:3: unknown damage category {label!r}$"):
+        parse_truth_csv(truth.format(label), source="t.csv")
+    oracle = "footprint_id,category\nb1,{}\nb2,MINOR_damage\n"
+    assert parse_oracle_csv(oracle.format("Affected")) == {
+        "b1": FemaCategory.AFFECTED, "b2": FemaCategory.MINOR_DAMAGE}
+    with pytest.raises(UnknownCategory, match=f"^o.csv:2: unknown damage category {label!r}$"):
+        parse_oracle_csv(oracle.format(label), source="o.csv")
+
+
 @pytest.mark.parametrize("parse, text, message", [
     (parse_truth_csv, "point_id,lon,lat,category\n\np1,1.0,2.0,a,b\n",
      "expected 4 fields, got 5"),

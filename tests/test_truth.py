@@ -46,6 +46,19 @@ def test_category_labels_round_trip():
         FemaCategory.from_label("obliterated")
 
 
+# U+017F and U+0131 upper-case to the ASCII S and I of DESTROYED and MINOR_DAMAGE.
+@pytest.mark.parametrize("label", ["de\u017ftroyed", "m\u0131nor_damage", "DE\u017fTROYED",
+                                   "\uff44estroyed"])
+def test_a_category_label_folds_case_in_ascii_only(label):
+    assert FemaCategory.from_label("DESTROYED") is FemaCategory.DESTROYED
+    assert FemaCategory.from_label("Minor_Damage") is FemaCategory.MINOR_DAMAGE
+    assert parse_scheme("Major_Damage,DESTROYED") == MAJOR_PLUS
+    with pytest.raises(UnknownCategory, match=f"^src:3: unknown damage category {label!r}$"):
+        FemaCategory.from_label(label, "src", 3)
+    with pytest.raises(UnknownCategory, match=f"^--scheme: unknown damage category {label!r}$"):
+        parse_scheme(f"major_damage,{label}", source="--scheme")
+
+
 def test_categories_are_ordered_by_severity():
     values = [FemaCategory.NO_VISIBLE_DAMAGE, FemaCategory.AFFECTED,
               FemaCategory.MINOR_DAMAGE, FemaCategory.MAJOR_DAMAGE,
